@@ -355,17 +355,26 @@ def _separated_pairs(mesh: BoundaryMesh):
     return i, j, dist / scale
 
 
+def _distance_classes(ratio: np.ndarray, classes):
+    """Yield ``(mask, order, n_panels)`` per non-empty class of ``ratio``.
+
+    ``classes`` lists (lower bound, order, panels) farthest first; each
+    class takes the ratios from its lower bound up to the previous one.
+    """
+    upper = np.inf
+    for lower, order, n_panels in classes:
+        sel = (ratio >= lower) & (ratio < upper)
+        upper = lower
+        if sel.any():
+            yield sel, order, n_panels
+
+
 def _build_separated_clouds(space: DensitySpace):
     """Tensor-rule clouds for separated pairs, one per distance class."""
     mesh = space.mesh
     i, j, ratio = _separated_pairs(mesh)
     clouds = []
-    for lower, order, n_panels in SEPARATED_CLASSES:
-        upper = np.inf if lower == SEPARATED_CLASSES[0][0] else prev_lower
-        sel = (ratio >= lower) & (ratio < upper)
-        prev_lower = lower
-        if not sel.any():
-            continue
+    for sel, order, n_panels in _distance_classes(ratio, SEPARATED_CLASSES):
         ii, jj = i[sel], j[sel]
         x, w = _composite_rule(order, n_panels)
         q = x.size
@@ -505,6 +514,26 @@ def _border(V: np.ndarray, rows: np.ndarray, s: ComplexFrequency):
     return TransferMatrix(s=s, entries=out, n_multipliers=k)
 
 
+def _constrain(V: np.ndarray, space: DensitySpace, freq: ComplexFrequency,
+               constraints: ConstraintMode, reduced: bool) -> TransferMatrix:
+    """The system for ``constraints`` from the density block ``V``.
+
+    ``reduced`` selects the midpoint-rule moment functionals.
+    """
+    if constraints == ConstraintMode.none:
+        return TransferMatrix(s=freq, entries=V, n_multipliers=0)
+    vecs = moment_vectors(space.mesh, space.kind, reduced=reduced)
+    if constraints == ConstraintMode.multiplier_m:
+        return _border(V, vecs.moment, freq)
+    if constraints == ConstraintMode.multiplier_rigid:
+        return _border(V, vecs.rigid, freq)
+    if constraints == ConstraintMode.augmented_Vtilde:
+        b = vecs.moment
+        return TransferMatrix(s=freq, entries=V + np.outer(b, b),
+                              n_multipliers=0)
+    raise ValueError(f"unknown constraint mode {constraints!r}")
+
+
 def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
                         cfg: ProblemConfig,
                         constraints: ConstraintMode = ConstraintMode.none,
@@ -525,18 +554,7 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
     """
     V = _galerkin_matrix(space, freq, cfg)
     _check_finite(V, space.n_basis)
-    if constraints == ConstraintMode.none:
-        return TransferMatrix(s=freq, entries=V, n_multipliers=0)
-    vecs = moment_vectors(space.mesh, space.kind)
-    if constraints == ConstraintMode.multiplier_m:
-        return _border(V, vecs.moment, freq)
-    if constraints == ConstraintMode.multiplier_rigid:
-        return _border(V, vecs.rigid, freq)
-    if constraints == ConstraintMode.augmented_Vtilde:
-        b = vecs.moment
-        return TransferMatrix(s=freq, entries=V + np.outer(b, b),
-                              n_multipliers=0)
-    raise ValueError(f"unknown constraint mode {constraints!r}")
+    return _constrain(V, space, freq, constraints, reduced=False)
 
 
 def assemble_Vtilde(space: DensitySpace, freq: ComplexFrequency,
@@ -617,12 +635,7 @@ def _build_row_clouds(space: DensitySpace):
     dist = np.linalg.norm(mesh.midpoints[i] - mesh.midpoints[j], axis=1)
     ratio = dist / np.maximum(mesh.arclengths[i], mesh.arclengths[j])
     clouds = []
-    for lower, order, n_panels in SEPARATED_CLASSES:
-        upper = np.inf if lower == SEPARATED_CLASSES[0][0] else prev_lower
-        sel = (ratio >= lower) & (ratio < upper)
-        prev_lower = lower
-        if not sel.any():
-            continue
+    for sel, order, n_panels in _distance_classes(ratio, SEPARATED_CLASSES):
         ii, jj = i[sel], j[sel]
         x, w = _composite_rule(order, n_panels)
         pos_y, sp_y = _element_points(mesh, jj[:, None], x[None, :])
@@ -679,18 +692,7 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     for cloud in (diag, nb_next, nb_prev, *far):
         _accumulate_blocks(V, cloud, freq.sqrt_s, pref, space.n_basis)
     _check_finite(V, space.n_basis)
-    if constraints == ConstraintMode.none:
-        return TransferMatrix(s=freq, entries=V, n_multipliers=0)
-    vecs = moment_vectors(mesh, space.kind, reduced=True)
-    if constraints == ConstraintMode.multiplier_m:
-        return _border(V, vecs.moment, freq)
-    if constraints == ConstraintMode.multiplier_rigid:
-        return _border(V, vecs.rigid, freq)
-    if constraints == ConstraintMode.augmented_Vtilde:
-        b = vecs.moment
-        return TransferMatrix(s=freq, entries=V + np.outer(b, b),
-                              n_multipliers=0)
-    raise ValueError(f"unknown constraint mode {constraints!r}")
+    return _constrain(V, space, freq, constraints, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -710,15 +712,8 @@ def _potential_classes(mesh: BoundaryMesh, points: np.ndarray):
     dist = np.linalg.norm(points[:, None, :] - mesh.midpoints[None, :, :],
                           axis=-1)
     ratio = dist / mesh.arclengths[None, :]
-    groups = []
-    for lower, order, n_panels in POTENTIAL_CLASSES:
-        upper = np.inf if lower == POTENTIAL_CLASSES[0][0] else prev_lower
-        sel = (ratio >= lower) & (ratio < upper)
-        prev_lower = lower
-        if sel.any():
-            kk, jj = np.nonzero(sel)
-            groups.append((kk, jj, order, n_panels))
-    return groups
+    return [(*np.nonzero(sel), order, n_panels)
+            for sel, order, n_panels in _distance_classes(ratio, POTENTIAL_CLASSES)]
 
 
 def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,

@@ -22,9 +22,11 @@ does not depend on ``s``.  The scalar profiles are
 where ``K_l`` is the modified Bessel function of order ``l``.  All four are
 numerically delicate near ``z = 0``: the closed forms subtract nearly equal
 terms of size ``|z|^-2`` while the limits are finite (all four tend to 1).
-Below ``SERIES_SWITCH_RADIUS`` the implementation therefore switches to
-explicit power series in which the cancellation has been carried out
-analytically.
+Below ``SERIES_SWITCH_RADIUS`` (0.5) the implementation therefore switches
+to explicit power series in which the cancellation has been carried out
+analytically.  Above it the closed forms are stable; ``K_0`` and ``K_1``
+there come from ``scipy.special.kv``, the AMOS evaluation (Amos, ACM TOMS
+12 (1986) 265-273).
 
 The frequency ``s`` may be any complex number off the half-line
 ``(-inf, 0]``; its square root is always taken with the principal
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
+from scipy.special import kv
 
 # Euler-Mascheroni constant, to double precision.
 EULER_GAMMA = 0.5772156649015328606
@@ -47,28 +50,10 @@ EULER_GAMMA = 0.5772156649015328606
 #: evaluations are stable.
 SERIES_SWITCH_RADIUS = 0.5
 
-#: |z| at which K_0/K_1 switch from the ascending series to the
-#: continued-fraction evaluation.  The series keeps 12 significant digits
-#: up to here (mild log/series cancellation); the continued fraction is
-#: slowest just above its lower range, so the switch sits where both are
-#: accurate and neither is slow.
-BESSEL_SWITCH_RADIUS = 4.0
-
-#: |z| beyond which K_0/K_1 use the divergent asymptotic expansion,
-#: truncated at a fixed depth chosen so the smallest term is below
-#: roundoff throughout the branch.
-ASYMPTOTIC_SWITCH_RADIUS = 30.0
-
-#: Re(z) beyond which exp(-z) underflows in double precision; the Bessel
-#: factors are flushed to exact zero there (the algebraic 1/z^2 tails of
-#: A_2, B_2 survive).
-UNDERFLOW_REAL_PART = 745.0
-
 #: power-series terms are accumulated until they drop below this magnitude.
 SERIES_TERM_FLOOR = 1e-18
 
 _MAX_SERIES_TERMS = 34
-_CF_MAX_ITER = 400
 
 
 def principal_sqrt(s: complex) -> complex:
@@ -102,7 +87,7 @@ def principal_sqrt(s: complex) -> complex:
 
 @dataclass(frozen=True)
 class ComplexFrequency:
-    """A Laplace frequency with its principal root and sector data.
+    """A Laplace frequency with its principal square root.
 
     Attributes
     ----------
@@ -110,23 +95,15 @@ class ComplexFrequency:
         The frequency itself, any point of ``C \\ (-inf, 0]``.
     sqrt_s : complex
         Principal square root, ``Re sqrt_s > 0``.
-    omega : float
-        ``Re sqrt_s``; controls the exponential decay rate of the kernels.
-    omega_lower : float
-        ``min(1, omega)``.
     """
 
     s: complex
     sqrt_s: complex = field(init=False)
-    omega: float = field(init=False)
-    omega_lower: float = field(init=False)
 
     def __post_init__(self) -> None:
         root = principal_sqrt(self.s)
         object.__setattr__(self, "s", complex(self.s))
         object.__setattr__(self, "sqrt_s", root)
-        object.__setattr__(self, "omega", root.real)
-        object.__setattr__(self, "omega_lower", min(1.0, root.real))
 
 
 @dataclass(frozen=True)
@@ -168,153 +145,6 @@ def _require_right_half_plane(z: np.ndarray) -> None:
         raise ValueError(f"argument {bad} has Re <= 0; kernels need Re z > 0")
 
 
-def _k01_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending series for K_0, K_1 (complex z, |z| up to the switch).
-
-    Uses the standard log-type expansions
-
-        K_0 = -(log(z/2) + g) I_0 + sum_{k>=1} H_k u^k / (k!)^2,
-        K_1 = 1/z + log(z/2) I_1 - (z/4) sum (H_k + H_{k+1} - 2g) u^k / (k!(k+1)!),
-
-    with ``u = z^2/4``, ``H_k`` the harmonic numbers and ``g`` Euler's
-    constant.
-    """
-    u = z * z / 4.0
-    logz2 = np.log(z / 2.0)
-    i0 = np.zeros_like(z)
-    i1s = np.zeros_like(z)          # I_1 / (z/2)
-    k0s = np.zeros_like(z)
-    k1s = np.zeros_like(z)
-    term0 = np.ones_like(z)         # u^k / (k!)^2
-    term1 = np.ones_like(z)         # u^k / (k!(k+1)!)
-    harmonic = 0.0
-    for k in range(_MAX_SERIES_TERMS):
-        i0 += term0
-        i1s += term1
-        if k >= 1:
-            k0s += harmonic * term0
-        k1s += (2.0 * harmonic + 1.0 / (k + 1.0) - 2.0 * EULER_GAMMA) * term1
-        term0 = term0 * u / ((k + 1.0) ** 2)
-        term1 = term1 * u / ((k + 1.0) * (k + 2.0))
-        harmonic += 1.0 / (k + 1.0)
-        if np.max(np.abs(term0)) < SERIES_TERM_FLOOR:
-            break
-    i1 = 0.5 * z * i1s
-    k0 = -(logz2 + EULER_GAMMA) * i0 + k0s
-    k1 = 1.0 / z + logz2 * i1 - 0.25 * z * k1s
-    return k0, k1
-
-
-def _k01_continued_fraction(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steed/Lentz continued fraction for K_0, K_1 (Re z > 0, large |z|).
-
-    Evaluates the second continued fraction of the Bessel K recurrences
-    with vectorized Lentz iteration.  Converged lanes are retired from
-    the working set each sweep, so the cost is governed by the mean
-    iteration count (small arguments near the switch radius converge
-    slowest) rather than the worst lane.
-    """
-    zf = np.asarray(z, dtype=complex).ravel()
-    n = zf.size
-    h_out = np.empty(n, dtype=complex)
-    s_out = np.empty(n, dtype=complex)
-    idx = np.arange(n)
-    b = 2.0 * (1.0 + zf)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1 = np.zeros(n, dtype=complex)
-    q2 = np.ones(n, dtype=complex)
-    a1 = 0.25
-    q = np.full(n, a1, dtype=complex)
-    c = np.full(n, a1, dtype=complex)
-    a = -a1
-    ssum = 1.0 + q * delh
-    for i in range(2, _CF_MAX_ITER):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        dels = q * delh
-        ssum = ssum + dels
-        done = np.abs(dels) <= 1e-16 * np.abs(ssum)
-        n_done = int(done.sum())
-        # retire converged lanes in batches to keep slicing cost low
-        if n_done == idx.size or n_done >= max(512, idx.size // 4):
-            h_out[idx[done]] = h[done]
-            s_out[idx[done]] = ssum[done]
-            keep = ~done
-            idx = idx[keep]
-            if idx.size == 0:
-                break
-            b, d, h, delh = b[keep], d[keep], h[keep], delh[keep]
-            q1, q2, q, c = q1[keep], q2[keep], q[keep], c[keep]
-            ssum = ssum[keep]
-    if idx.size:
-        raise ValueError("continued fraction for K_0/K_1 did not converge")
-    h_out = a1 * h_out
-    k0 = np.sqrt(np.pi / (2.0 * zf)) * np.exp(-zf) / s_out
-    k1 = k0 * (zf + 0.5 - h_out) / zf
-    shape = np.asarray(z).shape
-    return k0.reshape(shape), k1.reshape(shape)
-
-
-def _k01_asymptotic_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients a_k(nu) of K_nu(z) ~ sqrt(pi/2z) e^-z sum a_k z^-k."""
-    a0 = np.empty(n)
-    a1 = np.empty(n)
-    a0[0] = a1[0] = 1.0
-    for k in range(1, n):
-        j = 2 * k - 1
-        a0[k] = a0[k - 1] * (0.0 - j * j) / (8.0 * k)
-        a1[k] = a1[k - 1] * (4.0 - j * j) / (8.0 * k)
-    return a0, a1
-
-
-_K0_ASYMPTOTIC, _K1_ASYMPTOTIC = _k01_asymptotic_coefficients(19)
-
-
-def _k01_asymptotic(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Large-argument expansion of K_0, K_1; |z| above the asymptotic switch.
-
-    The fixed truncation depth keeps the first omitted term below
-    roundoff at the switch radius and beyond.
-    """
-    w = 1.0 / z
-    p0 = np.full_like(z, _K0_ASYMPTOTIC[-1])
-    p1 = np.full_like(z, _K1_ASYMPTOTIC[-1])
-    for c0, c1 in zip(_K0_ASYMPTOTIC[-2::-1], _K1_ASYMPTOTIC[-2::-1]):
-        p0 = p0 * w + c0
-        p1 = p1 * w + c1
-    front = np.sqrt(np.pi / (2.0 * z)) * np.exp(-z)
-    return front * p0, front * p1
-
-
-def _k01(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K_0 and K_1 on an array of complex arguments with Re z > 0."""
-    z = np.asarray(z, dtype=complex)
-    k0 = np.zeros_like(z)
-    k1 = np.zeros_like(z)
-    live = z.real <= UNDERFLOW_REAL_PART    # beyond: exp(-z) underflows, K ~ 0
-    mag = np.abs(z)
-    small = live & (mag <= BESSEL_SWITCH_RADIUS)
-    mid = live & ~small & (mag < ASYMPTOTIC_SWITCH_RADIUS)
-    far = live & (mag >= ASYMPTOTIC_SWITCH_RADIUS)
-    if small.any():
-        k0[small], k1[small] = _k01_series(z[small])
-    if mid.any():
-        k0[mid], k1[mid] = _k01_continued_fraction(z[mid])
-    if far.any():
-        k0[far], k1[far] = _k01_asymptotic(z[far])
-    return k0, k1
-
-
 def bessel_k(order: int, z):
     """Modified Bessel function ``K_order(z)`` for complex ``z``, Re z > 0.
 
@@ -328,8 +158,8 @@ def bessel_k(order: int, z):
     Returns
     -------
     complex or ndarray
-        Function values; exact 0 where ``Re z > 745`` (underflow of the
-        exponential factor).
+        Function values from ``scipy.special.kv`` (AMOS); exact 0 where
+        the exponential factor underflows (from about ``Re z = 700``).
 
     Raises
     ------
@@ -340,13 +170,7 @@ def bessel_k(order: int, z):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     za = np.atleast_1d(np.asarray(z, dtype=complex))
     _require_right_half_plane(za)
-    k0, k1 = _k01(za)
-    if order == 0:
-        out = k0
-    elif order == 1:
-        out = k1
-    else:
-        out = k0 + 2.0 * k1 / za
+    out = kv(order, za)
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return complex(out[0])
     return out.reshape(np.asarray(z).shape)
@@ -397,8 +221,8 @@ def _ab2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ab2_closed(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A_2, B_2 from Bessel evaluations (|z| above the series switch)."""
-    k0, k1 = _k01(z)
+    """A_2, B_2 from AMOS K_0, K_1 (|z| above the series switch)."""
+    k0, k1 = kv(0, z), kv(1, z)
     a2 = 2.0 * (k0 + k1 / z - 1.0 / (z * z))
     b2 = 2.0 * (2.0 / (z * z) - (k0 + 2.0 * k1 / z))
     return a2, b2

@@ -418,8 +418,8 @@ def run_simulation(
     Raises
     ------
     ValueError
-        For inadmissible data, an unknown assembly flag, or any
-        violated component precondition.
+        For inadmissible data, an observation point on the boundary,
+        an unknown assembly flag, or any violated component precondition.
     """
     if assembly not in ("galerkin", "reduced"):
         raise ValueError(
@@ -429,6 +429,9 @@ def run_simulation(
     mesh = build_mesh(curve, n_elements)
     space = build_space(mesh, kind)
     points = np.atleast_2d(np.asarray(observation_points, dtype=float))
+    # frequency-independent, and it rejects points on the boundary
+    # before any sampling or assembly
+    pressure_map = potential_pressure_matrix(space, points)
 
     _check_data_admissible(data, curve, n_elements, scheme)
 
@@ -480,7 +483,7 @@ def run_simulation(
         scheme,
         densities,
     ).reshape(n_keep, points.shape[0], 2)
-    pressure = densities.densities @ potential_pressure_matrix(space, points).T
+    pressure = densities.densities @ pressure_map.T
 
     return SimulationResult(
         space=space,

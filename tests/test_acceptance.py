@@ -18,8 +18,6 @@ from stokesbem.bem_space import ConstraintMode, build_space
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import (
-    ASYMPTOTIC_SWITCH_RADIUS,
-    BESSEL_SWITCH_RADIUS,
     ComplexFrequency,
     ProblemConfig,
     scalar_A,
@@ -220,7 +218,7 @@ def test_criterion_5_kernel_accuracy():
     samples_ok = worst_profile <= 1e-10 and worst_tensor <= 1e-10
 
     worst_seam = 0.0
-    for radius in (BESSEL_SWITCH_RADIUS, ASYMPTOTIC_SWITCH_RADIUS):
+    for radius in (4.0, 30.0):
         for bump in (-1e-6, 1e-6):
             for arg in np.linspace(-0.45 * np.pi, 0.45 * np.pi, 8):
                 z = (radius + bump) * np.exp(1j * arg)

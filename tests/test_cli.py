@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import stokesbem.stokes_solver
 import stokesbem.verification
 from stokesbem import cli
 
@@ -207,6 +208,21 @@ class TestRunCommand:
         )
         assert cli.main(["run", path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_observation_point_on_boundary_is_config_error(
+            self, tmp_path, monkeypatch, capsys):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembly reached")
+
+        monkeypatch.setattr(stokesbem.stokes_solver, "cq_weights", no_assembly)
+        path = write_config(
+            tmp_path / "run.cfg",
+            RUN_TEXT.replace("0,0; 0.5,0.5", "0,0; 1,0"),
+        )
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "observation point 1 lies on the boundary" in err
 
     def test_numerical_failure_maps_to_exit_2(self, tmp_path, monkeypatch,
                                               capsys):

@@ -15,8 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stokesbem.laplace_kernels import (
-    BESSEL_SWITCH_RADIUS,
-    ASYMPTOTIC_SWITCH_RADIUS,
     ComplexFrequency,
     ProblemConfig,
     bessel_k,
@@ -122,7 +120,7 @@ def test_bessel_k_rejects_bad_order():
 
 
 def test_bessel_k_accuracy_against_mpmath():
-    """Relative accuracy 1e-12 across both evaluation branches."""
+    """Relative accuracy 1e-14 from |z| = 1e-4 to 600."""
     rng = np.random.default_rng(31)
     mods = 10.0 ** rng.uniform(-4, np.log10(600.0), 60)
     args = rng.uniform(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, 60)
@@ -131,7 +129,7 @@ def test_bessel_k_accuracy_against_mpmath():
         for order in (0, 1):
             got = bessel_k(order, z)
             ref = mp_k(order, z)
-            assert abs(got - ref) <= 1e-12 * abs(ref), (order, z)
+            assert abs(got - ref) <= 1e-14 * abs(ref), (order, z)
 
 
 def test_bessel_k_recurrence_grid():
@@ -145,8 +143,8 @@ def test_bessel_k_recurrence_grid():
 
 
 def test_bessel_k_branch_seams():
-    """Both evaluation seams stay consistent to 1e-9 with the oracle."""
-    for radius in (BESSEL_SWITCH_RADIUS, ASYMPTOTIC_SWITCH_RADIUS):
+    """The probe radii 4 and 30 stay consistent to 1e-9 with the oracle."""
+    for radius in (4.0, 30.0):
         for bump in (-1e-6, 1e-6):
             for arg in (-1.2, -0.4, 0.0, 0.7, 1.3):
                 z = (radius + bump) * np.exp(1j * arg)
