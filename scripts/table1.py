@@ -11,7 +11,8 @@ singularities of the square keep the observed velocity rate a little
 below the smooth-boundary value of 3.
 
 ``--extended`` appends the (128, 320) row; note the stored convolution
-weights grow as (M + 1) (4N)^2 complex numbers, about 1.3 GB there.
+weights grow as (M + 1) (4N)^2 real numbers, plus as many bytes
+of complex contour samples, about 1.3 GB there.
 """
 
 import argparse

@@ -9,7 +9,8 @@ against the closed-form reference solution; both rates should settle
 near 3.
 
 ``--extended`` appends the (320, 320) row; note the stored convolution
-weights grow as (M + 1) (2N)^2 complex numbers, about 2 GB at 320.
+weights grow as (M + 1) (2N)^2 real numbers, plus as many bytes
+of complex contour samples, about 2 GB at 320.
 """
 
 import argparse

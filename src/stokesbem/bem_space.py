@@ -32,6 +32,20 @@ are classified as
 All node sets depend on ``s`` only through dyadically quantized split
 radii, so the expensive point-cloud geometry is cached and shared by
 the many frequencies of a convolution-quadrature contour.
+
+At one frequency every argument ``z = sqrt(s) r`` lies on a single ray,
+so each profile is a smooth function of the real distance ``r``, with
+its only singularity at ``r = 0``.  The cloud profiles are therefore
+interpolated in ``r`` rather than evaluated point by point: with
+``S = 2^ceil(log2 |sqrt(s)|)``, panels are geometric (ratio 2) below
+``r = 1/S`` and uniform of width ``1/S`` above it, so each panel spans
+at most 1 in ``|z|`` and lies at least half its width away from the
+singularity, and ``RAY_PANEL_ORDER`` Chebyshev nodes resolve it to
+machine precision (Trefethen, *Approximation Theory and Approximation
+Practice*, SIAM 2013).  Only the nodes of occupied panels are evaluated
+directly.  The barycentric basis rows depend on ``s`` only through
+``S``, which takes few values along a contour; they are kept for the
+clouds of the latest assembly until ``S`` or the clouds change.
 """
 
 from __future__ import annotations
@@ -80,6 +94,9 @@ SEPARATED_CLASSES = ((4.0, 6, 1), (2.0, 8, 1), (1.0, 12, 1), (0.0, 8, 2))
 
 #: observation-point classes for the potential matrices
 POTENTIAL_CLASSES = ((4.0, 6, 1), (2.0, 8, 1), (1.0, 12, 1), (0.0, 12, 4))
+
+#: Chebyshev nodes per panel of the ray-wise profile interpolation
+RAY_PANEL_ORDER = 20
 
 _KIND_BASIS = {"P0": 1, "P1_discontinuous": 2}
 
@@ -415,32 +432,134 @@ def _space_key(space: DensitySpace):
     return (space.mesh.curve, space.mesh.n_elements, space.kind)
 
 
-def _channel_values(z, alpha, beta):
+#: first-kind Chebyshev points on [-1, 1] and their barycentric weights
+_CHEB_T = np.cos((2.0 * np.arange(RAY_PANEL_ORDER) + 1.0) * np.pi
+                 / (2.0 * RAY_PANEL_ORDER))
+_CHEB_W = (-1.0) ** np.arange(RAY_PANEL_ORDER) * np.sin(
+    (2.0 * np.arange(RAY_PANEL_ORDER) + 1.0) * np.pi / (2.0 * RAY_PANEL_ORDER))
+
+
+@dataclass(frozen=True)
+class _RayBasis:
+    """Interpolation of a profile at a set of distances, for one scale ``S``.
+
+    The points are sorted by panel; panel ``k`` holds the sorted points
+    ``bounds[k]:bounds[k + 1]`` and has Chebyshev nodes ``nodes[k]``.
+    ``rows`` holds each sorted point's barycentric weights on its panel's
+    nodes, shape (RAY_PANEL_ORDER, n_points); ``inverse`` maps the sorted
+    order back to the input order.
+    """
+
+    inverse: np.ndarray
+    bounds: np.ndarray
+    nodes: np.ndarray
+    rows: np.ndarray
+
+
+def _ray_scale(sqrt_s: complex) -> float:
+    """Panel scale ``S = 2^ceil(log2 |sqrt(s)|)``."""
+    return 2.0 ** math.ceil(math.log2(abs(sqrt_s)))
+
+
+def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis:
+    """Panel sort and barycentric rows for the distances ``r`` (1-D)."""
+    rs = r * scale
+    # uniform panels [k, k + 1) / S for r S >= 1; below, the binary
+    # exponent e of r S names the geometric panel [2^(e-1), 2^e) / S
+    ids = np.where(rs >= 1.0, np.floor(rs), np.frexp(rs)[1]).astype(np.int64)
+    order = np.argsort(ids, kind="stable")
+    panels, starts, counts = np.unique(ids[order], return_index=True,
+                                       return_counts=True)
+    lo = np.where(panels >= 1, panels, 2.0 ** (panels - 1)) / scale
+    hi = np.where(panels >= 1, panels + 1.0, 2.0 ** panels) / scale
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    t = (r[order] - np.repeat(mid, counts)) / np.repeat(half, counts)
+    rows = t[None, :] - _CHEB_T[:, None]
+    hit = rows == 0.0
+    rows[hit] = 1.0
+    np.divide(_CHEB_W[:, None], rows, out=rows)
+    rows /= rows.sum(axis=0)
+    on_node = hit.any(axis=0)
+    rows[:, on_node] = hit[:, on_node]
+    return _RayBasis(inverse=np.argsort(order),
+                     bounds=np.append(starts, r.size),
+                     nodes=mid[:, None] + half[:, None] * _CHEB_T[None, :],
+                     rows=rows)
+
+
+def _interpolate(basis: _RayBasis, profiles, sqrt_s):
+    """Interpolated values, in input order, of the two profiles that
+    ``profiles`` (``_ab2`` or ``_pr2``) returns at ``z = sqrt_s r``."""
+    f, g = profiles(sqrt_s * basis.nodes)
+    table = np.stack([f.real, f.imag, g.real, g.imag], axis=1)
+    out = np.empty((4, basis.rows.shape[1]))
+    b = basis.bounds
+    # einsum rather than matmul: a multithreaded BLAS call on these thin
+    # shapes costs milliseconds regardless of its size
+    for k in range(table.shape[0]):
+        np.einsum("fj,jp->fp", table[k], basis.rows[:, b[k]:b[k + 1]],
+                  out=out[:, b[k]:b[k + 1]])
+    out = out[:, basis.inverse]
+    return out[0] + 1j * out[1], out[2] + 1j * out[3]
+
+
+#: the scale ``S`` of the last assembly and the bases of its clouds, a
+#: dict from ``id(cloud)`` to ``(cloud, alpha basis, beta basis)``; the
+#: cloud is held so that its id cannot be reused.  Only the clouds of one
+#: assembly are held, which bounds the memory; a contour sweep crosses
+#: few scales, so most assemblies reuse them.
+_RAY_SLOT: list = [None, {}]
+
+
+def _ray_bases(clouds, sqrt_s) -> list:
+    """The (alpha, beta) interpolation bases of each cloud at ``sqrt_s``.
+
+    A basis is ``None`` where the cloud has no point in that channel.
+    Bases of other clouds or another scale are dropped before new ones
+    are built.
+    """
+    scale = _ray_scale(sqrt_s)
+    held = _RAY_SLOT[1] if _RAY_SLOT[0] == scale else {}
+    held = {id(c): held[id(c)] for c in clouds if id(c) in held}
+    _RAY_SLOT[:] = [scale, held]
+    for cloud in clouds:
+        if id(cloud) not in held:
+            held[id(cloud)] = (cloud,) + tuple(
+                _ray_basis(cloud.r[:, mask].ravel(), scale) if mask.any()
+                else None
+                for mask in (cloud.alpha != 0.0, cloud.beta != 0.0))
+    return [held[id(c)][1:] for c in clouds]
+
+
+def _cloud_profiles(cloud: _PairCloud, bases, sqrt_s):
     """Per-point kernel profile values, combined per the channel weights.
 
     Returns ``val_I = alpha A_2 + beta P`` and ``val_T = alpha B_2 -
-    beta R`` on an array ``z`` of shape (n_pairs, n_points), with the
-    channel coefficients shared along the pair axis.
+    beta R`` at ``z = sqrt_s * cloud.r``, shape (n_pairs, n_points),
+    with ``A_2``, ``B_2`` interpolated at the points where ``alpha != 0``
+    and ``P``, ``R`` where ``beta != 0``, from the cloud's ``bases``
+    (see ``_ray_bases`` and the module docstring).
     """
-    val_i = np.zeros(z.shape, dtype=complex)
-    val_t = np.zeros(z.shape, dtype=complex)
-    m_a = alpha != 0.0
-    if m_a.any():
-        a2, b2 = _ab2(z[:, m_a])
-        val_i[:, m_a] = alpha[m_a] * a2
-        val_t[:, m_a] = alpha[m_a] * b2
-    m_b = beta != 0.0
-    if m_b.any():
-        p, r = _pr2(z[:, m_b])
-        val_i[:, m_b] += beta[m_b] * p
-        val_t[:, m_b] -= beta[m_b] * r
+    val_i = np.zeros(cloud.r.shape, dtype=complex)
+    val_t = np.zeros(cloud.r.shape, dtype=complex)
+    n_pairs = cloud.r.shape[0]
+    basis_a, basis_b = bases
+    if basis_a is not None:
+        m_a = cloud.alpha != 0.0
+        a2, b2 = _interpolate(basis_a, _ab2, sqrt_s)
+        val_i[:, m_a] = cloud.alpha[m_a] * a2.reshape(n_pairs, -1)
+        val_t[:, m_a] = cloud.alpha[m_a] * b2.reshape(n_pairs, -1)
+    if basis_b is not None:
+        m_b = cloud.beta != 0.0
+        p, r = _interpolate(basis_b, _pr2, sqrt_s)
+        val_i[:, m_b] += cloud.beta[m_b] * p.reshape(n_pairs, -1)
+        val_t[:, m_b] -= cloud.beta[m_b] * r.reshape(n_pairs, -1)
     return val_i, val_t
 
 
-def _accumulate_blocks(V, cloud: _PairCloud, sqrt_s, pref, n_basis):
+def _accumulate_blocks(V, cloud: _PairCloud, bases, sqrt_s, pref, n_basis):
     """Add a cloud's 2x2 dof blocks into the matrix ``V`` (no mirroring)."""
-    z = sqrt_s * cloud.r
-    val_i, val_t = _channel_values(z, cloud.alpha, cloud.beta)
+    val_i, val_t = _cloud_profiles(cloud, bases, sqrt_s)
     nb2 = 2 * n_basis
     rows0 = nb2 * cloud.pairs[:, 0]
     cols0 = nb2 * cloud.pairs[:, 1]
@@ -487,10 +606,11 @@ def _galerkin_matrix(space: DensitySpace, freq: ComplexFrequency,
     pref = cfg.kernel_prefactor
     v_diag = np.zeros((ndof, ndof), dtype=complex)
     v_off = np.zeros((ndof, ndof), dtype=complex)
-    _accumulate_blocks(v_diag, self_cloud, freq.sqrt_s, pref, space.n_basis)
-    _accumulate_blocks(v_off, vertex_cloud, freq.sqrt_s, pref, space.n_basis)
-    for cloud in separated:
-        _accumulate_blocks(v_off, cloud, freq.sqrt_s, pref, space.n_basis)
+    clouds = [self_cloud, vertex_cloud, *separated]
+    targets = [v_diag] + [v_off] * (len(clouds) - 1)
+    for V, cloud, bases in zip(targets, clouds,
+                               _ray_bases(clouds, freq.sqrt_s)):
+        _accumulate_blocks(V, cloud, bases, freq.sqrt_s, pref, space.n_basis)
     return v_diag + v_off + v_off.T
 
 
@@ -650,6 +770,18 @@ def _build_row_clouds(space: DensitySpace):
     return clouds
 
 
+def require_reduced_space(space: DensitySpace) -> None:
+    """Raise ``ValueError`` unless reduced integration supports ``space``.
+
+    The scheme is defined for P0 densities on smooth curves only.
+    """
+    if space.kind != "P0":
+        raise ValueError("reduced integration is defined for P0 densities")
+    if space.mesh.curve.is_polygonal:
+        raise ValueError("reduced integration requires a smooth curve; "
+                         "corner elements are not supported")
+
+
 def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
                        cfg: ProblemConfig,
                        constraints: ConstraintMode = ConstraintMode.none,
@@ -667,11 +799,7 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     match the reduced bilinear form.
     """
     _require_planar(cfg)
-    if space.kind != "P0":
-        raise ValueError("reduced integration is defined for P0 densities")
-    if space.mesh.curve.is_polygonal:
-        raise ValueError("reduced integration requires a smooth curve; "
-                         "corner elements are not supported")
+    require_reduced_space(space)
     mesh = space.mesh
     s_abs = abs(freq.sqrt_s)
     l_max = float(mesh.arclengths.max())
@@ -689,8 +817,9 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     ndof = space.dof_count
     pref = cfg.kernel_prefactor
     V = np.zeros((ndof, ndof), dtype=complex)
-    for cloud in (diag, nb_next, nb_prev, *far):
-        _accumulate_blocks(V, cloud, freq.sqrt_s, pref, space.n_basis)
+    clouds = [diag, nb_next, nb_prev, *far]
+    for cloud, bases in zip(clouds, _ray_bases(clouds, freq.sqrt_s)):
+        _accumulate_blocks(V, cloud, bases, freq.sqrt_s, pref, space.n_basis)
     _check_finite(V, space.n_basis)
     return _constrain(V, space, freq, constraints, reduced=True)
 
@@ -699,11 +828,34 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
 # potential evaluation off the boundary
 # ---------------------------------------------------------------------------
 
+#: Gauss-Newton steps projecting a near point onto an element's parameter
+PROJECTION_STEPS = 8
+
+
 def _check_points_off_boundary(mesh: BoundaryMesh, points: np.ndarray) -> None:
+    """Raise ``ValueError`` for a point within 1e-12 of the curve.
+
+    Points within one element length of an element midpoint are
+    projected onto that element's parameter interval by Gauss-Newton
+    steps on ``|x(theta) - p|^2``; the other points are tested against
+    the element samples only.
+    """
     samples = np.concatenate([mesh.midpoints, mesh.endpoints[:, 0, :]])
     d = np.linalg.norm(points[:, None, :] - samples[None, :, :], axis=-1)
-    if d.min() < 1e-12:
-        k = int(np.argwhere(d < 1e-12)[0][0])
+    on_curve = (d < 1e-12).any(axis=1)
+    kk, jj = np.nonzero(d[:, :mesh.n_elements] < mesh.arclengths[None, :])
+    lo, hi = mesh.param_endpoints[jj, 0], mesh.param_endpoints[jj, 1]
+    theta = 0.5 * (lo + hi)
+    p = points[kk]
+    for _ in range(PROJECTION_STEPS):
+        vel = mesh.curve.velocity(theta)
+        res = mesh.curve.point(theta) - p
+        step = np.sum(res * vel, axis=-1) / np.sum(vel * vel, axis=-1)
+        theta = np.clip(theta - step, lo, hi)
+    gap = np.linalg.norm(mesh.curve.point(theta) - p, axis=-1)
+    on_curve[kk[gap < 1e-12]] = True
+    if on_curve.any():
+        k = int(np.argmax(on_curve))
         raise ValueError(f"observation point {k} lies on the boundary")
 
 
@@ -750,10 +902,10 @@ def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,
             s_xx = np.einsum("np,np,np->n", wb, rhat[..., 0] ** 2, b2)
             s_xy = np.einsum("np,np,np->n", wb, rhat[..., 0] * rhat[..., 1], b2)
             s_yy = np.einsum("np,np,np->n", wb, rhat[..., 1] ** 2, b2)
-            np.add.at(out, (2 * kk, cols), pref * (s_i + s_xx))
-            np.add.at(out, (2 * kk, cols + 1), pref * s_xy)
-            np.add.at(out, (2 * kk + 1, cols), pref * s_xy)
-            np.add.at(out, (2 * kk + 1, cols + 1), pref * (s_i + s_yy))
+            out[2 * kk, cols] += pref * (s_i + s_xx)
+            out[2 * kk, cols + 1] += pref * s_xy
+            out[2 * kk + 1, cols] += pref * s_xy
+            out[2 * kk + 1, cols + 1] += pref * (s_i + s_yy)
     return out
 
 
@@ -780,10 +932,8 @@ def potential_pressure_matrix(space: DensitySpace, points) -> np.ndarray:
         for b in range(nb):
             wb = base * fb[b]
             cols = 2 * nb * jj + 2 * b
-            np.add.at(out, (kk, cols),
-                      np.einsum("np,np->n", wb, ker[..., 0]))
-            np.add.at(out, (kk, cols + 1),
-                      np.einsum("np,np->n", wb, ker[..., 1]))
+            out[kk, cols] += np.einsum("np,np->n", wb, ker[..., 0])
+            out[kk, cols + 1] += np.einsum("np,np->n", wb, ker[..., 1])
     return out
 
 

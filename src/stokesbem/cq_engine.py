@@ -345,7 +345,9 @@ def _hermitian_transform(half: np.ndarray, scheme: CQScheme) -> np.ndarray:
     for l in range(1, (n_nodes + 1) // 2):
         full[n_nodes - l] = np.conj(full[l])
     spectrum = np.fft.fft(full, axis=0)[:n_keep]
-    return spectrum * scale.reshape((n_keep,) + (1,) * (half.ndim - 1))
+    del full
+    spectrum *= scale.reshape((n_keep,) + (1,) * (half.ndim - 1))
+    return spectrum
 
 
 def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:

@@ -44,6 +44,7 @@ from .bem_space import (
     data_functional,
     potential_pressure_matrix,
     potential_velocity_matrix,
+    require_reduced_space,
 )
 from ._quadrature import gauss_legendre_01
 from .boundary_geometry import (
@@ -428,6 +429,8 @@ def run_simulation(
     reduced = assembly == "reduced"
     mesh = build_mesh(curve, n_elements)
     space = build_space(mesh, kind)
+    if reduced:
+        require_reduced_space(space)
     points = np.atleast_2d(np.asarray(observation_points, dtype=float))
     # frequency-independent, and it rejects points on the boundary
     # before any sampling or assembly

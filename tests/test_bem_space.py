@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stokesbem import bem_space
 from stokesbem.bem_space import (
     ConstraintMode,
     assemble_galerkin_V,
@@ -24,12 +25,16 @@ from stokesbem.bem_space import (
     solve_transfer,
 )
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh, moment_vectors
+from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import (
     ComplexFrequency,
     ProblemConfig,
+    _ab2,
+    _pr2,
     pressure_kernel,
     velocity_kernel,
 )
+from stokesbem.verification import default_frequencies
 
 CFG = ProblemConfig()
 
@@ -283,6 +288,129 @@ def test_nystrom_constraint_border_uses_reduced_moments(constraints):
 
 
 # ---------------------------------------------------------------------------
+# ray-wise interpolation of the cloud profiles
+
+
+def _direct_profiles(cloud, bases, sqrt_s):
+    """Reference: every profile evaluated directly at ``sqrt_s * cloud.r``."""
+    z = sqrt_s * cloud.r
+    val_i = np.zeros(z.shape, dtype=complex)
+    val_t = np.zeros(z.shape, dtype=complex)
+    m_a = cloud.alpha != 0.0
+    if m_a.any():
+        a2, b2 = _ab2(z[:, m_a])
+        val_i[:, m_a] = cloud.alpha[m_a] * a2
+        val_t[:, m_a] = cloud.alpha[m_a] * b2
+    m_b = cloud.beta != 0.0
+    if m_b.any():
+        p, r = _pr2(z[:, m_b])
+        val_i[:, m_b] += cloud.beta[m_b] * p
+        val_t[:, m_b] -= cloud.beta[m_b] * r
+    return val_i, val_t
+
+
+def _cloud_errors(monkeypatch, assemble, space, frequencies):
+    """Per-cloud matrix error of interpolated against direct profiles.
+
+    Each cloud's contribution is assembled alone both ways; the error is
+    relative to the largest entry of the direct contribution.  Returns
+    the worst error per cloud position in the assembly order.
+    """
+    accumulate = bem_space._accumulate_blocks
+    interpolated = bem_space._cloud_profiles
+    errors = []
+
+    def checked(V, cloud, bases, sqrt_s, pref, n_basis):
+        parts = []
+        for profiles in (interpolated, _direct_profiles):
+            monkeypatch.setattr(bem_space, "_cloud_profiles", profiles)
+            part = np.zeros_like(V)
+            accumulate(part, cloud, bases, sqrt_s, pref, n_basis)
+            parts.append(part)
+        monkeypatch.setattr(bem_space, "_cloud_profiles", interpolated)
+        errors[-1].append(np.abs(parts[0] - parts[1]).max()
+                          / np.abs(parts[1]).max())
+        V += parts[0]
+
+    monkeypatch.setattr(bem_space, "_accumulate_blocks", checked)
+    for s in frequencies:
+        errors.append([])
+        assemble(space, ComplexFrequency(complex(s)), CFG)
+    return np.max(errors, axis=0)
+
+
+def _half_contour(n_steps):
+    scheme = CQScheme(order=3, kappa=1.0 / n_steps, n_steps=n_steps)
+    return scheme.frequencies()[: scheme.n_half_nodes]
+
+
+PROBE_FREQUENCIES = default_frequencies() + (1.0,)
+
+
+@pytest.mark.parametrize(
+    "curve, n, kind, assemble, n_clouds",
+    [
+        (BoundaryCurve.star(), 32, "P0", assemble_nystrom_V, 7),
+        (BoundaryCurve.star(), 32, "P1_discontinuous", assemble_galerkin_V, 6),
+        (BoundaryCurve.square(1.0), 16, "P1_discontinuous",
+         assemble_galerkin_V, 5),
+    ],
+    ids=["reduced-star", "galerkin-star", "galerkin-square"],
+)
+def test_cloud_profiles_match_direct_evaluation(monkeypatch, curve, n, kind,
+                                                assemble, n_clouds):
+    """Every cloud kind (self, vertex, separated classes; diag, both
+    neighbours, row classes) at the probe frequencies and s = 1."""
+    space = build_space(build_mesh(curve, n), kind)
+    errors = _cloud_errors(monkeypatch, assemble, space, PROBE_FREQUENCIES)
+    assert errors.size == n_clouds
+    assert errors.max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "curve, n, m, kind, assemble",
+    [
+        (BoundaryCurve.circle(1.0), 80, 80, "P0", assemble_nystrom_V),
+        (BoundaryCurve.square(1.0), 32, 80, "P1_discontinuous",
+         assemble_galerkin_V),
+    ],
+    ids=["circle-80", "square-p1-32"],
+)
+def test_cloud_profiles_match_direct_on_table_contours(monkeypatch, curve, n,
+                                                       m, kind, assemble):
+    space = build_space(build_mesh(curve, n), kind)
+    errors = _cloud_errors(monkeypatch, assemble, space, _half_contour(m))
+    assert errors.max() <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.25, 1.0, 32.0])
+def test_ray_basis_is_exact_for_cubics_and_at_its_nodes(scale):
+    """Distances on the panels' own nodes (some hit them exactly) and a
+    cubic profile are reproduced to rounding."""
+    panels = bem_space._ray_basis(np.array([0.003, 0.05, 0.3, 1.7]), scale)
+    r = panels.nodes.ravel()
+    basis = bem_space._ray_basis(r, scale)
+    f, g = bem_space._interpolate(basis, lambda z: (z, z**3), 1.0)
+    np.testing.assert_allclose(f, r, rtol=0, atol=1e-15 * r.max())
+    np.testing.assert_allclose(g, r**3, rtol=0, atol=1e-15 * r.max() ** 3)
+
+
+def test_interpolation_bases_leave_no_stale_state(monkeypatch):
+    """Switching the panel scale back and forth reproduces, bit for bit,
+    the matrices assembled with no bases held."""
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 16), "P0")
+    s1, s2 = ComplexFrequency(10.0 + 3.0j), ComplexFrequency(900.0 - 40.0j)
+    assert bem_space._ray_scale(s1.sqrt_s) != bem_space._ray_scale(s2.sqrt_s)
+    for assemble in (assemble_nystrom_V, assemble_galerkin_V):
+        fresh = {}
+        for s in (s1, s2):
+            monkeypatch.setattr(bem_space, "_RAY_SLOT", [None, {}])
+            fresh[s] = assemble(space, s, CFG).entries
+        for s in (s1, s2, s1):
+            assert np.array_equal(assemble(space, s, CFG).entries, fresh[s])
+
+
+# ---------------------------------------------------------------------------
 # potentials
 
 
@@ -337,6 +465,18 @@ def test_velocity_potential_rejects_boundary_point():
         potential_velocity_matrix(
             space, ComplexFrequency(1.0 + 0j), CFG, on_gamma[None, :]
         )
+
+
+def test_potentials_reject_point_on_curve_between_samples():
+    """A point on the arc between element samples is on the boundary."""
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    on_arc = np.array([[0.0, 0.0], [np.cos(0.1), np.sin(0.1)]])
+    with pytest.raises(ValueError, match="observation point 1 lies on the boundary"):
+        potential_pressure_matrix(space, on_arc)
+    with pytest.raises(ValueError, match="observation point 1 lies on the boundary"):
+        potential_velocity_matrix(space, ComplexFrequency(1.0 + 0j), CFG, on_arc)
+    outside = 1.05 * on_arc
+    assert np.isfinite(potential_pressure_matrix(space, outside)).all()
 
 
 def test_pressure_potential_far_point_oracle():

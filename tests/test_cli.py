@@ -224,6 +224,22 @@ class TestRunCommand:
         assert "config error" in err
         assert "observation point 1 lies on the boundary" in err
 
+    def test_reduced_assembly_on_square_is_config_error(
+            self, tmp_path, monkeypatch, capsys):
+        def no_data_checks(*args, **kwargs):
+            raise AssertionError("data checks reached")
+
+        monkeypatch.setattr(stokesbem.stokes_solver, "_check_data_admissible",
+                            no_data_checks)
+        path = write_config(
+            tmp_path / "run.cfg",
+            RUN_TEXT.replace("curve = circle", "curve = square"),
+        )
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "reduced integration requires a smooth curve" in err
+
     def test_numerical_failure_maps_to_exit_2(self, tmp_path, monkeypatch,
                                               capsys):
         def explode(*args, **kwargs):

@@ -9,6 +9,8 @@ mpmath of the closed-form profiles
 and their three-dimensional exponential counterparts.
 """
 
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -32,14 +34,24 @@ def mp_k(order, z):
     return complex(mp.besselk(order, mp.mpc(z)))
 
 
-def mp_a2(z):
+@functools.lru_cache(maxsize=16)
+def _mp_k01(z, dps):
+    """K_0 and K_1 at ``z``; cached because the A_2 and B_2 oracles are
+    usually called one after the other on the same argument."""
     z = mp.mpc(z)
-    return complex(2 * (mp.besselk(0, z) + mp.besselk(1, z) / z - 1 / z**2))
+    return mp.besselk(0, z), mp.besselk(1, z)
+
+
+def mp_a2(z):
+    k0, k1 = _mp_k01(complex(z), mp.mp.dps)
+    z = mp.mpc(z)
+    return complex(2 * (k0 + k1 / z - 1 / z**2))
 
 
 def mp_b2(z):
+    k0, k1 = _mp_k01(complex(z), mp.mp.dps)
     z = mp.mpc(z)
-    return complex(2 * (2 / z**2 - mp.besselk(0, z) - 2 * mp.besselk(1, z) / z))
+    return complex(2 * (2 / z**2 - k0 - 2 * k1 / z))
 
 
 def mp_a3(z):
