@@ -45,7 +45,10 @@ machine precision (Trefethen, *Approximation Theory and Approximation
 Practice*, SIAM 2013).  Only the nodes of occupied panels are evaluated
 directly.  The barycentric basis rows depend on ``s`` only through
 ``S``, which takes few values along a contour; they are kept for the
-clouds of the latest assembly until ``S`` or the clouds change.
+clouds of the latest assembly until ``S`` or the clouds change.  The
+velocity potential goes through the same clouds (an observation point
+against an element, classed by distance) and the same interpolation;
+the clouds of its latest point set are held beside the bases.
 """
 
 from __future__ import annotations
@@ -267,16 +270,15 @@ class _PairCloud:
     beta: np.ndarray
 
 
-def _finish_cloud(pairs, diff, r_weights, fx, fy, sp_x, sp_y, alpha, beta,
-                  n_basis):
-    """Assemble a _PairCloud from raw per-point geometry."""
+def _finish_cloud(pairs, diff, r_weights, fx, fy, sp_x, sp_y, alpha, beta):
+    """Assemble a _PairCloud from raw per-point geometry; ``fx`` and
+    ``fy`` hold the row and the column basis functions at the points."""
     r = np.linalg.norm(diff, axis=-1)
     rhat = diff / r[..., None]
     rr = np.stack([rhat[..., 0] ** 2, rhat[..., 0] * rhat[..., 1],
                    rhat[..., 1] ** 2], axis=-1)
     base = r_weights * sp_x * sp_y
-    wab = np.stack([base * fx[a] * fy[b]
-                    for a in range(n_basis) for b in range(n_basis)])
+    wab = np.stack([base * fa * fb for fa in fx for fb in fy])
     return _PairCloud(pairs=np.asarray(pairs), r=r, rr=rr, wab=wab,
                       alpha=np.asarray(alpha), beta=np.asarray(beta))
 
@@ -311,7 +313,7 @@ def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
     fb_y = _basis_values(space.n_basis, eta)
     pairs = np.stack([np.arange(n), np.arange(n)], axis=1)
     return _finish_cloud(pairs, pos_x - pos_y, w_pt[None, :], fb_x, fb_y,
-                         sp_x, sp_y, alpha, beta, space.n_basis)
+                         sp_x, sp_y, alpha, beta)
 
 
 def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
@@ -350,7 +352,7 @@ def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
     fb_y = _basis_values(space.n_basis, eta)
     pairs = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
     return _finish_cloud(pairs, pos_x - pos_y, w_pt[None, :], fb_x, fb_y,
-                         sp_x, sp_y, alpha, beta, space.n_basis)
+                         sp_x, sp_y, alpha, beta)
 
 
 def _composite_rule(order: int, n_panels: int):
@@ -408,8 +410,7 @@ def _build_separated_clouds(space: DensitySpace):
         spy = np.tile(sp_y, (1, q))
         clouds.append(_finish_cloud(np.stack([ii, jj], axis=1), diff,
                                     wxy[None, :], fx, fy, spx, spy,
-                                    np.ones(q * q), np.zeros(q * q),
-                                    space.n_basis))
+                                    np.ones(q * q), np.zeros(q * q)))
     return clouds
 
 
@@ -558,12 +559,16 @@ def _cloud_profiles(cloud: _PairCloud, bases, sqrt_s):
 
 
 def _accumulate_blocks(V, cloud: _PairCloud, bases, sqrt_s, pref, n_basis):
-    """Add a cloud's 2x2 dof blocks into the matrix ``V`` (no mirroring)."""
+    """Add a cloud's 2x2 dof blocks into the matrix ``V`` (no mirroring).
+
+    ``n_basis`` counts the column functions; the cloud gives the row
+    count, one for an observation point (two matrix rows).
+    """
     val_i, val_t = _cloud_profiles(cloud, bases, sqrt_s)
-    nb2 = 2 * n_basis
-    rows0 = nb2 * cloud.pairs[:, 0]
-    cols0 = nb2 * cloud.pairs[:, 1]
-    for a in range(n_basis):
+    n_rows = cloud.wab.shape[0] // n_basis
+    rows0 = 2 * n_rows * cloud.pairs[:, 0]
+    cols0 = 2 * n_basis * cloud.pairs[:, 1]
+    for a in range(n_rows):
         for b in range(n_basis):
             w = cloud.wab[a * n_basis + b]
             s_i = np.einsum("np,np->n", w, val_i)
@@ -625,7 +630,6 @@ def _check_finite(V: np.ndarray, n_basis: int) -> None:
 
 def _border(V: np.ndarray, rows: np.ndarray, s: ComplexFrequency):
     """Append multiplier rows/columns (zero diagonal block) to ``V``."""
-    rows = np.atleast_2d(rows)
     k, n = rows.shape
     out = np.zeros((n + k, n + k), dtype=complex)
     out[:n, :n] = V
@@ -634,24 +638,32 @@ def _border(V: np.ndarray, rows: np.ndarray, s: ComplexFrequency):
     return TransferMatrix(s=s, entries=out, n_multipliers=k)
 
 
-def _constrain(V: np.ndarray, space: DensitySpace, freq: ComplexFrequency,
-               constraints: ConstraintMode, reduced: bool) -> TransferMatrix:
-    """The system for ``constraints`` from the density block ``V``.
+def border_rows(space: DensitySpace, constraints: ConstraintMode,
+                reduced: bool) -> np.ndarray:
+    """Multiplier rows that border the system, shape ``(k, dof_count)``.
 
-    ``reduced`` selects the midpoint-rule moment functionals.
+    The moment functional for ``multiplier_m``, the two translation
+    functionals for ``multiplier_rigid``, none for the other modes;
+    ``reduced`` selects the midpoint-rule functionals.
     """
-    if constraints == ConstraintMode.none:
-        return TransferMatrix(s=freq, entries=V, n_multipliers=0)
+    if constraints in (ConstraintMode.none, ConstraintMode.augmented_Vtilde):
+        return np.zeros((0, space.dof_count))
     vecs = moment_vectors(space.mesh, space.kind, reduced=reduced)
     if constraints == ConstraintMode.multiplier_m:
-        return _border(V, vecs.moment, freq)
+        return np.atleast_2d(vecs.moment)
     if constraints == ConstraintMode.multiplier_rigid:
-        return _border(V, vecs.rigid, freq)
-    if constraints == ConstraintMode.augmented_Vtilde:
-        b = vecs.moment
-        return TransferMatrix(s=freq, entries=V + np.outer(b, b),
-                              n_multipliers=0)
+        return np.atleast_2d(vecs.rigid)
     raise ValueError(f"unknown constraint mode {constraints!r}")
+
+
+def _constrain(V: np.ndarray, space: DensitySpace, freq: ComplexFrequency,
+               constraints: ConstraintMode, reduced: bool) -> TransferMatrix:
+    """The system for ``constraints`` from the density block ``V``."""
+    if constraints == ConstraintMode.augmented_Vtilde:
+        b = border_rows(space, ConstraintMode.multiplier_m, reduced)
+        return TransferMatrix(s=freq, entries=V + np.outer(b, b))
+    rows = border_rows(space, constraints, reduced)
+    return _border(V, rows, freq) if rows.size else TransferMatrix(freq, V)
 
 
 def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
@@ -714,8 +726,7 @@ def _build_diag_cloud(space: DensitySpace, cap: float, z_scale: float):
     rows = mesh.arclengths[:, None]
     pairs = np.stack([np.arange(n), np.arange(n)], axis=1)
     return _finish_cloud(pairs, mesh.midpoints[:, None, :] - pos_y,
-                         w_pt[None, :], ones, fb_y, rows, sp_y, alpha, beta,
-                         space.n_basis)
+                         w_pt[None, :], ones, fb_y, rows, sp_y, alpha, beta)
 
 
 def _build_neighbor_cloud(space: DensitySpace, offset: int):
@@ -741,7 +752,26 @@ def _build_neighbor_cloud(space: DensitySpace, offset: int):
     pairs = np.stack([np.arange(n), cols], axis=1)
     return _finish_cloud(pairs, mesh.midpoints[:, None, :] - pos_y,
                          w_pt[None, :], ones, fb_y, rows, sp_y,
-                         np.ones(eta.size), np.zeros(eta.size), space.n_basis)
+                         np.ones(eta.size), np.zeros(eta.size))
+
+
+def _point_clouds(space: DensitySpace, points, ii, jj, ratio, row_weights,
+                  classes):
+    """Clouds of (point ``ii``, element ``jj``) pairs, one per distance
+    class of ``ratio`` in ``classes``; ``row_weights`` scale the points."""
+    mesh = space.mesh
+    clouds = []
+    for sel, order, n_panels in _distance_classes(ratio, classes):
+        ik, jk = ii[sel], jj[sel]
+        x, w = _composite_rule(order, n_panels)
+        pos_y, sp_y = _element_points(mesh, jk[:, None], x[None, :])
+        clouds.append(_finish_cloud(np.stack([ik, jk], axis=1),
+                                    points[ik][:, None, :] - pos_y,
+                                    w[None, :], np.ones((1, x.size)),
+                                    _basis_values(space.n_basis, x),
+                                    row_weights[ik][:, None], sp_y,
+                                    np.ones(x.size), np.zeros(x.size)))
+    return clouds
 
 
 def _build_row_clouds(space: DensitySpace):
@@ -754,20 +784,8 @@ def _build_row_clouds(space: DensitySpace):
     i, j = i[sep], j[sep]
     dist = np.linalg.norm(mesh.midpoints[i] - mesh.midpoints[j], axis=1)
     ratio = dist / np.maximum(mesh.arclengths[i], mesh.arclengths[j])
-    clouds = []
-    for sel, order, n_panels in _distance_classes(ratio, SEPARATED_CLASSES):
-        ii, jj = i[sel], j[sel]
-        x, w = _composite_rule(order, n_panels)
-        pos_y, sp_y = _element_points(mesh, jj[:, None], x[None, :])
-        fb_y = _basis_values(space.n_basis, x)
-        ones = np.ones((1, x.size))
-        rows = mesh.arclengths[ii][:, None]
-        clouds.append(_finish_cloud(np.stack([ii, jj], axis=1),
-                                    mesh.midpoints[ii][:, None, :] - pos_y,
-                                    w[None, :], ones, fb_y, rows, sp_y,
-                                    np.ones(x.size), np.zeros(x.size),
-                                    space.n_basis))
-    return clouds
+    return _point_clouds(space, mesh.midpoints, i, j, ratio, mesh.arclengths,
+                         SEPARATED_CLASSES)
 
 
 def require_reduced_space(space: DensitySpace) -> None:
@@ -859,13 +877,19 @@ def _check_points_off_boundary(mesh: BoundaryMesh, points: np.ndarray) -> None:
         raise ValueError(f"observation point {k} lies on the boundary")
 
 
-def _potential_classes(mesh: BoundaryMesh, points: np.ndarray):
-    """(point, element) index pairs grouped by distance class."""
+def _point_element_pairs(mesh: BoundaryMesh, points: np.ndarray):
+    """Every (point, element) pair, point major, with its distance from
+    the element midpoint in element lengths."""
     dist = np.linalg.norm(points[:, None, :] - mesh.midpoints[None, :, :],
                           axis=-1)
-    ratio = dist / mesh.arclengths[None, :]
-    return [(*np.nonzero(sel), order, n_panels)
-            for sel, order, n_panels in _distance_classes(ratio, POTENTIAL_CLASSES)]
+    kk, jj = np.indices(dist.shape).reshape(2, -1)
+    return kk, jj, (dist / mesh.arclengths[None, :]).ravel()
+
+
+#: the key and the clouds of the latest point set of the velocity potential,
+#: reused across a contour sweep.  They stay out of ``_GEOMETRY_CACHE``,
+#: whose entry count would not bound the bytes of many points.
+_POINT_SLOT: list = [None, None]
 
 
 def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,
@@ -877,35 +901,24 @@ def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,
     ``(S(s) lam)(z_k)``; shape ``(2 K, dof_count)`` with rows ordered
     point-major (x then y component per point).  The kernel is smooth
     off the boundary; quadrature order follows the distance to each
-    element in element lengths.
+    element in element lengths, and the profiles are interpolated along
+    the frequency ray like those of the boundary operator.
     """
     _require_planar(cfg)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    mesh = space.mesh
-    _check_points_off_boundary(mesh, points)
-    nb = space.n_basis
+    key = _space_key(space) + (points.shape, points.tobytes())
+    if _POINT_SLOT[0] != key:
+        # drop the previous set and its bases before building anew
+        _POINT_SLOT[:], _RAY_SLOT[:] = [None, None], [None, {}]
+        _check_points_off_boundary(space.mesh, points)
+        _POINT_SLOT[:] = [key, _point_clouds(
+            space, points, *_point_element_pairs(space.mesh, points),
+            np.ones(points.shape[0]), POTENTIAL_CLASSES)]
+    clouds = _POINT_SLOT[1]
     out = np.zeros((2 * points.shape[0], space.dof_count), dtype=complex)
-    pref = cfg.kernel_prefactor
-    for kk, jj, order, n_panels in _potential_classes(mesh, points):
-        x, w = _composite_rule(order, n_panels)
-        pos_y, sp_y = _element_points(mesh, jj[:, None], x[None, :])
-        fb = _basis_values(nb, x)
-        diff = points[kk][:, None, :] - pos_y
-        r = np.linalg.norm(diff, axis=-1)
-        rhat = diff / r[..., None]
-        a2, b2 = _ab2(freq.sqrt_s * r)
-        base = w[None, :] * sp_y
-        for b in range(nb):
-            wb = base * fb[b]
-            cols = 2 * nb * jj + 2 * b
-            s_i = np.einsum("np,np->n", wb, a2)
-            s_xx = np.einsum("np,np,np->n", wb, rhat[..., 0] ** 2, b2)
-            s_xy = np.einsum("np,np,np->n", wb, rhat[..., 0] * rhat[..., 1], b2)
-            s_yy = np.einsum("np,np,np->n", wb, rhat[..., 1] ** 2, b2)
-            out[2 * kk, cols] += pref * (s_i + s_xx)
-            out[2 * kk, cols + 1] += pref * s_xy
-            out[2 * kk + 1, cols] += pref * s_xy
-            out[2 * kk + 1, cols + 1] += pref * (s_i + s_yy)
+    for cloud, bases in zip(clouds, _ray_bases(clouds, freq.sqrt_s)):
+        _accumulate_blocks(out, cloud, bases, freq.sqrt_s,
+                           cfg.kernel_prefactor, space.n_basis)
     return out
 
 
@@ -921,7 +934,9 @@ def potential_pressure_matrix(space: DensitySpace, points) -> np.ndarray:
     _check_points_off_boundary(mesh, points)
     nb = space.n_basis
     out = np.zeros((points.shape[0], space.dof_count))
-    for kk, jj, order, n_panels in _potential_classes(mesh, points):
+    pairs = _point_element_pairs(mesh, points)
+    for sel, order, n_panels in _distance_classes(pairs[2], POTENTIAL_CLASSES):
+        kk, jj = pairs[0][sel], pairs[1][sel]
         x, w = _composite_rule(order, n_panels)
         pos_y, sp_y = _element_points(mesh, jj[:, None], x[None, :])
         fb = _basis_values(nb, x)

@@ -72,11 +72,12 @@ CONTOUR_EPSILON = 1e-15
 # the late coefficients above any fixed relative threshold.
 IMAG_RESIDUE_TOL = 1e-10
 
-# Column block size for the weight transform.  The contour evaluations
-# are stored once (half the nodes), and the Hermitian extension plus FFT
-# run over column slices of this width so the complex work buffer stays
-# a few megabytes even for large boundary systems.
-WEIGHT_CHUNK_COLUMNS = 64
+# Block size, in matrix entries, of the weight transform.  The contour
+# evaluations are stored once (half the nodes); the Hermitian extension
+# and the FFT run over blocks of this many entries of the flattened
+# samples, so the complex work buffers stay near L * 64 KiB whatever the
+# shape of the transfer function.
+WEIGHT_CHUNK_ENTRIES = 4096
 
 # Largest multistep order with a convergence theory for operator
 # convolution quadrature; BDF methods of higher order are not zero
@@ -332,10 +333,10 @@ def _evaluate_contour(transfer, scheme: CQScheme) -> np.ndarray:
 def _hermitian_transform(half: np.ndarray, scheme: CQScheme) -> np.ndarray:
     """Scaled FFT of the Hermitian extension of half-contour samples.
 
-    ``half`` holds ``F_l`` for ``l = 0, ..., floor(L/2)``; the remaining
-    nodes follow from ``F_{L-l} = conj(F_l)``.  Returns the complex
-    coefficient estimates ``W_n = R^{-n}/L * sum_l F_l e^{-2 pi i nl/L}``
-    for ``n = 0, ..., M``.
+    ``half`` holds ``F_l`` for ``l = 0, ..., floor(L/2)`` in its rows, one
+    column per entry; the remaining nodes follow from ``F_{L-l} =
+    conj(F_l)``.  Returns the complex coefficient estimates ``W_n =
+    R^{-n}/L * sum_l F_l e^{-2 pi i nl/L}`` for ``n = 0, ..., M``.
     """
     n_nodes = scheme.n_contour_nodes
     n_keep = scheme.n_steps + 1
@@ -346,7 +347,7 @@ def _hermitian_transform(half: np.ndarray, scheme: CQScheme) -> np.ndarray:
         full[n_nodes - l] = np.conj(full[l])
     spectrum = np.fft.fft(full, axis=0)[:n_keep]
     del full
-    spectrum *= scale.reshape((n_keep,) + (1,) * (half.ndim - 1))
+    spectrum *= scale[:, None]
     return spectrum
 
 
@@ -383,32 +384,19 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     """
     half = _evaluate_contour(transfer, scheme)
     roundoff = _roundoff_floor(half, scheme)
-    if half.ndim == 1:
-        spectrum = _hermitian_transform(half, scheme)
-        resid = float(np.abs(spectrum.imag).max())
-        magnitude = float(np.abs(spectrum.real).max())
-        _check_imag_residue(resid, magnitude, roundoff)
-        return WeightSequence(
-            weights=np.ascontiguousarray(spectrum.real),
-            kappa=scheme.kappa,
-            order=scheme.order,
-        )
-
-    n_keep = scheme.n_steps + 1
-    rows, cols = half.shape[1:]
-    weights = np.empty((n_keep, rows, cols), dtype=float)
+    flat = half.reshape(half.shape[0], -1)
+    weights = np.empty((scheme.n_steps + 1, flat.shape[1]))
     resid = 0.0
     magnitude = 0.0
-    for start in range(0, cols, WEIGHT_CHUNK_COLUMNS):
-        stop = min(start + WEIGHT_CHUNK_COLUMNS, cols)
-        spectrum = _hermitian_transform(
-            np.ascontiguousarray(half[:, :, start:stop]), scheme
-        )
+    for start in range(0, flat.shape[1], WEIGHT_CHUNK_ENTRIES):
+        block = slice(start, start + WEIGHT_CHUNK_ENTRIES)
+        spectrum = _hermitian_transform(flat[:, block], scheme)
         resid = max(resid, float(np.abs(spectrum.imag).max()))
         magnitude = max(magnitude, float(np.abs(spectrum.real).max()))
-        weights[:, :, start:stop] = spectrum.real
+        weights[:, block] = spectrum.real
     _check_imag_residue(resid, magnitude, roundoff)
-    return WeightSequence(weights=weights, kappa=scheme.kappa, order=scheme.order)
+    return WeightSequence(weights=weights.reshape((-1,) + half.shape[1:]),
+                          kappa=scheme.kappa, order=scheme.order)
 
 
 def _roundoff_floor(half: np.ndarray, scheme: CQScheme) -> float:

@@ -40,6 +40,7 @@ from .bem_space import (
     DensitySpace,
     assemble_galerkin_V,
     assemble_nystrom_V,
+    border_rows,
     build_space,
     data_functional,
     potential_pressure_matrix,
@@ -51,7 +52,6 @@ from .boundary_geometry import (
     BoundaryCurve,
     BoundaryMesh,
     build_mesh,
-    moment_vectors,
 )
 from .cq_engine import CQScheme, TimeHistory, cq_march, cq_postprocess, cq_weights
 from .laplace_kernels import ComplexFrequency, ProblemConfig
@@ -91,8 +91,9 @@ MASK_SENTINEL = -1.0e30
 FLUX_RULE_ORDER = 8
 FLUX_MIN_PANELS = 64
 
-# Memory cap (bytes) for one block of velocity-potential weights during
-# snapshot evaluation; grid points are processed in chunks under it.
+# Memory cap (bytes) for one block of velocity-potential weights and their
+# contour samples during snapshot evaluation; grid points are processed
+# in chunks under it.
 SNAPSHOT_WEIGHT_BYTES = 1 << 28
 
 
@@ -364,20 +365,6 @@ def _check_data_admissible(
             )
 
 
-def _constraint_border(
-    mesh: BoundaryMesh, kind: str, constraint: ConstraintMode, reduced: bool
-) -> np.ndarray:
-    """Moment rows bordering the system; shape ``(k, dof)`` with k >= 0."""
-    if constraint in (ConstraintMode.none, ConstraintMode.augmented_Vtilde):
-        return np.zeros((0, 0))
-    vecs = moment_vectors(mesh, kind, reduced=reduced)
-    if constraint == ConstraintMode.multiplier_m:
-        return np.atleast_2d(vecs.moment)
-    if constraint == ConstraintMode.multiplier_rigid:
-        return np.atleast_2d(vecs.rigid)
-    raise ValueError(f"unknown constraint mode {constraint!r}")
-
-
 def run_simulation(
     curve: BoundaryCurve,
     n_elements: int,
@@ -447,7 +434,7 @@ def run_simulation(
         )
 
     assemble = assemble_nystrom_V if reduced else assemble_galerkin_V
-    border = _constraint_border(mesh, kind, constraint, reduced)
+    border = border_rows(space, constraint, reduced)
     n_mult = border.shape[0]
     operator_mode = (
         ConstraintMode.augmented_Vtilde
@@ -618,7 +605,9 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
     p_flat[:, keep] = result.history.densities[steps] @ p_rows.T
 
     dof = result.space.dof_count
-    per_point = (result.scheme.n_steps + 1) * 2 * dof * 8
+    # per point, the real weights and the complex half-contour samples
+    # that cq_weights holds beside them, each with 2 rows per point
+    per_point = 2 * dof * (8 * n_keep + 16 * result.scheme.n_half_nodes)
     chunk = max(8, SNAPSHOT_WEIGHT_BYTES // per_point)
     for start in range(0, keep.size, chunk):
         idx = keep[start : start + chunk]

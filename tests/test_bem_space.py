@@ -339,12 +339,24 @@ def _cloud_errors(monkeypatch, assemble, space, frequencies):
     return np.max(errors, axis=0)
 
 
-def _half_contour(n_steps):
-    scheme = CQScheme(order=3, kappa=1.0 / n_steps, n_steps=n_steps)
+def _half_contour(n_steps, final_time=1.0):
+    scheme = CQScheme(order=3, kappa=final_time / n_steps, n_steps=n_steps)
     return scheme.frequencies()[: scheme.n_half_nodes]
 
 
+def _velocity_potential(points):
+    """``potential_velocity_matrix`` at fixed points, called like an assembly."""
+    return lambda space, freq, cfg: potential_velocity_matrix(space, freq, cfg,
+                                                              points)
+
+
 PROBE_FREQUENCIES = default_frequencies() + (1.0,)
+
+#: a 9 x 9 grid around the star, inside and out, and a point 5 % outside it
+_STAR_GRID = np.stack(np.meshgrid(np.linspace(-2.0, 2.0, 9),
+                                  np.linspace(-2.0, 2.0, 9)), -1).reshape(-1, 2)
+STAR_POINTS = np.vstack([_STAR_GRID, 1.05 * BoundaryCurve.star().point(0.1)])
+SQUARE_POINTS = np.array([[0.1, 0.2], [0.55, 0.3], [3.0, 0.5], [0.3, 1.1]])
 
 
 @pytest.mark.parametrize(
@@ -354,13 +366,18 @@ PROBE_FREQUENCIES = default_frequencies() + (1.0,)
         (BoundaryCurve.star(), 32, "P1_discontinuous", assemble_galerkin_V, 6),
         (BoundaryCurve.square(1.0), 16, "P1_discontinuous",
          assemble_galerkin_V, 5),
+        (BoundaryCurve.star(), 48, "P0", _velocity_potential(STAR_POINTS), 4),
+        (BoundaryCurve.square(1.0), 16, "P1_discontinuous",
+         _velocity_potential(SQUARE_POINTS), 4),
     ],
-    ids=["reduced-star", "galerkin-star", "galerkin-square"],
+    ids=["reduced-star", "galerkin-star", "galerkin-square",
+         "potential-star", "potential-square"],
 )
 def test_cloud_profiles_match_direct_evaluation(monkeypatch, curve, n, kind,
                                                 assemble, n_clouds):
     """Every cloud kind (self, vertex, separated classes; diag, both
-    neighbours, row classes) at the probe frequencies and s = 1."""
+    neighbours, row classes; the potential's point classes) at the probe
+    frequencies and s = 1."""
     space = build_space(build_mesh(curve, n), kind)
     errors = _cloud_errors(monkeypatch, assemble, space, PROBE_FREQUENCIES)
     assert errors.size == n_clouds
@@ -368,18 +385,23 @@ def test_cloud_profiles_match_direct_evaluation(monkeypatch, curve, n, kind,
 
 
 @pytest.mark.parametrize(
-    "curve, n, m, kind, assemble",
+    "curve, n, m, final_time, kind, assemble",
     [
-        (BoundaryCurve.circle(1.0), 80, 80, "P0", assemble_nystrom_V),
-        (BoundaryCurve.square(1.0), 32, 80, "P1_discontinuous",
+        (BoundaryCurve.circle(1.0), 80, 80, 1.0, "P0", assemble_nystrom_V),
+        (BoundaryCurve.square(1.0), 32, 80, 1.0, "P1_discontinuous",
          assemble_galerkin_V),
+        (BoundaryCurve.star(), 48, 24, 3.0, "P0",
+         _velocity_potential(STAR_POINTS)),
     ],
-    ids=["circle-80", "square-p1-32"],
+    ids=["circle-80", "square-p1-32", "star-48-potential"],
 )
 def test_cloud_profiles_match_direct_on_table_contours(monkeypatch, curve, n,
-                                                       m, kind, assemble):
+                                                       m, final_time, kind,
+                                                       assemble):
+    """The table contours, and the star illustration's at half size."""
     space = build_space(build_mesh(curve, n), kind)
-    errors = _cloud_errors(monkeypatch, assemble, space, _half_contour(m))
+    errors = _cloud_errors(monkeypatch, assemble, space,
+                           _half_contour(m, final_time))
     assert errors.max() <= 1e-12
 
 
@@ -396,18 +418,33 @@ def test_ray_basis_is_exact_for_cubics_and_at_its_nodes(scale):
 
 
 def test_interpolation_bases_leave_no_stale_state(monkeypatch):
-    """Switching the panel scale back and forth reproduces, bit for bit,
-    the matrices assembled with no bases held."""
+    """Interleaving the boundary operators and the velocity potential at
+    two point sets, across two panel scales, reproduces bit for bit the
+    matrices assembled with no bases or clouds held; the potential puts
+    nothing into the geometry cache."""
     space = build_space(build_mesh(BoundaryCurve.circle(1.0), 16), "P0")
     s1, s2 = ComplexFrequency(10.0 + 3.0j), ComplexFrequency(900.0 - 40.0j)
     assert bem_space._ray_scale(s1.sqrt_s) != bem_space._ray_scale(s2.sqrt_s)
-    for assemble in (assemble_nystrom_V, assemble_galerkin_V):
-        fresh = {}
+    near, far = np.array([[0.3, 0.2], [1.1, 0.1]]), np.array([[2.0, -1.5]])
+    operators = {
+        "reduced": lambda s: assemble_nystrom_V(space, s, CFG).entries,
+        "galerkin": lambda s: assemble_galerkin_V(space, s, CFG).entries,
+        "near": lambda s: potential_velocity_matrix(space, s, CFG, near),
+        "far": lambda s: potential_velocity_matrix(space, s, CFG, far),
+    }
+    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
+    fresh = {}
+    for name in ("near", "far", "reduced", "galerkin"):
         for s in (s1, s2):
             monkeypatch.setattr(bem_space, "_RAY_SLOT", [None, {}])
-            fresh[s] = assemble(space, s, CFG).entries
-        for s in (s1, s2, s1):
-            assert np.array_equal(assemble(space, s, CFG).entries, fresh[s])
+            monkeypatch.setattr(bem_space, "_POINT_SLOT", [None, None])
+            fresh[name, s] = operators[name](s)
+        if name == "far":
+            assert bem_space._GEOMETRY_CACHE == {}
+    for s in (s1, s2, s1):
+        for name, operator in operators.items():
+            for _ in range(2):  # with rebuilt, then with held state
+                assert np.array_equal(operator(s), fresh[name, s])
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,30 @@ def test_weights_reject_non_real_symbol():
         cq_weights(lambda s: 1j + 0.0 * s, scheme)
 
 
+def test_entry_blocks_leave_weights_bit_identical(monkeypatch):
+    """Transform blocks of 7 entries, which do not divide the 20 entries
+    of the matrix, give the weights of one block bit for bit, and a
+    non-real entry in the last block still trips the residue check."""
+    from stokesbem import cq_engine
+
+    scheme = CQScheme(order=3, kappa=0.05, n_steps=24)
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 5, 4))
+    matrix = lambda s: a / (s + 1.0) + b / (s + 2.0) ** 2
+    scalar = lambda s: 1.0 / (s + 1.0)
+    marked = np.zeros((5, 4), dtype=complex)
+    marked[-1, -1] = 1j
+    runs = []
+    for entries in (7, 10**6):
+        monkeypatch.setattr(cq_engine, "WEIGHT_CHUNK_ENTRIES", entries)
+        runs.append([cq_weights(f, scheme).weights for f in (matrix, scalar)])
+        with pytest.raises(RuntimeError, match="not a real symbol"):
+            cq_weights(lambda s: matrix(s) + marked, scheme)
+    for blocked, whole in zip(*runs):
+        assert np.array_equal(blocked, whole)
+    assert runs[0][0].shape == (25, 5, 4) and runs[0][1].shape == (25,)
+
+
 def test_weights_report_failing_node():
     scheme = CQScheme(order=2, kappa=0.1, n_steps=16)
 

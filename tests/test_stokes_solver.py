@@ -522,6 +522,37 @@ class TestFieldSnapshot:
         assert np.isfinite(snap.velocity[0][keep]).all()
         assert np.abs(snap.velocity[0][keep]).max() < 10.0
 
+    def test_blocked_snapshot_matches_one_block(self, circle_run,
+                                                monkeypatch):
+        """A cap of 50 points' weights and contour samples splits the 301
+        unmasked cells into 7 blocks, with the fields of one block."""
+        from stokesbem import stokes_solver
+
+        grid = GridSpec(
+            x0=-1.3, y0=-1.3, dx=0.13, dy=0.13, n_rows=21, n_cols=21
+        )
+        whole = field_snapshot(circle_run, grid, [6, 12])
+        scheme = circle_run.scheme
+        per_point = 2 * circle_run.space.dof_count * (
+            8 * (scheme.n_steps + 1) + 16 * scheme.n_half_nodes
+        )
+        monkeypatch.setattr(stokes_solver, "SNAPSHOT_WEIGHT_BYTES",
+                            50 * per_point)
+        blocks = []
+        postprocess = stokes_solver.cq_postprocess
+
+        def counted(*args):
+            blocks.append(args)
+            return postprocess(*args)
+
+        monkeypatch.setattr(stokes_solver, "cq_postprocess", counted)
+        split = field_snapshot(circle_run, grid, [6, 12])
+        assert (~whole.mask).sum() == 301 and len(blocks) == 7
+        for name in ("velocity", "pressure", "vorticity"):
+            got, want = getattr(split, name), getattr(whole, name)
+            scale = np.abs(want[want != MASK_SENTINEL]).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
+
     def test_interior_vorticity_vanishes(self, circle_run):
         """The interior solution is linear in space, hence curl free."""
         grid = GridSpec(
