@@ -17,11 +17,7 @@ Modules build on each other in four layers:
   files.
 """
 
-from ._threads import _configure_threads
-
-_configure_threads()
-
-from .laplace_kernels import (  # noqa: E402
+from .laplace_kernels import (
     ComplexFrequency,
     KernelTensor,
     ProblemConfig,
@@ -32,13 +28,13 @@ from .laplace_kernels import (  # noqa: E402
     scalar_B,
     velocity_kernel,
 )
-from .boundary_geometry import (  # noqa: E402
+from .boundary_geometry import (
     BoundaryCurve,
     BoundaryMesh,
     build_mesh,
     moment_vectors,
 )
-from .bem_space import (  # noqa: E402
+from .bem_space import (
     ConstraintMode,
     DensitySpace,
     TransferMatrix,
@@ -51,7 +47,7 @@ from .bem_space import (  # noqa: E402
     potential_velocity_matrix,
     solve_transfer,
 )
-from .cq_engine import (  # noqa: E402
+from .cq_engine import (
     CQScheme,
     TimeHistory,
     WeightSequence,
@@ -60,7 +56,7 @@ from .cq_engine import (  # noqa: E402
     cq_postprocess,
     cq_weights,
 )
-from .stokes_solver import (  # noqa: E402
+from .stokes_solver import (
     MASK_SENTINEL,
     DirichletData,
     FieldSnapshot,
@@ -72,7 +68,7 @@ from .stokes_solver import (  # noqa: E402
     manufactured_dirichlet_data,
     run_simulation,
 )
-from .verification import (  # noqa: E402
+from .verification import (
     ConvergenceRecord,
     PropertyCheck,
     PropertyReport,

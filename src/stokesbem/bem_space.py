@@ -45,10 +45,16 @@ machine precision (Trefethen, *Approximation Theory and Approximation
 Practice*, SIAM 2013).  Only the nodes of occupied panels are evaluated
 directly.  The barycentric basis rows depend on ``s`` only through
 ``S``, which takes few values along a contour; they are kept for the
-clouds of the latest assembly until ``S`` or the clouds change.  The
-velocity potential goes through the same clouds (an observation point
-against an element, classed by distance) and the same interpolation;
-the clouds of its latest point set are held beside the bases.
+clouds of the latest assembly until ``S`` or the clouds change.
+
+A cloud is a tuple of channels (``_PairCloud``), each with its
+quadrature weights folded in: a plain channel takes ``(A_2, B_2)``, the
+companion channel of a logarithmic split ``(P, -R)``.  One contraction,
+``_accumulate_blocks``, turns every cloud into 2x2 matrix blocks: those
+of ``V``, and those of the velocity potential, whose clouds pair an
+observation point with an element, classed by distance.  The pressure
+potential is summed over the same point clouds; the clouds of the
+latest point set are held beside the bases.
 """
 
 from __future__ import annotations
@@ -253,34 +259,47 @@ def _split_channels(cap: float, z_scale: float, n_log: int, n_smooth: int):
 
 @dataclass(frozen=True)
 class _PairCloud:
-    """Precomputed quadrature geometry for one class of element pairs.
+    """Precomputed quadrature geometry of one channel of a class of pairs.
 
-    Per-point arrays are shaped ``(n_pairs, n_points)``; ``alpha`` and
-    ``beta`` are shared across pairs (the split pattern depends only on
-    the in-pair node, not on the pair).  ``wab`` stacks the basis-pair
-    weights, ``rr`` the outer-product components (xx, xy, yy) of the
-    unit separation vector.
+    Per-point arrays end in the axes ``(n_pairs, n_points)``: the
+    distances ``r``, the unit separation vectors ``rhat`` (component
+    first) and the basis-pair weights ``wab`` (row basis major), which
+    include the channel weight.  A plain channel takes the
+    profiles ``(A_2, B_2)`` at its points, a ``companion`` channel
+    ``(P, -R)``.  A cloud is a tuple of channels on the same pairs: one,
+    or two for the split self, vertex and reduced diagonal clouds (see
+    ``_split_channels``).
     """
 
     pairs: np.ndarray
     r: np.ndarray
-    rr: np.ndarray
+    rhat: np.ndarray
     wab: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
+    companion: bool
 
 
-def _finish_cloud(pairs, diff, r_weights, fx, fy, sp_x, sp_y, alpha, beta):
-    """Assemble a _PairCloud from raw per-point geometry; ``fx`` and
-    ``fy`` hold the row and the column basis functions at the points."""
+def _finish_cloud(pairs, diff, r_weights, fx, fy, sp_x, sp_y, split=None):
+    """Assemble a cloud from raw per-point geometry; ``fx`` and ``fy``
+    hold the row and the column basis functions at the points.
+
+    ``split`` holds the ``(alpha, beta)`` weights of ``_split_channels``
+    at the points: the plain channel takes the points with ``alpha !=
+    0``, the companion channel those with ``beta != 0``.  Without it the
+    cloud is one plain channel of weight 1.
+    """
+    pairs = np.asarray(pairs)
     r = np.linalg.norm(diff, axis=-1)
-    rhat = diff / r[..., None]
-    rr = np.stack([rhat[..., 0] ** 2, rhat[..., 0] * rhat[..., 1],
-                   rhat[..., 1] ** 2], axis=-1)
+    rhat = np.stack([diff[..., 0], diff[..., 1]]) / r
     base = r_weights * sp_x * sp_y
     wab = np.stack([base * fa * fb for fa in fx for fb in fy])
-    return _PairCloud(pairs=np.asarray(pairs), r=r, rr=rr, wab=wab,
-                      alpha=np.asarray(alpha), beta=np.asarray(beta))
+    if split is None:
+        return (_PairCloud(pairs, r, rhat, wab, companion=False),)
+    return tuple(_PairCloud(pairs, np.compress(m, r, axis=1),
+                            np.compress(m, rhat, axis=2),
+                            np.compress(m, wab, axis=2) * c[m],
+                            companion=companion)
+                 for c, companion in zip(split, (False, True))
+                 for m in [c != 0.0])
 
 
 def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
@@ -302,10 +321,7 @@ def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
     xi = np.concatenate([xi_plus.ravel(), eta_plus.ravel()])
     eta = np.concatenate([eta_plus.ravel(), xi_plus.ravel()])
     w_pt = np.concatenate([w2, w2])
-    a2 = np.repeat(al, t.size)
-    b2 = np.repeat(be, t.size)
-    alpha = np.concatenate([a2, a2])
-    beta = np.concatenate([b2, b2])
+    split = [np.tile(np.repeat(c, t.size), 2) for c in (al, be)]
     elems = np.arange(n)[:, None]
     pos_x, sp_x = _element_points(mesh, elems, xi[None, :])
     pos_y, sp_y = _element_points(mesh, elems, eta[None, :])
@@ -313,7 +329,7 @@ def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
     fb_y = _basis_values(space.n_basis, eta)
     pairs = np.stack([np.arange(n), np.arange(n)], axis=1)
     return _finish_cloud(pairs, pos_x - pos_y, w_pt[None, :], fb_x, fb_y,
-                         sp_x, sp_y, alpha, beta)
+                         sp_x, sp_y, split)
 
 
 def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
@@ -338,10 +354,7 @@ def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
     da = np.concatenate([da1.ravel(), da2.ravel()])
     db = np.concatenate([db1.ravel(), db2.ravel()])
     w_pt = np.concatenate([w2, w2])
-    a2 = np.repeat(al, q.size)
-    b2 = np.repeat(be, q.size)
-    alpha = np.concatenate([a2, a2])
-    beta = np.concatenate([b2, b2])
+    split = [np.tile(np.repeat(c, q.size), 2) for c in (al, be)]
     xi = 1.0 - da
     eta = db
     left = np.arange(n)[:, None]
@@ -352,7 +365,7 @@ def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
     fb_y = _basis_values(space.n_basis, eta)
     pairs = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
     return _finish_cloud(pairs, pos_x - pos_y, w_pt[None, :], fb_x, fb_y,
-                         sp_x, sp_y, alpha, beta)
+                         sp_x, sp_y, split)
 
 
 def _composite_rule(order: int, n_panels: int):
@@ -409,22 +422,21 @@ def _build_separated_clouds(space: DensitySpace):
         spx = np.repeat(sp_x, q, axis=1)
         spy = np.tile(sp_y, (1, q))
         clouds.append(_finish_cloud(np.stack([ii, jj], axis=1), diff,
-                                    wxy[None, :], fx, fy, spx, spy,
-                                    np.ones(q * q), np.zeros(q * q)))
+                                    wxy[None, :], fx, fy, spx, spy))
     return clouds
 
 
 #: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span); the
 #: dyadic quantization of the split caps keeps the key set small across a
-#: convolution-quadrature contour.
+#: convolution-quadrature contour.  It holds the clouds of one space only:
+#: a new space drops the others first.
 _GEOMETRY_CACHE: dict = {}
-_CACHE_LIMIT = 24
 
 
 def _cached(key, builder):
     if key not in _GEOMETRY_CACHE:
-        while len(_GEOMETRY_CACHE) >= _CACHE_LIMIT:
-            _GEOMETRY_CACHE.pop(next(iter(_GEOMETRY_CACHE)))
+        for other in [k for k in _GEOMETRY_CACHE if k[:3] != key[:3]]:
+            del _GEOMETRY_CACHE[other]
         _GEOMETRY_CACHE[key] = builder()
     return _GEOMETRY_CACHE[key]
 
@@ -490,7 +502,9 @@ def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis:
 
 def _interpolate(basis: _RayBasis, profiles, sqrt_s):
     """Interpolated values, in input order, of the two profiles that
-    ``profiles`` (``_ab2`` or ``_pr2``) returns at ``z = sqrt_s r``."""
+    ``profiles`` (``_ab2`` or ``_pr2``) returns at ``z = sqrt_s r``: the
+    real and imaginary parts of the first, then of the second, as the
+    rows of a real (4, n_points) array."""
     f, g = profiles(sqrt_s * basis.nodes)
     table = np.stack([f.real, f.imag, g.real, g.imag], axis=1)
     out = np.empty((4, basis.rows.shape[1]))
@@ -500,12 +514,11 @@ def _interpolate(basis: _RayBasis, profiles, sqrt_s):
     for k in range(table.shape[0]):
         np.einsum("fj,jp->fp", table[k], basis.rows[:, b[k]:b[k + 1]],
                   out=out[:, b[k]:b[k + 1]])
-    out = out[:, basis.inverse]
-    return out[0] + 1j * out[1], out[2] + 1j * out[3]
+    return np.take(out, basis.inverse, axis=1)
 
 
 #: the scale ``S`` of the last assembly and the bases of its clouds, a
-#: dict from ``id(cloud)`` to ``(cloud, alpha basis, beta basis)``; the
+#: dict from ``id(cloud)`` to ``(cloud, one basis per channel)``; the
 #: cloud is held so that its id cannot be reused.  Only the clouds of one
 #: assembly are held, which bounds the memory; a contour sweep crosses
 #: few scales, so most assemblies reuse them.
@@ -513,9 +526,8 @@ _RAY_SLOT: list = [None, {}]
 
 
 def _ray_bases(clouds, sqrt_s) -> list:
-    """The (alpha, beta) interpolation bases of each cloud at ``sqrt_s``.
+    """The interpolation bases of each cloud's channels at ``sqrt_s``.
 
-    A basis is ``None`` where the cloud has no point in that channel.
     Bases of other clouds or another scale are dropped before new ones
     are built.
     """
@@ -525,62 +537,51 @@ def _ray_bases(clouds, sqrt_s) -> list:
     _RAY_SLOT[:] = [scale, held]
     for cloud in clouds:
         if id(cloud) not in held:
-            held[id(cloud)] = (cloud,) + tuple(
-                _ray_basis(cloud.r[:, mask].ravel(), scale) if mask.any()
-                else None
-                for mask in (cloud.alpha != 0.0, cloud.beta != 0.0))
-    return [held[id(c)][1:] for c in clouds]
+            held[id(cloud)] = (cloud, tuple(_ray_basis(ch.r.ravel(), scale)
+                                            for ch in cloud))
+    return [held[id(c)][1] for c in clouds]
 
 
-def _cloud_profiles(cloud: _PairCloud, bases, sqrt_s):
-    """Per-point kernel profile values, combined per the channel weights.
+def _cloud_profiles(channel: _PairCloud, basis: _RayBasis, sqrt_s):
+    """The channel's two kernel profiles at ``z = sqrt_s * channel.r``.
 
-    Returns ``val_I = alpha A_2 + beta P`` and ``val_T = alpha B_2 -
-    beta R`` at ``z = sqrt_s * cloud.r``, shape (n_pairs, n_points),
-    with ``A_2``, ``B_2`` interpolated at the points where ``alpha != 0``
-    and ``P``, ``R`` where ``beta != 0``, from the cloud's ``bases``
-    (see ``_ray_bases`` and the module docstring).
+    ``(A_2, B_2)`` for a plain channel, ``(P, -R)`` for a companion one,
+    interpolated from the channel's ``basis`` (see ``_ray_bases`` and the
+    module docstring).  Each is a real array of shape (2, n_pairs,
+    n_points) holding the real and the imaginary part.
     """
-    val_i = np.zeros(cloud.r.shape, dtype=complex)
-    val_t = np.zeros(cloud.r.shape, dtype=complex)
-    n_pairs = cloud.r.shape[0]
-    basis_a, basis_b = bases
-    if basis_a is not None:
-        m_a = cloud.alpha != 0.0
-        a2, b2 = _interpolate(basis_a, _ab2, sqrt_s)
-        val_i[:, m_a] = cloud.alpha[m_a] * a2.reshape(n_pairs, -1)
-        val_t[:, m_a] = cloud.alpha[m_a] * b2.reshape(n_pairs, -1)
-    if basis_b is not None:
-        m_b = cloud.beta != 0.0
-        p, r = _interpolate(basis_b, _pr2, sqrt_s)
-        val_i[:, m_b] += cloud.beta[m_b] * p.reshape(n_pairs, -1)
-        val_t[:, m_b] -= cloud.beta[m_b] * r.reshape(n_pairs, -1)
-    return val_i, val_t
+    shape = (2,) + channel.r.shape
+    if channel.companion:
+        values = _interpolate(basis, _pr2, sqrt_s)
+        return values[:2].reshape(shape), -values[2:].reshape(shape)
+    values = _interpolate(basis, _ab2, sqrt_s)
+    return values[:2].reshape(shape), values[2:].reshape(shape)
 
 
-def _accumulate_blocks(V, cloud: _PairCloud, bases, sqrt_s, pref, n_basis):
+def _accumulate_blocks(V, cloud, bases, sqrt_s, pref, n_basis):
     """Add a cloud's 2x2 dof blocks into the matrix ``V`` (no mirroring).
 
     ``n_basis`` counts the column functions; the cloud gives the row
-    count, one for an observation point (two matrix rows).
+    count, one for an observation point (two matrix rows).  Each channel
+    contributes ``f I + g rhat rhat^T`` for its profiles ``(f, g)``; the
+    pairs of a cloud are distinct, so one indexed add scatters them all.
     """
-    val_i, val_t = _cloud_profiles(cloud, bases, sqrt_s)
-    n_rows = cloud.wab.shape[0] // n_basis
-    rows0 = 2 * n_rows * cloud.pairs[:, 0]
-    cols0 = 2 * n_basis * cloud.pairs[:, 1]
-    for a in range(n_rows):
-        for b in range(n_basis):
-            w = cloud.wab[a * n_basis + b]
-            s_i = np.einsum("np,np->n", w, val_i)
-            s_xx = np.einsum("np,np,np->n", w, cloud.rr[:, :, 0], val_t)
-            s_xy = np.einsum("np,np,np->n", w, cloud.rr[:, :, 1], val_t)
-            s_yy = np.einsum("np,np,np->n", w, cloud.rr[:, :, 2], val_t)
-            rows = rows0 + 2 * a
-            cols = cols0 + 2 * b
-            V[rows, cols] += pref * (s_i + s_xx)
-            V[rows, cols + 1] += pref * s_xy
-            V[rows + 1, cols] += pref * s_xy
-            V[rows + 1, cols + 1] += pref * (s_i + s_yy)
+    sums = 0.0
+    for channel, basis in zip(cloud, bases):
+        f, g = _cloud_profiles(channel, basis, sqrt_s)
+        x, y = channel.rhat
+        # real and imaginary parts of f + g x^2, g x y, f + g y^2
+        tensor = np.concatenate([f + g * (x * x), g * (x * y),
+                                 f + g * (y * y)])
+        sums = sums + np.einsum("knp,cnp->cnk", channel.wab, tensor)
+    pairs = cloud[0].pairs
+    n_rows = cloud[0].wab.shape[0] // n_basis
+    a, b = np.divmod(np.arange(n_rows * n_basis), n_basis)
+    rows = 2 * n_rows * pairs[:, :1] + 2 * a
+    cols = 2 * n_basis * pairs[:, 1:] + 2 * b
+    V[np.stack([rows, rows, rows + 1, rows + 1]),
+      np.stack([cols, cols + 1, cols, cols + 1])] += pref * (
+          sums[[0, 2, 2, 4]] + 1j * sums[[1, 3, 3, 5]])
 
 
 def _require_planar(cfg: ProblemConfig) -> None:
@@ -717,8 +718,7 @@ def _build_diag_cloud(space: DensitySpace, cap: float, z_scale: float):
                                     DIAG_SMOOTH_ORDER)
     eta = np.concatenate([0.5 + 0.5 * v, 0.5 - 0.5 * v])
     w_pt = np.concatenate([0.5 * wv, 0.5 * wv])
-    alpha = np.concatenate([al, al])
-    beta = np.concatenate([be, be])
+    split = [np.tile(c, 2) for c in (al, be)]
     elems = np.arange(n)[:, None]
     pos_y, sp_y = _element_points(mesh, elems, eta[None, :])
     fb_y = _basis_values(space.n_basis, eta)
@@ -726,7 +726,7 @@ def _build_diag_cloud(space: DensitySpace, cap: float, z_scale: float):
     rows = mesh.arclengths[:, None]
     pairs = np.stack([np.arange(n), np.arange(n)], axis=1)
     return _finish_cloud(pairs, mesh.midpoints[:, None, :] - pos_y,
-                         w_pt[None, :], ones, fb_y, rows, sp_y, alpha, beta)
+                         w_pt[None, :], ones, fb_y, rows, sp_y, split)
 
 
 def _build_neighbor_cloud(space: DensitySpace, offset: int):
@@ -751,8 +751,7 @@ def _build_neighbor_cloud(space: DensitySpace, offset: int):
     rows = mesh.arclengths[:, None]
     pairs = np.stack([np.arange(n), cols], axis=1)
     return _finish_cloud(pairs, mesh.midpoints[:, None, :] - pos_y,
-                         w_pt[None, :], ones, fb_y, rows, sp_y,
-                         np.ones(eta.size), np.zeros(eta.size))
+                         w_pt[None, :], ones, fb_y, rows, sp_y)
 
 
 def _point_clouds(space: DensitySpace, points, ii, jj, ratio, row_weights,
@@ -769,8 +768,7 @@ def _point_clouds(space: DensitySpace, points, ii, jj, ratio, row_weights,
                                     points[ik][:, None, :] - pos_y,
                                     w[None, :], np.ones((1, x.size)),
                                     _basis_values(space.n_basis, x),
-                                    row_weights[ik][:, None], sp_y,
-                                    np.ones(x.size), np.zeros(x.size)))
+                                    row_weights[ik][:, None], sp_y))
     return clouds
 
 
@@ -886,10 +884,43 @@ def _point_element_pairs(mesh: BoundaryMesh, points: np.ndarray):
     return kk, jj, (dist / mesh.arclengths[None, :]).ravel()
 
 
-#: the key and the clouds of the latest point set of the velocity potential,
+#: the key and the clouds of the latest point set of the potentials,
 #: reused across a contour sweep.  They stay out of ``_GEOMETRY_CACHE``,
-#: whose entry count would not bound the bytes of many points.
+#: which holds the clouds of the boundary operator.
 _POINT_SLOT: list = [None, None]
+
+
+def _potential_clouds(space: DensitySpace, points: np.ndarray):
+    """The (point, element) clouds of ``points``, classed by distance.
+
+    Built once per point set, after checking that no point lies on the
+    boundary; a new point set drops the previous clouds and the ray
+    bases before its own are built.
+    """
+    key = _space_key(space) + (points.shape, points.tobytes())
+    if _POINT_SLOT[0] != key:
+        _POINT_SLOT[:], _RAY_SLOT[:] = [None, None], [None, {}]
+        _check_points_off_boundary(space.mesh, points)
+        _POINT_SLOT[:] = [key, _point_clouds(
+            space, points, *_point_element_pairs(space.mesh, points),
+            np.ones(points.shape[0]), POTENTIAL_CLASSES)]
+    return _POINT_SLOT[1]
+
+
+def potential_node_bytes(space: DensitySpace, points) -> np.ndarray:
+    """Bytes that each point's potential clouds and ray bases hold.
+
+    Counted from the distance classes without building the clouds: per
+    quadrature node a distance, a direction, ``n_basis`` weights and a
+    barycentric row of ``RAY_PANEL_ORDER`` entries with its sort index.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    kk, _, ratio = _point_element_pairs(space.mesh, points)
+    nodes = np.zeros(points.shape[0], dtype=np.int64)
+    for sel, order, n_panels in _distance_classes(ratio, POTENTIAL_CLASSES):
+        nodes += order * n_panels * np.bincount(kk[sel],
+                                                minlength=points.shape[0])
+    return nodes * 8 * (4 + space.n_basis + RAY_PANEL_ORDER)
 
 
 def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,
@@ -906,15 +937,7 @@ def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,
     """
     _require_planar(cfg)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    key = _space_key(space) + (points.shape, points.tobytes())
-    if _POINT_SLOT[0] != key:
-        # drop the previous set and its bases before building anew
-        _POINT_SLOT[:], _RAY_SLOT[:] = [None, None], [None, {}]
-        _check_points_off_boundary(space.mesh, points)
-        _POINT_SLOT[:] = [key, _point_clouds(
-            space, points, *_point_element_pairs(space.mesh, points),
-            np.ones(points.shape[0]), POTENTIAL_CLASSES)]
-    clouds = _POINT_SLOT[1]
+    clouds = _potential_clouds(space, points)
     out = np.zeros((2 * points.shape[0], space.dof_count), dtype=complex)
     for cloud, bases in zip(clouds, _ray_bases(clouds, freq.sqrt_s)):
         _accumulate_blocks(out, cloud, bases, freq.sqrt_s,
@@ -927,28 +950,18 @@ def potential_pressure_matrix(space: DensitySpace, points) -> np.ndarray:
 
     The pressure kernel ``(x - y) / (2 pi |x - y|^2)`` does not depend
     on the frequency, so neither does this matrix; shape
-    ``(K, dof_count)``, real.
+    ``(K, dof_count)``, real.  It is summed over the velocity
+    potential's clouds of the same points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    mesh = space.mesh
-    _check_points_off_boundary(mesh, points)
     nb = space.n_basis
     out = np.zeros((points.shape[0], space.dof_count))
-    pairs = _point_element_pairs(mesh, points)
-    for sel, order, n_panels in _distance_classes(pairs[2], POTENTIAL_CLASSES):
-        kk, jj = pairs[0][sel], pairs[1][sel]
-        x, w = _composite_rule(order, n_panels)
-        pos_y, sp_y = _element_points(mesh, jj[:, None], x[None, :])
-        fb = _basis_values(nb, x)
-        diff = points[kk][:, None, :] - pos_y
-        r2 = np.sum(diff * diff, axis=-1)
-        ker = diff / (2.0 * np.pi * r2[..., None])
-        base = w[None, :] * sp_y
-        for b in range(nb):
-            wb = base * fb[b]
-            cols = 2 * nb * jj + 2 * b
-            out[kk, cols] += np.einsum("np,np->n", wb, ker[..., 0])
-            out[kk, cols + 1] += np.einsum("np,np->n", wb, ker[..., 1])
+    for (channel,) in _potential_clouds(space, points):
+        kernel = channel.rhat / (2.0 * np.pi * channel.r)
+        sums = np.einsum("knp,cnp->cnk", channel.wab, kernel)
+        rows = channel.pairs[:, :1]
+        cols = 2 * nb * channel.pairs[:, 1:] + 2 * np.arange(nb)
+        out[rows, np.stack([cols, cols + 1])] += sums
     return out
 
 

@@ -20,29 +20,24 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 
 from __future__ import annotations
 
+import dataclasses
 import sys
+from typing import Callable
 
-from ._threads import _configure_threads
+import numpy as np
 
-_configure_threads()
-
-import dataclasses  # noqa: E402
-from typing import Callable  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from .bem_space import ConstraintMode, build_space  # noqa: E402
-from .boundary_geometry import BoundaryCurve, build_mesh  # noqa: E402
-from .cq_engine import CQScheme  # noqa: E402
-from .laplace_kernels import ProblemConfig  # noqa: E402
-from .stokes_solver import (  # noqa: E402
+from .bem_space import ConstraintMode, build_space
+from .boundary_geometry import BoundaryCurve, build_mesh
+from .cq_engine import CQScheme
+from .laplace_kernels import ProblemConfig
+from .stokes_solver import (
     DirichletData,
     GridSpec,
     field_snapshot,
     manufactured_dirichlet_data,
     run_simulation,
 )
-from .verification import (  # noqa: E402
+from .verification import (
     SweepProblem,
     convergence_sweep,
     cq_order_report,

@@ -459,42 +459,28 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> TimeHistory:
         rhs = rhs.real
     rhs = np.ascontiguousarray(rhs, dtype=float)
     n_steps = w.shape[0] - 1
-
-    if weights.is_scalar:
-        if rhs.shape != (n_steps + 1,):
-            raise ValueError(
-                f"scalar system needs rhs of shape ({n_steps + 1},), "
-                f"got {rhs.shape}"
-            )
-        if w[0] == 0.0:
-            raise np.linalg.LinAlgError("leading scalar weight W_0 is zero")
-        lam = np.empty(n_steps + 1)
-        for n in range(n_steps + 1):
-            tail = float(np.dot(w[1 : n + 1], lam[n - 1 :: -1])) if n else 0.0
-            lam[n] = (rhs[n] - tail) / w[0]
-        return TimeHistory(densities=lam, kappa=weights.kappa)
-
-    n_sys = w.shape[1]
-    if w.shape[2] != n_sys:
+    if w.shape[1:2] != w.shape[2:]:
         raise ValueError(f"marching needs square weight matrices, got {w.shape[1:]}")
-    if rhs.shape != (n_steps + 1, n_sys):
-        raise ValueError(
-            f"rhs must have shape ({n_steps + 1}, {n_sys}), got {rhs.shape}"
-        )
+    want = (n_steps + 1,) + w.shape[2:]
+    if rhs.shape != want:
+        raise ValueError(f"rhs must have shape {want}, got {rhs.shape}")
+    # a scalar system is marched as a 1x1 matrix one
+    phi = rhs.reshape(n_steps + 1, -1)
+    w = w.reshape(n_steps + 1, -1, phi.shape[1])
     lu, piv = scipy.linalg.lu_factor(w[0])
     diag = np.abs(np.diag(lu))
     if diag.min() <= diag.max() * 1e-14:
         raise np.linalg.LinAlgError(
             "leading weight matrix W_0 is numerically singular"
         )
-    lam = np.empty((n_steps + 1, n_sys))
+    lam = np.empty(phi.shape)
     for n in range(n_steps + 1):
         if n:
             tail = np.einsum("mij,mj->i", w[1 : n + 1], lam[n - 1 :: -1])
         else:
             tail = 0.0
-        lam[n] = scipy.linalg.lu_solve((lu, piv), rhs[n] - tail)
-    return TimeHistory(densities=lam, kappa=weights.kappa)
+        lam[n] = scipy.linalg.lu_solve((lu, piv), phi[n] - tail)
+    return TimeHistory(densities=lam.reshape(rhs.shape), kappa=weights.kappa)
 
 
 def cq_postprocess(transfer, scheme: CQScheme, history: TimeHistory) -> np.ndarray:
@@ -534,22 +520,18 @@ def cq_postprocess(transfer, scheme: CQScheme, history: TimeHistory) -> np.ndarr
     w = obs.weights
     lam = history.densities
     n_keep = scheme.n_steps + 1
-
-    if obs.is_scalar:
-        if lam.ndim != 1:
-            raise ValueError("scalar observation weights need a scalar history")
-        return np.convolve(w, lam)[:n_keep]
-
-    if lam.ndim != 2 or lam.shape[1] != w.shape[2]:
+    if w.shape[2:] != lam.shape[1:]:
         raise ValueError(
-            f"observation weights expect {w.shape[2]} unknowns, history has "
-            f"shape {lam.shape}"
+            f"observation weights of shape {w.shape[1:]} do not match a "
+            f"history of shape {lam.shape}"
         )
-    rows = w.shape[1]
+    # scalar weights and history are the 1x1 matrix case
+    lam = lam.reshape(n_keep, -1)
+    rows = w[0].size // lam.shape[1]
     # One BLAS product gives B[m, :, k] = S_m lam_k; the causal
     # convolution is then the sum over the anti-diagonals n = m + k.
     b = (w.reshape(n_keep * rows, -1) @ lam.T).reshape(n_keep, rows, n_keep)
     out = np.zeros((n_keep, rows))
     for m in range(n_keep):
         out[m:] += b[m, :, : n_keep - m].T
-    return out
+    return out.reshape((n_keep,) + w.shape[1:2])

@@ -43,6 +43,7 @@ from .bem_space import (
     border_rows,
     build_space,
     data_functional,
+    potential_node_bytes,
     potential_pressure_matrix,
     potential_velocity_matrix,
     require_reduced_space,
@@ -91,9 +92,9 @@ MASK_SENTINEL = -1.0e30
 FLUX_RULE_ORDER = 8
 FLUX_MIN_PANELS = 64
 
-# Memory cap (bytes) for one block of velocity-potential weights and their
-# contour samples during snapshot evaluation; grid points are processed
-# in chunks under it.
+# Memory cap (bytes) for one block of velocity-potential weights, their
+# contour samples and the potential clouds during snapshot evaluation;
+# grid points are processed in blocks under it.
 SNAPSHOT_WEIGHT_BYTES = 1 << 28
 
 
@@ -601,24 +602,24 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
     vel_flat = np.full((n_sel, flat.shape[0], 2), MASK_SENTINEL)
     p_flat = np.full((n_sel, flat.shape[0]), MASK_SENTINEL)
 
-    p_rows = potential_pressure_matrix(result.space, flat[keep])
-    p_flat[:, keep] = result.history.densities[steps] @ p_rows.T
-
     dof = result.space.dof_count
     # per point, the real weights and the complex half-contour samples
-    # that cq_weights holds beside them, each with 2 rows per point
-    per_point = 2 * dof * (8 * n_keep + 16 * result.scheme.n_half_nodes)
-    chunk = max(8, SNAPSHOT_WEIGHT_BYTES // per_point)
-    for start in range(0, keep.size, chunk):
-        idx = keep[start : start + chunk]
-        block = cq_postprocess(
+    # that cq_weights holds beside them, each with 2 rows per point, and
+    # the potential clouds with their ray bases
+    per_point = (2 * dof * (8 * n_keep + 16 * result.scheme.n_half_nodes)
+                 + potential_node_bytes(result.space, flat[keep]))
+    block = (np.cumsum(per_point) - per_point) // SNAPSHOT_WEIGHT_BYTES
+    for idx in np.split(keep, np.flatnonzero(np.diff(block)) + 1):
+        p_rows = potential_pressure_matrix(result.space, flat[idx])
+        p_flat[:, idx] = result.history.densities[steps] @ p_rows.T
+        vel = cq_postprocess(
             lambda s: potential_velocity_matrix(
                 result.space, ComplexFrequency(s), result.cfg, flat[idx]
             ),
             result.scheme,
             result.history,
         )
-        vel_flat[:, idx, :] = block[steps].reshape(n_sel, idx.size, 2)
+        vel_flat[:, idx, :] = vel[steps].reshape(n_sel, idx.size, 2)
 
     mask = masked_flat.reshape(grid.n_rows, grid.n_cols)
     velocity = vel_flat.reshape(n_sel, grid.n_rows, grid.n_cols, 2)

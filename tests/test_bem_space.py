@@ -291,22 +291,17 @@ def test_nystrom_constraint_border_uses_reduced_moments(constraints):
 # ray-wise interpolation of the cloud profiles
 
 
-def _direct_profiles(cloud, bases, sqrt_s):
-    """Reference: every profile evaluated directly at ``sqrt_s * cloud.r``."""
-    z = sqrt_s * cloud.r
-    val_i = np.zeros(z.shape, dtype=complex)
-    val_t = np.zeros(z.shape, dtype=complex)
-    m_a = cloud.alpha != 0.0
-    if m_a.any():
-        a2, b2 = _ab2(z[:, m_a])
-        val_i[:, m_a] = cloud.alpha[m_a] * a2
-        val_t[:, m_a] = cloud.alpha[m_a] * b2
-    m_b = cloud.beta != 0.0
-    if m_b.any():
-        p, r = _pr2(z[:, m_b])
-        val_i[:, m_b] += cloud.beta[m_b] * p
-        val_t[:, m_b] -= cloud.beta[m_b] * r
-    return val_i, val_t
+def _direct_profiles(channel, basis, sqrt_s):
+    """Reference: the channel's profiles evaluated directly at
+    ``sqrt_s * channel.r``, ``(P, -R)`` for a companion channel, each as
+    its real and imaginary part."""
+    z = sqrt_s * channel.r
+    if channel.companion:
+        p, r = _pr2(z)
+        f, g = p, -r
+    else:
+        f, g = _ab2(z)
+    return np.stack([f.real, f.imag]), np.stack([g.real, g.imag])
 
 
 def _cloud_errors(monkeypatch, assemble, space, frequencies):
@@ -412,15 +407,15 @@ def test_ray_basis_is_exact_for_cubics_and_at_its_nodes(scale):
     panels = bem_space._ray_basis(np.array([0.003, 0.05, 0.3, 1.7]), scale)
     r = panels.nodes.ravel()
     basis = bem_space._ray_basis(r, scale)
-    f, g = bem_space._interpolate(basis, lambda z: (z, z**3), 1.0)
+    f, _, g, _ = bem_space._interpolate(basis, lambda z: (z, z**3), 1.0)
     np.testing.assert_allclose(f, r, rtol=0, atol=1e-15 * r.max())
     np.testing.assert_allclose(g, r**3, rtol=0, atol=1e-15 * r.max() ** 3)
 
 
 def test_interpolation_bases_leave_no_stale_state(monkeypatch):
-    """Interleaving the boundary operators and the velocity potential at
-    two point sets, across two panel scales, reproduces bit for bit the
-    matrices assembled with no bases or clouds held; the potential puts
+    """Interleaving the boundary operators and both potentials at two
+    point sets, across two panel scales, reproduces bit for bit the
+    matrices assembled with no bases or clouds held; the potentials put
     nothing into the geometry cache."""
     space = build_space(build_mesh(BoundaryCurve.circle(1.0), 16), "P0")
     s1, s2 = ComplexFrequency(10.0 + 3.0j), ComplexFrequency(900.0 - 40.0j)
@@ -429,22 +424,103 @@ def test_interpolation_bases_leave_no_stale_state(monkeypatch):
     operators = {
         "reduced": lambda s: assemble_nystrom_V(space, s, CFG).entries,
         "galerkin": lambda s: assemble_galerkin_V(space, s, CFG).entries,
+        "near-pressure": lambda s: potential_pressure_matrix(space, near),
         "near": lambda s: potential_velocity_matrix(space, s, CFG, near),
         "far": lambda s: potential_velocity_matrix(space, s, CFG, far),
+        "far-pressure": lambda s: potential_pressure_matrix(space, far),
     }
     monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
     fresh = {}
-    for name in ("near", "far", "reduced", "galerkin"):
+    for name in ("near-pressure", "near", "far", "far-pressure", "reduced",
+                 "galerkin"):
         for s in (s1, s2):
             monkeypatch.setattr(bem_space, "_RAY_SLOT", [None, {}])
             monkeypatch.setattr(bem_space, "_POINT_SLOT", [None, None])
             fresh[name, s] = operators[name](s)
-        if name == "far":
+        if name == "far-pressure":
             assert bem_space._GEOMETRY_CACHE == {}
     for s in (s1, s2, s1):
         for name, operator in operators.items():
             for _ in range(2):  # with rebuilt, then with held state
                 assert np.array_equal(operator(s), fresh[name, s])
+
+
+def test_geometry_cache_holds_one_space(monkeypatch):
+    """Assembling on a second space drops the first space's clouds."""
+    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
+    freq = ComplexFrequency(10.0 + 3.0j)
+    spaces = [build_space(build_mesh(BoundaryCurve.circle(1.0), n), "P0")
+              for n in (8, 16)]
+    for space in spaces + spaces[:1]:
+        assemble_galerkin_V(space, freq, CFG)
+        assemble_nystrom_V(space, freq, CFG)
+        keys = {key[:3] for key in bem_space._GEOMETRY_CACHE}
+        assert keys == {bem_space._space_key(space)}
+
+
+@pytest.mark.parametrize(
+    "curve, n, kind, points",
+    [(BoundaryCurve.star(), 48, "P0", STAR_POINTS),
+     (BoundaryCurve.square(1.0), 16, "P1_discontinuous", SQUARE_POINTS)],
+    ids=["star", "square"],
+)
+def test_potential_node_bytes_count_the_built_clouds(curve, n, kind, points):
+    """The bytes reported per point, counted without building clouds, are
+    those of the point's cloud nodes, and in total those that the clouds
+    and their ray bases hold."""
+    space = build_space(build_mesh(curve, n), kind)
+    reported = bem_space.potential_node_bytes(space, points)
+    clouds = bem_space._potential_clouds(space, points)
+    nodes = np.zeros(points.shape[0], dtype=np.int64)
+    held = 0
+    for cloud, bases in zip(clouds, bem_space._ray_bases(clouds, 3.0 + 1.0j)):
+        (channel,), (basis,) = cloud, bases
+        np.add.at(nodes, channel.pairs[:, 0], channel.r.shape[1])
+        held += (channel.r.nbytes + channel.rhat.nbytes + channel.wab.nbytes
+                 + basis.rows.nbytes + basis.inverse.nbytes)
+    per_node = 8 * (4 + space.n_basis + bem_space.RAY_PANEL_ORDER)
+    np.testing.assert_array_equal(reported, nodes * per_node)
+    assert reported.sum() == held
+
+
+def _pressure_by_element_loop(space, points):
+    """Reference: the pressure potential summed class by class over the
+    element quadrature of each (point, element) pair."""
+    mesh = space.mesh
+    nb = space.n_basis
+    out = np.zeros((points.shape[0], space.dof_count))
+    pairs = bem_space._point_element_pairs(mesh, points)
+    for sel, order, n_panels in bem_space._distance_classes(
+            pairs[2], bem_space.POTENTIAL_CLASSES):
+        kk, jj = pairs[0][sel], pairs[1][sel]
+        x, w = bem_space._composite_rule(order, n_panels)
+        pos_y, sp_y = bem_space._element_points(mesh, jj[:, None], x[None, :])
+        fb = bem_space._basis_values(nb, x)
+        diff = points[kk][:, None, :] - pos_y
+        r2 = np.sum(diff * diff, axis=-1)
+        ker = diff / (2.0 * np.pi * r2[..., None])
+        base = w[None, :] * sp_y
+        for b in range(nb):
+            wb = base * fb[b]
+            cols = 2 * nb * jj + 2 * b
+            out[kk, cols] += np.einsum("np,np->n", wb, ker[..., 0])
+            out[kk, cols + 1] += np.einsum("np,np->n", wb, ker[..., 1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "curve, n, kind, points",
+    [(BoundaryCurve.star(), 48, "P0", STAR_POINTS),
+     (BoundaryCurve.square(1.0), 16, "P1_discontinuous", SQUARE_POINTS)],
+    ids=["star", "square"],
+)
+def test_pressure_potential_matches_element_loop(curve, n, kind, points):
+    """Every distance class, the nearest included, against a direct
+    element-by-element summation."""
+    space = build_space(build_mesh(curve, n), kind)
+    want = _pressure_by_element_loop(space, points)
+    got = potential_pressure_matrix(space, points)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
