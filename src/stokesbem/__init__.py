@@ -32,7 +32,6 @@ from .boundary_geometry import (
     BoundaryCurve,
     BoundaryMesh,
     build_mesh,
-    moment_vectors,
 )
 from .bem_space import (
     ConstraintMode,
@@ -40,8 +39,8 @@ from .bem_space import (
     TransferMatrix,
     assemble_galerkin_V,
     assemble_nystrom_V,
-    assemble_Vtilde,
     build_space,
+    constrain,
     data_functional,
     potential_pressure_matrix,
     potential_velocity_matrix,
@@ -103,13 +102,13 @@ __all__ = [
     "TimeHistory",
     "TransferMatrix",
     "WeightSequence",
-    "assemble_Vtilde",
     "assemble_galerkin_V",
     "assemble_nystrom_V",
     "bdf_delta",
     "bessel_k",
     "build_mesh",
     "build_space",
+    "constrain",
     "convergence_sweep",
     "cq_march",
     "cq_order_report",
@@ -122,7 +121,6 @@ __all__ = [
     "inside_obstacle",
     "laplace_property_suite",
     "manufactured_dirichlet_data",
-    "moment_vectors",
     "potential_pressure_matrix",
     "potential_velocity_matrix",
     "pressure_kernel",

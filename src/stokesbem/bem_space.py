@@ -67,7 +67,7 @@ import numpy as np
 import scipy.linalg
 
 from ._quadrature import gauss_legendre_01, graded_panels, log_gauss_01
-from .boundary_geometry import BoundaryMesh, moment_vectors
+from .boundary_geometry import GEOMETRY_RULE_ORDER, BoundaryMesh
 from .laplace_kernels import ComplexFrequency, ProblemConfig, _ab2, _pr2
 
 #: largest |z| = |sqrt(s)| r admitted inside the logarithmic split; must stay
@@ -166,13 +166,12 @@ def build_space(mesh: BoundaryMesh, kind: str) -> DensitySpace:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """A frequency-domain boundary system, possibly bordered by multipliers.
+    """A boundary system, possibly bordered by multipliers.
 
     ``entries`` is square of size ``dof_count + n_multipliers``; the
     density block comes first, multiplier rows and columns last.
     """
 
-    s: ComplexFrequency
     entries: np.ndarray = field(repr=False)
     n_multipliers: int = 0
 
@@ -629,55 +628,60 @@ def _check_finite(V: np.ndarray, n_basis: int) -> None:
                        f"element pair ({ei}, {ej})")
 
 
-def _border(V: np.ndarray, rows: np.ndarray, s: ComplexFrequency):
-    """Append multiplier rows/columns (zero diagonal block) to ``V``."""
-    k, n = rows.shape
-    out = np.zeros((n + k, n + k), dtype=complex)
-    out[:n, :n] = V
-    out[:n, n:] = rows.T
-    out[n:, :n] = rows
-    return TransferMatrix(s=s, entries=out, n_multipliers=k)
-
-
 def border_rows(space: DensitySpace, constraints: ConstraintMode,
                 reduced: bool) -> np.ndarray:
     """Multiplier rows that border the system, shape ``(k, dof_count)``.
 
-    The moment functional for ``multiplier_m``, the two translation
-    functionals for ``multiplier_rigid``, none for the other modes;
-    ``reduced`` selects the midpoint-rule functionals.
+    The moment row ``<mu_j, m>`` with ``m(x) = x`` for
+    ``multiplier_m``, the rows ``<mu_j, e_0>`` and ``<mu_j, e_1>`` of the
+    unit fields for ``multiplier_rigid``, none for the other modes.  Each
+    row is :func:`data_functional` of its field, so ``reduced`` selects
+    the midpoint-rule functionals of the reduced scheme.
     """
-    if constraints in (ConstraintMode.none, ConstraintMode.augmented_Vtilde):
-        return np.zeros((0, space.dof_count))
-    vecs = moment_vectors(space.mesh, space.kind, reduced=reduced)
     if constraints == ConstraintMode.multiplier_m:
-        return np.atleast_2d(vecs.moment)
-    if constraints == ConstraintMode.multiplier_rigid:
-        return np.atleast_2d(vecs.rigid)
-    raise ValueError(f"unknown constraint mode {constraints!r}")
+        fields = [lambda pos: pos]
+    elif constraints == ConstraintMode.multiplier_rigid:
+        fields = [lambda pos, e=e: np.broadcast_to(e, pos.shape)
+                  for e in np.eye(2)]
+    else:
+        return np.zeros((0, space.dof_count))
+    return np.stack([data_functional(space, f, reduced=reduced)
+                     for f in fields])
 
 
-def _constrain(V: np.ndarray, space: DensitySpace, freq: ComplexFrequency,
-               constraints: ConstraintMode, reduced: bool) -> TransferMatrix:
-    """The system for ``constraints`` from the density block ``V``."""
+def constrain(V: np.ndarray, space: DensitySpace,
+              constraints: ConstraintMode, reduced: bool) -> TransferMatrix:
+    """The system for ``constraints`` from the density block ``V``.
+
+    The multiplier modes border ``V`` by the :func:`border_rows` (rows
+    and columns, zero diagonal block); ``augmented_Vtilde`` adds
+    ``b b^T`` with ``b`` the moment row; ``none`` copies ``V``.  The
+    constraint does not depend on the frequency, so the same call
+    constrains one ``V(s)`` and the leading convolution weight ``W_0``;
+    the dtype of ``V`` is kept, so a real ``W_0`` stays real.
+    """
     if constraints == ConstraintMode.augmented_Vtilde:
-        b = border_rows(space, ConstraintMode.multiplier_m, reduced)
-        return TransferMatrix(s=freq, entries=V + np.outer(b, b))
+        b = border_rows(space, ConstraintMode.multiplier_m, reduced)[0]
+        return TransferMatrix(entries=V + np.outer(b, b))
     rows = border_rows(space, constraints, reduced)
-    return _border(V, rows, freq) if rows.size else TransferMatrix(freq, V)
+    k, n = rows.shape
+    out = np.zeros((n + k, n + k), dtype=V.dtype)
+    out[:n, :n] = V
+    out[:n, n:] = rows.T
+    out[n:, :n] = rows
+    return TransferMatrix(entries=out, n_multipliers=k)
 
 
 def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
                         cfg: ProblemConfig,
                         constraints: ConstraintMode = ConstraintMode.none,
                         ) -> TransferMatrix:
-    """Galerkin matrix ``V_ij(s) = <mu_i, V(s) mu_j>`` with optional border.
+    """Galerkin matrix ``V_ij(s) = <mu_i, V(s) mu_j>``, then :func:`constrain`.
 
     The density block is complex symmetric by construction (each
-    unordered element pair is integrated once and mirrored).  Constraint
-    rows use the moment functionals of the basis; the ``multiplier_m``
-    border enforces ``<lam, m> = 0``, removing the gauge kernel spanned
-    by the outward normal field.
+    unordered element pair is integrated once and mirrored).  The
+    ``multiplier_m`` border enforces ``<lam, m> = 0``, removing the gauge
+    kernel spanned by the outward normal field.
 
     Raises
     ------
@@ -687,18 +691,7 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
     """
     V = _galerkin_matrix(space, freq, cfg)
     _check_finite(V, space.n_basis)
-    return _constrain(V, space, freq, constraints, reduced=False)
-
-
-def assemble_Vtilde(space: DensitySpace, freq: ComplexFrequency,
-                    cfg: ProblemConfig) -> TransferMatrix:
-    """Rank-one augmented operator ``V(s) + <., m> m`` (always invertible).
-
-    Identical to the Galerkin matrix plus ``b b^T`` with ``b`` the moment
-    vector of the basis against ``m(x) = x``; no multiplier border.
-    """
-    return assemble_galerkin_V(space, freq, cfg,
-                               ConstraintMode.augmented_Vtilde)
+    return constrain(V, space, constraints, reduced=False)
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +830,7 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     for cloud, bases in zip(clouds, _ray_bases(clouds, freq.sqrt_s)):
         _accumulate_blocks(V, cloud, bases, freq.sqrt_s, pref, space.n_basis)
     _check_finite(V, space.n_basis)
-    return _constrain(V, space, freq, constraints, reduced=True)
+    return constrain(V, space, constraints, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +977,6 @@ def data_functional(space: DensitySpace, values_at, *,
         out[0::2] = mesh.arclengths * vals[:, 0]
         out[1::2] = mesh.arclengths * vals[:, 1]
         return out
-    from .boundary_geometry import GEOMETRY_RULE_ORDER
     x, w = gauss_legendre_01(GEOMETRY_RULE_ORDER)
     elems = np.arange(mesh.n_elements)[:, None]
     pos, sp = _element_points(mesh, elems, x[None, :])

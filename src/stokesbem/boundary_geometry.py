@@ -227,74 +227,3 @@ def build_mesh(curve: BoundaryCurve, n_elements: int) -> BoundaryMesh:
                         endpoints=endpoints, midpoints=midpoints, normals=normals,
                         arclengths=arclengths)
 
-
-@dataclass(frozen=True)
-class ConstraintVectors:
-    """Moment functionals of a density space's basis.
-
-    ``moment[j] = <mu_j, m>`` with ``m(x) = x`` (the position field), and
-    ``rigid[l, j] = <mu_j, e_l>`` for the two constant directions.  Computed
-    with the quadrature matching the assembly convention: an element
-    Gauss rule for Galerkin spaces, the midpoint-times-arclength rule when
-    ``reduced`` is set.
-    """
-
-    moment: np.ndarray
-    rigid: np.ndarray
-
-
-def moment_vectors(mesh: BoundaryMesh, space_tag: str, *,
-                   reduced: bool = False) -> ConstraintVectors:
-    """Boundary functionals ``<mu_j, m>`` and ``<mu_j, e_l>`` of a space.
-
-    Parameters
-    ----------
-    mesh : BoundaryMesh
-    space_tag : str
-        ``"P0"`` or ``"P1_discontinuous"``; fixes the basis layout.  Scalar
-        basis functions are ``1`` (P0) or ``1 - xi, xi`` (P1) on each
-        element, applied to one Cartesian component at a time.  Degrees of
-        freedom are ordered element-major: ``dof = 2 j + c`` for P0 and
-        ``dof = 4 j + 2 a + c`` for P1 with ``a`` the local function and
-        ``c`` the component.
-    reduced : bool
-        Use the one-point midpoint rule scaled by the element arclength
-        (the convention matching reduced-integration assembly) instead of
-        the element Gauss rule.
-
-    Returns
-    -------
-    ConstraintVectors
-    """
-    n = mesh.n_elements
-    if space_tag == "P0":
-        n_basis = 1
-    elif space_tag == "P1_discontinuous":
-        n_basis = 2
-    else:
-        raise ValueError(f"unknown space tag {space_tag!r}")
-    ndof = 2 * n * n_basis
-    moment = np.zeros(ndof)
-    rigid = np.zeros((2, ndof))
-    if reduced:
-        if n_basis != 1:
-            raise ValueError("reduced functionals are defined for P0 only")
-        # <mu_j, f> ~ h_j f(x_j)
-        for c in range(2):
-            moment[c::2] = mesh.arclengths * mesh.midpoints[:, c]
-            rigid[c, c::2] = mesh.arclengths
-        return ConstraintVectors(moment=moment, rigid=rigid)
-    xg, wg = gauss_legendre_01(GEOMETRY_RULE_ORDER)
-    th0 = mesh.param_endpoints[:, 0]
-    dth = mesh.param_endpoints[:, 1] - mesh.param_endpoints[:, 0]
-    th = th0[:, None] + dth[:, None] * xg[None, :]
-    pos = mesh.curve.point(th)                                   # (N, q, 2)
-    speed = np.linalg.norm(mesh.curve.velocity(th), axis=-1)     # (N, q)
-    jac = speed * dth[:, None] * wg[None, :]
-    basis = [np.ones_like(xg)] if n_basis == 1 else [1.0 - xg, xg]
-    for j_basis, phi in enumerate(basis):
-        for c in range(2):
-            dof0 = 2 * n_basis * np.arange(n) + 2 * j_basis + c
-            moment[dof0] = np.sum(jac * phi[None, :] * pos[:, :, c], axis=1)
-            rigid[c, dof0] = np.sum(jac * phi[None, :], axis=1)
-    return ConstraintVectors(moment=moment, rigid=rigid)

@@ -178,12 +178,7 @@ def _build_curve(raw: dict[str, str]) -> BoundaryCurve:
     )
 
 
-_CONSTRAINTS = {
-    "none": ConstraintMode.none,
-    "multiplier_m": ConstraintMode.multiplier_m,
-    "multiplier_rigid": ConstraintMode.multiplier_rigid,
-    "augmented_Vtilde": ConstraintMode.augmented_Vtilde,
-}
+_CONSTRAINTS = {mode.value: mode for mode in ConstraintMode}
 
 _DATA_CHOICES: dict[str, Callable[[], DirichletData]] = {
     "manufactured": manufactured_dirichlet_data,
@@ -215,6 +210,29 @@ def _build_scheme(raw: dict[str, str]) -> CQScheme:
     return CQScheme(order=order, kappa=kappa, n_steps=n_steps)
 
 
+def _build_problem(raw: dict[str, str]) -> dict:
+    """Parse the keys that ``run`` and ``converge`` configs share, as
+    keyword arguments of both ``RunConfig`` and ``SweepProblem``."""
+    curve = _build_curve(raw)
+    kind = _take(raw, "space", "P0")
+    constraint = _parse_choice(
+        "constraint", _take(raw, "constraint", "none"), _CONSTRAINTS
+    )
+    assembly = _take(raw, "assembly", "galerkin")
+    if assembly not in ("galerkin", "reduced"):
+        raise ConfigError(
+            f"key 'assembly' must be 'galerkin' or 'reduced', "
+            f"got {assembly!r}"
+        )
+    data = _parse_choice("data", _take(raw, "data", "manufactured"),
+                         _DATA_CHOICES)()
+    obs = _parse_pairs("observation_points", _take(raw, "observation_points"))
+    cfg = ProblemConfig(nu=_parse_float(
+        "viscosity", _take(raw, "viscosity", "1.0")))
+    return dict(curve=curve, kind=kind, constraint=constraint,
+                assembly=assembly, data=data, observation_points=obs, cfg=cfg)
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Fully validated ingredients of one ``run`` invocation."""
@@ -237,24 +255,9 @@ class RunConfig:
 def build_run_config(raw: dict[str, str]) -> RunConfig:
     """Validate raw keys into a RunConfig; every value is constructed
     here so component preconditions fire before any assembly work."""
-    curve = _build_curve(raw)
+    problem = _build_problem(raw)
     scheme = _build_scheme(raw)
     n_elements = _parse_int("n_elements", _take(raw, "n_elements"))
-    kind = _take(raw, "space", "P0")
-    constraint = _parse_choice(
-        "constraint", _take(raw, "constraint", "none"), _CONSTRAINTS
-    )
-    assembly = _take(raw, "assembly", "galerkin")
-    if assembly not in ("galerkin", "reduced"):
-        raise ConfigError(
-            f"key 'assembly' must be 'galerkin' or 'reduced', "
-            f"got {assembly!r}"
-        )
-    data = _parse_choice("data", _take(raw, "data", "manufactured"),
-                         _DATA_CHOICES)()
-    obs = _parse_pairs("observation_points", _take(raw, "observation_points"))
-    cfg = ProblemConfig(nu=_parse_float(
-        "viscosity", _take(raw, "viscosity", "1.0")))
     output = _take(raw, "output", "series.csv")
 
     steps_text = _take(raw, "snapshot_steps", "")
@@ -285,15 +288,9 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     if raw:
         raise ConfigError(f"unknown keys: {sorted(raw)}")
     return RunConfig(
-        curve=curve,
+        **problem,
         n_elements=n_elements,
-        kind=kind,
-        constraint=constraint,
-        assembly=assembly,
         scheme=scheme,
-        data=data,
-        observation_points=obs,
-        cfg=cfg,
         output=output,
         snapshot_steps=snapshot_steps,
         snapshot_grid=snapshot_grid,
@@ -303,23 +300,8 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
 
 def _build_sweep(raw: dict[str, str]) -> tuple[SweepProblem, list, str]:
     """Validate raw keys of a ``converge`` config."""
-    curve = _build_curve(raw)
+    problem = _build_problem(raw)
     order = _parse_int("order", _take(raw, "order", "3"))
-    kind = _take(raw, "space", "P0")
-    constraint = _parse_choice(
-        "constraint", _take(raw, "constraint", "none"), _CONSTRAINTS
-    )
-    assembly = _take(raw, "assembly", "galerkin")
-    if assembly not in ("galerkin", "reduced"):
-        raise ConfigError(
-            f"key 'assembly' must be 'galerkin' or 'reduced', "
-            f"got {assembly!r}"
-        )
-    data = _parse_choice("data", _take(raw, "data", "manufactured"),
-                         _DATA_CHOICES)()
-    obs = _parse_pairs("observation_points", _take(raw, "observation_points"))
-    cfg = ProblemConfig(nu=_parse_float(
-        "viscosity", _take(raw, "viscosity", "1.0")))
     final_time = _parse_float("final_time", _take(raw, "final_time", "1.0"))
     ladder_pairs = _parse_pairs("ladder", _take(raw, "ladder"))
     ladder = [(int(n), int(m)) for n, m in ladder_pairs]
@@ -329,18 +311,8 @@ def _build_sweep(raw: dict[str, str]) -> tuple[SweepProblem, list, str]:
     output = _take(raw, "output", "convergence.csv")
     if raw:
         raise ConfigError(f"unknown keys: {sorted(raw)}")
-    problem = SweepProblem(
-        curve=curve,
-        kind=kind,
-        constraint=constraint,
-        order=order,
-        data=data,
-        observation_points=obs,
-        cfg=cfg,
-        assembly=assembly,
-        final_time=final_time,
-    )
-    return problem, ladder, output
+    sweep = SweepProblem(**problem, order=order, final_time=final_time)
+    return sweep, ladder, output
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,13 @@ no frequency dependence, so the pressure observable is one fixed matrix
 applied to each ``lam_n`` separately.
 
 Gauge constraints (the operator kernel spanned by the normal field)
-enter as bordered systems.  The border is frequency independent, so it
-belongs to the leading weight alone: weights are generated for the
-density block zero-padded to the bordered size, and the moment rows are
-written into ``W_0`` afterwards.  The recurrence then enforces
-``<lam_n, m> = 0`` at every step while the multiplier acts
-instantaneously, never entering the convolution tail.
+do not depend on the frequency, so their weight expansion is
+``C delta_{m0}`` and they enter ``W_0`` alone.  Weights are generated
+for the plain density block, zero-padded to the constrained size, and
+:func:`stokesbem.bem_space.constrain` then borders ``W_0`` by the
+multiplier rows or adds the rank-one term to it.  With a border the
+recurrence enforces ``<lam_n, m> = 0`` at every step while the
+multiplier acts instantaneously, never entering the convolution tail.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .bem_space import (
     assemble_nystrom_V,
     border_rows,
     build_space,
+    constrain,
     data_functional,
     potential_node_bytes,
     potential_pressure_matrix,
@@ -408,7 +410,8 @@ def run_simulation(
     ------
     ValueError
         For inadmissible data, an observation point on the boundary,
-        an unknown assembly flag, or any violated component precondition.
+        an unknown assembly flag, a non-planar ``cfg``, or any violated
+        component precondition.
     """
     if assembly not in ("galerkin", "reduced"):
         raise ValueError(
@@ -419,6 +422,11 @@ def run_simulation(
     space = build_space(mesh, kind)
     if reduced:
         require_reduced_space(space)
+    if cfg.dimension != 2:
+        raise ValueError(
+            f"the transient solver is implemented for the planar problem "
+            f"only, got dimension {cfg.dimension}"
+        )
     points = np.atleast_2d(np.asarray(observation_points, dtype=float))
     # frequency-independent, and it rejects points on the boundary
     # before any sampling or assembly
@@ -435,34 +443,18 @@ def run_simulation(
         )
 
     assemble = assemble_nystrom_V if reduced else assemble_galerkin_V
-    border = border_rows(space, constraint, reduced)
-    n_mult = border.shape[0]
-    operator_mode = (
-        ConstraintMode.augmented_Vtilde
-        if constraint == ConstraintMode.augmented_Vtilde
-        else ConstraintMode.none
-    )
+    n_mult = border_rows(space, constraint, reduced).shape[0]
+    pad = (0, n_mult)
 
     def transfer(s: complex) -> np.ndarray:
-        entries = assemble(
-            space, ComplexFrequency(s), cfg, constraints=operator_mode
-        ).entries
-        if not n_mult:
-            return entries
-        padded = np.zeros((dof + n_mult, dof + n_mult), dtype=complex)
-        padded[:dof, :dof] = entries
-        return padded
+        return np.pad(assemble(space, ComplexFrequency(s), cfg).entries, pad)
 
     seq = cq_weights(transfer, scheme)
-    if n_mult:
-        # the frequency-independent border has the weight expansion
-        # B * delta_{m 0}, so it is written into W_0 exactly instead of
-        # being pushed through the contour transform
-        seq.weights[0, dof:, :dof] = border
-        seq.weights[0, :dof, dof:] = border.T
-        rhs = np.concatenate([rhs, np.zeros((n_keep, n_mult))], axis=1)
-
-    marched = cq_march(seq, rhs)
+    # the constraint is frequency independent: it enters W_0 alone
+    seq.weights[0] = constrain(
+        seq.weights[0, :dof, :dof], space, constraint, reduced
+    ).entries
+    marched = cq_march(seq, np.pad(rhs, ((0, 0), pad)))
     densities = TimeHistory(
         densities=np.ascontiguousarray(marched.densities[:, :dof]),
         kappa=scheme.kappa,

@@ -31,13 +31,12 @@ import dataclasses
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 from .bem_space import (
     ConstraintMode,
     DensitySpace,
     assemble_galerkin_V,
-    assemble_Vtilde,
+    constrain,
     data_functional,
     solve_transfer,
 )
@@ -137,10 +136,9 @@ class SweepProblem:
     assembly:
         ``"galerkin"`` or ``"reduced"``.
     final_time:
-        Horizon ``T``; each row uses ``kappa = T / M``.
-    reference:
-        Callback ``(t, points) -> (velocity, pressure)`` the computed
-        series is compared against.
+        Horizon ``T``; each row uses ``kappa = T / M``.  Errors are
+        measured against :func:`stokesbem.stokes_solver.exact_solution`
+        at ``T``.
     """
 
     curve: BoundaryCurve
@@ -152,7 +150,6 @@ class SweepProblem:
     cfg: ProblemConfig
     assembly: str = "galerkin"
     final_time: float = 1.0
-    reference: Callable = exact_solution
 
 
 def convergence_sweep(
@@ -187,7 +184,7 @@ def convergence_sweep(
                 f"got ({n0}, {m0}) -> ({n1}, {m1})"
             )
     obs = np.atleast_2d(np.asarray(problem.observation_points, dtype=float))
-    u_ref, p_ref = problem.reference(problem.final_time, obs)
+    u_ref, p_ref = exact_solution(problem.final_time, obs)
 
     records: list[ConvergenceRecord] = []
     for n_elements, n_steps in ladder:
@@ -280,11 +277,6 @@ def _gauge_trace(pos: np.ndarray) -> np.ndarray:
 def laplace_property_suite(
     space: DensitySpace,
     frequencies: Sequence[complex] | None = None,
-    *,
-    cfg: ProblemConfig | None = None,
-    kernel_tol: float = KERNEL_RESIDUAL_TOL,
-    n_vectors: int = PROPERTY_VECTOR_COUNT,
-    seed: int = PROPERTY_SEED,
 ) -> PropertyReport:
     """Probe the assembled boundary operator at a set of frequencies.
 
@@ -293,9 +285,14 @@ def laplace_property_suite(
     scaled coercivity functional ``Re(sqrt(s) x^H V(s) x)`` over random
     complex vectors, the kernel residual of the discrete normal, and
     the relative disagreement between the bordered (multiplier) and the
-    rank-corrected gauge formulations applied to a compatible load.
+    rank-corrected gauge formulations, both built by
+    :func:`~stokesbem.bem_space.constrain` from the one assembled matrix,
+    applied to a compatible load.
     Every evaluation becomes a report entry; nothing raises on a
-    failing property.
+    failing property.  The planar ``ProblemConfig()`` is probed with
+    ``PROPERTY_VECTOR_COUNT`` coercivity vectors per frequency drawn
+    from ``PROPERTY_SEED``; the kernel residual is held to
+    ``KERNEL_RESIDUAL_TOL``.
 
     Parameters
     ----------
@@ -306,13 +303,6 @@ def laplace_property_suite(
     frequencies:
         Probe points in the cut plane; defaults to
         :func:`default_frequencies`.
-    cfg:
-        Physical configuration; defaults to ``ProblemConfig()``.
-    kernel_tol:
-        Relative tolerance on the kernel residual.
-    n_vectors, seed:
-        Number of random coercivity vectors per frequency and the
-        generator seed.
 
     Returns
     -------
@@ -320,9 +310,8 @@ def laplace_property_suite(
     """
     if frequencies is None:
         frequencies = default_frequencies()
-    if cfg is None:
-        cfg = ProblemConfig()
-    rng = np.random.default_rng(seed)
+    cfg = ProblemConfig()
+    rng = np.random.default_rng(PROPERTY_SEED)
     c_n = _normal_coefficients(space)
     c_n_norm = float(np.linalg.norm(c_n))
 
@@ -339,9 +328,8 @@ def laplace_property_suite(
                           sym <= SYMMETRY_TOL)
         )
 
-        x = rng.standard_normal((n_vectors, space.dof_count)) + 1j * (
-            rng.standard_normal((n_vectors, space.dof_count))
-        )
+        shape = (PROPERTY_VECTOR_COUNT, space.dof_count)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         quad = np.einsum("kd,kd->k", x.conj(), x @ v.T)
         margins = (freq.sqrt_s * quad).real / (
             v_scale * np.einsum("kd,kd->k", x.conj(), x).real
@@ -356,14 +344,12 @@ def laplace_property_suite(
             np.linalg.norm(v) * c_n_norm
         )
         checks.append(
-            PropertyCheck("kernel", label, kernel, kernel_tol,
-                          kernel <= kernel_tol)
+            PropertyCheck("kernel", label, kernel, KERNEL_RESIDUAL_TOL,
+                          kernel <= KERNEL_RESIDUAL_TOL)
         )
 
-        bordered = assemble_galerkin_V(
-            space, freq, cfg, constraints=ConstraintMode.multiplier_m
-        )
-        tilde = assemble_Vtilde(space, freq, cfg)
+        bordered = constrain(v, space, ConstraintMode.multiplier_m, False)
+        tilde = constrain(v, space, ConstraintMode.augmented_Vtilde, False)
         rhs = data_functional(space, _gauge_trace)
         pad = np.zeros(bordered.n_multipliers)
         lam_mult = solve_transfer(bordered, np.concatenate([rhs, pad]))
@@ -384,15 +370,12 @@ CQ_ORDER_TOL = 0.2
 CQ_ORDER_RESOLUTIONS = (16, 32, 64, 128)
 
 
-def cq_order_report(
-    orders: Sequence[int] = (1, 2, 3),
-    resolutions: Sequence[int] = CQ_ORDER_RESOLUTIONS,
-    final_time: float = 1.0,
-) -> PropertyReport:
+def cq_order_report() -> PropertyReport:
     """Measure the discrete convolution's convergence order per scheme.
 
     The scalar transfer ``F(s) = 1/(s + 1)`` is convolved with the
-    smooth causal data ``g(t) = t**5`` on a kappa-halving ladder; the
+    smooth causal data ``g(t) = t**5`` on ``[0, 1]`` over the
+    kappa-halving ladder ``CQ_ORDER_RESOLUTIONS``; the
     maximum error at eight sample times per run is compared against
     :func:`time_convolution_oracle` and the least-squares slope of
     ``log error`` versus ``log kappa`` must stay within
@@ -401,8 +384,8 @@ def cq_order_report(
     Returns
     -------
     PropertyReport
-        One check per order, labeled ``p=<order>``; ``margin`` holds
-        the observed slope.
+        One check per order 1, 2, 3, labeled ``p=<order>``; ``margin``
+        holds the observed slope.
     """
     transfer = lambda s: 1.0 / (s + 1.0)  # noqa: E731
     oracle_cache: dict[float, float] = {}
@@ -415,11 +398,11 @@ def cq_order_report(
         return oracle_cache[t]
 
     checks = []
-    for p in orders:
+    for p in (1, 2, 3):
         kappas = []
         errors = []
-        for m in resolutions:
-            scheme = CQScheme(order=p, kappa=final_time / m, n_steps=m)
+        for m in CQ_ORDER_RESOLUTIONS:
+            scheme = CQScheme(order=p, kappa=1.0 / m, n_steps=m)
             times = scheme.times()
             history = TimeHistory((times**5)[:, None], scheme.kappa)
             values = cq_postprocess(
@@ -509,6 +492,8 @@ def time_convolution_oracle(
         )
     if t <= 0.0:
         return 0.0
+    import scipy.integrate  # deferred: no other code of the package uses it
+
     value, _ = scipy.integrate.quad(
         lambda tau: kernel(t - tau) * data(tau),
         0.0,

@@ -17,14 +17,15 @@ from stokesbem.bem_space import (
     ConstraintMode,
     assemble_galerkin_V,
     assemble_nystrom_V,
-    assemble_Vtilde,
+    border_rows,
     build_space,
+    constrain,
     data_functional,
     potential_pressure_matrix,
     potential_velocity_matrix,
     solve_transfer,
 )
-from stokesbem.boundary_geometry import BoundaryCurve, build_mesh, moment_vectors
+from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import (
     ComplexFrequency,
@@ -62,6 +63,11 @@ NYSTROM_CIRCLE8_BLOCK01 = np.array(
 def galerkin(curve, n, kind, s, mode=ConstraintMode.none):
     space = build_space(build_mesh(curve, n), kind)
     return space, assemble_galerkin_V(space, ComplexFrequency(s), CFG, constraints=mode)
+
+
+def moment_row(space, reduced=False):
+    """The moment row ``<mu_j, m>`` of ``space``."""
+    return border_rows(space, ConstraintMode.multiplier_m, reduced)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +166,7 @@ def test_multiplier_m_adds_one_row():
     )
     assert mat.entries.shape == (space.dof_count + 1,) * 2
     assert mat.n_multipliers == 1
-    b = moment_vectors(space.mesh, "P0").moment
+    b = moment_row(space)
     np.testing.assert_allclose(mat.entries[-1, :-1].real, b, rtol=1e-13)
     np.testing.assert_allclose(mat.entries[:-1, -1].real, b, rtol=1e-13)
     assert mat.entries[-1, -1] == 0.0
@@ -174,10 +180,26 @@ def test_multiplier_rigid_adds_two_rows():
     assert mat.n_multipliers == 2
 
 
+@pytest.mark.parametrize("mode", list(ConstraintMode), ids=lambda m: m.value)
+def test_constrain_keeps_a_real_matrix_real(mode):
+    """``constrain`` of a real density block (a leading weight ``W_0``)
+    stays real, with the real part of the system assembled at one
+    frequency."""
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    freq = ComplexFrequency(2.0 + 1.0j)
+    plain = assemble_galerkin_V(space, freq, CFG).entries
+    real = constrain(plain.real, space, mode, reduced=False)
+    whole = assemble_galerkin_V(space, freq, CFG, mode)
+    assert real.entries.dtype == np.float64
+    assert real.n_multipliers == whole.n_multipliers
+    np.testing.assert_array_equal(real.entries, whole.entries.real)
+
+
 def test_vtilde_rank_one_reconstruction():
     space, plain = galerkin(BoundaryCurve.circle(1.0), 8, "P0", 3.0 + 1.0j)
-    tilde = assemble_Vtilde(space, ComplexFrequency(3.0 + 1.0j), CFG)
-    b = moment_vectors(space.mesh, "P0").moment
+    tilde = assemble_galerkin_V(space, ComplexFrequency(3.0 + 1.0j), CFG,
+                                ConstraintMode.augmented_Vtilde)
+    b = moment_row(space)
     np.testing.assert_allclose(
         tilde.entries, plain.entries + np.outer(b, b), rtol=0, atol=0
     )
@@ -185,8 +207,9 @@ def test_vtilde_rank_one_reconstruction():
 
 def test_vtilde_equals_v_on_moment_free_densities():
     space, plain = galerkin(BoundaryCurve.circle(1.0), 8, "P0", 2.0 + 0j)
-    tilde = assemble_Vtilde(space, ComplexFrequency(2.0 + 0j), CFG)
-    b = moment_vectors(space.mesh, "P0").moment
+    tilde = assemble_galerkin_V(space, ComplexFrequency(2.0 + 0j), CFG,
+                                ConstraintMode.augmented_Vtilde)
+    b = moment_row(space)
     rng = np.random.default_rng(3)
     lam = rng.standard_normal(space.dof_count)
     lam -= b * (b @ lam) / (b @ b)
@@ -205,7 +228,8 @@ def test_multiplier_vs_vtilde_densities_agree():
     space, bordered = galerkin(
         BoundaryCurve.square(1.0), 12, "P0", 4.0 + 2.0j, ConstraintMode.multiplier_m
     )
-    tilde = assemble_Vtilde(space, ComplexFrequency(4.0 + 2.0j), CFG)
+    tilde = assemble_galerkin_V(space, ComplexFrequency(4.0 + 2.0j), CFG,
+                                ConstraintMode.augmented_Vtilde)
     rhs = data_functional(space, lambda pos: np.stack(
         [pos[..., 0], -pos[..., 1]], axis=-1))
     lam_mult = solve_transfer(bordered, np.concatenate([rhs, [0.0]]))
@@ -283,7 +307,7 @@ def test_nystrom_constraint_border_uses_reduced_moments(constraints):
     mat = assemble_nystrom_V(
         space, ComplexFrequency(1.0 + 0j), CFG, constraints=constraints
     )
-    b = moment_vectors(space.mesh, "P0", reduced=True).moment
+    b = moment_row(space, reduced=True)
     np.testing.assert_allclose(mat.entries[-1, :-1].real, b, rtol=1e-13)
 
 
@@ -698,15 +722,13 @@ def test_multiplier_solution_satisfies_constraint():
     rhs = data_functional(space, lambda pos: np.stack(
         [np.ones(pos.shape[:-1]), pos[..., 0]], axis=-1))
     lam = solve_transfer(mat, np.concatenate([rhs, [0.0]]))
-    b = moment_vectors(space.mesh, "P0").moment
+    b = moment_row(space)
     assert abs(b @ lam) <= 1e-10 * max(np.abs(lam).max(), 1.0)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_solve_transfer_rejects_singular_system():
     space, mat = galerkin(BoundaryCurve.circle(1.0), 6, "P0", 1.0 + 0j)
-    dead = type(mat)(
-        s=mat.s, entries=np.zeros_like(mat.entries), n_multipliers=0
-    )
+    dead = type(mat)(entries=np.zeros_like(mat.entries), n_multipliers=0)
     with pytest.raises(np.linalg.LinAlgError):
         solve_transfer(dead, np.zeros(space.dof_count))

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stokesbem.boundary_geometry import (
-    BoundaryCurve,
-    build_mesh,
-    moment_vectors,
-)
+from stokesbem.bem_space import ConstraintMode, border_rows, build_space
+from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -176,55 +173,59 @@ def test_divergence_theorem(curve, area):
 
 
 # ---------------------------------------------------------------------------
-# constraint functionals
+# constraint functionals (the border rows of the density spaces)
+
+
+def _moment(mesh, kind, reduced=False):
+    """The moment row ``<mu_j, m>`` of the space ``kind`` on ``mesh``."""
+    space = build_space(mesh, kind)
+    return border_rows(space, ConstraintMode.multiplier_m, reduced)[0]
 
 
 def test_moment_vector_antipodal_cancellation():
     mesh = build_mesh(BoundaryCurve.circle(1.0), 16)
-    vecs = moment_vectors(mesh, "P0")
-    assert abs(vecs.moment.sum()) <= 1e-12
+    assert abs(_moment(mesh, "P0").sum()) <= 1e-12
 
 
 def test_moment_against_normal_on_unit_circle():
     """<n, m> = 2 pi on the unit circle since n = x there."""
     mesh = build_mesh(BoundaryCurve.circle(1.0), 256)
-    vecs = moment_vectors(mesh, "P0")
     normal_dofs = mesh.normals.ravel()
     # P0 interpolation of the normal commits an O(h^2) consistency error
-    assert float(vecs.moment @ normal_dofs) == pytest.approx(2 * np.pi, rel=1e-4)
+    assert float(_moment(mesh, "P0") @ normal_dofs) == pytest.approx(2 * np.pi, rel=1e-4)
 
 
 def test_moment_against_normal_on_square():
     """<n, m> = 2 |Omega_-| = 8 exactly (P0 normal is exact on a polygon)."""
     mesh = build_mesh(BoundaryCurve.square(1.0), 8)
-    vecs = moment_vectors(mesh, "P0")
     normal_dofs = mesh.normals.ravel()
-    assert float(vecs.moment @ normal_dofs) == pytest.approx(8.0, rel=1e-12)
+    assert float(_moment(mesh, "P0") @ normal_dofs) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_rigid_vectors_are_component_integrals():
     mesh = build_mesh(BoundaryCurve.circle(1.0), 16)
-    vecs = moment_vectors(mesh, "P0")
-    assert vecs.rigid.shape == (2, 32)
+    rigid = border_rows(build_space(mesh, "P0"),
+                        ConstraintMode.multiplier_rigid, reduced=False)
+    assert rigid.shape == (2, 32)
     # <mu_j e_c, e_l> = h_j delta_{cl} for P0
     expected = np.zeros((2, 32))
     expected[0, 0::2] = mesh.arclengths
     expected[1, 1::2] = mesh.arclengths
-    np.testing.assert_allclose(vecs.rigid, expected, rtol=1e-13)
+    np.testing.assert_allclose(rigid, expected, rtol=1e-13)
 
 
 def test_p1_discontinuous_moment_matches_p0_on_constants():
     """Summing the two linear-basis moments recovers the P0 moment."""
     mesh = build_mesh(BoundaryCurve.square(1.0), 8)
-    p0 = moment_vectors(mesh, "P0").moment
-    p1 = moment_vectors(mesh, "P1_discontinuous").moment
+    p0 = _moment(mesh, "P0")
+    p1 = _moment(mesh, "P1_discontinuous")
     folded = p1.reshape(8, 2, 2).sum(axis=1).ravel()
     np.testing.assert_allclose(folded, p0, rtol=1e-12)
 
 
 def test_reduced_moment_is_midpoint_rule():
     mesh = build_mesh(BoundaryCurve.circle(1.0), 12)
-    reduced = moment_vectors(mesh, "P0", reduced=True).moment
+    reduced = _moment(mesh, "P0", reduced=True)
     expected = (mesh.midpoints * mesh.arclengths[:, None]).ravel()
     np.testing.assert_allclose(reduced, expected, rtol=1e-13)
 
@@ -232,10 +233,10 @@ def test_reduced_moment_is_midpoint_rule():
 def test_reduced_rejected_for_p1():
     mesh = build_mesh(BoundaryCurve.square(1.0), 8)
     with pytest.raises(ValueError):
-        moment_vectors(mesh, "P1_discontinuous", reduced=True)
+        _moment(mesh, "P1_discontinuous", reduced=True)
 
 
 def test_unknown_space_tag_rejected():
     mesh = build_mesh(BoundaryCurve.circle(1.0), 8)
     with pytest.raises(ValueError):
-        moment_vectors(mesh, "P2")
+        _moment(mesh, "P2")

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesbem.bem_space import ConstraintMode
-from stokesbem.boundary_geometry import BoundaryCurve, build_mesh, moment_vectors
+from stokesbem import stokes_solver
+from stokesbem.bem_space import ConstraintMode, border_rows, constrain
+from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme, TimeHistory
 from stokesbem.laplace_kernels import ProblemConfig
 from stokesbem.stokes_solver import (
@@ -240,6 +241,20 @@ class TestRunSimulationBasics:
                 OBS_INTERIOR, CFG,
             )
 
+    def test_three_dimensional_config_is_rejected_before_sampling(
+            self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampling or assembly reached")
+
+        monkeypatch.setattr(stokes_solver, "data_functional", unreachable)
+        monkeypatch.setattr(stokes_solver, "cq_weights", unreachable)
+        with pytest.raises(ValueError, match="planar problem only"):
+            run_simulation(
+                BoundaryCurve.circle(1.0), 8, "P0", ConstraintMode.none,
+                self.scheme(), manufactured_dirichlet_data(),
+                OBS_INTERIOR, ProblemConfig(dimension=3),
+            )
+
 
 class TestCausality:
     """Delayed data produces exactly zero response before the onset."""
@@ -288,8 +303,8 @@ class TestGaugeConstraints:
     """Bordered marching enforces moment orthogonality each step."""
 
     def test_moment_orthogonality(self, square_mult_run):
-        mesh = square_mult_run.space.mesh
-        b = moment_vectors(mesh, "P1_discontinuous").moment
+        b = border_rows(square_mult_run.space, ConstraintMode.multiplier_m,
+                        reduced=False)[0]
         lam = square_mult_run.history.densities
         scale = max(1.0, float(np.abs(lam).max()))
         assert np.abs(lam @ b).max() <= 1e-12 * scale
@@ -304,7 +319,8 @@ class TestGaugeConstraints:
             CQScheme(order=2, kappa=0.1, n_steps=10),
             manufactured_dirichlet_data(), [(0.0, 0.0)], CFG,
         )
-        rigid = np.atleast_2d(moment_vectors(res.space.mesh, "P0").rigid)
+        rigid = border_rows(res.space, ConstraintMode.multiplier_rigid,
+                            reduced=False)
         assert res.multipliers.shape == (11, rigid.shape[0])
         lam = res.history.densities
         scale = max(1.0, float(np.abs(lam).max()))
@@ -329,6 +345,36 @@ class TestGaugeConstraints:
             np.abs(aug.velocity_series - square_mult_run.velocity_series).max()
             <= 1e-10 * vel_scale
         )
+
+    @pytest.mark.parametrize("assembly", ["galerkin", "reduced"])
+    def test_constraint_enters_the_leading_weight_only(self, assembly,
+                                                       monkeypatch):
+        """Border or rank-one term, the constraint is in ``W_0`` alone:
+        the density block of every later weight is that of the plain
+        run, its border blocks are exactly 0, and ``W_0`` is
+        ``constrain`` of the plain ``W_0``."""
+        march = stokes_solver.cq_march
+        weights = {}
+        for mode in ConstraintMode:
+            def capture(seq, rhs, mode=mode):
+                weights[mode] = seq.weights.copy()
+                return march(seq, rhs)
+
+            monkeypatch.setattr(stokes_solver, "cq_march", capture)
+            res = run_simulation(
+                BoundaryCurve.circle(1.0), 8, "P0", mode,
+                CQScheme(order=2, kappa=0.1, n_steps=6),
+                manufactured_dirichlet_data(), [(0.0, 0.0)], CFG,
+                assembly=assembly,
+            )
+        plain = weights[ConstraintMode.none]
+        dof = res.space.dof_count
+        for mode, w in weights.items():
+            np.testing.assert_array_equal(w[1:, :dof, :dof], plain[1:])
+            assert not w[1:, dof:, :].any() and not w[1:, :, dof:].any()
+            want = constrain(plain[0], res.space, mode,
+                             reduced=assembly == "reduced")
+            np.testing.assert_array_equal(w[0], want.entries)
 
 
 class TestInteriorAccuracy:

@@ -1,8 +1,13 @@
 """Tests for convergence sweeps, operator property reports, and oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import stokesbem
 from stokesbem.bem_space import ConstraintMode, build_space
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.laplace_kernels import ProblemConfig
@@ -195,6 +200,16 @@ class TestTimeConvolutionOracle:
             assert time_convolution_oracle(
                 lambda s: 1.0 / s, lambda u: 1.0, t
             ) == 0.0
+
+    def test_package_import_leaves_scipy_integrate_out(self):
+        """Only the oracle needs ``scipy.integrate``; it imports it when
+        called, so ``import stokesbem`` does not pay for it."""
+        src = os.path.dirname(os.path.dirname(stokesbem.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import stokesbem; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
     def test_unknown_transfer_rejected(self):
         with pytest.raises(ValueError, match="catalog"):
