@@ -11,8 +11,9 @@ singularities of the square keep the observed velocity rate a little
 below the smooth-boundary value of 3.
 
 ``--extended`` appends the (128, 320) row; note the stored convolution
-weights grow as (M + 1) (4N)^2 real numbers, plus as many bytes
-of complex contour samples, about 1.3 GB there.
+weights grow as L (4N + 1)^2 real numbers with L = M + 1 contour nodes,
+the contour samples sharing their buffer: an estimate of about 0.7 GB
+there.
 """
 
 import argparse
@@ -29,7 +30,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--extended", action="store_true",
-        help="append the (128, 320) row (minutes of runtime, ~1.3 GB)",
+        help="append the (128, 320) row (minutes of runtime, est. ~0.7 GB)",
     )
     parser.add_argument(
         "--output", default="convergence_square.csv",

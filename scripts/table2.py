@@ -9,8 +9,9 @@ against the closed-form reference solution; both rates should settle
 near 3.
 
 ``--extended`` appends the (320, 320) row; note the stored convolution
-weights grow as (M + 1) (2N)^2 real numbers, plus as many bytes
-of complex contour samples, about 2 GB at 320.
+weights grow as L (2N)^2 real numbers with L = M + 1 contour nodes,
+the contour samples sharing their buffer: an estimate of about 1.05 GB
+at 320.
 """
 
 import argparse
@@ -27,7 +28,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--extended", action="store_true",
-        help="append the (320, 320) row (minutes of runtime, ~2 GB)",
+        help="append the (320, 320) row (minutes of runtime, est. ~1.05 GB)",
     )
     parser.add_argument(
         "--output", default="convergence_circle.csv",

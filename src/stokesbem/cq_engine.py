@@ -26,7 +26,12 @@ near ``sqrt(eps) * max_l ||F||``, which is therefore the accuracy floor
 of the computed weights.  For transfer functions with real symbols
 (``F(conj s) = conj F(s)``) the integrand is Hermitian in ``l``, so only
 ``floor(L / 2) + 1`` evaluations are needed and the weights come out
-real up to that floor.
+real up to that floor.  The samples and the weights share one real
+``(L, entries)`` buffer: each evaluation is written into it as it is
+made, in the FFTPACK half-complex layout (``Re F_0``, then ``Re F_l,
+-Im F_l`` row pairs, then ``Re F_{L/2}`` for even ``L``), and the
+inverse real transform overwrites its first ``M + 1`` rows with the
+weights, so the weights cost ``L * entries`` reals and nothing more.
 
 The implicit one-sided recurrence
 
@@ -72,11 +77,10 @@ CONTOUR_EPSILON = 1e-15
 # the late coefficients above any fixed relative threshold.
 IMAG_RESIDUE_TOL = 1e-10
 
-# Block size, in matrix entries, of the weight transform.  The contour
-# evaluations are stored once (half the nodes); the Hermitian extension
-# and the FFT run over blocks of this many entries of the flattened
-# samples, so the complex work buffers stay near L * 64 KiB whatever the
-# shape of the transfer function.
+# Block size, in matrix entries, of the weight transform.  The packed
+# samples are transformed in place, one block of this many columns at a
+# time, so the complex half spectrum and the inverse transform of a
+# block stay near L * 64 KiB whatever the shape of the transfer function.
 WEIGHT_CHUNK_ENTRIES = 4096
 
 # Largest multistep order with a convergence theory for operator
@@ -243,7 +247,8 @@ class WeightSequence:
                 f"weights must have shape (M+1,) or (M+1, rows, cols), "
                 f"got {arr.shape}"
             )
-        if not np.isfinite(arr).all():
+        # NaN propagates through min and max: no full-size temporary
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("weight sequence contains non-finite entries")
 
     def __len__(self) -> int:
@@ -290,65 +295,33 @@ class TimeHistory:
         return self.kappa * np.arange(len(self), dtype=float)
 
 
-def _evaluate_contour(transfer, scheme: CQScheme) -> np.ndarray:
-    """Evaluate the transfer callback on the first half of the contour.
+def _sample(transfer, node: int, s: complex) -> np.ndarray:
+    """Evaluate the transfer callback at contour node ``node``.
 
-    Returns a complex array of shape ``(n_half,)`` or
-    ``(n_half, rows, cols)``.  Failures inside the callback are
-    re-raised with the offending node index attached; non-finite return
-    values are rejected for the same reason (a frequency off the domain
-    of the symbol).
+    Failures inside the callback are re-raised with the node index
+    attached: a ``ValueError`` (a configuration error) stays one, any
+    other failure becomes a ``RuntimeError``.  Non-finite return values
+    are rejected for the same reason (a frequency off the domain of the
+    symbol).
     """
-    freqs = scheme.frequencies()[: scheme.n_half_nodes]
-    values = None
-    for node, s in enumerate(freqs):
-        try:
-            val = np.asarray(transfer(complex(s)), dtype=complex)
-        except Exception as exc:
-            raise RuntimeError(
-                f"transfer evaluation failed at contour node {node} "
-                f"(s = {complex(s):.6g})"
-            ) from exc
-        if val.ndim not in (0, 2):
-            raise ValueError(
-                f"transfer must return a scalar or a 2-D matrix, got shape "
-                f"{val.shape} at contour node {node}"
-            )
-        if not np.isfinite(val).all():
-            raise RuntimeError(
-                f"transfer returned non-finite values at contour node {node} "
-                f"(s = {complex(s):.6g})"
-            )
-        if values is None:
-            values = np.empty((freqs.size,) + val.shape, dtype=complex)
-        elif val.shape != values.shape[1:]:
-            raise ValueError(
-                f"transfer changed output shape at contour node {node}: "
-                f"{val.shape} != {values.shape[1:]}"
-            )
-        values[node] = val
-    return values
-
-
-def _hermitian_transform(half: np.ndarray, scheme: CQScheme) -> np.ndarray:
-    """Scaled FFT of the Hermitian extension of half-contour samples.
-
-    ``half`` holds ``F_l`` for ``l = 0, ..., floor(L/2)`` in its rows, one
-    column per entry; the remaining nodes follow from ``F_{L-l} =
-    conj(F_l)``.  Returns the complex coefficient estimates ``W_n =
-    R^{-n}/L * sum_l F_l e^{-2 pi i nl/L}`` for ``n = 0, ..., M``.
-    """
-    n_nodes = scheme.n_contour_nodes
-    n_keep = scheme.n_steps + 1
-    scale = scheme.contour_radius ** -np.arange(n_keep, dtype=float) / n_nodes
-    full = np.empty((n_nodes,) + half.shape[1:], dtype=complex)
-    full[: half.shape[0]] = half
-    for l in range(1, (n_nodes + 1) // 2):
-        full[n_nodes - l] = np.conj(full[l])
-    spectrum = np.fft.fft(full, axis=0)[:n_keep]
-    del full
-    spectrum *= scale[:, None]
-    return spectrum
+    where = f"contour node {node} (s = {s:.6g})"
+    try:
+        val = np.asarray(transfer(s), dtype=complex)
+    except Exception as exc:
+        # LinAlgError subclasses ValueError but is a numerical failure
+        if isinstance(exc, ValueError) and not isinstance(
+            exc, np.linalg.LinAlgError
+        ):
+            raise ValueError(f"transfer rejected {where}: {exc}") from exc
+        raise RuntimeError(f"transfer evaluation failed at {where}") from exc
+    if val.ndim not in (0, 2):
+        raise ValueError(
+            f"transfer must return a scalar or a 2-D matrix, got shape "
+            f"{val.shape} at contour node {node}"
+        )
+    if not np.isfinite(val).all():
+        raise RuntimeError(f"transfer returned non-finite values at {where}")
+    return val
 
 
 def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
@@ -373,43 +346,80 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     WeightSequence
         Real weights ``W_0, ..., W_M``; accuracy is limited by the floor
         ``sqrt(CONTOUR_EPSILON) * max_l ||F||`` of the balanced contour.
+        They are the first ``M + 1`` rows of the ``(L, entries)``
+        transform buffer, a view without a copy.
 
     Raises
     ------
+    ValueError
+        If the callback raises a ``ValueError`` at some node (reported
+        with its index) or changes its output shape.
     RuntimeError
-        If the callback raises or returns non-finite values at some node
-        (reported with its index), or if the imaginary residue exceeds
-        ``IMAG_RESIDUE_TOL`` relative to the largest weight, indicating
-        a symbol that is not real.
+        If the callback fails otherwise or returns non-finite values at
+        some node (reported with its index), or if the imaginary residue
+        exceeds ``IMAG_RESIDUE_TOL`` relative to the largest weight,
+        indicating a symbol that is not real.
     """
-    half = _evaluate_contour(transfer, scheme)
-    roundoff = _roundoff_floor(half, scheme)
-    flat = half.reshape(half.shape[0], -1)
-    weights = np.empty((scheme.n_steps + 1, flat.shape[1]))
-    resid = 0.0
+    n_nodes = scheme.n_contour_nodes
+    n_keep = scheme.n_steps + 1
+    packed = shape = None
+    max_transfer = 0.0
+    imag_ends = []
+    for node, s in enumerate(scheme.frequencies()[: scheme.n_half_nodes]):
+        val = _sample(transfer, node, complex(s))
+        if packed is None:
+            shape = val.shape
+            packed = np.empty((n_nodes, val.size))
+        elif val.shape != shape:
+            raise ValueError(
+                f"transfer changed output shape at contour node {node}: "
+                f"{val.shape} != {shape}"
+            )
+        flat = val.reshape(-1)
+        max_transfer = max(max_transfer, float(np.abs(flat).max()))
+        # FFTPACK half-complex rows: Re F_0, (Re F_l, -Im F_l) pairs and,
+        # for even L, Re F_{L/2}; the conjugate turns the forward sum
+        # into the inverse real transform
+        packed[max(2 * node - 1, 0)] = flat.real
+        if 0 < 2 * node < n_nodes:
+            packed[2 * node] = -flat.imag
+        else:
+            imag_ends.append(flat.imag.copy())
+
+    scale = scheme.contour_radius ** -np.arange(n_keep, dtype=float)
+    n_pairs = (n_nodes - 1) // 2
     magnitude = 0.0
-    for start in range(0, flat.shape[1], WEIGHT_CHUNK_ENTRIES):
-        block = slice(start, start + WEIGHT_CHUNK_ENTRIES)
-        spectrum = _hermitian_transform(flat[:, block], scheme)
-        resid = max(resid, float(np.abs(spectrum.imag).max()))
-        magnitude = max(magnitude, float(np.abs(spectrum.real).max()))
-        weights[:, block] = spectrum.real
-    _check_imag_residue(resid, magnitude, roundoff)
-    return WeightSequence(weights=weights.reshape((-1,) + half.shape[1:]),
-                          kappa=scheme.kappa, order=scheme.order)
+    for start in range(0, packed.shape[1], WEIGHT_CHUNK_ENTRIES):
+        block = packed[:, start : start + WEIGHT_CHUNK_ENTRIES]
+        spectrum = np.empty((scheme.n_half_nodes, block.shape[1]), dtype=complex)
+        spectrum[0] = block[0]
+        spectrum[1 : n_pairs + 1].real = block[1 : 2 * n_pairs : 2]
+        spectrum[1 : n_pairs + 1].imag = block[2 : 2 * n_pairs + 1 : 2]
+        if n_nodes % 2 == 0:
+            spectrum[-1] = block[-1]
+        coeffs = np.fft.irfft(spectrum, n=n_nodes, axis=0)[:n_keep]
+        coeffs *= scale[:, None]
+        magnitude = max(magnitude, float(np.abs(coeffs).max()))
+        block[:n_keep] = coeffs
 
-
-def _roundoff_floor(half: np.ndarray, scheme: CQScheme) -> float:
-    """Largest imaginary residue attributable to transform roundoff.
-
-    Machine noise of size ``eps * max||F||`` per sample passes through
-    the length-``L`` transform and is amplified by ``R^{-n}``, worst at
-    ``n = M``; the leading factor 8 is margin over the textbook bound.
-    """
-    max_transfer = float(np.abs(half).max())
-    amplification = scheme.contour_radius ** -scheme.n_steps
+    # The Hermitian extension drops every imaginary part but those of the
+    # real-axis nodes zeta = R and, for even L, zeta = -R; they leave
+    # Im W_n = R^{-n} (Im F_0 + (-1)^n Im F_{L/2}) / L, largest at the
+    # last even and the last odd n.
+    first = imag_ends[0]
+    last = imag_ends[1] if len(imag_ends) > 1 else 0.0
+    sign = (-1.0) ** scheme.n_steps
+    resid = max(
+        scale[-1] * float(np.abs(first + sign * last).max()),
+        scale[-2] * float(np.abs(first - sign * last).max()),
+    ) / n_nodes
+    # machine noise eps max|F| per sample through the length-L transform,
+    # amplified by R^{-M}; the factor 8 is margin over the textbook bound
     eps = float(np.finfo(float).eps)
-    return 8.0 * scheme.n_contour_nodes * eps * amplification * max_transfer
+    roundoff = 8.0 * n_nodes * eps * scale[-1] * max_transfer
+    _check_imag_residue(resid, magnitude, roundoff)
+    return WeightSequence(weights=packed[:n_keep].reshape((n_keep,) + shape),
+                          kappa=scheme.kappa, order=scheme.order)
 
 
 def _check_imag_residue(resid: float, magnitude: float, roundoff: float) -> None:

@@ -94,9 +94,9 @@ MASK_SENTINEL = -1.0e30
 FLUX_RULE_ORDER = 8
 FLUX_MIN_PANELS = 64
 
-# Memory cap (bytes) for one block of velocity-potential weights, their
-# contour samples and the potential clouds during snapshot evaluation;
-# grid points are processed in blocks under it.
+# Memory cap (bytes) for one block of velocity-potential weights, the
+# postprocess product and the potential clouds during snapshot
+# evaluation; grid points are processed in blocks under it.
 SNAPSHOT_WEIGHT_BYTES = 1 << 28
 
 
@@ -595,10 +595,11 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
     p_flat = np.full((n_sel, flat.shape[0]), MASK_SENTINEL)
 
     dof = result.space.dof_count
-    # per point, the real weights and the complex half-contour samples
-    # that cq_weights holds beside them, each with 2 rows per point, and
-    # the potential clouds with their ray bases
-    per_point = (2 * dof * (8 * n_keep + 16 * result.scheme.n_half_nodes)
+    # per point: 2 rows of cq_weights' packed (L, entries) buffer, the
+    # (M+1, 2, M+1) product of cq_postprocess, and the potential clouds
+    # with their ray bases
+    per_point = (2 * dof * 8 * result.scheme.n_contour_nodes
+                 + 16 * n_keep * n_keep
                  + potential_node_bytes(result.space, flat[keep]))
     block = (np.cumsum(per_point) - per_point) // SNAPSHOT_WEIGHT_BYTES
     for idx in np.split(keep, np.flatnonzero(np.diff(block)) + 1):

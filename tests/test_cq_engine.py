@@ -170,18 +170,13 @@ def test_weights_of_1_over_s_bdf2_leading_weight():
     assert abs(seq.weights[0] - 2.0 * kappa / 3.0) <= weight_floor(transfer, scheme)
 
 
-def test_weights_match_rational_long_division():
+def rational_coefficients(kappa: float, n_steps: int) -> np.ndarray:
     """Taylor coefficients of kappa / (delta(zeta) + kappa), BDF3.
 
     The denominator is a cubic in zeta, so the coefficients satisfy a
     four-term recurrence solved here exactly, independent of the
     contour transform.
     """
-    kappa, n_steps = 0.1, 32
-    scheme = CQScheme(order=3, kappa=kappa, n_steps=n_steps)
-    transfer = lambda s: 1.0 / (s + 1.0)
-    seq = cq_weights(transfer, scheme)
-
     # delta(zeta) + kappa = sum_k a_k zeta^k via the binomial expansion
     a = np.zeros(4)
     a[0] += kappa
@@ -193,6 +188,30 @@ def test_weights_match_rational_long_division():
     for n in range(1, n_steps + 1):
         tail = sum(a[k] * coeff[n - k] for k in range(1, min(n, 3) + 1))
         coeff[n] = -tail / a[0]
+    return coeff
+
+
+def test_weights_match_rational_long_division():
+    kappa, n_steps = 0.1, 32
+    scheme = CQScheme(order=3, kappa=kappa, n_steps=n_steps)
+    transfer = lambda s: 1.0 / (s + 1.0)
+    seq = cq_weights(transfer, scheme)
+    coeff = rational_coefficients(kappa, n_steps)
+    assert np.abs(seq.weights - coeff).max() <= weight_floor(transfer, scheme)
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+def test_weights_with_extra_contour_nodes(extra):
+    """L = M + 2 (even, with the Nyquist row) and L = M + 3 nodes give
+    the exact coefficients too, from the first M + 1 rows of the
+    larger buffer."""
+    kappa, n_steps = 0.1, 32
+    scheme = CQScheme(order=3, kappa=kappa, n_steps=n_steps,
+                      n_contour_nodes=n_steps + 1 + extra)
+    transfer = lambda s: 1.0 / (s + 1.0)
+    seq = cq_weights(transfer, scheme)
+    assert seq.weights.shape == (n_steps + 1,)
+    coeff = rational_coefficients(kappa, n_steps)
     assert np.abs(seq.weights - coeff).max() <= weight_floor(transfer, scheme)
 
 
@@ -217,6 +236,42 @@ def test_weights_reject_non_real_symbol():
         cq_weights(lambda s: 1j * s, scheme)
     with pytest.raises(RuntimeError, match="not a real symbol"):
         cq_weights(lambda s: 1j + 0.0 * s, scheme)
+
+
+def test_weights_reject_imaginary_part_at_negative_real_node():
+    """With even L the node zeta = -R is real too; an imaginary part
+    there alone is caught."""
+    scheme = CQScheme(order=2, kappa=0.1, n_steps=17)
+    assert scheme.n_contour_nodes % 2 == 0
+    nyquist = scheme.frequencies()[scheme.n_contour_nodes // 2]
+
+    def transfer(s):
+        return 1.0 / (s + 1.0) + (1e-3j if abs(s - nyquist) < 1e-9 else 0.0)
+
+    with pytest.raises(RuntimeError, match="not a real symbol"):
+        cq_weights(transfer, scheme)
+
+
+def test_weights_peak_memory_is_one_buffer():
+    """The samples and the weights share one (L, entries) float buffer:
+    the traced peak stays within 1.5 times its size."""
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((200, 200))
+    transfer = lambda s: a / (s + 1.0)
+    for extra in (0, 1):
+        scheme = CQScheme(order=3, kappa=0.05, n_steps=40,
+                          n_contour_nodes=41 + extra)
+        buffer_bytes = scheme.n_contour_nodes * a.size * 8
+        tracemalloc.start()
+        try:
+            seq = cq_weights(transfer, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.weights.shape == (41, 200, 200)
+        assert peak <= 1.5 * buffer_bytes
 
 
 def test_entry_blocks_leave_weights_bit_identical(monkeypatch):
@@ -259,6 +314,29 @@ def test_weights_report_failing_node():
 
     with pytest.raises(RuntimeError, match="non-finite"):
         cq_weights(infinite, scheme)
+
+
+def test_weights_keep_config_errors_with_failing_node():
+    """A ValueError raised by the transfer stays a ValueError (a config
+    error, exit 1) and names the node; a LinAlgError stays numerical."""
+    scheme = CQScheme(order=2, kappa=0.1, n_steps=16)
+    target = scheme.frequencies()[3]
+
+    def rejecting(s):
+        if abs(s - target) < 1e-9:
+            raise ValueError("bad parameter")
+        return 1.0 / s
+
+    with pytest.raises(ValueError, match="contour node 3.*bad parameter"):
+        cq_weights(rejecting, scheme)
+
+    def singular(s):
+        if abs(s - target) < 1e-9:
+            raise np.linalg.LinAlgError("singular")
+        return 1.0 / s
+
+    with pytest.raises(RuntimeError, match="contour node 3"):
+        cq_weights(singular, scheme)
 
 
 def test_weights_reject_shape_change():

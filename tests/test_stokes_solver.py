@@ -570,9 +570,9 @@ class TestFieldSnapshot:
 
     def test_blocked_snapshot_matches_one_block(self, circle_run,
                                                 monkeypatch):
-        """A cap of 50 points' weights, contour samples and potential
-        clouds, at their mean size, splits the 301 unmasked cells into 7
-        blocks, with the fields of one block."""
+        """A cap of 50 points' packed weight buffer, postprocess product
+        and potential clouds, at their mean size, splits the 301 unmasked
+        cells into 7 blocks, with the fields of one block."""
         from stokesbem import stokes_solver
         from stokesbem.bem_space import potential_node_bytes
 
@@ -582,9 +582,11 @@ class TestFieldSnapshot:
         whole = field_snapshot(circle_run, grid, [6, 12])
         scheme = circle_run.scheme
         kept = grid.points().reshape(-1, 2)[~whole.mask.ravel()]
-        per_point = 2 * circle_run.space.dof_count * (
-            8 * (scheme.n_steps + 1) + 16 * scheme.n_half_nodes
-        ) + potential_node_bytes(circle_run.space, kept)
+        per_point = (
+            2 * circle_run.space.dof_count * 8 * scheme.n_contour_nodes
+            + 16 * (scheme.n_steps + 1) ** 2
+            + potential_node_bytes(circle_run.space, kept)
+        )
         monkeypatch.setattr(stokes_solver, "SNAPSHOT_WEIGHT_BYTES",
                             50 * int(per_point.mean()))
         blocks = []
