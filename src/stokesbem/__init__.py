@@ -19,7 +19,6 @@ Modules build on each other in four layers:
 
 from .laplace_kernels import (
     ComplexFrequency,
-    KernelTensor,
     ProblemConfig,
     bessel_k,
     pressure_kernel,
@@ -36,7 +35,6 @@ from .boundary_geometry import (
 from .bem_space import (
     ConstraintMode,
     DensitySpace,
-    TransferMatrix,
     assemble_galerkin_V,
     assemble_nystrom_V,
     build_space,
@@ -92,7 +90,6 @@ __all__ = [
     "DirichletData",
     "FieldSnapshot",
     "GridSpec",
-    "KernelTensor",
     "MASK_SENTINEL",
     "ProblemConfig",
     "PropertyCheck",
@@ -100,7 +97,6 @@ __all__ = [
     "SimulationResult",
     "SweepProblem",
     "TimeHistory",
-    "TransferMatrix",
     "WeightSequence",
     "assemble_galerkin_V",
     "assemble_nystrom_V",

@@ -8,7 +8,14 @@ with vector-valued piecewise-polynomial densities on a uniform element
 mesh, either by a Galerkin method (double element integrals) or by
 reduced integration (midpoint test rule, a Nystrom-type method).  Also
 builds the off-boundary evaluation matrices of the velocity and pressure
-potentials and the constrained variants of the boundary system.
+potentials.
+
+Every matrix is a plain ``ndarray``.  The assemblers return the density
+block ``V(s)``, square of order ``dof_count``.  :func:`constrain` is the
+one function that removes the gauge kernel: it borders a matrix by
+multiplier rows or adds a rank-one term.  :func:`solve_transfer` solves
+such a system for a load with one entry per density row, and returns
+the density without the multipliers.
 
 Quadrature design
 -----------------
@@ -142,7 +149,6 @@ class DensitySpace:
     kind: str
     dof_count: int
     dof_element: np.ndarray = field(repr=False)
-    dof_local: np.ndarray = field(repr=False)
     dof_component: np.ndarray = field(repr=False)
 
     @property
@@ -160,25 +166,7 @@ def build_space(mesh: BoundaryMesh, kind: str) -> DensitySpace:
     dof = np.arange(2 * nb * n)
     return DensitySpace(mesh=mesh, kind=kind, dof_count=2 * nb * n,
                         dof_element=dof // (2 * nb),
-                        dof_local=(dof // 2) % nb,
                         dof_component=dof % 2)
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """A boundary system, possibly bordered by multipliers.
-
-    ``entries`` is square of size ``dof_count + n_multipliers``; the
-    density block comes first, multiplier rows and columns last.
-    """
-
-    entries: np.ndarray = field(repr=False)
-    n_multipliers: int = 0
-
-    def __post_init__(self) -> None:
-        e = self.entries
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"entries must be square, got shape {e.shape}")
 
 
 def _basis_values(n_basis: int, xi: np.ndarray) -> np.ndarray:
@@ -589,36 +577,6 @@ def _require_planar(cfg: ProblemConfig) -> None:
                                   "planar problem only")
 
 
-def _galerkin_matrix(space: DensitySpace, freq: ComplexFrequency,
-                     cfg: ProblemConfig) -> np.ndarray:
-    """Plain Galerkin matrix of the single-layer operator (no border)."""
-    _require_planar(cfg)
-    mesh = space.mesh
-    s_abs = abs(freq.sqrt_s)
-    l_max = float(mesh.arclengths.max())
-    cap_u = _quantize_down(min(1.0, Z_SPLIT_CAP / (s_abs * l_max)))
-    z_u = _quantize_up(s_abs * l_max) if cap_u < 1.0 else 1.0
-    cap_p = _quantize_down(min(1.0, Z_SPLIT_CAP / (2.0 * s_abs * l_max)))
-    z_p = _quantize_up(2.0 * s_abs * l_max) if cap_p < 1.0 else 1.0
-    key = _space_key(space)
-    self_cloud = _cached(key + ("self", cap_u, z_u),
-                         lambda: _build_self_cloud(space, cap_u, z_u))
-    vertex_cloud = _cached(key + ("vertex", cap_p, z_p),
-                           lambda: _build_vertex_cloud(space, cap_p, z_p))
-    separated = _cached(key + ("separated",),
-                        lambda: _build_separated_clouds(space))
-    ndof = space.dof_count
-    pref = cfg.kernel_prefactor
-    v_diag = np.zeros((ndof, ndof), dtype=complex)
-    v_off = np.zeros((ndof, ndof), dtype=complex)
-    clouds = [self_cloud, vertex_cloud, *separated]
-    targets = [v_diag] + [v_off] * (len(clouds) - 1)
-    for V, cloud, bases in zip(targets, clouds,
-                               _ray_bases(clouds, freq.sqrt_s)):
-        _accumulate_blocks(V, cloud, bases, freq.sqrt_s, pref, space.n_basis)
-    return v_diag + v_off + v_off.T
-
-
 def _check_finite(V: np.ndarray, n_basis: int) -> None:
     if np.isfinite(V).all():
         return
@@ -650,38 +608,36 @@ def border_rows(space: DensitySpace, constraints: ConstraintMode,
 
 
 def constrain(V: np.ndarray, space: DensitySpace,
-              constraints: ConstraintMode, reduced: bool) -> TransferMatrix:
-    """The system for ``constraints`` from the density block ``V``.
+              constraints: ConstraintMode, reduced: bool) -> np.ndarray:
+    """The system matrix for ``constraints`` from the density block ``V``.
 
     The multiplier modes border ``V`` by the :func:`border_rows` (rows
-    and columns, zero diagonal block); ``augmented_Vtilde`` adds
-    ``b b^T`` with ``b`` the moment row; ``none`` copies ``V``.  The
+    and columns, zero diagonal block), so the system has one row per
+    multiplier after the density rows; ``augmented_Vtilde`` adds ``b
+    b^T`` with ``b`` the moment row; ``none`` copies ``V``.  The
     constraint does not depend on the frequency, so the same call
     constrains one ``V(s)`` and the leading convolution weight ``W_0``;
     the dtype of ``V`` is kept, so a real ``W_0`` stays real.
     """
     if constraints == ConstraintMode.augmented_Vtilde:
         b = border_rows(space, ConstraintMode.multiplier_m, reduced)[0]
-        return TransferMatrix(entries=V + np.outer(b, b))
+        return V + np.outer(b, b)
     rows = border_rows(space, constraints, reduced)
     k, n = rows.shape
     out = np.zeros((n + k, n + k), dtype=V.dtype)
     out[:n, :n] = V
     out[:n, n:] = rows.T
     out[n:, :n] = rows
-    return TransferMatrix(entries=out, n_multipliers=k)
+    return out
 
 
 def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
-                        cfg: ProblemConfig,
-                        constraints: ConstraintMode = ConstraintMode.none,
-                        ) -> TransferMatrix:
-    """Galerkin matrix ``V_ij(s) = <mu_i, V(s) mu_j>``, then :func:`constrain`.
+                        cfg: ProblemConfig) -> np.ndarray:
+    """Galerkin matrix ``V_ij(s) = <mu_i, V(s) mu_j>``, square of order
+    ``dof_count``; :func:`constrain` removes its gauge kernel.
 
-    The density block is complex symmetric by construction (each
-    unordered element pair is integrated once and mirrored).  The
-    ``multiplier_m`` border enforces ``<lam, m> = 0``, removing the gauge
-    kernel spanned by the outward normal field.
+    The matrix is complex symmetric by construction (each unordered
+    element pair is integrated once and mirrored).
 
     Raises
     ------
@@ -689,9 +645,33 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
         If quadrature produces a non-finite entry (reported with the
         offending element pair).
     """
-    V = _galerkin_matrix(space, freq, cfg)
+    _require_planar(cfg)
+    mesh = space.mesh
+    s_abs = abs(freq.sqrt_s)
+    l_max = float(mesh.arclengths.max())
+    cap_u = _quantize_down(min(1.0, Z_SPLIT_CAP / (s_abs * l_max)))
+    z_u = _quantize_up(s_abs * l_max) if cap_u < 1.0 else 1.0
+    cap_p = _quantize_down(min(1.0, Z_SPLIT_CAP / (2.0 * s_abs * l_max)))
+    z_p = _quantize_up(2.0 * s_abs * l_max) if cap_p < 1.0 else 1.0
+    key = _space_key(space)
+    self_cloud = _cached(key + ("self", cap_u, z_u),
+                         lambda: _build_self_cloud(space, cap_u, z_u))
+    vertex_cloud = _cached(key + ("vertex", cap_p, z_p),
+                           lambda: _build_vertex_cloud(space, cap_p, z_p))
+    separated = _cached(key + ("separated",),
+                        lambda: _build_separated_clouds(space))
+    ndof = space.dof_count
+    pref = cfg.kernel_prefactor
+    v_diag = np.zeros((ndof, ndof), dtype=complex)
+    v_off = np.zeros((ndof, ndof), dtype=complex)
+    clouds = [self_cloud, vertex_cloud, *separated]
+    targets = [v_diag] + [v_off] * (len(clouds) - 1)
+    for V, cloud, bases in zip(targets, clouds,
+                               _ray_bases(clouds, freq.sqrt_s)):
+        _accumulate_blocks(V, cloud, bases, freq.sqrt_s, pref, space.n_basis)
+    V = v_diag + v_off + v_off.T
     _check_finite(V, space.n_basis)
-    return constrain(V, space, constraints, reduced=False)
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -792,9 +772,7 @@ def require_reduced_space(space: DensitySpace) -> None:
 
 
 def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
-                       cfg: ProblemConfig,
-                       constraints: ConstraintMode = ConstraintMode.none,
-                       ) -> TransferMatrix:
+                       cfg: ProblemConfig) -> np.ndarray:
     """Reduced-integration matrix: midpoint test rule, accurate columns.
 
     Row ``i`` is the element arclength times the kernel integral against
@@ -802,10 +780,9 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     Nystrom-type scheme obtained from the Galerkin method by reduced
     integration of the outer (test) integral.  Restricted to piecewise
     constants on smooth curves; the diagonal uses the logarithmic split
-    so its entries are finite and accurate.
-
-    Constraint borders use the midpoint-rule moment functionals, which
-    match the reduced bilinear form.
+    so its entries are finite and accurate.  Its gauge constraint is
+    :func:`constrain` with ``reduced=True``: the midpoint-rule moment
+    functionals match the reduced bilinear form.
     """
     _require_planar(cfg)
     require_reduced_space(space)
@@ -830,7 +807,7 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     for cloud, bases in zip(clouds, _ray_bases(clouds, freq.sqrt_s)):
         _accumulate_blocks(V, cloud, bases, freq.sqrt_s, pref, space.n_basis)
     _check_finite(V, space.n_basis)
-    return constrain(V, space, constraints, reduced=True)
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +818,7 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
 PROJECTION_STEPS = 8
 
 
-def _check_points_off_boundary(mesh: BoundaryMesh, points: np.ndarray) -> None:
+def require_off_boundary(mesh: BoundaryMesh, points: np.ndarray) -> None:
     """Raise ``ValueError`` for a point within 1e-12 of the curve.
 
     Points within one element length of an element midpoint are
@@ -893,7 +870,7 @@ def _potential_clouds(space: DensitySpace, points: np.ndarray):
     key = _space_key(space) + (points.shape, points.tobytes())
     if _POINT_SLOT[0] != key:
         _POINT_SLOT[:], _RAY_SLOT[:] = [None, None], [None, {}]
-        _check_points_off_boundary(space.mesh, points)
+        require_off_boundary(space.mesh, points)
         _POINT_SLOT[:] = [key, _point_clouds(
             space, points, *_point_element_pairs(space.mesh, points),
             np.ones(points.shape[0]), POTENTIAL_CLASSES)]
@@ -990,26 +967,30 @@ def data_functional(space: DensitySpace, values_at, *,
     return out
 
 
-def solve_transfer(matrix: TransferMatrix, rhs) -> np.ndarray:
-    """Direct solve of a boundary system; multiplier components stripped.
+def solve_transfer(system: np.ndarray, rhs) -> np.ndarray:
+    """Direct solve of a system built by :func:`constrain`, for a density load.
+
+    ``rhs`` has one entry per density row; the rows of the system beyond
+    it are the homogeneous constraint rows, whose zero load is appended
+    here.  Returns the density part of the solution, the multipliers
+    dropped.
 
     Raises
     ------
+    ValueError
+        If ``rhs`` is longer than the system.
     numpy.linalg.LinAlgError
         If the system is numerically singular (the frequency is on or
         near the branch cut, or assembly is broken).
     """
-    a = matrix.entries
     rhs = np.asarray(rhs, dtype=complex)
-    if rhs.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs length {rhs.shape[0]} does not match system "
-                         f"size {a.shape[0]}")
-    lu, piv = scipy.linalg.lu_factor(a)
+    n, size = rhs.shape[0], system.shape[0]
+    if n > size:
+        raise ValueError(f"rhs length {n} exceeds the system size {size}")
+    lu, piv = scipy.linalg.lu_factor(system)
     du = np.abs(np.diag(lu))
     if du.min() <= du.max() * 1e-14:
         raise np.linalg.LinAlgError(
             "transfer matrix is numerically singular")
-    x = scipy.linalg.lu_solve((lu, piv), rhs)
-    if matrix.n_multipliers:
-        return x[:-matrix.n_multipliers]
-    return x
+    load = np.concatenate([rhs, np.zeros(size - n)])
+    return scipy.linalg.lu_solve((lu, piv), load)[:n]

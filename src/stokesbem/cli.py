@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import dataclasses
+import os
 import sys
 from typing import Callable
 
@@ -152,6 +153,16 @@ def _parse_pairs(key: str, value: str) -> np.ndarray:
     return np.asarray(pairs)
 
 
+def _require_directory(key: str, path: str) -> str:
+    """``path`` itself, if the directory it names a file in exists."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(
+            f"key {key!r}: directory {folder!r} of {path!r} does not exist"
+        )
+    return path
+
+
 def _build_curve(raw: dict[str, str]) -> BoundaryCurve:
     kind = _take(raw, "curve")
     if kind == "circle":
@@ -258,12 +269,18 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     problem = _build_problem(raw)
     scheme = _build_scheme(raw)
     n_elements = _parse_int("n_elements", _take(raw, "n_elements"))
-    output = _take(raw, "output", "series.csv")
+    output = _require_directory("output", _take(raw, "output", "series.csv"))
 
     steps_text = _take(raw, "snapshot_steps", "")
     snapshot_steps = tuple(
         _parse_int("snapshot_steps", tok) for tok in steps_text.split()
     )
+    for step in snapshot_steps:
+        if not 0 <= step <= scheme.n_steps:
+            raise ConfigError(
+                f"key 'snapshot_steps' needs steps in 0..{scheme.n_steps}, "
+                f"got {step}"
+            )
     grid_text = _take(raw, "snapshot_grid", "")
     snapshot_grid = None
     if grid_text:
@@ -284,7 +301,8 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError(
             "'snapshot_steps' and 'snapshot_grid' must be given together"
         )
-    prefix = _take(raw, "snapshot_prefix", "snap")
+    prefix = _require_directory("snapshot_prefix",
+                                _take(raw, "snapshot_prefix", "snap"))
     if raw:
         raise ConfigError(f"unknown keys: {sorted(raw)}")
     return RunConfig(
@@ -308,7 +326,8 @@ def _build_sweep(raw: dict[str, str]) -> tuple[SweepProblem, list, str]:
     for (n, m), row in zip(ladder, ladder_pairs):
         if n != row[0] or m != row[1]:
             raise ConfigError("key 'ladder' needs integer 'N,M' pairs")
-    output = _take(raw, "output", "convergence.csv")
+    output = _require_directory("output",
+                                _take(raw, "output", "convergence.csv"))
     if raw:
         raise ConfigError(f"unknown keys: {sorted(raw)}")
     sweep = SweepProblem(**problem, order=order, final_time=final_time)
@@ -473,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Multistep convolution quadrature for operator-valued transfer functions.
+"""Multistep convolution quadrature for matrix-valued transfer functions.
 
 Approximates a causal convolution ``u(t) = int_0^t k(t - tau) g(tau) dtau``
 whose kernel is known only through its Laplace transform ``F(s)`` by the
@@ -41,6 +41,10 @@ then marches a discretized operator equation forward in time with a
 single factorization of ``W_0``, and observables are recovered by one
 more discrete convolution against the weights of the observation
 transfer function.
+
+A transfer function returns a 2-D matrix at every frequency (a scalar
+transfer is the 1x1 matrix), its weights have shape ``(M + 1, rows,
+cols)``, and a history holds one vector per step, shape ``(M + 1, n)``.
 """
 
 from __future__ import annotations
@@ -228,8 +232,7 @@ class WeightSequence:
     Attributes
     ----------
     weights:
-        Real array of shape ``(M + 1,)`` for scalar transfer functions
-        or ``(M + 1, rows, cols)`` for matrix-valued ones.
+        Real array of shape ``(M + 1, rows, cols)``.
     kappa:
         Time step the weights were generated for.
     order:
@@ -242,10 +245,9 @@ class WeightSequence:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.weights)
-        if arr.ndim not in (1, 3):
+        if arr.ndim != 3:
             raise ValueError(
-                f"weights must have shape (M+1,) or (M+1, rows, cols), "
-                f"got {arr.shape}"
+                f"weights must have shape (M+1, rows, cols), got {arr.shape}"
             )
         # NaN propagates through min and max: no full-size temporary
         if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
@@ -253,11 +255,6 @@ class WeightSequence:
 
     def __len__(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def is_scalar(self) -> bool:
-        """Whether the weights are plain numbers rather than matrices."""
-        return self.weights.ndim == 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,8 +264,7 @@ class TimeHistory:
     Attributes
     ----------
     densities:
-        Real array of shape ``(M + 1, n_dof)``, or ``(M + 1,)`` for a
-        scalar unknown.
+        Real array of shape ``(M + 1, n_dof)``.
     kappa:
         Time step between consecutive samples.
     """
@@ -278,8 +274,8 @@ class TimeHistory:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.densities)
-        if arr.ndim not in (1, 2):
-            raise ValueError(f"densities must be 1- or 2-D, got shape {arr.shape}")
+        if arr.ndim != 2:
+            raise ValueError(f"densities must be 2-D, got shape {arr.shape}")
         if np.iscomplexobj(arr):
             raise ValueError("history densities must be real")
         if not np.isfinite(arr).all():
@@ -314,10 +310,10 @@ def _sample(transfer, node: int, s: complex) -> np.ndarray:
         ):
             raise ValueError(f"transfer rejected {where}: {exc}") from exc
         raise RuntimeError(f"transfer evaluation failed at {where}") from exc
-    if val.ndim not in (0, 2):
+    if val.ndim != 2:
         raise ValueError(
-            f"transfer must return a scalar or a 2-D matrix, got shape "
-            f"{val.shape} at contour node {node}"
+            f"transfer must return a 2-D matrix, got shape {val.shape} at "
+            f"contour node {node}"
         )
     if not np.isfinite(val).all():
         raise RuntimeError(f"transfer returned non-finite values at {where}")
@@ -336,8 +332,8 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     Parameters
     ----------
     transfer:
-        Callback mapping a complex frequency to a scalar or to a complex
-        matrix of fixed shape.
+        Callback mapping a complex frequency to a complex matrix of
+        fixed shape.
     scheme:
         Contour and multistep parameters.
 
@@ -347,13 +343,15 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
         Real weights ``W_0, ..., W_M``; accuracy is limited by the floor
         ``sqrt(CONTOUR_EPSILON) * max_l ||F||`` of the balanced contour.
         They are the first ``M + 1`` rows of the ``(L, entries)``
-        transform buffer, a view without a copy.
+        transform buffer, a view without a copy, shaped ``(M + 1, rows,
+        cols)``.
 
     Raises
     ------
     ValueError
         If the callback raises a ``ValueError`` at some node (reported
-        with its index) or changes its output shape.
+        with its index), returns anything but a 2-D matrix or changes its
+        output shape.
     RuntimeError
         If the callback fails otherwise or returns non-finite values at
         some node (reported with its index), or if the imaginary residue
@@ -444,8 +442,7 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> TimeHistory:
     weights:
         Weights of the boundary system; matrices must be square.
     rhs_samples:
-        Real data samples ``phi_0, ..., phi_M``, shaped ``(M + 1,)`` for
-        scalar systems or ``(M + 1, n)`` for matrix ones.
+        Real data samples ``phi_0, ..., phi_M``, shaped ``(M + 1, n)``.
 
     Returns
     -------
@@ -474,23 +471,20 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> TimeHistory:
     want = (n_steps + 1,) + w.shape[2:]
     if rhs.shape != want:
         raise ValueError(f"rhs must have shape {want}, got {rhs.shape}")
-    # a scalar system is marched as a 1x1 matrix one
-    phi = rhs.reshape(n_steps + 1, -1)
-    w = w.reshape(n_steps + 1, -1, phi.shape[1])
     lu, piv = scipy.linalg.lu_factor(w[0])
     diag = np.abs(np.diag(lu))
     if diag.min() <= diag.max() * 1e-14:
         raise np.linalg.LinAlgError(
             "leading weight matrix W_0 is numerically singular"
         )
-    lam = np.empty(phi.shape)
+    lam = np.empty(rhs.shape)
     for n in range(n_steps + 1):
         if n:
             tail = np.einsum("mij,mj->i", w[1 : n + 1], lam[n - 1 :: -1])
         else:
             tail = 0.0
-        lam[n] = scipy.linalg.lu_solve((lu, piv), phi[n] - tail)
-    return TimeHistory(densities=lam.reshape(rhs.shape), kappa=weights.kappa)
+        lam[n] = scipy.linalg.lu_solve((lu, piv), rhs[n] - tail)
+    return TimeHistory(densities=lam, kappa=weights.kappa)
 
 
 def cq_postprocess(transfer, scheme: CQScheme, history: TimeHistory) -> np.ndarray:
@@ -502,8 +496,8 @@ def cq_postprocess(transfer, scheme: CQScheme, history: TimeHistory) -> np.ndarr
     Parameters
     ----------
     transfer:
-        Callback for the observation operator; may return rectangular
-        matrices (observables x unknowns) or scalars.
+        Callback for the observation operator; returns matrices of shape
+        ``(rows, n)``, observables by unknowns.
     scheme:
         The scheme the history was marched with.
     history:
@@ -512,8 +506,7 @@ def cq_postprocess(transfer, scheme: CQScheme, history: TimeHistory) -> np.ndarr
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(M + 1, rows)`` of real observables, or
-        ``(M + 1,)`` when both transfer and history are scalar.
+        Array of shape ``(M + 1, rows)`` of real observables.
 
     Raises
     ------
@@ -535,13 +528,11 @@ def cq_postprocess(transfer, scheme: CQScheme, history: TimeHistory) -> np.ndarr
             f"observation weights of shape {w.shape[1:]} do not match a "
             f"history of shape {lam.shape}"
         )
-    # scalar weights and history are the 1x1 matrix case
-    lam = lam.reshape(n_keep, -1)
-    rows = w[0].size // lam.shape[1]
+    rows = w.shape[1]
     # One BLAS product gives B[m, :, k] = S_m lam_k; the causal
     # convolution is then the sum over the anti-diagonals n = m + k.
     b = (w.reshape(n_keep * rows, -1) @ lam.T).reshape(n_keep, rows, n_keep)
     out = np.zeros((n_keep, rows))
     for m in range(n_keep):
         out[m:] += b[m, :, : n_keep - m].T
-    return out.reshape((n_keep,) + w.shape[1:2])
+    return out

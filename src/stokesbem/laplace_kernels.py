@@ -125,20 +125,6 @@ class ProblemConfig:
         return 1.0 / (4.0 * (self.dimension - 1) * math.pi * self.nu)
 
 
-@dataclass(frozen=True)
-class KernelTensor:
-    """Value of the velocity kernel ``E_u(r; s)``: a symmetric d x d matrix."""
-
-    entries: np.ndarray
-    dimension: int
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=complex)
-        if e.shape != (self.dimension, self.dimension):
-            raise ValueError(f"entries shape {e.shape} does not match d={self.dimension}")
-        object.__setattr__(self, "entries", e)
-
-
 def _require_right_half_plane(z: np.ndarray) -> None:
     if np.any(z.real <= 0.0):
         bad = z.flat[np.argmax(z.real <= 0.0)]
@@ -352,7 +338,7 @@ def scalar_B(dimension: int, z):
     return b.reshape(np.asarray(z).shape)
 
 
-def velocity_kernel(r_vec, freq: ComplexFrequency, cfg: ProblemConfig) -> KernelTensor:
+def velocity_kernel(r_vec, freq: ComplexFrequency, cfg: ProblemConfig) -> np.ndarray:
     """Evaluate ``E_u(r; s)`` at a single displacement.
 
     Parameters
@@ -366,8 +352,8 @@ def velocity_kernel(r_vec, freq: ComplexFrequency, cfg: ProblemConfig) -> Kernel
 
     Returns
     -------
-    KernelTensor
-        Symmetric d x d tensor ``1/(4(d-1) pi nu) [A_d(z)/r^{d-2} I
+    numpy.ndarray
+        Complex symmetric d x d tensor ``1/(4(d-1) pi nu) [A_d(z)/r^{d-2} I
         + B_d(z)/r^d r x r]`` with ``z = sqrt(s) r``.
     """
     r = np.asarray(r_vec, dtype=float)
@@ -381,9 +367,8 @@ def velocity_kernel(r_vec, freq: ComplexFrequency, cfg: ProblemConfig) -> Kernel
     a, b = complex(a[0]), complex(b[0])
     rhat = r / dist
     eye = np.eye(cfg.dimension)
-    entries = cfg.kernel_prefactor / dist ** (cfg.dimension - 2) * (
+    return cfg.kernel_prefactor / dist ** (cfg.dimension - 2) * (
         a * eye + b * np.outer(rhat, rhat))
-    return KernelTensor(entries=entries, dimension=cfg.dimension)
 
 
 def pressure_kernel(r_vec, dimension: int) -> np.ndarray:

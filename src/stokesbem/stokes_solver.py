@@ -48,6 +48,7 @@ from .bem_space import (
     potential_node_bytes,
     potential_pressure_matrix,
     potential_velocity_matrix,
+    require_off_boundary,
     require_reduced_space,
 )
 from ._quadrature import gauss_legendre_01
@@ -94,9 +95,11 @@ MASK_SENTINEL = -1.0e30
 FLUX_RULE_ORDER = 8
 FLUX_MIN_PANELS = 64
 
-# Memory cap (bytes) for one block of velocity-potential weights, the
-# postprocess product and the potential clouds during snapshot
-# evaluation; grid points are processed in blocks under it.
+# Memory cap (bytes) for one block of points in the field evaluation of
+# observation points and snapshot cells alike: the velocity-potential
+# weights, the potential matrix of one contour node, the postprocess
+# product and the potential clouds; points are processed in blocks
+# under it.
 SNAPSHOT_WEIGHT_BYTES = 1 << 28
 
 
@@ -428,9 +431,8 @@ def run_simulation(
             f"only, got dimension {cfg.dimension}"
         )
     points = np.atleast_2d(np.asarray(observation_points, dtype=float))
-    # frequency-independent, and it rejects points on the boundary
-    # before any sampling or assembly
-    pressure_map = potential_pressure_matrix(space, points)
+    # reject points on the boundary before any sampling or assembly
+    require_off_boundary(mesh, points)
 
     _check_data_admissible(data, curve, n_elements, scheme)
 
@@ -447,26 +449,20 @@ def run_simulation(
     pad = (0, n_mult)
 
     def transfer(s: complex) -> np.ndarray:
-        return np.pad(assemble(space, ComplexFrequency(s), cfg).entries, pad)
+        return np.pad(assemble(space, ComplexFrequency(s), cfg), pad)
 
     seq = cq_weights(transfer, scheme)
     # the constraint is frequency independent: it enters W_0 alone
     seq.weights[0] = constrain(
         seq.weights[0, :dof, :dof], space, constraint, reduced
-    ).entries
+    )
     marched = cq_march(seq, np.pad(rhs, ((0, 0), pad)))
     densities = TimeHistory(
         densities=np.ascontiguousarray(marched.densities[:, :dof]),
         kappa=scheme.kappa,
     )
     multipliers = np.ascontiguousarray(marched.densities[:, dof:])
-
-    velocity = cq_postprocess(
-        lambda s: potential_velocity_matrix(space, ComplexFrequency(s), cfg, points),
-        scheme,
-        densities,
-    ).reshape(n_keep, points.shape[0], 2)
-    pressure = densities.densities @ pressure_map.T
+    velocity, pressure = _observe(space, scheme, cfg, densities, points)
 
     return SimulationResult(
         space=space,
@@ -478,6 +474,40 @@ def run_simulation(
         velocity_series=velocity,
         pressure_series=pressure,
     )
+
+
+def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
+             history: TimeHistory, points: np.ndarray):
+    """Velocity ``(M + 1, K, 2)`` and pressure ``(M + 1, K)`` histories
+    at the ``K`` points, off the boundary.
+
+    Points are evaluated in blocks under ``SNAPSHOT_WEIGHT_BYTES``,
+    counting per point: 2 rows of cq_weights' packed ``(L, entries)``
+    buffer, 2 rows of the complex velocity-potential matrix of one
+    contour node, the ``(M+1, 2, M+1)`` product of cq_postprocess, and
+    the potential clouds with their ray bases.
+    """
+    n_keep = scheme.n_steps + 1
+    dof = space.dof_count
+    per_point = (2 * dof * 8 * scheme.n_contour_nodes + 2 * dof * 16
+                 + 16 * n_keep * n_keep
+                 + potential_node_bytes(space, points))
+    block = (np.cumsum(per_point) - per_point) // SNAPSHOT_WEIGHT_BYTES
+    velocity = np.empty((n_keep, points.shape[0], 2))
+    pressure = np.empty((n_keep, points.shape[0]))
+    for idx in np.split(np.arange(points.shape[0]),
+                        np.flatnonzero(np.diff(block)) + 1):
+        pts = points[idx]
+        p_rows = potential_pressure_matrix(space, pts)
+        pressure[:, idx] = history.densities @ p_rows.T
+        velocity[:, idx] = cq_postprocess(
+            lambda s: potential_velocity_matrix(
+                space, ComplexFrequency(s), cfg, pts
+            ),
+            scheme,
+            history,
+        ).reshape(n_keep, idx.size, 2)
+    return velocity, pressure
 
 
 def _segment_distances(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
@@ -593,26 +623,10 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
     n_sel = steps.size
     vel_flat = np.full((n_sel, flat.shape[0], 2), MASK_SENTINEL)
     p_flat = np.full((n_sel, flat.shape[0]), MASK_SENTINEL)
-
-    dof = result.space.dof_count
-    # per point: 2 rows of cq_weights' packed (L, entries) buffer, the
-    # (M+1, 2, M+1) product of cq_postprocess, and the potential clouds
-    # with their ray bases
-    per_point = (2 * dof * 8 * result.scheme.n_contour_nodes
-                 + 16 * n_keep * n_keep
-                 + potential_node_bytes(result.space, flat[keep]))
-    block = (np.cumsum(per_point) - per_point) // SNAPSHOT_WEIGHT_BYTES
-    for idx in np.split(keep, np.flatnonzero(np.diff(block)) + 1):
-        p_rows = potential_pressure_matrix(result.space, flat[idx])
-        p_flat[:, idx] = result.history.densities[steps] @ p_rows.T
-        vel = cq_postprocess(
-            lambda s: potential_velocity_matrix(
-                result.space, ComplexFrequency(s), result.cfg, flat[idx]
-            ),
-            result.scheme,
-            result.history,
-        )
-        vel_flat[:, idx, :] = vel[steps].reshape(n_sel, idx.size, 2)
+    u_kept, p_kept = _observe(result.space, result.scheme, result.cfg,
+                              result.history, flat[keep])
+    vel_flat[:, keep] = u_kept[steps]
+    p_flat[:, keep] = p_kept[steps]
 
     mask = masked_flat.reshape(grid.n_rows, grid.n_cols)
     velocity = vel_flat.reshape(n_sel, grid.n_rows, grid.n_cols, 2)

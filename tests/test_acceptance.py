@@ -203,7 +203,7 @@ def test_criterion_5_kernel_accuracy():
             direction /= np.linalg.norm(direction)
             tensor = velocity_kernel(
                 dist * direction, ComplexFrequency(sqrt_s**2), cfg
-            ).entries
+            )
             rhat = np.outer(direction, direction)
             reference = cfg.kernel_prefactor / dist ** (dimension - 2) * (
                 a_ref * np.eye(dimension) + b_ref * rhat

@@ -1,7 +1,5 @@
 """Tests for config parsing, output formats, and CLI exit codes."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -240,6 +238,51 @@ class TestRunCommand:
         assert "config error" in err
         assert "reduced integration requires a smooth curve" in err
 
+    def test_snapshot_step_beyond_n_steps_fails_before_the_run(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(
+            tmp_path / "run.cfg",
+            RUN_TEXT
+            + "snapshot_steps = 2 9\n"
+            + "snapshot_grid = -1.3 -1.3 0.26 0.26 11 11\n",
+        )
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'snapshot_steps'" in err
+        assert "0..4" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("output", "missing/series.csv"),
+        ("snapshot_prefix", "missing/snap"),
+    ])
+    def test_missing_output_directory_fails_before_the_run(
+            self, tmp_path, monkeypatch, capsys, key, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation reached")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_simulation", no_run)
+        text = RUN_TEXT.replace("output = series.csv\n", "")
+        path = write_config(tmp_path / "run.cfg", text + f"{key} = {value}\n")
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"'{key}'" in err and value in err
+
+    def test_unwritable_output_is_exit_1_without_traceback(
+            self, tmp_path, monkeypatch, capsys):
+        """An output path naming a directory passes the config check and
+        fails in the writer; that is reported, not raised."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        path = write_config(tmp_path / "run.cfg",
+                            RUN_TEXT.replace("series.csv", "taken"))
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and "taken" in err
+
     def test_numerical_failure_maps_to_exit_2(self, tmp_path, monkeypatch,
                                               capsys):
         def explode(*args, **kwargs):
@@ -277,6 +320,22 @@ output = convergence.csv
         second = lines[2].split(",")
         assert float(second[3]) > 2.0
 
+    def test_missing_output_directory_fails_before_the_sweep(
+            self, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep reached")
+
+        monkeypatch.setattr(cli, "convergence_sweep", no_sweep)
+        missing = str(tmp_path / "missing" / "conv.csv")
+        path = write_config(
+            tmp_path / "conv.cfg",
+            self.TEXT.replace("convergence.csv", missing),
+        )
+        assert cli.main(["converge", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "'output'" in err and missing in err
+
     def test_non_doubling_ladder_is_config_error(self, tmp_path, capsys):
         path = write_config(
             tmp_path / "conv.cfg",
@@ -296,9 +355,8 @@ class TestVerifyCommand:
     def test_injected_sign_error_fails_positivity(self, monkeypatch, capsys):
         original = stokesbem.verification.assemble_galerkin_V
 
-        def flipped(space, freq, cfg, **kwargs):
-            mat = original(space, freq, cfg, **kwargs)
-            return dataclasses.replace(mat, entries=-mat.entries)
+        def flipped(space, freq, cfg):
+            return -original(space, freq, cfg)
 
         monkeypatch.setattr(
             stokesbem.verification, "assemble_galerkin_V", flipped

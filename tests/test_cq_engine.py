@@ -6,6 +6,8 @@ inside each test from the scheme itself.  The floor is tight: no fixed
 absolute tolerance below it is attainable in double precision, and the
 measured errors sit within one order of magnitude beneath it.
 
+Transfers are matrices; a scalar transfer is passed as the 1x1 matrix
+(``as_matrix``), its histories as ``(M + 1, 1)`` arrays.
 Convergence-order checks use the scalar transfer ``F(s) = 1/(s+1)``
 whose causal convolution with ``g`` has the closed forms
 
@@ -38,8 +40,13 @@ from stokesbem.cq_engine import (
 
 def weight_floor(transfer, scheme: CQScheme) -> float:
     """Accuracy floor sqrt(eps_contour) * max ||F|| over the contour."""
-    peak = max(abs(complex(transfer(complex(s)))) for s in scheme.frequencies())
+    peak = max(np.abs(transfer(complex(s))).max() for s in scheme.frequencies())
     return np.sqrt(CONTOUR_EPSILON) * peak
+
+
+def as_matrix(scalar):
+    """The 1x1 matrix transfer of a scalar one."""
+    return lambda s: np.array([[scalar(s)]])
 
 
 def oracle_transfer(s: complex) -> complex:
@@ -156,18 +163,19 @@ def test_weights_of_1_over_s_bdf1_are_kappa():
     """kappa / (1 - zeta) is the geometric series: every weight is kappa."""
     kappa = 0.05
     scheme = CQScheme(order=1, kappa=kappa, n_steps=40)
-    transfer = lambda s: 1.0 / s
+    transfer = as_matrix(lambda s: 1.0 / s)
     seq = cq_weights(transfer, scheme)
-    assert seq.is_scalar and len(seq) == 41
+    assert seq.weights.shape == (41, 1, 1) and len(seq) == 41
     assert np.abs(seq.weights - kappa).max() <= weight_floor(transfer, scheme)
 
 
 def test_weights_of_1_over_s_bdf2_leading_weight():
     kappa = 0.05
     scheme = CQScheme(order=2, kappa=kappa, n_steps=24)
-    transfer = lambda s: 1.0 / s
+    transfer = as_matrix(lambda s: 1.0 / s)
     seq = cq_weights(transfer, scheme)
-    assert abs(seq.weights[0] - 2.0 * kappa / 3.0) <= weight_floor(transfer, scheme)
+    assert abs(seq.weights[0, 0, 0] - 2.0 * kappa / 3.0) <= weight_floor(
+        transfer, scheme)
 
 
 def rational_coefficients(kappa: float, n_steps: int) -> np.ndarray:
@@ -194,10 +202,11 @@ def rational_coefficients(kappa: float, n_steps: int) -> np.ndarray:
 def test_weights_match_rational_long_division():
     kappa, n_steps = 0.1, 32
     scheme = CQScheme(order=3, kappa=kappa, n_steps=n_steps)
-    transfer = lambda s: 1.0 / (s + 1.0)
+    transfer = as_matrix(oracle_transfer)
     seq = cq_weights(transfer, scheme)
     coeff = rational_coefficients(kappa, n_steps)
-    assert np.abs(seq.weights - coeff).max() <= weight_floor(transfer, scheme)
+    assert np.abs(seq.weights[:, 0, 0] - coeff).max() <= weight_floor(
+        transfer, scheme)
 
 
 @pytest.mark.parametrize("extra", [1, 2])
@@ -208,19 +217,20 @@ def test_weights_with_extra_contour_nodes(extra):
     kappa, n_steps = 0.1, 32
     scheme = CQScheme(order=3, kappa=kappa, n_steps=n_steps,
                       n_contour_nodes=n_steps + 1 + extra)
-    transfer = lambda s: 1.0 / (s + 1.0)
+    transfer = as_matrix(oracle_transfer)
     seq = cq_weights(transfer, scheme)
-    assert seq.weights.shape == (n_steps + 1,)
+    assert seq.weights.shape == (n_steps + 1, 1, 1)
     coeff = rational_coefficients(kappa, n_steps)
-    assert np.abs(seq.weights - coeff).max() <= weight_floor(transfer, scheme)
+    assert np.abs(seq.weights[:, 0, 0] - coeff).max() <= weight_floor(
+        transfer, scheme)
 
 
 def test_weights_matrix_agrees_with_scalar():
     scheme = CQScheme(order=3, kappa=0.05, n_steps=24)
     f = lambda s: 1.0 / (s + 1.0)
     g = lambda s: 1.0 / (s + 2.0)
-    ws = cq_weights(f, scheme).weights
-    wg = cq_weights(g, scheme).weights
+    ws = cq_weights(as_matrix(f), scheme).weights[:, 0, 0]
+    wg = cq_weights(as_matrix(g), scheme).weights[:, 0, 0]
     wm = cq_weights(lambda s: np.diag([f(s), g(s)]), scheme).weights
     assert wm.shape == (25, 2, 2)
     scale = np.abs(ws).max()
@@ -233,9 +243,9 @@ def test_weights_matrix_agrees_with_scalar():
 def test_weights_reject_non_real_symbol():
     scheme = CQScheme(order=2, kappa=0.1, n_steps=16)
     with pytest.raises(RuntimeError, match="not a real symbol"):
-        cq_weights(lambda s: 1j * s, scheme)
+        cq_weights(as_matrix(lambda s: 1j * s), scheme)
     with pytest.raises(RuntimeError, match="not a real symbol"):
-        cq_weights(lambda s: 1j + 0.0 * s, scheme)
+        cq_weights(as_matrix(lambda s: 1j + 0.0 * s), scheme)
 
 
 def test_weights_reject_imaginary_part_at_negative_real_node():
@@ -249,7 +259,7 @@ def test_weights_reject_imaginary_part_at_negative_real_node():
         return 1.0 / (s + 1.0) + (1e-3j if abs(s - nyquist) < 1e-9 else 0.0)
 
     with pytest.raises(RuntimeError, match="not a real symbol"):
-        cq_weights(transfer, scheme)
+        cq_weights(as_matrix(transfer), scheme)
 
 
 def test_weights_peak_memory_is_one_buffer():
@@ -284,7 +294,7 @@ def test_entry_blocks_leave_weights_bit_identical(monkeypatch):
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((2, 5, 4))
     matrix = lambda s: a / (s + 1.0) + b / (s + 2.0) ** 2
-    scalar = lambda s: 1.0 / (s + 1.0)
+    scalar = as_matrix(oracle_transfer)
     marked = np.zeros((5, 4), dtype=complex)
     marked[-1, -1] = 1j
     runs = []
@@ -295,7 +305,7 @@ def test_entry_blocks_leave_weights_bit_identical(monkeypatch):
             cq_weights(lambda s: matrix(s) + marked, scheme)
     for blocked, whole in zip(*runs):
         assert np.array_equal(blocked, whole)
-    assert runs[0][0].shape == (25, 5, 4) and runs[0][1].shape == (25,)
+    assert runs[0][0].shape == (25, 5, 4) and runs[0][1].shape == (25, 1, 1)
 
 
 def test_weights_report_failing_node():
@@ -304,13 +314,13 @@ def test_weights_report_failing_node():
     def broken(s):
         if abs(s.imag) > 5.0:
             raise FloatingPointError("boom")
-        return 1.0 / s
+        return np.array([[1.0 / s]])
 
     with pytest.raises(RuntimeError, match="contour node"):
         cq_weights(broken, scheme)
 
     def infinite(s):
-        return np.inf if abs(s.imag) > 5.0 else 1.0 / s
+        return np.array([[np.inf if abs(s.imag) > 5.0 else 1.0 / s]])
 
     with pytest.raises(RuntimeError, match="non-finite"):
         cq_weights(infinite, scheme)
@@ -325,7 +335,7 @@ def test_weights_keep_config_errors_with_failing_node():
     def rejecting(s):
         if abs(s - target) < 1e-9:
             raise ValueError("bad parameter")
-        return 1.0 / s
+        return np.array([[1.0 / s]])
 
     with pytest.raises(ValueError, match="contour node 3.*bad parameter"):
         cq_weights(rejecting, scheme)
@@ -333,7 +343,7 @@ def test_weights_keep_config_errors_with_failing_node():
     def singular(s):
         if abs(s - target) < 1e-9:
             raise np.linalg.LinAlgError("singular")
-        return 1.0 / s
+        return np.array([[1.0 / s]])
 
     with pytest.raises(RuntimeError, match="contour node 3"):
         cq_weights(singular, scheme)
@@ -352,10 +362,19 @@ def test_weights_reject_shape_change():
         cq_weights(shifty, scheme)
 
 
+def test_weights_reject_scalar_transfer():
+    """A scalar transfer is passed as the 1x1 matrix."""
+    scheme = CQScheme(order=2, kappa=0.1, n_steps=16)
+    with pytest.raises(ValueError, match="2-D matrix"):
+        cq_weights(lambda s: 1.0 / s, scheme)
+
+
 def test_weight_sequence_validation():
     with pytest.raises(ValueError):
         WeightSequence(weights=np.zeros((5, 3)), kappa=0.1, order=2)
-    bad = np.ones(5)
+    with pytest.raises(ValueError):
+        WeightSequence(weights=np.zeros(5), kappa=0.1, order=2)
+    bad = np.ones((5, 1, 1))
     bad[2] = np.nan
     with pytest.raises(ValueError):
         WeightSequence(weights=bad, kappa=0.1, order=2)
@@ -367,17 +386,17 @@ def test_weight_sequence_validation():
 
 def test_march_zero_data_gives_zero_history():
     scheme = CQScheme(order=2, kappa=0.1, n_steps=16)
-    seq = cq_weights(lambda s: 1.0 / (s + 1.0), scheme)
-    out = cq_march(seq, np.zeros(17))
+    seq = cq_weights(as_matrix(oracle_transfer), scheme)
+    out = cq_march(seq, np.zeros((17, 1)))
     assert np.all(out.densities == 0.0)
     assert out.kappa == seq.kappa
 
 
 def test_march_identity_transfer_returns_data():
     scheme = CQScheme(order=2, kappa=0.05, n_steps=32)
-    seq = cq_weights(lambda s: 1.0 + 0.0 * s, scheme)
+    seq = cq_weights(as_matrix(lambda s: 1.0 + 0.0 * s), scheme)
     rng = np.random.default_rng(0)
-    g = rng.standard_normal(33)
+    g = rng.standard_normal((33, 1))
     out = cq_march(seq, g)
     # W_0 = 1 exactly; the later weights only leak transform roundoff
     assert np.abs(out.densities - g).max() <= np.sqrt(CONTOUR_EPSILON) * np.abs(
@@ -392,11 +411,11 @@ def test_march_matrix_diagonal_matches_scalar():
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal((25, 2))
     coupled = cq_march(cq_weights(lambda s: np.diag([f(s), g(s)]), scheme), rhs)
-    first = cq_march(cq_weights(f, scheme), rhs[:, 0])
-    second = cq_march(cq_weights(g, scheme), rhs[:, 1])
+    first = cq_march(cq_weights(as_matrix(f), scheme), rhs[:, :1])
+    second = cq_march(cq_weights(as_matrix(g), scheme), rhs[:, 1:])
     scale = np.abs(coupled.densities).max()
-    assert np.abs(coupled.densities[:, 0] - first.densities).max() <= 1e-12 * scale
-    assert np.abs(coupled.densities[:, 1] - second.densities).max() <= 1e-12 * scale
+    assert np.abs(coupled.densities[:, :1] - first.densities).max() <= 1e-12 * scale
+    assert np.abs(coupled.densities[:, 1:] - second.densities).max() <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -429,8 +448,8 @@ def test_march_inverts_forward_convolution(data):
         )
     )
     w = np.array([lead] + tail)
-    seq = WeightSequence(weights=w, kappa=0.1, order=1)
-    lam = cq_march(seq, np.array(rhs)).densities
+    seq = WeightSequence(weights=w[:, None, None], kappa=0.1, order=1)
+    lam = cq_march(seq, np.array(rhs)[:, None]).densities[:, 0]
     recovered = np.convolve(w, lam)[: m + 1]
     assert np.abs(recovered - np.array(rhs)).max() <= 1e-9 * max(
         1.0, np.abs(lam).max()
@@ -439,11 +458,13 @@ def test_march_inverts_forward_convolution(data):
 
 def test_march_rejects_bad_shapes_and_complex_data():
     scheme = CQScheme(order=2, kappa=0.1, n_steps=8)
-    seq = cq_weights(lambda s: 1.0 / (s + 1.0), scheme)
+    seq = cq_weights(as_matrix(oracle_transfer), scheme)
     with pytest.raises(ValueError):
-        cq_march(seq, np.zeros(8))
+        cq_march(seq, np.zeros((8, 1)))
     with pytest.raises(ValueError):
-        cq_march(seq, np.full(9, 1.0 + 1.0j))
+        cq_march(seq, np.zeros(9))
+    with pytest.raises(ValueError):
+        cq_march(seq, np.full((9, 1), 1.0 + 1.0j))
     mat = cq_weights(lambda s: np.eye(2, dtype=complex) / (s + 1.0), scheme)
     with pytest.raises(ValueError):
         cq_march(mat, np.zeros((9, 3)))
@@ -451,18 +472,19 @@ def test_march_rejects_bad_shapes_and_complex_data():
 
 def test_march_accepts_negligible_imaginary_part():
     scheme = CQScheme(order=2, kappa=0.1, n_steps=8)
-    seq = cq_weights(lambda s: 1.0 / (s + 1.0), scheme)
-    rhs = np.ones(9) + 1e-14j
+    seq = cq_weights(as_matrix(oracle_transfer), scheme)
+    rhs = np.ones((9, 1)) + 1e-14j
     out = cq_march(seq, rhs)
     assert not np.iscomplexobj(out.densities)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_march_rejects_singular_leading_weight():
-    delta_weights = np.zeros(5)
+    delta_weights = np.zeros((5, 1, 1))
     delta_weights[1] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
-        cq_march(WeightSequence(weights=delta_weights, kappa=0.1, order=1), np.ones(5))
+        cq_march(WeightSequence(weights=delta_weights, kappa=0.1, order=1),
+                 np.ones((5, 1)))
     singular = np.zeros((5, 2, 2))
     singular[0, 0, 0] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
@@ -481,12 +503,14 @@ def test_time_history_validation():
     with pytest.raises(ValueError):
         TimeHistory(densities=np.zeros((2, 2, 2)), kappa=0.1)
     with pytest.raises(ValueError):
-        TimeHistory(densities=np.zeros(4, dtype=complex), kappa=0.1)
+        TimeHistory(densities=np.zeros(4), kappa=0.1)
     with pytest.raises(ValueError):
-        TimeHistory(densities=np.full(4, np.nan), kappa=0.1)
+        TimeHistory(densities=np.zeros((4, 1), dtype=complex), kappa=0.1)
     with pytest.raises(ValueError):
-        TimeHistory(densities=np.zeros(4), kappa=0.0)
-    hist = TimeHistory(densities=np.zeros(4), kappa=0.5)
+        TimeHistory(densities=np.full((4, 1), np.nan), kappa=0.1)
+    with pytest.raises(ValueError):
+        TimeHistory(densities=np.zeros((4, 1)), kappa=0.0)
+    hist = TimeHistory(densities=np.zeros((4, 1)), kappa=0.5)
     np.testing.assert_allclose(hist.times(), [0.0, 0.5, 1.0, 1.5], rtol=0)
 
 
@@ -497,8 +521,8 @@ def test_time_history_validation():
 def test_postprocess_identity_returns_history():
     scheme = CQScheme(order=2, kappa=0.05, n_steps=32)
     rng = np.random.default_rng(2)
-    hist = TimeHistory(densities=rng.standard_normal(33), kappa=0.05)
-    out = cq_postprocess(lambda s: 1.0 + 0.0 * s, scheme, hist)
+    hist = TimeHistory(densities=rng.standard_normal((33, 1)), kappa=0.05)
+    out = cq_postprocess(as_matrix(lambda s: 1.0 + 0.0 * s), scheme, hist)
     assert np.abs(out - hist.densities).max() <= np.sqrt(CONTOUR_EPSILON) * np.abs(
         hist.densities
     ).max() * 33
@@ -506,19 +530,19 @@ def test_postprocess_identity_returns_history():
 
 def test_postprocess_delta_history_gives_weights():
     scheme = CQScheme(order=3, kappa=0.1, n_steps=16)
-    transfer = lambda s: 1.0 / (s + 1.0)
-    delta = np.zeros(17)
+    transfer = as_matrix(oracle_transfer)
+    delta = np.zeros((17, 1))
     delta[0] = 1.0
     out = cq_postprocess(transfer, scheme, TimeHistory(densities=delta, kappa=0.1))
-    np.testing.assert_array_equal(out, cq_weights(transfer, scheme).weights)
+    np.testing.assert_array_equal(out, cq_weights(transfer, scheme).weights[:, :, 0])
 
 
 def test_postprocess_linear_in_history():
     scheme = CQScheme(order=2, kappa=0.1, n_steps=12)
-    transfer = lambda s: 1.0 / (s + 1.0)
+    transfer = as_matrix(oracle_transfer)
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(13)
-    y = rng.standard_normal(13)
+    x = rng.standard_normal((13, 1))
+    y = rng.standard_normal((13, 1))
     combo = cq_postprocess(
         transfer, scheme, TimeHistory(densities=2.0 * x - 0.5 * y, kappa=0.1)
     )
@@ -554,9 +578,11 @@ def test_postprocess_rectangular_matches_direct_sum():
 
 def test_postprocess_shape_errors():
     scheme = CQScheme(order=2, kappa=0.1, n_steps=8)
-    transfer = lambda s: 1.0 / (s + 1.0)
+    transfer = as_matrix(oracle_transfer)
     with pytest.raises(ValueError):
-        cq_postprocess(transfer, scheme, TimeHistory(densities=np.zeros(8), kappa=0.1))
+        cq_postprocess(
+            transfer, scheme, TimeHistory(densities=np.zeros((8, 1)), kappa=0.1)
+        )
     with pytest.raises(ValueError):
         cq_postprocess(
             transfer, scheme, TimeHistory(densities=np.zeros((9, 2)), kappa=0.1)
@@ -573,12 +599,13 @@ def test_postprocess_of_identity_march_is_direct_convolution():
     convolution, an order of magnitude under the asserted bound.
     """
     scheme = CQScheme(order=2, kappa=0.05, n_steps=32)
-    transfer = lambda s: 1.0 / (s + 1.0)
+    transfer = as_matrix(oracle_transfer)
     rng = np.random.default_rng(5)
     g = rng.standard_normal(33)
-    hist = cq_march(cq_weights(lambda s: 1.0 + 0.0 * s, scheme), g)
-    via_history = cq_postprocess(transfer, scheme, hist)
-    direct = np.convolve(cq_weights(transfer, scheme).weights, g)[:33]
+    hist = cq_march(cq_weights(as_matrix(lambda s: 1.0 + 0.0 * s), scheme),
+                    g[:, None])
+    via_history = cq_postprocess(transfer, scheme, hist)[:, 0]
+    direct = np.convolve(cq_weights(transfer, scheme).weights[:, 0, 0], g)[:33]
     assert np.abs(via_history - direct).max() <= 1e-10 * max(
         1.0, np.abs(direct).max()
     )
@@ -599,7 +626,8 @@ def test_closed_form_convolutions_against_quadrature():
 def forward_error(order: int, n_steps: int, power: int, closed) -> float:
     scheme = CQScheme(order=order, kappa=1.0 / n_steps, n_steps=n_steps)
     g = scheme.times() ** power
-    u = np.convolve(cq_weights(oracle_transfer, scheme).weights, g)[: n_steps + 1]
+    weights = cq_weights(as_matrix(oracle_transfer), scheme).weights[:, 0, 0]
+    u = np.convolve(weights, g)[: n_steps + 1]
     return abs(u[-1] - closed(1.0))
 
 
@@ -648,7 +676,7 @@ def test_brinkman_weight_norms_stay_bounded():
     space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
     scheme = CQScheme(order=3, kappa=1.0 / 32, n_steps=32)
     seq = cq_weights(
-        lambda s: assemble_galerkin_V(space, ComplexFrequency(s), cfg).entries,
+        lambda s: assemble_galerkin_V(space, ComplexFrequency(s), cfg),
         scheme,
     )
     norms = np.linalg.norm(seq.weights, axis=(1, 2))

@@ -261,13 +261,13 @@ def test_velocity_kernel_symmetric_random():
     for _ in range(10):
         r = rng.standard_normal(2)
         s = complex(rng.uniform(0.1, 10), rng.uniform(-10, 10))
-        tensor = velocity_kernel(r, ComplexFrequency(s), cfg).entries
+        tensor = velocity_kernel(r, ComplexFrequency(s), cfg)
         assert tensor[0, 1] == tensor[1, 0]
 
 
 def test_velocity_kernel_axis_aligned_entry():
     cfg = ProblemConfig()
-    tensor = velocity_kernel([1.0, 0.0], ComplexFrequency(1.0 + 0j), cfg).entries
+    tensor = velocity_kernel([1.0, 0.0], ComplexFrequency(1.0 + 0j), cfg)
     expected = (scalar_A(2, 1.0) + scalar_B(2, 1.0)) / (4 * np.pi)
     assert tensor[0, 0] == pytest.approx(expected, rel=1e-14)
 
@@ -280,7 +280,7 @@ def test_velocity_kernel_oracle_composition():
     dist = np.hypot(*r)
     z = complex(mp.sqrt(mp.mpc(s)) * dist)
     rhat = r / dist
-    tensor = velocity_kernel(r, ComplexFrequency(s), cfg).entries
+    tensor = velocity_kernel(r, ComplexFrequency(s), cfg)
     for i in range(2):
         for j in range(2):
             ref = mp_b2(z) * rhat[i] * rhat[j]
@@ -294,8 +294,8 @@ def test_velocity_kernel_even():
     cfg = ProblemConfig()
     freq = ComplexFrequency(2.0 + 1.0j)
     r = np.array([0.7, -0.2])
-    t_plus = velocity_kernel(r, freq, cfg).entries
-    t_minus = velocity_kernel(-r, freq, cfg).entries
+    t_plus = velocity_kernel(r, freq, cfg)
+    t_minus = velocity_kernel(-r, freq, cfg)
     np.testing.assert_allclose(t_minus, t_plus, rtol=1e-15)
 
 
@@ -309,8 +309,8 @@ def test_velocity_kernel_viscosity_scaling():
     thick = ProblemConfig(nu=4.0)
     thin = ProblemConfig(nu=1.0)
     r = np.array([0.5, 0.1])
-    t4 = velocity_kernel(r, ComplexFrequency(2.0 + 0j), thick).entries
-    t1 = velocity_kernel(r, ComplexFrequency(2.0 + 0j), thin).entries
+    t4 = velocity_kernel(r, ComplexFrequency(2.0 + 0j), thick)
+    t1 = velocity_kernel(r, ComplexFrequency(2.0 + 0j), thin)
     np.testing.assert_allclose(t4, t1 / 4.0, rtol=1e-15)
 
 
@@ -349,6 +349,6 @@ def test_pressure_kernel_rejects_origin():
 def test_velocity_kernel_symmetry_property(dist, direction, log10_mod, arg_scale):
     r = dist * np.array([np.cos(direction), np.sin(direction)])
     s = 10.0**log10_mod * np.exp(1j * 0.37 * arg_scale)
-    tensor = velocity_kernel(r, ComplexFrequency(s), ProblemConfig()).entries
+    tensor = velocity_kernel(r, ComplexFrequency(s), ProblemConfig())
     assert tensor[0, 1] == tensor[1, 0]
     assert np.isfinite(tensor).all()

@@ -374,7 +374,7 @@ class TestGaugeConstraints:
             assert not w[1:, dof:, :].any() and not w[1:, :, dof:].any()
             want = constrain(plain[0], res.space, mode,
                              reduced=assembly == "reduced")
-            np.testing.assert_array_equal(w[0], want.entries)
+            np.testing.assert_array_equal(w[0], want)
 
 
 class TestInteriorAccuracy:
@@ -570,20 +570,37 @@ class TestFieldSnapshot:
 
     def test_blocked_snapshot_matches_one_block(self, circle_run,
                                                 monkeypatch):
-        """A cap of 50 points' packed weight buffer, postprocess product
-        and potential clouds, at their mean size, splits the 301 unmasked
-        cells into 7 blocks, with the fields of one block."""
+        """A cap of 50 points' packed weight buffer, potential matrix of
+        one contour node, postprocess product and potential clouds, at
+        their mean size, splits the 301 unmasked cells into 7 blocks,
+        with the fields of one block; the same 301 points as observation
+        points of a run split alike, with the series of one block."""
         from stokesbem import stokes_solver
         from stokesbem.bem_space import potential_node_bytes
 
         grid = GridSpec(
             x0=-1.3, y0=-1.3, dx=0.13, dy=0.13, n_rows=21, n_cols=21
         )
-        whole = field_snapshot(circle_run, grid, [6, 12])
         scheme = circle_run.scheme
-        kept = grid.points().reshape(-1, 2)[~whole.mask.ravel()]
+
+        def snapshot():
+            snap = field_snapshot(circle_run, grid, [6, 12])
+            return snap.velocity, snap.pressure, snap.vorticity
+
+        def observe():
+            res = run_simulation(
+                BoundaryCurve.circle(1.0), 32, "P0", ConstraintMode.none,
+                scheme, manufactured_dirichlet_data(), kept, CFG,
+            )
+            return res.velocity_series, res.pressure_series
+
+        mask = field_snapshot(circle_run, grid, [12]).mask
+        kept = grid.points().reshape(-1, 2)[~mask.ravel()]
+        wholes = [snapshot(), observe()]
+        dof = circle_run.space.dof_count
         per_point = (
-            2 * circle_run.space.dof_count * 8 * scheme.n_contour_nodes
+            2 * dof * 8 * scheme.n_contour_nodes
+            + 2 * dof * 16
             + 16 * (scheme.n_steps + 1) ** 2
             + potential_node_bytes(circle_run.space, kept)
         )
@@ -597,12 +614,15 @@ class TestFieldSnapshot:
             return postprocess(*args)
 
         monkeypatch.setattr(stokes_solver, "cq_postprocess", counted)
-        split = field_snapshot(circle_run, grid, [6, 12])
-        assert (~whole.mask).sum() == 301 and len(blocks) == 7
-        for name in ("velocity", "pressure", "vorticity"):
-            got, want = getattr(split, name), getattr(whole, name)
-            scale = np.abs(want[want != MASK_SENTINEL]).max()
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
+        assert kept.shape[0] == 301
+        for evaluate, whole in zip((snapshot, observe), wholes):
+            blocks.clear()
+            split = evaluate()
+            assert len(blocks) == 7
+            for got, want in zip(split, whole):
+                scale = np.abs(want[want != MASK_SENTINEL]).max()
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-14 * scale)
 
     def test_interior_vorticity_vanishes(self, circle_run):
         """The interior solution is linear in space, hence curl free."""
