@@ -27,7 +27,7 @@ from stokesbem import (
     field_snapshot,
     run_simulation,
 )
-from stokesbem.cli import _write_series_csv, _write_snapshot_field
+from stokesbem.cli import _write_series_csv, _write_snapshots
 
 DIRECTION = np.array([1.0, 1.0]) / np.sqrt(2.0)
 OBSERVATION_POINTS = [(1.8, 0.0), (0.0, 1.8), (-1.2, -1.2)]
@@ -91,17 +91,8 @@ def main() -> int:
     grid = GridSpec(-2.0, -2.0, dx, dx, n, n)
     steps = [k * args.n_steps // 4 for k in range(1, 5)]
     snap = field_snapshot(result, grid, steps)
+    _write_snapshots(snap, args.prefix)
     for k, step in enumerate(steps):
-        fields = (
-            ("ux", snap.velocity[k, :, :, 0], snap.mask),
-            ("uy", snap.velocity[k, :, :, 1], snap.mask),
-            ("p", snap.pressure[k], snap.mask),
-            ("vorticity", snap.vorticity[k], snap.vorticity_mask),
-        )
-        for name, values, invalid in fields:
-            _write_snapshot_field(
-                f"{args.prefix}_{name}_{step}.txt", grid, values, invalid
-            )
         vort = np.where(snap.vorticity_mask, 0.0, snap.vorticity[k])
         print(
             f"step {step:4d}  t = {scheme.times()[step]:.3f}  "

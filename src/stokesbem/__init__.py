@@ -46,7 +46,6 @@ from .bem_space import (
 )
 from .cq_engine import (
     CQScheme,
-    TimeHistory,
     WeightSequence,
     bdf_delta,
     cq_march,
@@ -96,7 +95,6 @@ __all__ = [
     "PropertyReport",
     "SimulationResult",
     "SweepProblem",
-    "TimeHistory",
     "WeightSequence",
     "assemble_galerkin_V",
     "assemble_nystrom_V",

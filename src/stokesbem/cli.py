@@ -121,9 +121,12 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"key {key!r} needs a number, got {value!r}")
+    if not np.isfinite(number):
+        raise ConfigError(f"key {key!r} needs a finite number, got {value!r}")
+    return number
 
 
 def _parse_choice(key: str, value: str, choices: dict):
@@ -370,9 +373,9 @@ def _write_snapshot_field(
         handle.write("\n".join(lines) + "\n")
 
 
-def _write_snapshots(config: RunConfig, result) -> None:
-    snap = field_snapshot(result, config.snapshot_grid, config.snapshot_steps)
-    for k, step in enumerate(config.snapshot_steps):
+def _write_snapshots(snap, prefix: str) -> None:
+    """One file ``<prefix>_<field>_<step>.txt`` per field and step."""
+    for k, step in enumerate(snap.step_indices):
         fields = (
             ("ux", snap.velocity[k, :, :, 0], snap.mask),
             ("uy", snap.velocity[k, :, :, 1], snap.mask),
@@ -380,12 +383,8 @@ def _write_snapshots(config: RunConfig, result) -> None:
             ("vorticity", snap.vorticity[k], snap.vorticity_mask),
         )
         for name, values, invalid in fields:
-            _write_snapshot_field(
-                f"{config.snapshot_prefix}_{name}_{step}.txt",
-                config.snapshot_grid,
-                values,
-                invalid,
-            )
+            _write_snapshot_field(f"{prefix}_{name}_{step}.txt", snap.grid,
+                                  values, invalid)
 
 
 def _converge_table_lines(records) -> list[str]:
@@ -436,7 +435,9 @@ def cmd_run(config_path: str) -> int:
     )
     _write_series_csv(config.output, result)
     if config.snapshot_steps:
-        _write_snapshots(config, result)
+        snap = field_snapshot(result, config.snapshot_grid,
+                              config.snapshot_steps)
+        _write_snapshots(snap, config.snapshot_prefix)
     return 0
 
 

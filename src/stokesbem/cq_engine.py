@@ -20,18 +20,19 @@ the circle ``|zeta| = R < 1``,
                                         exp(-2 pi i n l / L),
 
 with ``zeta_l = R exp(2 pi i l / L)``.  The radius balances the aliasing
-error ``O(R^L)`` against roundoff amplified by ``R^{-M}``; with
-``R = eps^{1/(2 (M + 1))}`` and ``L = M + 1`` both contributions land
-near ``sqrt(eps) * max_l ||F||``, which is therefore the accuracy floor
-of the computed weights.  For transfer functions with real symbols
+error ``O(R^L)`` against roundoff amplified by ``R^{-M}``; the scheme
+always uses ``R = eps^{1/(2 (M + 1))}`` and ``L = M + 1``, where both
+contributions land near ``sqrt(eps) * max_l ||F||``, which is therefore
+the accuracy floor of the computed weights.  For transfer functions with real symbols
 (``F(conj s) = conj F(s)``) the integrand is Hermitian in ``l``, so only
 ``floor(L / 2) + 1`` evaluations are needed and the weights come out
 real up to that floor.  The samples and the weights share one real
 ``(L, entries)`` buffer: each evaluation is written into it as it is
 made, in the FFTPACK half-complex layout (``Re F_0``, then ``Re F_l,
--Im F_l`` row pairs, then ``Re F_{L/2}`` for even ``L``), and the
-inverse real transform overwrites its first ``M + 1`` rows with the
-weights, so the weights cost ``L * entries`` reals and nothing more.
+-Im F_l`` row pairs, then ``Re F_{L/2}`` for even ``L``), one library
+call inverse-transforms it in place along the nodes and the rows are
+scaled by ``R^{-n}`` in place, so the ``L = M + 1`` rows of the buffer
+are the weights and cost ``L * entries`` reals and nothing more.
 
 The implicit one-sided recurrence
 
@@ -44,7 +45,8 @@ transfer function.
 
 A transfer function returns a 2-D matrix at every frequency (a scalar
 transfer is the 1x1 matrix), its weights have shape ``(M + 1, rows,
-cols)``, and a history holds one vector per step, shape ``(M + 1, n)``.
+cols)``, and a history is the plain real array of one vector per step,
+shape ``(M + 1, n)``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "IMAG_RESIDUE_TOL",
     "CQScheme",
     "WeightSequence",
-    "TimeHistory",
     "bdf_delta",
     "cq_weights",
     "cq_march",
@@ -80,12 +81,6 @@ CONTOUR_EPSILON = 1e-15
 # whichever is larger: the scaling ``R^{-n}`` amplifies machine noise in
 # the late coefficients above any fixed relative threshold.
 IMAG_RESIDUE_TOL = 1e-10
-
-# Block size, in matrix entries, of the weight transform.  The packed
-# samples are transformed in place, one block of this many columns at a
-# time, so the complex half spectrum and the inverse transform of a
-# block stay near L * 64 KiB whatever the shape of the transfer function.
-WEIGHT_CHUNK_ENTRIES = 4096
 
 # Largest multistep order with a convergence theory for operator
 # convolution quadrature; BDF methods of higher order are not zero
@@ -135,6 +130,10 @@ def bdf_delta(order: int, zeta: complex | np.ndarray) -> complex | np.ndarray:
 class CQScheme:
     """Parameters of one BDF convolution-quadrature discretization.
 
+    The recovery contour is derived from the step count: the
+    error-balancing radius ``R = CONTOUR_EPSILON ** (1 / (2 (M + 1)))``
+    and ``L = M + 1`` nodes (see the module docstring).
+
     Attributes
     ----------
     order:
@@ -143,31 +142,23 @@ class CQScheme:
         Time step ``kappa > 0``; the discrete times are ``t_n = n kappa``.
     n_steps:
         Number of steps ``M``; histories carry ``M + 1`` samples.
-    contour_radius:
-        Radius ``R`` of the coefficient-recovery circle, in ``(0, 1)``.
-        Defaults to the error-balancing choice
-        ``CONTOUR_EPSILON ** (1 / (2 (M + 1)))``.
-    n_contour_nodes:
-        Number of transform nodes ``L >= M + 1``; defaults to ``M + 1``.
 
     Raises
     ------
     ValueError
-        For an out-of-range order, a nonpositive step, a radius outside
-        ``(0, 1)``, too few contour nodes, or a contour node whose
-        scaled frequency ``delta(zeta_l) / kappa`` falls on the closed
-        negative real axis, where the transfer functions of interest
-        are not defined.  BDF orders up to 2 keep ``Re delta > 0`` on
-        the whole disk; orders 3 to 6 are only A(alpha)-stable, so for
-        small steps part of the contour maps into the left half plane
-        and only the cut ``(-inf, 0]`` can be excluded.
+        For an out-of-range order, a nonpositive step, no steps, or a
+        contour node whose scaled frequency ``delta(zeta_l) / kappa``
+        falls on the closed negative real axis, where the transfer
+        functions of interest are not defined.  BDF orders up to 2 keep
+        ``Re delta > 0`` on the whole disk; orders 3 to 6 are only
+        A(alpha)-stable, so for small steps part of the contour maps
+        into the left half plane and only the cut ``(-inf, 0]`` can be
+        excluded.
     """
 
     order: int
     kappa: float
     n_steps: int
-    contour_radius: float | None = None
-    n_contour_nodes: int | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.order <= MAX_BDF_ORDER:
@@ -178,26 +169,22 @@ class CQScheme:
             raise ValueError(f"time step must be positive, got {self.kappa}")
         if self.n_steps < 1:
             raise ValueError(f"need at least one step, got {self.n_steps}")
-        if self.contour_radius is None:
-            radius = CONTOUR_EPSILON ** (1.0 / (2.0 * (self.n_steps + 1)))
-            object.__setattr__(self, "contour_radius", radius)
-        if not 0.0 < self.contour_radius < 1.0:
-            raise ValueError(
-                f"contour radius must lie in (0, 1), got {self.contour_radius}"
-            )
-        if self.n_contour_nodes is None:
-            object.__setattr__(self, "n_contour_nodes", self.n_steps + 1)
-        if self.n_contour_nodes < self.n_steps + 1:
-            raise ValueError(
-                f"need at least n_steps + 1 = {self.n_steps + 1} contour "
-                f"nodes, got {self.n_contour_nodes}"
-            )
         bad = self._cut_nodes()
         if bad.size:
             raise ValueError(
                 f"contour nodes {bad.tolist()} map onto the closed negative "
-                "real axis; shrink the radius or change the node count"
+                "real axis; change the step or the order"
             )
+
+    @property
+    def contour_radius(self) -> float:
+        """Radius ``R = CONTOUR_EPSILON ** (1 / (2 (M + 1)))`` of the circle."""
+        return CONTOUR_EPSILON ** (1.0 / (2.0 * (self.n_steps + 1)))
+
+    @property
+    def n_contour_nodes(self) -> int:
+        """Number of transform nodes ``L = M + 1``."""
+        return self.n_steps + 1
 
     def _cut_nodes(self) -> np.ndarray:
         """Indices of contour nodes with ``delta(zeta_l)/kappa`` on ``(-inf, 0]``."""
@@ -229,19 +216,17 @@ class CQScheme:
 class WeightSequence:
     """Convolution weights ``W_0, ..., W_M`` of one transfer function.
 
+    A class rather than the bare array because the layer benchmark's
+    tracer reads the ``weights`` attribute of what ``cq_weights``
+    returns.
+
     Attributes
     ----------
     weights:
         Real array of shape ``(M + 1, rows, cols)``.
-    kappa:
-        Time step the weights were generated for.
-    order:
-        BDF order of the underlying scheme.
     """
 
     weights: np.ndarray
-    kappa: float
-    order: int
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.weights)
@@ -252,43 +237,6 @@ class WeightSequence:
         # NaN propagates through min and max: no full-size temporary
         if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("weight sequence contains non-finite entries")
-
-    def __len__(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclasses.dataclass(frozen=True)
-class TimeHistory:
-    """Real coefficient vectors ``lam_0, ..., lam_M`` at ``t_n = n kappa``.
-
-    Attributes
-    ----------
-    densities:
-        Real array of shape ``(M + 1, n_dof)``.
-    kappa:
-        Time step between consecutive samples.
-    """
-
-    densities: np.ndarray
-    kappa: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.densities)
-        if arr.ndim != 2:
-            raise ValueError(f"densities must be 2-D, got shape {arr.shape}")
-        if np.iscomplexobj(arr):
-            raise ValueError("history densities must be real")
-        if not np.isfinite(arr).all():
-            raise ValueError("history contains non-finite entries")
-        if not self.kappa > 0.0:
-            raise ValueError(f"time step must be positive, got {self.kappa}")
-
-    def __len__(self) -> int:
-        return self.densities.shape[0]
-
-    def times(self) -> np.ndarray:
-        """Sample times ``t_n = n kappa``."""
-        return self.kappa * np.arange(len(self), dtype=float)
 
 
 def _sample(transfer, node: int, s: complex) -> np.ndarray:
@@ -342,9 +290,8 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     WeightSequence
         Real weights ``W_0, ..., W_M``; accuracy is limited by the floor
         ``sqrt(CONTOUR_EPSILON) * max_l ||F||`` of the balanced contour.
-        They are the first ``M + 1`` rows of the ``(L, entries)``
-        transform buffer, a view without a copy, shaped ``(M + 1, rows,
-        cols)``.
+        They are the whole ``(L, entries)`` transform buffer (``L = M +
+        1``), reshaped to ``(M + 1, rows, cols)`` without a copy.
 
     Raises
     ------
@@ -358,8 +305,10 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
         exceeds ``IMAG_RESIDUE_TOL`` relative to the largest weight,
         indicating a symbol that is not real.
     """
+    # deferred: importing scipy's FFT costs about 25 ms of package import
+    import scipy.fftpack
+
     n_nodes = scheme.n_contour_nodes
-    n_keep = scheme.n_steps + 1
     packed = shape = None
     max_transfer = 0.0
     imag_ends = []
@@ -384,21 +333,10 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
         else:
             imag_ends.append(flat.imag.copy())
 
-    scale = scheme.contour_radius ** -np.arange(n_keep, dtype=float)
-    n_pairs = (n_nodes - 1) // 2
-    magnitude = 0.0
-    for start in range(0, packed.shape[1], WEIGHT_CHUNK_ENTRIES):
-        block = packed[:, start : start + WEIGHT_CHUNK_ENTRIES]
-        spectrum = np.empty((scheme.n_half_nodes, block.shape[1]), dtype=complex)
-        spectrum[0] = block[0]
-        spectrum[1 : n_pairs + 1].real = block[1 : 2 * n_pairs : 2]
-        spectrum[1 : n_pairs + 1].imag = block[2 : 2 * n_pairs + 1 : 2]
-        if n_nodes % 2 == 0:
-            spectrum[-1] = block[-1]
-        coeffs = np.fft.irfft(spectrum, n=n_nodes, axis=0)[:n_keep]
-        coeffs *= scale[:, None]
-        magnitude = max(magnitude, float(np.abs(coeffs).max()))
-        block[:n_keep] = coeffs
+    scale = scheme.contour_radius ** -np.arange(n_nodes, dtype=float)
+    packed = scipy.fftpack.irfft(packed, axis=0, overwrite_x=True)
+    packed *= scale[:, None]
+    magnitude = max(float(packed.max()), -float(packed.min()))
 
     # The Hermitian extension drops every imaginary part but those of the
     # real-axis nodes zeta = R and, for even L, zeta = -R; they leave
@@ -416,8 +354,7 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     eps = float(np.finfo(float).eps)
     roundoff = 8.0 * n_nodes * eps * scale[-1] * max_transfer
     _check_imag_residue(resid, magnitude, roundoff)
-    return WeightSequence(weights=packed[:n_keep].reshape((n_keep,) + shape),
-                          kappa=scheme.kappa, order=scheme.order)
+    return WeightSequence(weights=packed.reshape((n_nodes,) + shape))
 
 
 def _check_imag_residue(resid: float, magnitude: float, roundoff: float) -> None:
@@ -430,7 +367,7 @@ def _check_imag_residue(resid: float, magnitude: float, roundoff: float) -> None
         )
 
 
-def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> TimeHistory:
+def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> np.ndarray:
     """Solve the implicit convolution recurrence forward in time.
 
     Computes ``lam_n`` from
@@ -446,24 +383,21 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> TimeHistory:
 
     Returns
     -------
-    TimeHistory
-        The real solution samples, one per step.
+    numpy.ndarray
+        The real solution samples ``lam_0, ..., lam_M``, shaped
+        ``(M + 1, n)``.
 
     Raises
     ------
     numpy.linalg.LinAlgError
         If ``W_0`` is singular to working precision.
     ValueError
-        On shape mismatches or complex data.
+        On shape mismatches or complex data (of any imaginary size).
     """
     w = weights.weights
     rhs = np.asarray(rhs_samples)
     if np.iscomplexobj(rhs):
-        if np.abs(rhs.imag).max() > IMAG_RESIDUE_TOL * max(
-            float(np.abs(rhs.real).max()), 1e-300
-        ):
-            raise ValueError("right-hand side samples must be real")
-        rhs = rhs.real
+        raise ValueError("right-hand side samples must be real")
     rhs = np.ascontiguousarray(rhs, dtype=float)
     n_steps = w.shape[0] - 1
     if w.shape[1:2] != w.shape[2:]:
@@ -484,10 +418,10 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> TimeHistory:
         else:
             tail = 0.0
         lam[n] = scipy.linalg.lu_solve((lu, piv), rhs[n] - tail)
-    return TimeHistory(densities=lam, kappa=weights.kappa)
+    return lam
 
 
-def cq_postprocess(transfer, scheme: CQScheme, history: TimeHistory) -> np.ndarray:
+def cq_postprocess(transfer, scheme: CQScheme, history: np.ndarray) -> np.ndarray:
     """Convolve observation weights against a computed history.
 
     Generates the weights ``S_0, ..., S_M`` of the observation transfer
@@ -501,7 +435,8 @@ def cq_postprocess(transfer, scheme: CQScheme, history: TimeHistory) -> np.ndarr
     scheme:
         The scheme the history was marched with.
     history:
-        Solution samples ``lam_0, ..., lam_M``.
+        Real, finite solution samples ``lam_0, ..., lam_M``, shaped
+        ``(M + 1, n)``.
 
     Returns
     -------
@@ -511,18 +446,24 @@ def cq_postprocess(transfer, scheme: CQScheme, history: TimeHistory) -> np.ndarr
     Raises
     ------
     ValueError
-        If the history length does not match the scheme or the matrix
-        columns do not match the history width.
+        If the history is not a real, finite 2-D array, its length does
+        not match the scheme or the matrix columns do not match its
+        width; the history is checked before any transfer evaluation.
     """
-    if len(history) != scheme.n_steps + 1:
-        raise ValueError(
-            f"history length {len(history)} does not match scheme with "
-            f"{scheme.n_steps + 1} samples"
-        )
-    obs = cq_weights(transfer, scheme)
-    w = obs.weights
-    lam = history.densities
+    lam = np.asarray(history)
+    if lam.ndim != 2:
+        raise ValueError(f"history must be 2-D, got shape {lam.shape}")
+    if np.iscomplexobj(lam):
+        raise ValueError("history must be real")
+    if not np.isfinite(lam).all():
+        raise ValueError("history contains non-finite entries")
     n_keep = scheme.n_steps + 1
+    if lam.shape[0] != n_keep:
+        raise ValueError(
+            f"history length {lam.shape[0]} does not match scheme with "
+            f"{n_keep} samples"
+        )
+    w = cq_weights(transfer, scheme).weights
     if w.shape[2:] != lam.shape[1:]:
         raise ValueError(
             f"observation weights of shape {w.shape[1:]} do not match a "

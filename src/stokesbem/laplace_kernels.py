@@ -114,8 +114,10 @@ class ProblemConfig:
     dimension: int = 2
 
     def __post_init__(self) -> None:
-        if not self.nu > 0.0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError(
+                f"viscosity must be positive and finite, got {self.nu}"
+            )
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
 

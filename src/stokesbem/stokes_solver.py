@@ -57,7 +57,7 @@ from .boundary_geometry import (
     BoundaryMesh,
     build_mesh,
 )
-from .cq_engine import CQScheme, TimeHistory, cq_march, cq_postprocess, cq_weights
+from .cq_engine import CQScheme, cq_march, cq_postprocess, cq_weights
 from .laplace_kernels import ComplexFrequency, ProblemConfig
 
 __all__ = [
@@ -150,9 +150,9 @@ class GridSpec:
     Attributes
     ----------
     x0, y0:
-        Coordinates of the first lattice point (row 0, column 0).
+        Finite coordinates of the first lattice point (row 0, column 0).
     dx, dy:
-        Positive lattice spacings.
+        Positive, finite lattice spacings.
     n_rows, n_cols:
         Lattice extent; at least 2 in each direction so finite
         differences are defined.
@@ -166,6 +166,11 @@ class GridSpec:
     n_cols: int
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.x0, self.y0, self.dx, self.dy]).all():
+            raise ValueError(
+                f"grid origin and spacings must be finite, got x0={self.x0}, "
+                f"y0={self.y0}, dx={self.dx}, dy={self.dy}"
+            )
         if not (self.dx > 0.0 and self.dy > 0.0):
             raise ValueError("grid spacings must be positive")
         if self.n_rows < 2 or self.n_cols < 2:
@@ -235,7 +240,8 @@ class SimulationResult:
     observation_points:
         ``(K, 2)`` evaluation points off the boundary.
     history:
-        Density coefficients per step, multipliers stripped.
+        ``(M + 1, dof)`` density coefficients per step, multipliers
+        stripped; ``scheme.times()`` is its time axis.
     multipliers:
         ``(M + 1, k)`` multiplier values (``k = 0`` without
         constraints).
@@ -243,24 +249,21 @@ class SimulationResult:
         ``(M + 1, K, 2)`` velocities at the observation points.
     pressure_series:
         ``(M + 1, K)`` pressures at the observation points.
-    snapshots:
-        Field snapshots attached after the run, possibly empty.
     """
 
     space: DensitySpace
     scheme: CQScheme
     cfg: ProblemConfig
     observation_points: np.ndarray
-    history: TimeHistory
+    history: np.ndarray
     multipliers: np.ndarray
     velocity_series: np.ndarray
     pressure_series: np.ndarray
-    snapshots: tuple = ()
 
     def __post_init__(self) -> None:
         n = self.scheme.n_steps + 1
         k = self.observation_points.shape[0]
-        if len(self.history) != n:
+        if self.history.shape[0] != n:
             raise ValueError("history length does not match the scheme")
         if self.velocity_series.shape != (n, k, 2):
             raise ValueError(
@@ -412,8 +415,9 @@ def run_simulation(
     Raises
     ------
     ValueError
-        For inadmissible data, an observation point on the boundary,
-        an unknown assembly flag, a non-planar ``cfg``, or any violated
+        For inadmissible data, observation points not of shape
+        ``(K, 2)``, a non-finite point or one on the boundary, an
+        unknown assembly flag, a non-planar ``cfg``, or any violated
         component precondition.
     """
     if assembly not in ("galerkin", "reduced"):
@@ -431,6 +435,17 @@ def run_simulation(
             f"only, got dimension {cfg.dimension}"
         )
     points = np.atleast_2d(np.asarray(observation_points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != 2 or not points.shape[0]:
+        raise ValueError(
+            "observation points must have shape (K, 2) with K >= 1, got "
+            f"shape {np.shape(observation_points)}"
+        )
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"observation point {k} = {points[k].tolist()} is not finite"
+        )
     # reject points on the boundary before any sampling or assembly
     require_off_boundary(mesh, points)
 
@@ -457,19 +472,16 @@ def run_simulation(
         seq.weights[0, :dof, :dof], space, constraint, reduced
     )
     marched = cq_march(seq, np.pad(rhs, ((0, 0), pad)))
-    densities = TimeHistory(
-        densities=np.ascontiguousarray(marched.densities[:, :dof]),
-        kappa=scheme.kappa,
-    )
-    multipliers = np.ascontiguousarray(marched.densities[:, dof:])
-    velocity, pressure = _observe(space, scheme, cfg, densities, points)
+    history = np.ascontiguousarray(marched[:, :dof])
+    multipliers = np.ascontiguousarray(marched[:, dof:])
+    velocity, pressure = _observe(space, scheme, cfg, history, points)
 
     return SimulationResult(
         space=space,
         scheme=scheme,
         cfg=cfg,
         observation_points=points,
-        history=densities,
+        history=history,
         multipliers=multipliers,
         velocity_series=velocity,
         pressure_series=pressure,
@@ -477,9 +489,10 @@ def run_simulation(
 
 
 def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
-             history: TimeHistory, points: np.ndarray):
+             history: np.ndarray, points: np.ndarray):
     """Velocity ``(M + 1, K, 2)`` and pressure ``(M + 1, K)`` histories
-    at the ``K`` points, off the boundary.
+    at the ``K`` points, off the boundary, from the ``(M + 1, dof)``
+    density history.
 
     Points are evaluated in blocks under ``SNAPSHOT_WEIGHT_BYTES``,
     counting per point: 2 rows of cq_weights' packed ``(L, entries)``
@@ -499,7 +512,7 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
                         np.flatnonzero(np.diff(block)) + 1):
         pts = points[idx]
         p_rows = potential_pressure_matrix(space, pts)
-        pressure[:, idx] = history.densities @ p_rows.T
+        pressure[:, idx] = history @ p_rows.T
         velocity[:, idx] = cq_postprocess(
             lambda s: potential_velocity_matrix(
                 space, ComplexFrequency(s), cfg, pts

@@ -41,7 +41,7 @@ from .bem_space import (
     solve_transfer,
 )
 from .boundary_geometry import BoundaryCurve
-from .cq_engine import CQScheme, TimeHistory, cq_postprocess
+from .cq_engine import CQScheme, cq_postprocess
 from .laplace_kernels import ComplexFrequency, ProblemConfig
 from .stokes_solver import DirichletData, exact_solution, run_simulation
 
@@ -403,9 +403,9 @@ def cq_order_report() -> PropertyReport:
         for m in CQ_ORDER_RESOLUTIONS:
             scheme = CQScheme(order=p, kappa=1.0 / m, n_steps=m)
             times = scheme.times()
-            history = TimeHistory((times**5)[:, None], scheme.kappa)
             values = cq_postprocess(
-                lambda s: np.array([[transfer(s)]]), scheme, history
+                lambda s: np.array([[transfer(s)]]), scheme,
+                (times**5)[:, None],
             )[:, 0].real
             samples = np.arange(m // 8, m + 1, m // 8)
             err = max(

@@ -272,8 +272,8 @@ def test_criterion_6_solver_invariants():
         scheme, delayed, [(0.5, 0.0)], CFG, assembly="reduced",
     )
     quiet = quiet_run.scheme.times() <= delay
-    early = float(np.abs(quiet_run.history.densities[quiet]).max())
-    late = float(np.abs(quiet_run.history.densities[~quiet]).max())
+    early = float(np.abs(quiet_run.history[quiet]).max())
+    late = float(np.abs(quiet_run.history[~quiet]).max())
     elapsed = time.monotonic() - t0
     _verdict(
         6,

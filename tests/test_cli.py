@@ -139,6 +139,20 @@ class TestBuildRunConfig:
         with pytest.raises(cli.ConfigError, match="integer"):
             cli.build_run_config(self.base() | {"n_elements": "many"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("observation_points", "nan,0; 0.2,0.1"),
+        ("viscosity", "inf"),
+        ("final_time", "-inf"),
+        ("snapshot_grid", "-1 -1 nan 0.5 5 5"),
+    ])
+    def test_non_finite_number_names_the_key(self, key, value):
+        raw = self.base() | {key: value}
+        if key == "snapshot_grid":
+            raw["snapshot_steps"] = "0"
+        with pytest.raises(cli.ConfigError,
+                           match=f"key '{key}' needs a finite number"):
+            cli.build_run_config(raw)
+
 
 class TestRunCommand:
     def test_series_layout_and_values(self, tmp_path, monkeypatch):
@@ -206,6 +220,19 @@ class TestRunCommand:
         )
         assert cli.main(["run", path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("0,0; 0.5,0.5", "nan,0; 0.2,0.1"),
+        ("n_steps = 4", "n_steps = 4\nviscosity = inf"),
+    ])
+    def test_non_finite_input_is_config_error(self, tmp_path, monkeypatch,
+                                              capsys, old, new):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "run.cfg", RUN_TEXT.replace(old, new))
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_observation_point_on_boundary_is_config_error(
             self, tmp_path, monkeypatch, capsys):

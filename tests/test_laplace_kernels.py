@@ -251,6 +251,11 @@ def test_scalar_a2_rejects_left_half_plane():
         scalar_A(2, -0.3 + 0.0j)
 
 
+def test_problem_config_rejects_infinite_viscosity():
+    with pytest.raises(ValueError, match="viscosity must be positive and finite"):
+        ProblemConfig(nu=np.inf)
+
+
 # ---------------------------------------------------------------------------
 # velocity_kernel / pressure_kernel
 

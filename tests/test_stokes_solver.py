@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from stokesbem import stokes_solver
 from stokesbem.bem_space import ConstraintMode, border_rows, constrain
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
-from stokesbem.cq_engine import CQScheme, TimeHistory
+from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import ProblemConfig
 from stokesbem.stokes_solver import (
     MASK_SENTINEL,
@@ -199,12 +199,12 @@ class TestRunSimulationBasics:
             BoundaryCurve.circle(1.0), 8, "P0", ConstraintMode.none,
             self.scheme(), zero, OBS_INTERIOR, CFG,
         )
-        assert np.all(res.history.densities == 0.0)
+        assert np.all(res.history == 0.0)
         assert np.all(res.velocity_series == 0.0)
         assert np.all(res.pressure_series == 0.0)
 
     def test_causal_data_starts_at_rest(self, circle_run):
-        assert np.all(circle_run.history.densities[0] == 0.0)
+        assert np.all(circle_run.history[0] == 0.0)
         assert np.all(circle_run.velocity_series[0] == 0.0)
         assert np.all(circle_run.pressure_series[0] == 0.0)
 
@@ -213,8 +213,25 @@ class TestRunSimulationBasics:
         assert circle_run.velocity_series.shape == (13, 3, 2)
         assert circle_run.pressure_series.shape == (13, 3)
         assert circle_run.multipliers.shape == (13, 0)
-        assert len(circle_run.history) == 13
+        assert circle_run.history.shape == (13, circle_run.space.dof_count)
         assert circle_run.space.mesh.n_elements == 32
+
+    @pytest.mark.parametrize("points, message", [
+        ([(0.5, 0.5), (np.nan, 0.0)], r"point 1 = \[nan, 0.0\] is not finite"),
+        ([(np.inf, 1.0)], r"point 0 = \[inf, 1.0\] is not finite"),
+        ([], r"shape \(K, 2\) with K >= 1, got shape \(0,\)"),
+        ([(0.5, 0.5, 0.0)], r"shape \(K, 2\) with K >= 1, got shape \(1, 3\)"),
+    ])
+    def test_rejects_bad_observation_points_before_sampling(self, points,
+                                                            message):
+        def never(t, pos):
+            raise AssertionError("data sampled")
+
+        with pytest.raises(ValueError, match=message):
+            run_simulation(
+                BoundaryCurve.circle(1.0), 8, "P0", ConstraintMode.none,
+                self.scheme(), DirichletData(never), points, CFG,
+            )
 
     def test_rejects_unknown_assembly(self):
         with pytest.raises(ValueError, match="assembly"):
@@ -272,7 +289,7 @@ class TestCausality:
         )
         quiet = res.scheme.times() <= delay
         assert quiet.sum() == 5
-        assert np.abs(res.history.densities[quiet]).max() == 0.0
+        assert np.abs(res.history[quiet]).max() == 0.0
         assert np.abs(res.velocity_series[quiet]).max() == 0.0
         assert np.abs(res.velocity_series[~quiet]).max() > 1e-3
 
@@ -305,7 +322,7 @@ class TestGaugeConstraints:
     def test_moment_orthogonality(self, square_mult_run):
         b = border_rows(square_mult_run.space, ConstraintMode.multiplier_m,
                         reduced=False)[0]
-        lam = square_mult_run.history.densities
+        lam = square_mult_run.history
         scale = max(1.0, float(np.abs(lam).max()))
         assert np.abs(lam @ b).max() <= 1e-12 * scale
 
@@ -322,7 +339,7 @@ class TestGaugeConstraints:
         rigid = border_rows(res.space, ConstraintMode.multiplier_rigid,
                             reduced=False)
         assert res.multipliers.shape == (11, rigid.shape[0])
-        lam = res.history.densities
+        lam = res.history
         scale = max(1.0, float(np.abs(lam).max()))
         assert np.abs(lam @ rigid.T).max() <= 1e-10 * scale
 
@@ -335,9 +352,9 @@ class TestGaugeConstraints:
             manufactured_dirichlet_data(), [(0.3, 0.7)], CFG,
         )
         assert aug.multipliers.shape == (13, 0)
-        lam_scale = float(np.abs(square_mult_run.history.densities).max())
+        lam_scale = float(np.abs(square_mult_run.history).max())
         assert (
-            np.abs(aug.history.densities - square_mult_run.history.densities).max()
+            np.abs(aug.history - square_mult_run.history).max()
             <= 1e-9 * lam_scale
         )
         vel_scale = float(np.abs(square_mult_run.velocity_series).max())
@@ -409,7 +426,7 @@ class TestStability:
                 manufactured_dirichlet_data(), [(0.0, 0.0)], CFG,
             )
             h = res.space.mesh.arclengths
-            lam = res.history.densities.reshape(25, n_elements, 2)
+            lam = res.history.reshape(25, n_elements, 2)
             loading = np.sqrt((lam**2).sum(axis=2) @ h).max()
             norms.append(loading)
         norms = np.asarray(norms)
@@ -434,11 +451,15 @@ class TestGridSpec:
             dict(dx=0.1, dy=-0.1, n_rows=3, n_cols=3),
             dict(dx=0.1, dy=0.1, n_rows=1, n_cols=3),
             dict(dx=0.1, dy=0.1, n_rows=3, n_cols=1),
+            dict(x0=np.nan, dx=0.1, dy=0.1, n_rows=3, n_cols=3),
+            dict(y0=np.inf, dx=0.1, dy=0.1, n_rows=3, n_cols=3),
+            dict(dx=np.inf, dy=0.1, n_rows=3, n_cols=3),
+            dict(dx=0.1, dy=np.inf, n_rows=3, n_cols=3),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
-            GridSpec(x0=0.0, y0=0.0, **kwargs)
+            GridSpec(**(dict(x0=0.0, y0=0.0) | kwargs))
 
 
 class TestMaskedDerivative:
@@ -656,13 +677,7 @@ class TestSimulationResultValidation:
 
     def test_rejects_truncated_history(self, circle_run):
         with pytest.raises(ValueError, match="history length"):
-            dataclasses.replace(
-                circle_run,
-                history=TimeHistory(
-                    circle_run.history.densities[:-1],
-                    circle_run.history.kappa,
-                ),
-            )
+            dataclasses.replace(circle_run, history=circle_run.history[:-1])
 
     def test_rejects_wrong_velocity_shape(self, circle_run):
         with pytest.raises(ValueError, match="velocity series"):
