@@ -194,18 +194,28 @@ def rational_coefficients(kappa: float, n_steps: int) -> np.ndarray:
     return coeff
 
 
-def test_weights_match_rational_long_division():
-    """Odd L = 33 and even L = 34 (with the Nyquist row) both give the
-    exact coefficients."""
-    kappa = 0.1
+def check_rational_coefficients(n_steps, kappa=0.1):
     transfer = as_matrix(oracle_transfer)
-    for n_steps in (32, 33):
-        scheme = CQScheme(order=3, kappa=kappa, n_steps=n_steps)
-        seq = cq_weights(transfer, scheme)
-        assert seq.weights.shape == (n_steps + 1, 1, 1)
-        coeff = rational_coefficients(kappa, n_steps)
-        assert np.abs(seq.weights[:, 0, 0] - coeff).max() <= weight_floor(
-            transfer, scheme)
+    scheme = CQScheme(order=3, kappa=kappa, n_steps=n_steps)
+    seq = cq_weights(transfer, scheme)
+    assert scheme.n_contour_nodes == n_steps + 1
+    assert seq.weights.shape == (n_steps + 1, 1, 1)
+    coeff = rational_coefficients(kappa, n_steps)
+    assert np.abs(seq.weights[:, 0, 0] - coeff).max() <= weight_floor(
+        transfer, scheme)
+
+
+def test_weights_match_rational_long_division():
+    """M = 32: odd L = 33 gives the exact coefficients."""
+    check_rational_coefficients(32)
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+def test_weights_with_extra_contour_nodes(extra):
+    """`extra` more contour nodes than the M = 32 case (L = M + 1 fixes
+    M = 32 + extra): even L = 34, with the Nyquist row, and odd L = 35
+    give the exact coefficients too."""
+    check_rational_coefficients(32 + extra)
 
 
 def test_weights_matrix_agrees_with_scalar():
@@ -443,14 +453,19 @@ def test_march_rejects_bad_shapes_and_complex_data():
         cq_march(seq, np.zeros(9))
     with pytest.raises(ValueError):
         cq_march(seq, np.full((9, 1), 1.0 + 1.0j))
-    # any complex rhs is rejected, a negligible imaginary part and a
-    # zero one included
-    for imag in (1e-14j, 0j):
-        with pytest.raises(ValueError, match="must be real"):
-            cq_march(seq, np.ones((9, 1)) + imag)
     mat = cq_weights(lambda s: np.eye(2, dtype=complex) / (s + 1.0), scheme)
     with pytest.raises(ValueError):
         cq_march(mat, np.zeros((9, 3)))
+
+
+def test_march_accepts_negligible_imaginary_part():
+    """cq_march has one real path: a complex rhs is rejected even when
+    its imaginary part is negligible or zero."""
+    scheme = CQScheme(order=2, kappa=0.1, n_steps=8)
+    seq = cq_weights(as_matrix(oracle_transfer), scheme)
+    for imag in (1e-14j, 0j):
+        with pytest.raises(ValueError, match="must be real"):
+            cq_march(seq, np.ones((9, 1)) + imag)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
