@@ -20,7 +20,6 @@ Modules build on each other in four layers:
 from .laplace_kernels import (
     ComplexFrequency,
     ProblemConfig,
-    bessel_k,
     pressure_kernel,
     principal_sqrt,
     scalar_A,
@@ -99,7 +98,6 @@ __all__ = [
     "assemble_galerkin_V",
     "assemble_nystrom_V",
     "bdf_delta",
-    "bessel_k",
     "build_mesh",
     "build_space",
     "constrain",

@@ -3,6 +3,9 @@
 Everything is expressed on the reference interval ``(0, 1)``.
 
 * ``gauss_legendre_01(n)``: cached Gauss-Legendre rule mapped to (0, 1).
+* ``panel_gauss(order, breaks)``: composite Gauss-Legendre rule on the
+  panels between consecutive ``breaks``, the one place where nodes are
+  laid on several panels.
 * ``log_gauss_01(n)``: Gauss rule for the weight ``-log(u)`` on (0, 1),
   so ``sum w_i f(x_i) ~ int_0^1 (-log u) f(u) du``.  Nodes and weights
   were generated once with 60-digit arithmetic (modified Chebyshev
@@ -157,6 +160,18 @@ def log_gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def panel_gauss(order: int, breaks) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on the panels between ``breaks``.
+
+    Returns flat nodes ``lo + (hi - lo) x`` and weights ``(hi - lo) w``,
+    panel by panel, for the ``order``-point rule ``(x, w)`` on (0, 1).
+    """
+    x, w = gauss_legendre_01(order)
+    breaks = np.asarray(breaks, dtype=float)
+    width = np.diff(breaks)[:, None]
+    return (breaks[:-1, None] + width * x).ravel(), (width * w).ravel()
 
 
 def graded_panels(a: float, b: float, ratio: float = 2.0) -> np.ndarray:

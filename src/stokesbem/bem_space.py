@@ -68,12 +68,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from ._quadrature import gauss_legendre_01, graded_panels, log_gauss_01
+from ._quadrature import (gauss_legendre_01, graded_panels, log_gauss_01,
+                          panel_gauss)
 from .boundary_geometry import GEOMETRY_RULE_ORDER, BoundaryMesh
 from .laplace_kernels import ComplexFrequency, ProblemConfig, _ab2, _pr2
 
@@ -148,8 +149,6 @@ class DensitySpace:
     mesh: BoundaryMesh
     kind: str
     dof_count: int
-    dof_element: np.ndarray = field(repr=False)
-    dof_component: np.ndarray = field(repr=False)
 
     @property
     def n_basis(self) -> int:
@@ -161,12 +160,8 @@ def build_space(mesh: BoundaryMesh, kind: str) -> DensitySpace:
     if kind not in _KIND_BASIS:
         raise ValueError(f"unknown space kind {kind!r}; "
                          f"expected one of {sorted(_KIND_BASIS)}")
-    nb = _KIND_BASIS[kind]
-    n = mesh.n_elements
-    dof = np.arange(2 * nb * n)
-    return DensitySpace(mesh=mesh, kind=kind, dof_count=2 * nb * n,
-                        dof_element=dof // (2 * nb),
-                        dof_component=dof % 2)
+    return DensitySpace(mesh=mesh, kind=kind,
+                        dof_count=2 * _KIND_BASIS[kind] * mesh.n_elements)
 
 
 def _basis_values(n_basis: int, xi: np.ndarray) -> np.ndarray:
@@ -191,19 +186,20 @@ def _element_points(mesh: BoundaryMesh, elems, xi):
     return pos, speed
 
 
-def _quantize_down(x: float) -> float:
-    """Largest power of two that is <= x, clipped to [2^-16, 1]."""
+def _split_scale(z: float) -> tuple[float, float]:
+    """Split cap and z-span for a log split whose ``|z|`` reaches ``z``.
+
+    The cap, the largest power of two at most ``Z_SPLIT_CAP / z`` clipped
+    to [2^-16, 1], keeps ``|z|`` below ``Z_SPLIT_CAP`` on the split
+    interval; the z-span, the smallest power of two at least ``z``, sizes
+    the direct panels above it (1 when the split covers the interval).
+    Both are the cache key of the clouds built from them.
+    """
+    x = Z_SPLIT_CAP / z
     if x >= 1.0:
-        return 1.0
-    k = int(math.ceil(-math.log2(max(x, 2.0 ** -16))))
-    return 2.0 ** -min(k, 16)
-
-
-def _quantize_up(x: float) -> float:
-    """Smallest power of two that is >= max(x, 1)."""
-    if x <= 1.0:
-        return 1.0
-    return 2.0 ** int(math.ceil(math.log2(x)))
+        return 1.0, 1.0
+    k = math.ceil(-math.log2(max(x, 2.0 ** -16)))
+    return 2.0 ** -min(k, 16), 2.0 ** math.ceil(math.log2(z))
 
 
 def _split_channels(cap: float, z_scale: float, n_log: int, n_smooth: int):
@@ -230,16 +226,16 @@ def _split_channels(cap: float, z_scale: float, n_log: int, n_smooth: int):
     als.append(np.ones(n_smooth))
     bes.append(np.log(tg))
     if cap < 1.0:
-        xd, wd = gauss_legendre_01(DIRECT_PANEL_ORDER)
-        breaks = graded_panels(cap, 1.0)
-        for a, b in zip(breaks[:-1], breaks[1:]):
+        graded = graded_panels(cap, 1.0)
+        breaks = [graded[:1]]
+        for a, b in zip(graded[:-1], graded[1:]):
             n_sub = max(1, int(math.ceil((b - a) * z_scale / MAX_PANEL_Z_SPAN)))
-            edges = np.linspace(a, b, n_sub + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                us.append(lo + (hi - lo) * xd)
-                ws.append((hi - lo) * wd)
-                als.append(np.ones(xd.size))
-                bes.append(np.zeros(xd.size))
+            breaks.append(np.linspace(a, b, n_sub + 1)[1:])
+        xd, wd = panel_gauss(DIRECT_PANEL_ORDER, np.concatenate(breaks))
+        us.append(xd)
+        ws.append(wd)
+        als.append(np.ones(xd.size))
+        bes.append(np.zeros(xd.size))
     return (np.concatenate(us), np.concatenate(ws),
             np.concatenate(als), np.concatenate(bes))
 
@@ -355,14 +351,6 @@ def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
                          sp_x, sp_y, split)
 
 
-def _composite_rule(order: int, n_panels: int):
-    """Composite Gauss rule on (0, 1) with equal panels."""
-    x, w = gauss_legendre_01(order)
-    xs = ((np.arange(n_panels)[:, None] + x[None, :]) / n_panels).ravel()
-    ws = np.tile(w / n_panels, n_panels)
-    return xs, ws
-
-
 def _separated_pairs(mesh: BoundaryMesh):
     """Unordered non-touching pairs (i < j) with their distance class."""
     n = mesh.n_elements
@@ -395,7 +383,7 @@ def _build_separated_clouds(space: DensitySpace):
     clouds = []
     for sel, order, n_panels in _distance_classes(ratio, SEPARATED_CLASSES):
         ii, jj = i[sel], j[sel]
-        x, w = _composite_rule(order, n_panels)
+        x, w = panel_gauss(order, np.linspace(0.0, 1.0, n_panels + 1))
         q = x.size
         pos_x, sp_x = _element_points(mesh, ii[:, None], x[None, :])
         pos_y, sp_y = _element_points(mesh, jj[:, None], x[None, :])
@@ -646,13 +634,9 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
         offending element pair).
     """
     _require_planar(cfg)
-    mesh = space.mesh
-    s_abs = abs(freq.sqrt_s)
-    l_max = float(mesh.arclengths.max())
-    cap_u = _quantize_down(min(1.0, Z_SPLIT_CAP / (s_abs * l_max)))
-    z_u = _quantize_up(s_abs * l_max) if cap_u < 1.0 else 1.0
-    cap_p = _quantize_down(min(1.0, Z_SPLIT_CAP / (2.0 * s_abs * l_max)))
-    z_p = _quantize_up(2.0 * s_abs * l_max) if cap_p < 1.0 else 1.0
+    z_max = abs(freq.sqrt_s) * float(space.mesh.arclengths.max())
+    cap_u, z_u = _split_scale(z_max)
+    cap_p, z_p = _split_scale(2.0 * z_max)
     key = _space_key(space)
     self_cloud = _cached(key + ("self", cap_u, z_u),
                          lambda: _build_self_cloud(space, cap_u, z_u))
@@ -706,14 +690,7 @@ def _build_neighbor_cloud(space: DensitySpace, offset: int):
     """Rows against an adjacent element, graded toward the shared vertex."""
     mesh = space.mesh
     n = mesh.n_elements
-    x, w = gauss_legendre_01(NEIGHBOR_PANEL_ORDER)
-    breaks = np.asarray(NEIGHBOR_BREAKS)
-    eta_list, w_list = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        eta_list.append(lo + (hi - lo) * x)
-        w_list.append((hi - lo) * w)
-    eta = np.concatenate(eta_list)
-    w_pt = np.concatenate(w_list)
+    eta, w_pt = panel_gauss(NEIGHBOR_PANEL_ORDER, NEIGHBOR_BREAKS)
     if offset == -1:
         # previous element: shared vertex at eta = 1
         eta = 1.0 - eta
@@ -735,7 +712,7 @@ def _point_clouds(space: DensitySpace, points, ii, jj, ratio, row_weights,
     clouds = []
     for sel, order, n_panels in _distance_classes(ratio, classes):
         ik, jk = ii[sel], jj[sel]
-        x, w = _composite_rule(order, n_panels)
+        x, w = panel_gauss(order, np.linspace(0.0, 1.0, n_panels + 1))
         pos_y, sp_y = _element_points(mesh, jk[:, None], x[None, :])
         clouds.append(_finish_cloud(np.stack([ik, jk], axis=1),
                                     points[ik][:, None, :] - pos_y,
@@ -746,17 +723,13 @@ def _point_clouds(space: DensitySpace, points, ii, jj, ratio, row_weights,
 
 
 def _build_row_clouds(space: DensitySpace):
-    """Separated columns of the reduced scheme, classed by distance."""
+    """Separated columns of the reduced scheme, classed by distance: the
+    separated pairs and their mirror images."""
     mesh = space.mesh
-    n = mesh.n_elements
-    i, j = np.nonzero(np.ones((n, n), dtype=bool))
-    off = (j - i) % n
-    sep = (off != 0) & (off != 1) & (off != n - 1)
-    i, j = i[sep], j[sep]
-    dist = np.linalg.norm(mesh.midpoints[i] - mesh.midpoints[j], axis=1)
-    ratio = dist / np.maximum(mesh.arclengths[i], mesh.arclengths[j])
-    return _point_clouds(space, mesh.midpoints, i, j, ratio, mesh.arclengths,
-                         SEPARATED_CLASSES)
+    i, j, ratio = _separated_pairs(mesh)
+    return _point_clouds(space, mesh.midpoints, np.concatenate([i, j]),
+                         np.concatenate([j, i]), np.concatenate([ratio, ratio]),
+                         mesh.arclengths, SEPARATED_CLASSES)
 
 
 def require_reduced_space(space: DensitySpace) -> None:
@@ -786,12 +759,8 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     """
     _require_planar(cfg)
     require_reduced_space(space)
-    mesh = space.mesh
-    s_abs = abs(freq.sqrt_s)
-    l_max = float(mesh.arclengths.max())
-    z_d = s_abs * l_max / 2.0
-    cap_d = _quantize_down(min(1.0, Z_SPLIT_CAP / z_d))
-    z_dq = _quantize_up(z_d) if cap_d < 1.0 else 1.0
+    l_max = float(space.mesh.arclengths.max())
+    cap_d, z_dq = _split_scale(abs(freq.sqrt_s) * l_max / 2.0)
     key = _space_key(space)
     diag = _cached(key + ("rdiag", cap_d, z_dq),
                    lambda: _build_diag_cloud(space, cap_d, z_dq))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quadrature import gauss_legendre_01
+from ._quadrature import gauss_legendre_01, panel_gauss
 
 #: quadrature order used for element arclengths of non-polygonal curves and
 #: for the moment functionals below; chosen so that these geometric
@@ -140,12 +140,9 @@ class BoundaryCurve:
             return 8.0 * self.half_width
         if self.kind == "circle":
             return 2.0 * np.pi * self.radius
-        xg, wg = gauss_legendre_01(GEOMETRY_RULE_ORDER)
         # composite rule over 64 panels resolves the lobes far beyond 1e-12
-        panels = 64
-        th = (np.arange(panels)[:, None] + xg[None, :]) / panels
-        speed = np.linalg.norm(self.velocity(th), axis=-1)
-        return float(np.sum(speed * wg[None, :]) / panels)
+        th, w = panel_gauss(GEOMETRY_RULE_ORDER, np.linspace(0.0, 1.0, 65))
+        return float(np.sum(np.linalg.norm(self.velocity(th), axis=-1) * w))
 
 
 @dataclass(frozen=True)

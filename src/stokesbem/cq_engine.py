@@ -224,9 +224,13 @@ class WeightSequence:
     ----------
     weights:
         Real array of shape ``(M + 1, rows, cols)``.
+    peak:
+        The largest ``|entry|``, from the min and max of the finiteness
+        check (0 for no entries).
     """
 
     weights: np.ndarray
+    peak: float = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.weights)
@@ -235,8 +239,10 @@ class WeightSequence:
                 f"weights must have shape (M+1, rows, cols), got {arr.shape}"
             )
         # NaN propagates through min and max: no full-size temporary
-        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        hi, lo = (float(arr.max()), float(arr.min())) if arr.size else (0.0, 0.0)
+        if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValueError("weight sequence contains non-finite entries")
+        object.__setattr__(self, "peak", max(hi, -lo))
 
 
 def _sample(transfer, node: int, s: complex) -> np.ndarray:
@@ -336,7 +342,7 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     scale = scheme.contour_radius ** -np.arange(n_nodes, dtype=float)
     packed = scipy.fftpack.irfft(packed, axis=0, overwrite_x=True)
     packed *= scale[:, None]
-    magnitude = max(float(packed.max()), -float(packed.min()))
+    seq = WeightSequence(weights=packed.reshape((n_nodes,) + shape))
 
     # The Hermitian extension drops every imaginary part but those of the
     # real-axis nodes zeta = R and, for even L, zeta = -R; they leave
@@ -353,18 +359,14 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     # amplified by R^{-M}; the factor 8 is margin over the textbook bound
     eps = float(np.finfo(float).eps)
     roundoff = 8.0 * n_nodes * eps * scale[-1] * max_transfer
-    _check_imag_residue(resid, magnitude, roundoff)
-    return WeightSequence(weights=packed.reshape((n_nodes,) + shape))
-
-
-def _check_imag_residue(resid: float, magnitude: float, roundoff: float) -> None:
-    if resid > max(IMAG_RESIDUE_TOL * max(magnitude, 1e-300), roundoff):
+    if resid > max(IMAG_RESIDUE_TOL * max(seq.peak, 1e-300), roundoff):
         raise RuntimeError(
             f"imaginary weight residue {resid:.3e} exceeds both "
-            f"{IMAG_RESIDUE_TOL:.1e} x max weight {magnitude:.3e} and the "
+            f"{IMAG_RESIDUE_TOL:.1e} x max weight {seq.peak:.3e} and the "
             f"roundoff floor {roundoff:.3e}; the transfer function is not "
             "a real symbol"
         )
+    return seq
 
 
 def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> np.ndarray:

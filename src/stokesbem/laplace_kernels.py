@@ -24,9 +24,13 @@ numerically delicate near ``z = 0``: the closed forms subtract nearly equal
 terms of size ``|z|^-2`` while the limits are finite (all four tend to 1).
 Below ``SERIES_SWITCH_RADIUS`` (0.5) the implementation therefore switches
 to explicit power series in which the cancellation has been carried out
-analytically.  Above it the closed forms are stable; ``K_0`` and ``K_1``
-there come from ``scipy.special.kv``, the AMOS evaluation (Amos, ACM TOMS
-12 (1986) 265-273).
+analytically.  One loop, ``_bessel_sums``, sums the series of ``I_0``,
+``I_1``, ``I_2`` and their harmonic-number companions; these profile
+series and the companions ``P``, ``R`` of the logarithmic split used by
+the boundary-element quadrature are all built from its sums.  Above the
+switch the closed forms are stable; ``K_0`` and ``K_1`` there come from
+``scipy.special.kv``, the AMOS evaluation (Amos, ACM TOMS 12 (1986)
+265-273).
 
 The frequency ``s`` may be any complex number off the half-line
 ``(-inf, 0]``; its square root is always taken with the principal
@@ -133,56 +137,30 @@ def _require_right_half_plane(z: np.ndarray) -> None:
         raise ValueError(f"argument {bad} has Re <= 0; kernels need Re z > 0")
 
 
-def bessel_k(order: int, z):
-    """Modified Bessel function ``K_order(z)`` for complex ``z``, Re z > 0.
+def _bessel_sums(z: np.ndarray):
+    """The small-|z| series of the planar profiles, summed in one loop.
 
-    Parameters
-    ----------
-    order : int
-        0, 1 or 2.
-    z : complex or array_like
-        Argument(s) in the open right half-plane.
+    With ``u = z^2/4``, ``H_k = 1 + 1/2 + ... + 1/k`` and ``g`` the Euler
+    constant, returns ``u``, the I-type sums
 
-    Returns
-    -------
-    complex or ndarray
-        Function values from ``scipy.special.kv`` (AMOS); exact 0 where
-        the exponential factor underflows (from about ``Re z = 700``).
+        S_0 = sum u^k/(k!)^2           = I_0(z),
+        S_1 = sum u^k/(k!(k+1)!)       = I_1(z) / (z/2),
+        S_2 = sum u^k/(k!(k+2)!)       = I_2(z) / u,
 
-    Raises
-    ------
-    ValueError
-        For an unsupported order or an argument with ``Re z <= 0``.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    za = np.atleast_1d(np.asarray(z, dtype=complex))
-    _require_right_half_plane(za)
-    out = kv(order, za)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return complex(out[0])
-    return out.reshape(np.asarray(z).shape)
+    and the harmonic sums
 
+        H   = sum_{k>=1} H_k u^k/(k!)^2,
+        M_1 = sum (2H_k + 1/(k+1) - 2g) u^k/(k!(k+1)!),
+        M_2 = sum (2H_k + 1/(k+1) + 1/(k+2) - 2g) u^k/(k!(k+2)!),
 
-def _ab2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cancellation-free power series for A_2, B_2 (|z| <= ~0.5).
-
-    Derived by inserting the Bessel series into the closed forms and
-    cancelling the 1/z^2 and log singularities analytically:
-
-        A_2 = -2 (L + g) I_0 + L * S_1 + 2 sum_{k>=1} H_k u^k/(k!)^2
-              - (1/2) sum (2H_k + 1/(k+1) - 2g) u^k/(k!(k+1)!),
-        B_2 = 1 + 2 L I_2 - u sum (2H_k + 1/(k+1) + 1/(k+2) - 2g) u^k/(k!(k+2)!),
-
-    with ``u = z^2/4``, ``L = log(z/2)`` and ``S_1 = sum u^k/(k!(k+1)!)``.
+    each truncated once ``u^k/(k!)^2`` drops below ``SERIES_TERM_FLOOR``.
     """
     u = z * z / 4.0
-    logz2 = np.log(z / 2.0)
     s_i0 = np.zeros_like(z)
-    s_j = np.zeros_like(z)
+    s_i1 = np.zeros_like(z)
+    s_i2 = np.zeros_like(z)
     s_h = np.zeros_like(z)
     s_m1 = np.zeros_like(z)
-    s_i2 = np.zeros_like(z)
     s_m2 = np.zeros_like(z)
     t0 = np.ones_like(z)            # u^k / (k!)^2
     t1 = np.ones_like(z)            # u^k / (k!(k+1)!)
@@ -190,11 +168,11 @@ def _ab2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     harmonic = 0.0
     for k in range(_MAX_SERIES_TERMS):
         s_i0 += t0
-        s_j += t1
+        s_i1 += t1
+        s_i2 += t2
         if k >= 1:
             s_h += harmonic * t0
         s_m1 += (2.0 * harmonic + 1.0 / (k + 1.0) - 2.0 * EULER_GAMMA) * t1
-        s_i2 += t2
         s_m2 += (2.0 * harmonic + 1.0 / (k + 1.0) + 1.0 / (k + 2.0)
                  - 2.0 * EULER_GAMMA) * t2
         t0 = t0 * u / ((k + 1.0) ** 2)
@@ -203,7 +181,23 @@ def _ab2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         harmonic += 1.0 / (k + 1.0)
         if np.max(np.abs(t0)) < SERIES_TERM_FLOOR:
             break
-    a2 = -2.0 * (logz2 + EULER_GAMMA) * s_i0 + logz2 * s_j + 2.0 * s_h - 0.5 * s_m1
+    return u, (s_i0, s_i1, s_i2), (s_h, s_m1, s_m2)
+
+
+def _ab2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cancellation-free power series for A_2, B_2 (|z| <= ~0.5).
+
+    Derived by inserting the Bessel series into the closed forms and
+    cancelling the 1/z^2 and log singularities analytically:
+
+        A_2 = -2 (L + g) S_0 + L S_1 + 2 H - M_1 / 2,
+        B_2 = 1 + 2 L u S_2 - u M_2,
+
+    with ``L = log(z/2)`` and the sums of ``_bessel_sums``.
+    """
+    u, (s_i0, s_i1, s_i2), (s_h, s_m1, s_m2) = _bessel_sums(z)
+    logz2 = np.log(z / 2.0)
+    a2 = -2.0 * (logz2 + EULER_GAMMA) * s_i0 + logz2 * s_i1 + 2.0 * s_h - 0.5 * s_m1
     b2 = 1.0 + 2.0 * logz2 * (u * s_i2) - u * s_m2
     return a2, b2
 
@@ -285,30 +279,12 @@ def _pr2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         P(z) = 2 (I_0(z) - I_1(z)/z),      P(0) = 1,
         R(z) = 2 I_2(z),                   R(0) = 0,
 
-    in terms of modified Bessel functions of the first kind.  Evaluated by
-    plain series, valid for |z| up to ``SPLIT_SERIES_RADIUS``; the split is
-    never used beyond that.
+    in terms of modified Bessel functions of the first kind.  Evaluated from
+    the I-type sums of ``_bessel_sums``, valid for |z| up to
+    ``SPLIT_SERIES_RADIUS``; the split is never used beyond that.
     """
-    z = np.asarray(z, dtype=complex)
-    u = z * z / 4.0
-    i0 = np.zeros_like(z)
-    i1s = np.zeros_like(z)          # I_1 / (z/2)
-    i2s = np.zeros_like(z)          # I_2 / u
-    t0 = np.ones_like(z)
-    t1 = np.ones_like(z)
-    t2 = np.full_like(z, 0.5)
-    for k in range(_MAX_SERIES_TERMS):
-        i0 += t0
-        i1s += t1
-        i2s += t2
-        t0 = t0 * u / ((k + 1.0) ** 2)
-        t1 = t1 * u / ((k + 1.0) * (k + 2.0))
-        t2 = t2 * u / ((k + 1.0) * (k + 3.0))
-        if np.max(np.abs(t0)) < SERIES_TERM_FLOOR:
-            break
-    p = 2.0 * i0 - i1s
-    r = 2.0 * u * i2s
-    return p, r
+    u, (i0, i1s, i2s), _ = _bessel_sums(np.asarray(z, dtype=complex))
+    return 2.0 * i0 - i1s, 2.0 * u * i2s
 
 
 def _scalar_pair(dimension: int, z) -> tuple[np.ndarray, np.ndarray]:

@@ -51,7 +51,7 @@ from .bem_space import (
     require_off_boundary,
     require_reduced_space,
 )
-from ._quadrature import gauss_legendre_01
+from ._quadrature import panel_gauss
 from .boundary_geometry import (
     BoundaryCurve,
     BoundaryMesh,
@@ -326,17 +326,13 @@ def _flux_rule(curve: BoundaryCurve, n_elements: int):
     """Composite Gauss rule for boundary integrals in exact parameters.
 
     Panels are a multiple of 4 so polygon corners land on panel edges;
-    returns parameter nodes, positions, tangential velocities, and the
-    combined quadrature weights (Gauss weight times panel width).
+    returns positions, tangential velocities, and the combined quadrature
+    weights (Gauss weight times panel width) at the flat nodes.
     """
     n_panels = max(FLUX_MIN_PANELS, 4 * n_elements)
-    xg, wg = gauss_legendre_01(FLUX_RULE_ORDER)
-    width = 1.0 / n_panels
-    theta = (np.arange(n_panels)[:, None] + xg[None, :]) * width
-    pos = curve.point(theta)
-    vel = curve.velocity(theta)
-    weights = np.broadcast_to(wg[None, :] * width, theta.shape)
-    return pos, vel, weights
+    theta, weights = panel_gauss(FLUX_RULE_ORDER,
+                                 np.linspace(0.0, 1.0, n_panels + 1))
+    return curve.point(theta), curve.velocity(theta), weights
 
 
 def _check_data_admissible(
@@ -537,9 +533,11 @@ def _segment_distances(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
 def inside_obstacle(mesh: BoundaryMesh, points) -> np.ndarray:
     """Even-odd test of points against the mesh's chord polygon.
 
-    Points on or extremely near the polygon land on either side,
-    but such points sit inside the masked boundary band wherever this
-    helper feeds the snapshot machinery.
+    Nothing in the package calls it: the snapshot evaluates cells on
+    both sides of the boundary and masks them by distance alone.  It is
+    the reference that picks out the interior cells in tests of the flow
+    inside the obstacle.  Points on or extremely near the polygon land
+    on either side.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     a = mesh.endpoints[:, 0, :]

@@ -266,7 +266,8 @@ class PropertyReport:
 
 def _normal_coefficients(space: DensitySpace) -> np.ndarray:
     """Coefficients interpolating the outward normal in the space."""
-    return space.mesh.normals[space.dof_element, space.dof_component]
+    return np.repeat(space.mesh.normals[:, None, :], space.n_basis,
+                     axis=1).ravel()
 
 
 def _gauge_trace(pos: np.ndarray) -> np.ndarray:

@@ -366,6 +366,8 @@ def test_weight_sequence_validation():
     bad[2] = np.nan
     with pytest.raises(ValueError):
         WeightSequence(weights=bad)
+    assert WeightSequence(weights=np.array([1.0, -4.0, 3.0])[:, None, None]).peak == 4.0
+    assert WeightSequence(weights=np.zeros((5, 0, 0))).peak == 0.0
 
 
 # ---------------------------------------------------------------------------

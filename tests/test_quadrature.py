@@ -16,6 +16,7 @@ from stokesbem._quadrature import (
     gauss_legendre_01,
     graded_panels,
     log_gauss_01,
+    panel_gauss,
 )
 
 
@@ -67,6 +68,66 @@ def test_gauss_legendre_cached_arrays_read_only():
     nodes, _ = gauss_legendre_01(8)
     with pytest.raises(ValueError):
         nodes[0] = 0.5
+
+
+@pytest.mark.parametrize("order", [1, 4, 8, 12])
+def test_panel_gauss_polynomial_exactness(order):
+    """Exact up to degree 2 order - 1 on panels of unequal width."""
+    breaks = [-0.3, 0.1, 0.15, 0.9, 2.0]
+    nodes, weights = panel_gauss(order, breaks)
+    assert nodes.shape == weights.shape == (4 * order,)
+    a, b = breaks[0], breaks[-1]
+    for k in range(2 * order):
+        moment = float(np.dot(weights, nodes**k))
+        exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        assert moment == pytest.approx(exact, rel=1e-13, abs=1e-15), k
+
+
+def _panel_by_panel(order, edges):
+    """Reference layout: the rule mapped to each panel in turn."""
+    x, w = gauss_legendre_01(order)
+    nodes = [lo + (hi - lo) * x for lo, hi in zip(edges[:-1], edges[1:])]
+    weights = [(hi - lo) * w for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("n_panels", [1, 2, 4])
+@pytest.mark.parametrize("order", [6, 8, 12])
+def test_panel_gauss_matches_equal_panels(order, n_panels):
+    """Bit for bit the equal-panel layout ``(k + x) / n``, weights ``w / n``."""
+    x, w = gauss_legendre_01(order)
+    nodes, weights = panel_gauss(order, np.linspace(0.0, 1.0, n_panels + 1))
+    np.testing.assert_array_equal(
+        nodes, ((np.arange(n_panels)[:, None] + x[None, :]) / n_panels).ravel())
+    np.testing.assert_array_equal(weights, np.tile(w / n_panels, n_panels))
+
+
+def test_panel_gauss_matches_listed_breaks():
+    """Bit for bit the panel loop over the reduced scheme's neighbour breaks."""
+    from stokesbem.bem_space import NEIGHBOR_BREAKS, NEIGHBOR_PANEL_ORDER
+
+    got = panel_gauss(NEIGHBOR_PANEL_ORDER, NEIGHBOR_BREAKS)
+    want = _panel_by_panel(NEIGHBOR_PANEL_ORDER, np.asarray(NEIGHBOR_BREAKS))
+    for g, r in zip(got, want):
+        np.testing.assert_array_equal(g, r)
+
+
+def test_panel_gauss_matches_subdivided_graded_panels():
+    """Bit for bit the graded panels above a split cap, each subdivided
+    into equal parts, laid out one sub-panel at a time."""
+    cap, z_scale, span = 2.0 ** -5, 64.0, 3.0
+    graded = graded_panels(cap, 1.0)
+    nodes, weights, breaks = [], [], [graded[:1]]
+    for a, b in zip(graded[:-1], graded[1:]):
+        edges = np.linspace(a, b, max(1, math.ceil((b - a) * z_scale / span)) + 1)
+        x, w = _panel_by_panel(8, edges)
+        nodes.append(x)
+        weights.append(w)
+        breaks.append(edges[1:])
+    assert sum(len(e) for e in breaks) > len(graded)
+    got = panel_gauss(8, np.concatenate(breaks))
+    np.testing.assert_array_equal(got[0], np.concatenate(nodes))
+    np.testing.assert_array_equal(got[1], np.concatenate(weights))
 
 
 def test_graded_panels_basic():
