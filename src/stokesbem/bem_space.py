@@ -123,16 +123,12 @@ class ConstraintMode(enum.Enum):
 
     ``none`` leaves the plain matrix.  ``multiplier_m`` appends one
     scalar multiplier enforcing ``<lam, m> = 0`` with ``m(x) = x``.
-    ``multiplier_rigid`` appends two multipliers for ``<lam, e_1> =
-    <lam, e_2> = 0`` (this does not remove the span of the normal field
-    and is provided for structural comparison).  ``augmented_Vtilde``
-    adds the rank-one term ``<., m> m`` to the operator instead of
-    bordering the system.
+    ``augmented_Vtilde`` adds the rank-one term ``<., m> m`` to the
+    operator instead of bordering the system.
     """
 
     none = "none"
     multiplier_m = "multiplier_m"
-    multiplier_rigid = "multiplier_rigid"
     augmented_Vtilde = "augmented_Vtilde"
 
 
@@ -458,8 +454,10 @@ def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis:
     order = np.argsort(ids, kind="stable")
     panels, starts, counts = np.unique(ids[order], return_index=True,
                                        return_counts=True)
-    lo = np.where(panels >= 1, panels, 2.0 ** (panels - 1)) / scale
-    hi = np.where(panels >= 1, panels + 1.0, 2.0 ** panels) / scale
+    # powers of the geometric ids only: 2.0 ** k overflows for k >= 1024
+    geo = np.minimum(panels, 0)
+    lo = np.where(panels >= 1, panels, 2.0 ** (geo - 1)) / scale
+    hi = np.where(panels >= 1, panels + 1.0, 2.0 ** geo) / scale
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     t = (r[order] - np.repeat(mid, counts)) / np.repeat(half, counts)
     rows = t[None, :] - _CHEB_T[:, None]
@@ -578,30 +576,23 @@ def border_rows(space: DensitySpace, constraints: ConstraintMode,
                 reduced: bool) -> np.ndarray:
     """Multiplier rows that border the system, shape ``(k, dof_count)``.
 
-    The moment row ``<mu_j, m>`` with ``m(x) = x`` for
-    ``multiplier_m``, the rows ``<mu_j, e_0>`` and ``<mu_j, e_1>`` of the
-    unit fields for ``multiplier_rigid``, none for the other modes.  Each
-    row is :func:`data_functional` of its field, so ``reduced`` selects
-    the midpoint-rule functionals of the reduced scheme.
+    The moment row ``<mu_j, m>`` with ``m(x) = x`` for ``multiplier_m``
+    (``k = 1``), no rows for the other modes.  The row is
+    :func:`data_functional` of ``m``, so ``reduced`` selects the
+    midpoint-rule functional of the reduced scheme.
     """
-    if constraints == ConstraintMode.multiplier_m:
-        fields = [lambda pos: pos]
-    elif constraints == ConstraintMode.multiplier_rigid:
-        fields = [lambda pos, e=e: np.broadcast_to(e, pos.shape)
-                  for e in np.eye(2)]
-    else:
+    if constraints != ConstraintMode.multiplier_m:
         return np.zeros((0, space.dof_count))
-    return np.stack([data_functional(space, f, reduced=reduced)
-                     for f in fields])
+    return data_functional(space, lambda pos: pos, reduced=reduced)[None]
 
 
 def constrain(V: np.ndarray, space: DensitySpace,
               constraints: ConstraintMode, reduced: bool) -> np.ndarray:
     """The system matrix for ``constraints`` from the density block ``V``.
 
-    The multiplier modes border ``V`` by the :func:`border_rows` (rows
-    and columns, zero diagonal block), so the system has one row per
-    multiplier after the density rows; ``augmented_Vtilde`` adds ``b
+    ``multiplier_m`` borders ``V`` by the :func:`border_rows` (row and
+    column, zero diagonal entry), so the system has the multiplier's
+    row after the density rows; ``augmented_Vtilde`` adds ``b
     b^T`` with ``b`` the moment row; ``none`` copies ``V``.  The
     constraint does not depend on the frequency, so the same call
     constrains one ``V(s)`` and the leading convolution weight ``W_0``;

@@ -202,26 +202,13 @@ _DATA_CHOICES: dict[str, Callable[[], DirichletData]] = {
 }
 
 
-def _build_scheme(raw: dict[str, str]) -> CQScheme:
+def _build_time(raw: dict[str, str]) -> tuple[int, float]:
+    """The BDF ``order`` and the positive ``final_time`` of a config."""
     order = _parse_int("order", _take(raw, "order", "3"))
-    n_steps = _parse_int("n_steps", _take(raw, "n_steps"))
-    has_kappa = "kappa" in raw
-    has_final = "final_time" in raw
-    if has_kappa and has_final:
-        raise ConfigError(
-            "give either 'kappa' or 'final_time', not both; "
-            "kappa = final_time / n_steps"
-        )
-    if has_kappa:
-        kappa = _parse_float("kappa", raw.pop("kappa"))
-    else:
-        final_time = _parse_float(
-            "final_time", _take(raw, "final_time", "1.0")
-        )
-        if not final_time > 0.0:
-            raise ConfigError("key 'final_time' must be positive")
-        kappa = final_time / n_steps
-    return CQScheme(order=order, kappa=kappa, n_steps=n_steps)
+    final_time = _parse_float("final_time", _take(raw, "final_time", "1.0"))
+    if not final_time > 0.0:
+        raise ConfigError("key 'final_time' must be positive")
+    return order, final_time
 
 
 def _build_problem(raw: dict[str, str]) -> dict:
@@ -270,7 +257,9 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     """Validate raw keys into a RunConfig; every value is constructed
     here so component preconditions fire before any assembly work."""
     problem = _build_problem(raw)
-    scheme = _build_scheme(raw)
+    order, final_time = _build_time(raw)
+    n_steps = _parse_int("n_steps", _take(raw, "n_steps"))
+    scheme = CQScheme(order, final_time / n_steps, n_steps)
     n_elements = _parse_int("n_elements", _take(raw, "n_elements"))
     output = _require_directory("output", _take(raw, "output", "series.csv"))
 
@@ -322,8 +311,7 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
 def _build_sweep(raw: dict[str, str]) -> tuple[SweepProblem, list, str]:
     """Validate raw keys of a ``converge`` config."""
     problem = _build_problem(raw)
-    order = _parse_int("order", _take(raw, "order", "3"))
-    final_time = _parse_float("final_time", _take(raw, "final_time", "1.0"))
+    order, final_time = _build_time(raw)
     ladder_pairs = _parse_pairs("ladder", _take(raw, "ladder"))
     ladder = [(int(n), int(m)) for n, m in ladder_pairs]
     for (n, m), row in zip(ladder, ladder_pairs):

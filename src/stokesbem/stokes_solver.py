@@ -243,8 +243,8 @@ class SimulationResult:
         ``(M + 1, dof)`` density coefficients per step, multipliers
         stripped; ``scheme.times()`` is its time axis.
     multipliers:
-        ``(M + 1, k)`` multiplier values (``k = 0`` without
-        constraints).
+        ``(M + 1, k)`` multiplier values (``k = 1`` for
+        ``multiplier_m``, else ``k = 0``).
     velocity_series:
         ``(M + 1, K, 2)`` velocities at the observation points.
     pressure_series:
@@ -389,8 +389,8 @@ def run_simulation(
     curve, n_elements, kind:
         Boundary, mesh resolution, and density family.
     constraint:
-        Gauge handling; bordered modes append multipliers to the
-        marched system.
+        Gauge handling; ``multiplier_m`` appends its multiplier to
+        the marched system.
     scheme:
         Time discretization.
     data:
@@ -556,9 +556,10 @@ def _masked_derivative(field: np.ndarray, invalid: np.ndarray, spacing: float,
                        axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Central difference with one-sided fallback next to invalid cells.
 
-    Returns the derivative and the cells where some stencil applied;
-    entries without any valid neighbor along ``axis`` stay zero and
-    are reported invalid.
+    ``field`` has the grid shape of ``invalid``, optionally followed by
+    trailing axes that are differenced alike.  Returns the derivative
+    and the grid cells where some stencil applied; entries without any
+    valid neighbor along ``axis`` stay zero and are reported invalid.
     """
     f = np.moveaxis(field, axis, 0)
     bad = np.moveaxis(invalid, axis, 0)
@@ -643,18 +644,14 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
     velocity = vel_flat.reshape(n_sel, grid.n_rows, grid.n_cols, 2)
     pressure = p_flat.reshape(n_sel, grid.n_rows, grid.n_cols)
 
+    # the steps ride along as a trailing axis, so the stencil validity,
+    # which depends on the mask alone, is worked out once
+    u_steps = np.moveaxis(velocity, 0, -1)
+    duy_dx, ok_x = _masked_derivative(u_steps[:, :, 1], mask, grid.dx, axis=1)
+    dux_dy, ok_y = _masked_derivative(u_steps[:, :, 0], mask, grid.dy, axis=0)
+    ok = ok_x & ok_y & ~mask
     vorticity = np.full((n_sel, grid.n_rows, grid.n_cols), MASK_SENTINEL)
-    vort_ok = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
-    for k in range(n_sel):
-        duy_dx, ok_x = _masked_derivative(velocity[k, :, :, 1], mask,
-                                          grid.dx, axis=1)
-        dux_dy, ok_y = _masked_derivative(velocity[k, :, :, 0], mask,
-                                          grid.dy, axis=0)
-        ok = ok_x & ok_y & ~mask
-        vorticity[k][ok] = duy_dx[ok] - dux_dy[ok]
-        vort_ok = ok if k == 0 else (vort_ok & ok)
-    velocity[:, mask, :] = MASK_SENTINEL
-    pressure[:, mask] = MASK_SENTINEL
+    vorticity[:, ok] = (duy_dx[ok] - dux_dy[ok]).T
 
     return FieldSnapshot(
         grid=grid,
@@ -664,5 +661,5 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
         velocity=velocity,
         pressure=pressure,
         vorticity=vorticity,
-        vorticity_mask=~vort_ok,
+        vorticity_mask=~ok,
     )

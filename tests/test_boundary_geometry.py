@@ -202,18 +202,6 @@ def test_moment_against_normal_on_square():
     assert float(_moment(mesh, "P0") @ normal_dofs) == pytest.approx(8.0, rel=1e-12)
 
 
-def test_rigid_vectors_are_component_integrals():
-    mesh = build_mesh(BoundaryCurve.circle(1.0), 16)
-    rigid = border_rows(build_space(mesh, "P0"),
-                        ConstraintMode.multiplier_rigid, reduced=False)
-    assert rigid.shape == (2, 32)
-    # <mu_j e_c, e_l> = h_j delta_{cl} for P0
-    expected = np.zeros((2, 32))
-    expected[0, 0::2] = mesh.arclengths
-    expected[1, 1::2] = mesh.arclengths
-    np.testing.assert_allclose(rigid, expected, rtol=1e-13)
-
-
 def test_p1_discontinuous_moment_matches_p0_on_constants():
     """Summing the two linear-basis moments recovers the P0 moment."""
     mesh = build_mesh(BoundaryCurve.square(1.0), 8)

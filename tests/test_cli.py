@@ -77,16 +77,6 @@ class TestBuildRunConfig:
         assert config.snapshot_steps == ()
         assert config.cfg.nu == 1.0
 
-    def test_kappa_alternative(self):
-        raw = self.base() | {"kappa": "0.05"}
-        config = cli.build_run_config(raw)
-        assert config.scheme.kappa == pytest.approx(0.05)
-
-    def test_kappa_and_final_time_conflict(self):
-        raw = self.base() | {"kappa": "0.05", "final_time": "1.0"}
-        with pytest.raises(cli.ConfigError, match="not both"):
-            cli.build_run_config(raw)
-
     def test_star_curve_parameters(self):
         raw = self.base() | {
             "curve": "star",
@@ -298,6 +288,24 @@ class TestRunCommand:
         assert "config error" in err
         assert f"'{key}'" in err and value in err
 
+    @pytest.mark.parametrize("line, cause", [
+        ("constraint = multiplier_rigid",
+         "key 'constraint' must be one of ['augmented_Vtilde', "
+         "'multiplier_m', 'none'], got 'multiplier_rigid'"),
+        ("kappa = 0.05", "unknown keys: ['kappa']"),
+    ])
+    def test_removed_config_values_are_config_errors(
+            self, tmp_path, monkeypatch, capsys, line, cause):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation reached")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_simulation", no_run)
+        path = write_config(tmp_path / "run.cfg", RUN_TEXT + line + "\n")
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and cause in err
+
     def test_unwritable_output_is_exit_1_without_traceback(
             self, tmp_path, monkeypatch, capsys):
         """An output path naming a directory passes the config check and
@@ -362,6 +370,19 @@ output = convergence.csv
         err = capsys.readouterr().err
         assert "config error" in err
         assert "'output'" in err and missing in err
+
+    def test_nonpositive_final_time_names_the_key(self, tmp_path,
+                                                  monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep reached")
+
+        monkeypatch.setattr(cli, "convergence_sweep", no_sweep)
+        path = write_config(tmp_path / "conv.cfg",
+                            self.TEXT + "final_time = 0\n")
+        assert cli.main(["converge", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "key 'final_time' must be positive" in err
 
     def test_non_doubling_ladder_is_config_error(self, tmp_path, capsys):
         path = write_config(

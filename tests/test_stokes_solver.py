@@ -330,19 +330,6 @@ class TestGaugeConstraints:
         assert square_mult_run.multipliers.shape == (13, 1)
         assert square_mult_run.multipliers.dtype == np.float64
 
-    def test_rigid_mode_orthogonality(self):
-        res = run_simulation(
-            BoundaryCurve.circle(1.0), 8, "P0", ConstraintMode.multiplier_rigid,
-            CQScheme(order=2, kappa=0.1, n_steps=10),
-            manufactured_dirichlet_data(), [(0.0, 0.0)], CFG,
-        )
-        rigid = border_rows(res.space, ConstraintMode.multiplier_rigid,
-                            reduced=False)
-        assert res.multipliers.shape == (11, rigid.shape[0])
-        lam = res.history
-        scale = max(1.0, float(np.abs(lam).max()))
-        assert np.abs(lam @ rigid.T).max() <= 1e-10 * scale
-
     def test_augmented_operator_matches_multiplier(self, square_mult_run):
         """Kernel-shifted assembly and bordered marching agree."""
         aug = run_simulation(

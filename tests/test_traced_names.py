@@ -5,7 +5,9 @@
 recorders and reads ``.weights`` from what ``cq_weights`` returns.  The
 benchmark's own tests are not part of this suite, so a refactor that
 drops one of those names would otherwise fail only the benchmark.  The
-tracer patches the package in place, hence the separate process.
+script runs a simulation and a small snapshot, so that the solver's and
+the observation layer's names are both exercised.  The tracer patches
+the package in place, hence the separate process.
 """
 
 import json
@@ -21,13 +23,15 @@ sys.path[:0] = sys.argv[1:]
 import stokesbem, tracing
 tracer = tracing.Tracer()
 tracer.install()
-stokesbem.run_simulation(
+result = stokesbem.run_simulation(
     stokesbem.BoundaryCurve.circle(1.0), 8, "P0",
     stokesbem.ConstraintMode.none,
     stokesbem.CQScheme(order=3, kappa=0.25, n_steps=4),
     stokesbem.manufactured_dirichlet_data(), [(0.0, 0.0)],
     stokesbem.ProblemConfig(), assembly="reduced",
 )
+grid = stokesbem.GridSpec(x0=-2.0, y0=-2.0, dx=1.0, dy=1.0, n_rows=5, n_cols=5)
+stokesbem.field_snapshot(result, grid, [4])
 metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
 print(json.dumps({name: value for name, (value, _) in metrics.items()}))
 """
@@ -43,3 +47,4 @@ def test_tracer_installs_and_counts_a_run():
     assert metrics["cq_engine.weight_bytes"] > 0
     assert metrics["cq_engine.contour_nodes"] > 0
     assert metrics["bem_space.assemble_V.calls"] > 0
+    assert metrics["stokes_solver.field_snapshot.us_per_point"] > 0
