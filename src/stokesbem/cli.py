@@ -259,6 +259,8 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     problem = _build_problem(raw)
     order, final_time = _build_time(raw)
     n_steps = _parse_int("n_steps", _take(raw, "n_steps"))
+    if n_steps < 1:
+        raise ConfigError(f"key 'n_steps' must be at least 1, got {n_steps}")
     scheme = CQScheme(order, final_time / n_steps, n_steps)
     n_elements = _parse_int("n_elements", _take(raw, "n_elements"))
     output = _require_directory("output", _take(raw, "output", "series.csv"))

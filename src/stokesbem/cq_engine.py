@@ -34,6 +34,18 @@ call inverse-transforms it in place along the nodes and the rows are
 scaled by ``R^{-n}`` in place, so the ``L = M + 1`` rows of the buffer
 are the weights and cost ``L * entries`` reals and nothing more.
 
+The evaluations are independent, so they are spread over one process
+per usable core.  Node 0 is evaluated first, in the calling process,
+which fills the geometry caches that the forked workers then share
+copy-on-write.  The buffer is one anonymous shared mapping that also
+holds the imaginary rows of the two real-axis nodes, each node's
+``max |F|`` and a done flag per node: every worker writes its nodes'
+rows straight into it and leaves, so nothing is pickled.  The caller
+then evaluates, in node order, every node no worker marked done (a
+worker that raised or died, or a fork that failed), which raises any
+error exactly as a serial sweep would.  The weights do not depend on
+the number of workers, and with one usable core nothing is forked.
+
 The implicit one-sided recurrence
 
     W_0 lam_n = phi_n - sum_{m=1}^{n} W_m lam_{n-m}
@@ -52,6 +64,9 @@ shape ``(M + 1, n)``.
 from __future__ import annotations
 
 import dataclasses
+import math
+import mmap
+import os
 
 import numpy as np
 import scipy.linalg
@@ -274,6 +289,60 @@ def _sample(transfer, node: int, s: complex) -> np.ndarray:
     return val
 
 
+def _shared_buffers(n_nodes: int, n_half: int, entries: int):
+    """The packed ``(L, entries)`` sample buffer, the ``(2, entries)``
+    imaginary rows of the real-axis nodes, the per-node ``max |F|`` and
+    the per-node done flags, as views of one zeroed anonymous mapping
+    that forked workers share with the caller."""
+    shapes = ((n_nodes, entries), (2, entries), (n_half,))
+    buf = mmap.mmap(-1, 8 * (n_nodes + 2) * entries + 9 * n_half)
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(np.frombuffer(buf, count=size, offset=offset).reshape(shape))
+        offset += 8 * size
+    views.append(np.frombuffer(buf, dtype=bool, count=n_half, offset=offset))
+    return views
+
+
+def _spread(evaluate, nodes: range) -> None:
+    """Call ``evaluate`` on every node, split round-robin over one process
+    per usable core.
+
+    The caller keeps the first share and forks a worker for each other
+    one; a worker stops at its first failure and leaves by ``os._exit``.
+    Failures are swallowed here: the caller finds the nodes that are not
+    done and evaluates them again, in node order.  Serial where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing.
+    """
+    n_proc = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n_proc = min(len(os.sched_getaffinity(0)), len(nodes))
+    children = []
+    try:
+        for share in (nodes[k::n_proc] for k in range(1, n_proc)):
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    for node in share:
+                        evaluate(node)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        for node in nodes[::n_proc]:
+            evaluate(node)
+    except Exception:
+        pass  # the caller's sweep over the nodes not done raises it again
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+
+
 def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     """Generate the convolution weights of a transfer function.
 
@@ -296,8 +365,9 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     WeightSequence
         Real weights ``W_0, ..., W_M``; accuracy is limited by the floor
         ``sqrt(CONTOUR_EPSILON) * max_l ||F||`` of the balanced contour.
-        They are the whole ``(L, entries)`` transform buffer (``L = M +
-        1``), reshaped to ``(M + 1, rows, cols)`` without a copy.
+        They are the ``(L, entries)`` transform buffer (``L = M + 1``) at
+        the start of the shared mapping, reshaped to ``(M + 1, rows,
+        cols)`` without a copy.
 
     Raises
     ------
@@ -315,21 +385,17 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     import scipy.fftpack
 
     n_nodes = scheme.n_contour_nodes
-    packed = shape = None
-    max_transfer = 0.0
-    imag_ends = []
-    for node, s in enumerate(scheme.frequencies()[: scheme.n_half_nodes]):
-        val = _sample(transfer, node, complex(s))
-        if packed is None:
-            shape = val.shape
-            packed = np.empty((n_nodes, val.size))
-        elif val.shape != shape:
-            raise ValueError(
-                f"transfer changed output shape at contour node {node}: "
-                f"{val.shape} != {shape}"
-            )
+    freqs = scheme.frequencies()[: scheme.n_half_nodes]
+    # node 0 first, here: it fills the geometry caches the workers share
+    first = _sample(transfer, 0, complex(freqs[0]))
+    shape = first.shape
+    packed, imag_ends, peaks, done = _shared_buffers(
+        n_nodes, freqs.size, first.size
+    )
+
+    def store(node: int, val: np.ndarray) -> None:
         flat = val.reshape(-1)
-        max_transfer = max(max_transfer, float(np.abs(flat).max()))
+        peaks[node] = np.abs(flat).max()
         # FFTPACK half-complex rows: Re F_0, (Re F_l, -Im F_l) pairs and,
         # for even L, Re F_{L/2}; the conjugate turns the forward sum
         # into the inverse real transform
@@ -337,7 +403,23 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
         if 0 < 2 * node < n_nodes:
             packed[2 * node] = -flat.imag
         else:
-            imag_ends.append(flat.imag.copy())
+            imag_ends[int(node > 0)] = flat.imag
+        done[node] = True
+
+    def evaluate(node: int) -> None:
+        val = _sample(transfer, node, complex(freqs[node]))
+        if val.shape != shape:
+            raise ValueError(
+                f"transfer changed output shape at contour node {node}: "
+                f"{val.shape} != {shape}"
+            )
+        store(node, val)
+
+    store(0, first)
+    _spread(evaluate, range(1, freqs.size))
+    for node in np.flatnonzero(~done):
+        evaluate(int(node))
+    max_transfer = float(peaks.max())
 
     scale = scheme.contour_radius ** -np.arange(n_nodes, dtype=float)
     packed = scipy.fftpack.irfft(packed, axis=0, overwrite_x=True)
@@ -348,8 +430,7 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     # real-axis nodes zeta = R and, for even L, zeta = -R; they leave
     # Im W_n = R^{-n} (Im F_0 + (-1)^n Im F_{L/2}) / L, largest at the
     # last even and the last odd n.
-    first = imag_ends[0]
-    last = imag_ends[1] if len(imag_ends) > 1 else 0.0
+    first, last = imag_ends
     sign = (-1.0) ** scheme.n_steps
     resid = max(
         scale[-1] * float(np.abs(first + sign * last).max()),

@@ -165,11 +165,18 @@ def convergence_sweep(
     Raises
     ------
     ValueError
-        If the ladder is empty or does not double between rows.
+        If the ladder is empty, has a row with ``N < 1`` or ``M < 1`` or
+        does not double between rows.
     """
     ladder = [(int(n), int(m)) for n, m in ladder]
     if not ladder:
         raise ValueError("refinement ladder must contain at least one row")
+    for n, m in ladder:
+        if n < 1 or m < 1:
+            raise ValueError(
+                f"refinement ladder needs N >= 1 and M >= 1 in every row, "
+                f"got ({n}, {m})"
+            )
     for (n0, m0), (n1, m1) in zip(ladder, ladder[1:]):
         if n1 != 2 * n0 or m1 != 2 * m0:
             raise ValueError(

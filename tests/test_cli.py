@@ -306,6 +306,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "config error" in err and cause in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_n_steps_names_the_key(self, tmp_path, monkeypatch,
+                                               capsys, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation reached")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_simulation", no_run)
+        path = write_config(tmp_path / "run.cfg",
+                            RUN_TEXT.replace("n_steps = 4", f"n_steps = {value}"))
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"key 'n_steps' must be at least 1, got {value}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_unwritable_output_is_exit_1_without_traceback(
             self, tmp_path, monkeypatch, capsys):
         """An output path naming a directory passes the config check and
@@ -391,6 +407,26 @@ output = convergence.csv
         )
         assert cli.main(["converge", path]) == 1
         assert "double" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ladder", ["0,0", "8,0; 16,0", "0,8"])
+    def test_zero_ladder_row_fails_before_the_sweep(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     ladder):
+        """A 0,0 row passes the doubling check; it is still refused
+        before any row runs."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation reached")
+
+        monkeypatch.setattr(stokesbem.verification, "run_simulation", no_run)
+        path = write_config(
+            tmp_path / "conv.cfg",
+            self.TEXT.replace("ladder = 8,8; 16,16", f"ladder = {ladder}"),
+        )
+        assert cli.main(["converge", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "ladder needs N >= 1 and M >= 1 in every row" in err
+        assert "Traceback" not in err
 
 
 class TestVerifyCommand:

@@ -19,6 +19,10 @@ both verified here against independent quadrature before use.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -26,6 +30,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stokesbem.cq_engine
 from stokesbem.cq_engine import (
     CONTOUR_EPSILON,
     CQScheme,
@@ -257,25 +262,37 @@ def test_weights_reject_imaginary_part_at_negative_real_node():
 
 def test_weights_peak_memory_is_one_buffer():
     """The samples and the weights share one (L, entries) float buffer,
-    for odd L = 41 and even L = 42: the traced peak stays within 1.5
-    times its size.  tracemalloc sees numpy's allocations only, not the
-    FFT library's own scratch memory."""
-    import tracemalloc
-
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((200, 200))
-    transfer = lambda s: a / (s + 1.0)
+    for odd L = 41 and even L = 42: the peak resident set of a fresh
+    process rises by at most 1.5 times its size across the call.  The
+    buffer is a shared mapping, which tracemalloc does not see; the
+    resident set counts it, the per-node samples and the FFT library's
+    own scratch memory.  The peak is the process's own high-water mark
+    ``VmHWM``: ``ru_maxrss`` of a fresh process starts at the peak of
+    the test process, which it inherits through fork and exec."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from stokesbem.cq_engine import CQScheme, cq_weights\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "a = np.random.default_rng(6).standard_normal((200, 200))\n"
+        "transfer = lambda s: a / (s + 1.0)\n"
+        "cq_weights(lambda s: a[:2, :2] / (s + 1.0), CQScheme(3, 0.05, 2))\n"
+        "before = peak()\n"
+        "seq = cq_weights(transfer, CQScheme(3, 0.05, int(sys.argv[1])))\n"
+        "print(seq.weights.shape[0], 1024 * (peak() - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(stokesbem.cq_engine.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
     for n_steps in (40, 41):
-        scheme = CQScheme(order=3, kappa=0.05, n_steps=n_steps)
-        buffer_bytes = scheme.n_contour_nodes * a.size * 8
-        tracemalloc.start()
-        try:
-            seq = cq_weights(transfer, scheme)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert seq.weights.shape == (n_steps + 1, 200, 200)
-        assert peak <= 1.5 * buffer_bytes
+        done = subprocess.run([sys.executable, "-c", script, str(n_steps)],
+                              env=env, check=True, capture_output=True,
+                              text=True)
+        n_nodes, rise = map(int, done.stdout.split())
+        assert n_nodes == n_steps + 1
+        assert rise <= 1.5 * n_nodes * 200 * 200 * 8
 
 
 def test_entry_blocks_leave_weights_bit_identical():
@@ -368,6 +385,129 @@ def test_weight_sequence_validation():
         WeightSequence(weights=bad)
     assert WeightSequence(weights=np.array([1.0, -4.0, 3.0])[:, None, None]).peak == 4.0
     assert WeightSequence(weights=np.zeros((5, 0, 0))).peak == 0.0
+
+
+# ---------------------------------------------------------------------------
+# contour nodes sampled in forked workers
+
+WORKER_COUNTS = (1, 2, 3)
+
+
+def use_cores(monkeypatch, n: int) -> None:
+    """Let cq_weights see ``n`` usable cores, hence ``n`` processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_children_reaped() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def brinkman_transfer(name: str):
+    """The reduced ``V`` of circle P0 N = 8, or its velocity potential at
+    three exterior points (a rectangular 6 x 16 transfer)."""
+    from stokesbem.bem_space import (
+        assemble_nystrom_V,
+        build_space,
+        potential_velocity_matrix,
+    )
+    from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
+    from stokesbem.laplace_kernels import ComplexFrequency, ProblemConfig
+
+    cfg = ProblemConfig()
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    if name == "V":
+        return lambda s: assemble_nystrom_V(space, ComplexFrequency(s), cfg)
+    points = np.array([[2.0, 0.5], [-1.5, -1.5], [0.0, 3.0]])
+    return lambda s: potential_velocity_matrix(
+        space, ComplexFrequency(s), cfg, points
+    )
+
+
+@pytest.mark.parametrize("name", ["V", "potential"])
+def test_worker_count_leaves_weights_bit_identical(monkeypatch, tmp_path, name):
+    """1, 2 and 3 processes share the nodes, each evaluated once, and
+    give the same weights bit for bit."""
+    transfer = brinkman_transfer(name)
+    log = tmp_path / "pids"
+
+    def logged(s):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return transfer(s)
+
+    scheme = CQScheme(order=3, kappa=1.0 / 16, n_steps=16)
+    runs = []
+    for n in WORKER_COUNTS:
+        use_cores(monkeypatch, n)
+        log.write_text("")
+        runs.append(cq_weights(logged, scheme).weights)
+        assert_children_reaped()
+        pids = log.read_text().split()
+        assert len(pids) == scheme.n_half_nodes
+        assert len(set(pids)) == n
+    for weights in runs[1:]:
+        assert np.array_equal(weights, runs[0])
+
+
+@pytest.mark.parametrize("error, raised", [
+    (ValueError, ValueError),
+    (np.linalg.LinAlgError, RuntimeError),
+])
+@pytest.mark.parametrize("failing", [(2,), (2, 3)])
+def test_worker_failure_is_raised_as_in_serial(monkeypatch, error, raised,
+                                               failing):
+    """Node 2 belongs to a forked worker for 2 and 3 processes, node 3 to
+    the caller for 2: the error names the first failing node with the
+    serial message and cause, and no worker is left unreaped."""
+    scheme = CQScheme(order=2, kappa=0.1, n_steps=16)
+    targets = scheme.frequencies()[list(failing)]
+
+    def transfer(s):
+        if np.abs(targets - s).min() < 1e-9:
+            raise error("bad parameter")
+        return np.array([[1.0 / s]])
+
+    messages = []
+    for n in WORKER_COUNTS:
+        use_cores(monkeypatch, n)
+        with pytest.raises(raised, match="contour node 2 ") as info:
+            cq_weights(transfer, scheme)
+        assert type(info.value.__cause__) is error
+        assert_children_reaped()
+        messages.append(str(info.value))
+    assert messages == messages[:1] * len(WORKER_COUNTS)
+
+
+def test_dead_worker_and_failed_fork_leave_weights_bit_identical(monkeypatch):
+    """The caller evaluates the nodes of a worker that died or was never
+    forked; with one core nothing is forked."""
+    parent = os.getpid()
+
+    def dying(s):
+        if os.getpid() != parent:
+            os._exit(3)
+        return np.array([[1.0 / (s + 1.0), 1.0 / (s + 2.0) ** 2]])
+
+    scheme = CQScheme(order=3, kappa=0.05, n_steps=24)
+    use_cores(monkeypatch, 1)
+    serial = cq_weights(dying, scheme).weights
+    for n in WORKER_COUNTS[1:]:
+        use_cores(monkeypatch, n)
+        assert np.array_equal(cq_weights(dying, scheme).weights, serial)
+        assert_children_reaped()
+
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for n in WORKER_COUNTS:
+        use_cores(monkeypatch, n)
+        assert np.array_equal(cq_weights(dying, scheme).weights, serial)
+    assert len(forks) == 2
 
 
 # ---------------------------------------------------------------------------
