@@ -39,9 +39,9 @@ from .bem_space import (
     build_space,
     constrain,
     data_functional,
+    factor,
     potential_pressure_matrix,
     potential_velocity_matrix,
-    solve_transfer,
 )
 from .cq_engine import (
     CQScheme,
@@ -109,6 +109,7 @@ __all__ = [
     "data_functional",
     "default_frequencies",
     "exact_solution",
+    "factor",
     "field_snapshot",
     "inside_obstacle",
     "laplace_property_suite",
@@ -120,7 +121,6 @@ __all__ = [
     "run_simulation",
     "scalar_A",
     "scalar_B",
-    "solve_transfer",
     "time_convolution_oracle",
     "velocity_kernel",
 ]

@@ -12,10 +12,10 @@ potentials.
 
 Every matrix is a plain ``ndarray``.  The assemblers return the density
 block ``V(s)``, square of order ``dof_count``.  :func:`constrain` is the
-one function that removes the gauge kernel: it borders a matrix by
-multiplier rows or adds a rank-one term.  :func:`solve_transfer` solves
-such a system for a load with one entry per density row, and returns
-the density without the multipliers.
+one function that removes the gauge kernel: it borders a matrix by the
+multiplier row or adds a rank-one term.  :func:`factor`, the package's
+one LU, factors such a system once and returns its solve: density load
+in, density out, the multiplier dropped.
 
 Quadrature design
 -----------------
@@ -572,42 +572,25 @@ def _check_finite(V: np.ndarray, n_basis: int) -> None:
                        f"element pair ({ei}, {ej})")
 
 
-def border_rows(space: DensitySpace, constraints: ConstraintMode,
-                reduced: bool) -> np.ndarray:
-    """Multiplier rows that border the system, shape ``(k, dof_count)``.
-
-    The moment row ``<mu_j, m>`` with ``m(x) = x`` for ``multiplier_m``
-    (``k = 1``), no rows for the other modes.  The row is
-    :func:`data_functional` of ``m``, so ``reduced`` selects the
-    midpoint-rule functional of the reduced scheme.
-    """
-    if constraints != ConstraintMode.multiplier_m:
-        return np.zeros((0, space.dof_count))
-    return data_functional(space, lambda pos: pos, reduced=reduced)[None]
-
-
 def constrain(V: np.ndarray, space: DensitySpace,
               constraints: ConstraintMode, reduced: bool) -> np.ndarray:
     """The system matrix for ``constraints`` from the density block ``V``.
 
-    ``multiplier_m`` borders ``V`` by the :func:`border_rows` (row and
-    column, zero diagonal entry), so the system has the multiplier's
-    row after the density rows; ``augmented_Vtilde`` adds ``b
-    b^T`` with ``b`` the moment row; ``none`` copies ``V``.  The
+    With ``b`` the moment row ``<mu_j, m>``, ``m(x) = x`` (the
+    :func:`data_functional` of ``m``, so ``reduced`` selects the
+    midpoint rule of the reduced scheme): ``multiplier_m`` borders ``V``
+    by ``b`` as a last row and column with a zero diagonal entry;
+    ``augmented_Vtilde`` adds ``b b^T``; ``none`` copies ``V``.  The
     constraint does not depend on the frequency, so the same call
     constrains one ``V(s)`` and the leading convolution weight ``W_0``;
     the dtype of ``V`` is kept, so a real ``W_0`` stays real.
     """
+    if constraints == ConstraintMode.none:
+        return V.copy()
+    b = data_functional(space, lambda pos: pos, reduced=reduced)
     if constraints == ConstraintMode.augmented_Vtilde:
-        b = border_rows(space, ConstraintMode.multiplier_m, reduced)[0]
         return V + np.outer(b, b)
-    rows = border_rows(space, constraints, reduced)
-    k, n = rows.shape
-    out = np.zeros((n + k, n + k), dtype=V.dtype)
-    out[:n, :n] = V
-    out[:n, n:] = rows.T
-    out[n:, :n] = rows
-    return out
+    return np.block([[V, b[:, None]], [b, np.zeros(1)]])
 
 
 def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
@@ -927,30 +910,32 @@ def data_functional(space: DensitySpace, values_at, *,
     return out
 
 
-def solve_transfer(system: np.ndarray, rhs) -> np.ndarray:
-    """Direct solve of a system built by :func:`constrain`, for a density load.
+def factor(system: np.ndarray):
+    """Factor a system built by :func:`constrain` once; return its solve.
 
-    ``rhs`` has one entry per density row; the rows of the system beyond
-    it are the homogeneous constraint rows, whose zero load is appended
-    here.  Returns the density part of the solution, the multipliers
-    dropped.
+    ``solve(load)`` takes one entry per density row, appends the zero
+    load of the constraint rows beyond them and returns the density part
+    of the solution, real for a real system and load.
 
     Raises
     ------
-    ValueError
-        If ``rhs`` is longer than the system.
     numpy.linalg.LinAlgError
         If the system is numerically singular (the frequency is on or
         near the branch cut, or assembly is broken).
+    ValueError
+        From ``solve``, if the load is longer than the system.
     """
-    rhs = np.asarray(rhs, dtype=complex)
-    n, size = rhs.shape[0], system.shape[0]
-    if n > size:
-        raise ValueError(f"rhs length {n} exceeds the system size {size}")
-    lu, piv = scipy.linalg.lu_factor(system)
-    du = np.abs(np.diag(lu))
+    lu_piv = scipy.linalg.lu_factor(system)
+    du = np.abs(np.diag(lu_piv[0]))
     if du.min() <= du.max() * 1e-14:
-        raise np.linalg.LinAlgError(
-            "transfer matrix is numerically singular")
-    load = np.concatenate([rhs, np.zeros(size - n)])
-    return scipy.linalg.lu_solve((lu, piv), load)[:n]
+        raise np.linalg.LinAlgError("system matrix is numerically singular")
+    size = du.size
+
+    def solve(load: np.ndarray) -> np.ndarray:
+        n = load.shape[0]
+        if n > size:
+            raise ValueError(f"load length {n} exceeds the system size {size}")
+        padded = np.concatenate([load, np.zeros(size - n)])
+        return scipy.linalg.lu_solve(lu_piv, padded)[:n]
+
+    return solve

@@ -19,6 +19,7 @@ straight segment.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,15 +186,19 @@ def build_mesh(curve: BoundaryCurve, n_elements: int) -> BoundaryMesh:
     ----------
     curve : BoundaryCurve
     n_elements : int
-        At least 4; for the square, a multiple of 4 (so corners fall on
-        element boundaries).
+        An integer, at least 4; for the square, a multiple of 4 (so
+        corners fall on element boundaries).
 
     Raises
     ------
     ValueError
         If the element count violates the rules above.
     """
-    n = int(n_elements)
+    try:
+        n = operator.index(n_elements)
+    except TypeError:
+        raise ValueError(f"n_elements must be an integer, got "
+                         f"{n_elements!r}") from None
     if n < 4:
         raise ValueError(f"need at least 4 elements, got {n}")
     if curve.kind == "square" and n % 4 != 0:

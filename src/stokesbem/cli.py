@@ -37,6 +37,7 @@ from .stokes_solver import (
     field_snapshot,
     manufactured_dirichlet_data,
     run_simulation,
+    snapshot_mask,
 )
 from .verification import (
     SweepProblem,
@@ -295,6 +296,9 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError(
             "'snapshot_steps' and 'snapshot_grid' must be given together"
         )
+    if snapshot_grid is not None:
+        # a grid with nothing to evaluate fails here, before the run
+        snapshot_mask(build_mesh(problem["curve"], n_elements), snapshot_grid)
     prefix = _require_directory("snapshot_prefix",
                                 _take(raw, "snapshot_prefix", "snap"))
     if raw:

@@ -50,10 +50,11 @@ The implicit one-sided recurrence
 
     W_0 lam_n = phi_n - sum_{m=1}^{n} W_m lam_{n-m}
 
-then marches a discretized operator equation forward in time with a
-single factorization of ``W_0``, and observables are recovered by one
-more discrete convolution against the weights of the observation
-transfer function.
+then marches a discretized operator equation forward in time with the
+solve of the leading system that the caller factored once (``W_0``, with
+any frequency-independent constraint added), and observables are
+recovered by one more discrete convolution against the weights of the
+observation transfer function.
 
 A transfer function returns a 2-D matrix at every frequency (a scalar
 transfer is the 1x1 matrix), its weights have shape ``(M + 1, rows,
@@ -66,10 +67,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import mmap
+import operator
 import os
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "CONTOUR_EPSILON",
@@ -152,16 +153,17 @@ class CQScheme:
     Attributes
     ----------
     order:
-        BDF order ``p`` in ``{1, ..., 6}``.
+        Integer BDF order ``p`` in ``{1, ..., 6}``.
     kappa:
         Time step ``kappa > 0``; the discrete times are ``t_n = n kappa``.
     n_steps:
-        Number of steps ``M``; histories carry ``M + 1`` samples.
+        Integer number of steps ``M``; histories carry ``M + 1`` samples.
 
     Raises
     ------
     ValueError
-        For an out-of-range order, a nonpositive step, no steps, or a
+        For an order or step count that is not an integer, an
+        out-of-range order, a nonpositive step, no steps, or a
         contour node whose scaled frequency ``delta(zeta_l) / kappa``
         falls on the closed negative real axis, where the transfer
         functions of interest are not defined.  BDF orders up to 2 keep
@@ -176,6 +178,12 @@ class CQScheme:
     n_steps: int
 
     def __post_init__(self) -> None:
+        for name in ("order", "n_steps"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}") from None
         if not 1 <= self.order <= MAX_BDF_ORDER:
             raise ValueError(
                 f"BDF order must lie in 1..{MAX_BDF_ORDER}, got {self.order}"
@@ -450,12 +458,11 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     return seq
 
 
-def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> np.ndarray:
+def cq_march(weights: WeightSequence, rhs_samples: np.ndarray,
+             solve) -> np.ndarray:
     """Solve the implicit convolution recurrence forward in time.
 
-    Computes ``lam_n`` from
-    ``W_0 lam_n = phi_n - sum_{m=1}^{n} W_m lam_{n-m}`` with a single
-    factorization of ``W_0``.
+    Computes ``lam_n = solve(phi_n - sum_{m=1}^{n} W_m lam_{n-m})``.
 
     Parameters
     ----------
@@ -463,6 +470,10 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> np.ndarray:
         Weights of the boundary system; matrices must be square.
     rhs_samples:
         Real data samples ``phi_0, ..., phi_M``, shaped ``(M + 1, n)``.
+    solve:
+        The solve of the leading system, for instance
+        :func:`stokesbem.bem_space.factor` of ``W_0``, constrained or
+        not: a real load of length ``n`` to a real vector of length ``n``.
 
     Returns
     -------
@@ -472,8 +483,6 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> np.ndarray:
 
     Raises
     ------
-    numpy.linalg.LinAlgError
-        If ``W_0`` is singular to working precision.
     ValueError
         On shape mismatches or complex data (of any imaginary size).
     """
@@ -488,19 +497,13 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray) -> np.ndarray:
     want = (n_steps + 1,) + w.shape[2:]
     if rhs.shape != want:
         raise ValueError(f"rhs must have shape {want}, got {rhs.shape}")
-    lu, piv = scipy.linalg.lu_factor(w[0])
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= diag.max() * 1e-14:
-        raise np.linalg.LinAlgError(
-            "leading weight matrix W_0 is numerically singular"
-        )
     lam = np.empty(rhs.shape)
     for n in range(n_steps + 1):
         if n:
             tail = np.einsum("mij,mj->i", w[1 : n + 1], lam[n - 1 :: -1])
         else:
             tail = 0.0
-        lam[n] = scipy.linalg.lu_solve((lu, piv), rhs[n] - tail)
+        lam[n] = solve(rhs[n] - tail)
     return lam
 
 

@@ -22,16 +22,17 @@ applied to each ``lam_n`` separately.
 Gauge constraints (the operator kernel spanned by the normal field)
 do not depend on the frequency, so their weight expansion is
 ``C delta_{m0}`` and they enter ``W_0`` alone.  Weights are generated
-for the plain density block, zero-padded to the constrained size, and
-:func:`stokesbem.bem_space.constrain` then borders ``W_0`` by the
-multiplier rows or adds the rank-one term to it.  With a border the
-recurrence enforces ``<lam_n, m> = 0`` at every step while the
-multiplier acts instantaneously, never entering the convolution tail.
+for the plain density block, and the march takes the solve of
+:func:`stokesbem.bem_space.constrain` of ``W_0`` alone, factored once.
+With a border the recurrence enforces ``<lam_n, m> = 0`` at every step
+while the multiplier acts instantaneously, never entering the
+convolution tail.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Callable
 
 import numpy as np
@@ -41,10 +42,10 @@ from .bem_space import (
     DensitySpace,
     assemble_galerkin_V,
     assemble_nystrom_V,
-    border_rows,
     build_space,
     constrain,
     data_functional,
+    factor,
     potential_node_bytes,
     potential_pressure_matrix,
     potential_velocity_matrix,
@@ -72,6 +73,7 @@ __all__ = [
     "manufactured_dirichlet_data",
     "inside_obstacle",
     "run_simulation",
+    "snapshot_mask",
     "field_snapshot",
 ]
 
@@ -131,7 +133,7 @@ class DirichletData:
             )
 
     def sample(self, t: float, positions: np.ndarray) -> np.ndarray:
-        """Evaluate the trace, validating shape and realness."""
+        """Evaluate the trace, validating shape, realness and finiteness."""
         vals = np.asarray(self.boundary_values(float(t), positions))
         if vals.shape != positions.shape:
             raise ValueError(
@@ -140,6 +142,8 @@ class DirichletData:
             )
         if np.iscomplexobj(vals):
             raise ValueError("Dirichlet data must be real valued")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"Dirichlet data is not finite at t = {t:.6g}")
         return np.asarray(vals, dtype=float)
 
 
@@ -154,7 +158,7 @@ class GridSpec:
     dx, dy:
         Positive, finite lattice spacings.
     n_rows, n_cols:
-        Lattice extent; at least 2 in each direction so finite
+        Integer lattice extent; at least 2 in each direction so finite
         differences are defined.
     """
 
@@ -173,6 +177,12 @@ class GridSpec:
             )
         if not (self.dx > 0.0 and self.dy > 0.0):
             raise ValueError("grid spacings must be positive")
+        for name in ("n_rows", "n_cols"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}") from None
         if self.n_rows < 2 or self.n_cols < 2:
             raise ValueError("grid needs at least 2 points per direction")
 
@@ -240,11 +250,8 @@ class SimulationResult:
     observation_points:
         ``(K, 2)`` evaluation points off the boundary.
     history:
-        ``(M + 1, dof)`` density coefficients per step, multipliers
-        stripped; ``scheme.times()`` is its time axis.
-    multipliers:
-        ``(M + 1, k)`` multiplier values (``k = 1`` for
-        ``multiplier_m``, else ``k = 0``).
+        ``(M + 1, dof)`` density coefficients per step;
+        ``scheme.times()`` is its time axis.
     velocity_series:
         ``(M + 1, K, 2)`` velocities at the observation points.
     pressure_series:
@@ -256,7 +263,6 @@ class SimulationResult:
     cfg: ProblemConfig
     observation_points: np.ndarray
     history: np.ndarray
-    multipliers: np.ndarray
     velocity_series: np.ndarray
     pressure_series: np.ndarray
 
@@ -389,8 +395,8 @@ def run_simulation(
     curve, n_elements, kind:
         Boundary, mesh resolution, and density family.
     constraint:
-        Gauge handling; ``multiplier_m`` appends its multiplier to
-        the marched system.
+        Gauge handling; ``multiplier_m`` borders the leading system by
+        its multiplier.
     scheme:
         Time discretization.
     data:
@@ -447,29 +453,17 @@ def run_simulation(
 
     _check_data_admissible(data, curve, n_elements, scheme)
 
-    n_keep = scheme.n_steps + 1
-    dof = space.dof_count
-    rhs = np.empty((n_keep, dof))
-    for n, t in enumerate(scheme.times()):
-        rhs[n] = data_functional(
-            space, lambda pos: data.sample(t, pos), reduced=reduced
-        )
+    rhs = np.array([data_functional(space, lambda pos: data.sample(t, pos),
+                                    reduced=reduced)
+                    for t in scheme.times()])
 
     assemble = assemble_nystrom_V if reduced else assemble_galerkin_V
-    n_mult = border_rows(space, constraint, reduced).shape[0]
-    pad = (0, n_mult)
-
-    def transfer(s: complex) -> np.ndarray:
-        return np.pad(assemble(space, ComplexFrequency(s), cfg), pad)
-
-    seq = cq_weights(transfer, scheme)
-    # the constraint is frequency independent: it enters W_0 alone
-    seq.weights[0] = constrain(
-        seq.weights[0, :dof, :dof], space, constraint, reduced
+    seq = cq_weights(
+        lambda s: assemble(space, ComplexFrequency(s), cfg), scheme
     )
-    marched = cq_march(seq, np.pad(rhs, ((0, 0), pad)))
-    history = np.ascontiguousarray(marched[:, :dof])
-    multipliers = np.ascontiguousarray(marched[:, dof:])
+    # the constraint is frequency independent: it enters W_0 alone
+    solve = factor(constrain(seq.weights[0], space, constraint, reduced))
+    history = cq_march(seq, rhs, solve)
     velocity, pressure = _observe(space, scheme, cfg, history, points)
 
     return SimulationResult(
@@ -478,7 +472,6 @@ def run_simulation(
         cfg=cfg,
         observation_points=points,
         history=history,
-        multipliers=multipliers,
         velocity_series=velocity,
         pressure_series=pressure,
     )
@@ -583,14 +576,29 @@ def _masked_derivative(field: np.ndarray, invalid: np.ndarray, spacing: float,
     return np.moveaxis(out, 0, axis), np.moveaxis(ok, 0, axis)
 
 
+def snapshot_mask(mesh: BoundaryMesh, grid: GridSpec) -> np.ndarray:
+    """The ``(n_rows, n_cols)`` cells a snapshot leaves out, those within
+    one minimal element length of the mesh; ``ValueError`` if that is
+    every cell."""
+    flat = grid.points().reshape(-1, 2)
+    masked = _segment_distances(flat, mesh) <= float(mesh.arclengths.min())
+    if masked.all():
+        raise ValueError(
+            "every grid cell lies within one element length of the "
+            "boundary; nothing to evaluate"
+        )
+    return masked.reshape(grid.n_rows, grid.n_cols)
+
+
 def field_snapshot(result: SimulationResult, grid: GridSpec,
                    step_indices) -> FieldSnapshot:
     """Evaluate velocity, pressure, and vorticity on a lattice.
 
     Cells within one minimal element length of the boundary are masked
-    (the potential quadrature loses accuracy there); all other cells,
-    on both sides of the boundary, are evaluated through the same
-    potential matrices as the observation points.  Vorticity is
+    (:func:`snapshot_mask`; the potential quadrature loses accuracy
+    there); all other cells, on both sides of the boundary, are
+    evaluated through the same potential matrices as the observation
+    points.  Vorticity is
     ``d(u_y)/dx - d(u_x)/dy`` by central differences with one-sided
     fallback where a neighbor is masked.
 
@@ -620,29 +628,14 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
         raise ValueError(
             f"step indices must lie in 0..{n_keep - 1}, got {steps.tolist()}"
         )
-    mesh = result.space.mesh
-    pts = grid.points()
-    flat = pts.reshape(-1, 2)
-    h_min = float(mesh.arclengths.min())
-    masked_flat = _segment_distances(flat, mesh) <= h_min
-    if masked_flat.all():
-        raise ValueError(
-            "every grid cell lies within one element length of the "
-            "boundary; nothing to evaluate"
-        )
-    keep = np.flatnonzero(~masked_flat)
-
-    n_sel = steps.size
-    vel_flat = np.full((n_sel, flat.shape[0], 2), MASK_SENTINEL)
-    p_flat = np.full((n_sel, flat.shape[0]), MASK_SENTINEL)
+    mask = snapshot_mask(result.space.mesh, grid)
     u_kept, p_kept = _observe(result.space, result.scheme, result.cfg,
-                              result.history, flat[keep])
-    vel_flat[:, keep] = u_kept[steps]
-    p_flat[:, keep] = p_kept[steps]
-
-    mask = masked_flat.reshape(grid.n_rows, grid.n_cols)
-    velocity = vel_flat.reshape(n_sel, grid.n_rows, grid.n_cols, 2)
-    pressure = p_flat.reshape(n_sel, grid.n_rows, grid.n_cols)
+                              result.history, grid.points()[~mask])
+    n_sel = steps.size
+    velocity = np.full((n_sel, grid.n_rows, grid.n_cols, 2), MASK_SENTINEL)
+    pressure = np.full((n_sel, grid.n_rows, grid.n_cols), MASK_SENTINEL)
+    velocity[:, ~mask] = u_kept[steps]
+    pressure[:, ~mask] = p_kept[steps]
 
     # the steps ride along as a trailing axis, so the stencil validity,
     # which depends on the mask alone, is worked out once

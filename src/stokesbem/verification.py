@@ -37,7 +37,7 @@ from .bem_space import (
     assemble_galerkin_V,
     constrain,
     data_functional,
-    solve_transfer,
+    factor,
 )
 from .boundary_geometry import BoundaryCurve
 from .cq_engine import CQScheme, cq_postprocess
@@ -352,8 +352,8 @@ def laplace_property_suite(
         bordered = constrain(v, space, ConstraintMode.multiplier_m, False)
         tilde = constrain(v, space, ConstraintMode.augmented_Vtilde, False)
         rhs = data_functional(space, _gauge_trace)
-        lam_mult = solve_transfer(bordered, rhs)
-        lam_tilde = solve_transfer(tilde, rhs)
+        lam_mult = factor(bordered)(rhs)
+        lam_tilde = factor(tilde)(rhs)
         scale = max(1.0, float(np.abs(lam_mult).max()))
         equiv = float(np.abs(lam_mult - lam_tilde).max()) / scale
         checks.append(

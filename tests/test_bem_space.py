@@ -20,13 +20,12 @@ from stokesbem.bem_space import (
     ConstraintMode,
     assemble_galerkin_V,
     assemble_nystrom_V,
-    border_rows,
     build_space,
     constrain,
     data_functional,
+    factor,
     potential_pressure_matrix,
     potential_velocity_matrix,
-    solve_transfer,
 )
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
@@ -72,7 +71,7 @@ def galerkin(curve, n, kind, s, mode=ConstraintMode.none):
 
 def moment_row(space, reduced=False):
     """The moment row ``<mu_j, m>`` of ``space``."""
-    return border_rows(space, ConstraintMode.multiplier_m, reduced)[0]
+    return data_functional(space, lambda pos: pos, reduced=reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,8 @@ def test_multiplier_vs_vtilde_densities_agree():
                         ConstraintMode.augmented_Vtilde)
     rhs = data_functional(space, lambda pos: np.stack(
         [pos[..., 0], -pos[..., 1]], axis=-1))
-    lam_mult = solve_transfer(bordered, rhs)
-    lam_tilde = solve_transfer(tilde, rhs)
+    lam_mult = factor(bordered)(rhs)
+    lam_tilde = factor(tilde)(rhs)
     scale = np.abs(lam_mult).max()
     assert np.abs(lam_mult - lam_tilde).max() <= 1e-10 * scale
 
@@ -666,14 +665,28 @@ def test_pressure_potential_real():
 # solves
 
 
-def test_solve_transfer_round_trip():
+def test_factor_round_trip():
     space, mat = galerkin(BoundaryCurve.circle(1.0), 8, "P0", 2.0 + 1.0j)
     rng = np.random.default_rng(12)
     x = rng.standard_normal(space.dof_count) + 1j * rng.standard_normal(space.dof_count)
-    back = solve_transfer(mat, mat @ x)
+    solve = factor(mat)
+    back = solve(mat @ x)
     assert np.abs(back - x).max() <= 1e-10 * np.abs(x).max()
     with pytest.raises(ValueError, match="exceeds the system size"):
-        solve_transfer(mat, np.ones(space.dof_count + 1))
+        solve(np.ones(space.dof_count + 1))
+
+
+def test_factor_keeps_a_real_system_real():
+    """A real system and load (the march's constrained ``W_0``) give a
+    real density, the zero load of the border appended."""
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    v = assemble_galerkin_V(space, ComplexFrequency(2.0 + 0j), CFG).real
+    system = constrain(v, space, ConstraintMode.multiplier_m, False)
+    rhs = np.random.default_rng(13).standard_normal(space.dof_count)
+    lam = factor(system)(rhs)
+    assert lam.dtype == np.float64 and lam.shape == (space.dof_count,)
+    full = np.linalg.solve(system, np.append(rhs, 0.0))
+    assert np.abs(lam - full[:-1]).max() <= 1e-12 * np.abs(full).max()
 
 
 def test_discrete_positivity_spot():
@@ -723,14 +736,14 @@ def test_multiplier_solution_satisfies_constraint():
     )
     rhs = data_functional(space, lambda pos: np.stack(
         [np.ones(pos.shape[:-1]), pos[..., 0]], axis=-1))
-    lam = solve_transfer(mat, rhs)
+    lam = factor(mat)(rhs)
     assert lam.shape == (space.dof_count,)
     b = moment_row(space)
     assert abs(b @ lam) <= 1e-10 * max(np.abs(lam).max(), 1.0)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_solve_transfer_rejects_singular_system():
-    space, mat = galerkin(BoundaryCurve.circle(1.0), 6, "P0", 1.0 + 0j)
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_transfer(np.zeros_like(mat), np.zeros(space.dof_count))
+def test_factor_rejects_singular_system():
+    _, mat = galerkin(BoundaryCurve.circle(1.0), 6, "P0", 1.0 + 0j)
+    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+        factor(np.zeros_like(mat))

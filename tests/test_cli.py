@@ -270,6 +270,25 @@ class TestRunCommand:
         assert "0..4" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    def test_all_masked_snapshot_grid_fails_before_the_run(
+            self, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation reached")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_simulation", no_run)
+        path = write_config(
+            tmp_path / "run.cfg",
+            RUN_TEXT.replace("n_elements = 8", "n_elements = 32")
+            + "snapshot_steps = 4\n"
+            + "snapshot_grid = 0.99 0.0 0.001 0.001 3 3\n",
+        )
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "every grid cell lies within one element length" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     @pytest.mark.parametrize("key, value", [
         ("output", "missing/series.csv"),
         ("snapshot_prefix", "missing/snap"),

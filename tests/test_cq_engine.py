@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stokesbem.cq_engine
+from stokesbem.bem_space import factor
 from stokesbem.cq_engine import (
     CONTOUR_EPSILON,
     CQScheme,
@@ -51,6 +52,11 @@ def weight_floor(transfer, scheme: CQScheme) -> float:
 def as_matrix(scalar):
     """The 1x1 matrix transfer of a scalar one."""
     return lambda s: np.array([[scalar(s)]])
+
+
+def march(seq: WeightSequence, rhs) -> np.ndarray:
+    """``cq_march`` with the solve of the plain leading weight."""
+    return cq_march(seq, rhs, factor(seq.weights[0]))
 
 
 def oracle_transfer(s: complex) -> complex:
@@ -517,7 +523,7 @@ def test_dead_worker_and_failed_fork_leave_weights_bit_identical(monkeypatch):
 def test_march_zero_data_gives_zero_history():
     scheme = CQScheme(order=2, kappa=0.1, n_steps=16)
     seq = cq_weights(as_matrix(oracle_transfer), scheme)
-    out = cq_march(seq, np.zeros((17, 1)))
+    out = march(seq, np.zeros((17, 1)))
     assert out.shape == (17, 1)
     assert np.all(out == 0.0)
 
@@ -527,7 +533,7 @@ def test_march_identity_transfer_returns_data():
     seq = cq_weights(as_matrix(lambda s: 1.0 + 0.0 * s), scheme)
     rng = np.random.default_rng(0)
     g = rng.standard_normal((33, 1))
-    out = cq_march(seq, g)
+    out = march(seq, g)
     # W_0 = 1 exactly; the later weights only leak transform roundoff
     assert np.abs(out - g).max() <= np.sqrt(CONTOUR_EPSILON) * np.abs(
         g
@@ -540,9 +546,9 @@ def test_march_matrix_diagonal_matches_scalar():
     g = lambda s: 1.0 / (s + 2.0)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal((25, 2))
-    coupled = cq_march(cq_weights(lambda s: np.diag([f(s), g(s)]), scheme), rhs)
-    first = cq_march(cq_weights(as_matrix(f), scheme), rhs[:, :1])
-    second = cq_march(cq_weights(as_matrix(g), scheme), rhs[:, 1:])
+    coupled = march(cq_weights(lambda s: np.diag([f(s), g(s)]), scheme), rhs)
+    first = march(cq_weights(as_matrix(f), scheme), rhs[:, :1])
+    second = march(cq_weights(as_matrix(g), scheme), rhs[:, 1:])
     scale = np.abs(coupled).max()
     assert np.abs(coupled[:, :1] - first).max() <= 1e-12 * scale
     assert np.abs(coupled[:, 1:] - second).max() <= 1e-12 * scale
@@ -579,7 +585,7 @@ def test_march_inverts_forward_convolution(data):
     )
     w = np.array([lead] + tail)
     seq = WeightSequence(weights=w[:, None, None])
-    lam = cq_march(seq, np.array(rhs)[:, None])[:, 0]
+    lam = march(seq, np.array(rhs)[:, None])[:, 0]
     recovered = np.convolve(w, lam)[: m + 1]
     assert np.abs(recovered - np.array(rhs)).max() <= 1e-9 * max(
         1.0, np.abs(lam).max()
@@ -590,14 +596,14 @@ def test_march_rejects_bad_shapes_and_complex_data():
     scheme = CQScheme(order=2, kappa=0.1, n_steps=8)
     seq = cq_weights(as_matrix(oracle_transfer), scheme)
     with pytest.raises(ValueError):
-        cq_march(seq, np.zeros((8, 1)))
+        march(seq, np.zeros((8, 1)))
     with pytest.raises(ValueError):
-        cq_march(seq, np.zeros(9))
+        march(seq, np.zeros(9))
     with pytest.raises(ValueError):
-        cq_march(seq, np.full((9, 1), 1.0 + 1.0j))
+        march(seq, np.full((9, 1), 1.0 + 1.0j))
     mat = cq_weights(lambda s: np.eye(2, dtype=complex) / (s + 1.0), scheme)
     with pytest.raises(ValueError):
-        cq_march(mat, np.zeros((9, 3)))
+        march(mat, np.zeros((9, 3)))
 
 
 def test_march_accepts_negligible_imaginary_part():
@@ -607,25 +613,48 @@ def test_march_accepts_negligible_imaginary_part():
     seq = cq_weights(as_matrix(oracle_transfer), scheme)
     for imag in (1e-14j, 0j):
         with pytest.raises(ValueError, match="must be real"):
-            cq_march(seq, np.ones((9, 1)) + imag)
+            march(seq, np.ones((9, 1)) + imag)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_march_rejects_singular_leading_weight():
+    """The march does not factor: the solve of a singular ``W_0`` is
+    refused when it is factored, before any step."""
     delta_weights = np.zeros((5, 1, 1))
     delta_weights[1] = 1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        cq_march(WeightSequence(weights=delta_weights), np.ones((5, 1)))
+    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+        march(WeightSequence(weights=delta_weights), np.ones((5, 1)))
     singular = np.zeros((5, 2, 2))
     singular[0, 0, 0] = 1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        cq_march(WeightSequence(weights=singular), np.ones((5, 2)))
+    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+        march(WeightSequence(weights=singular), np.ones((5, 2)))
 
 
 def test_march_rejects_nonsquare_weights():
+    def never(load):
+        raise AssertionError("solve reached with non-square weights")
+
     rect = np.ones((4, 2, 3))
-    with pytest.raises(ValueError):
-        cq_march(WeightSequence(weights=rect), np.ones((4, 3)))
+    with pytest.raises(ValueError, match="square weight matrices"):
+        cq_march(WeightSequence(weights=rect), np.ones((4, 3)), never)
+
+
+def test_march_requires_the_leading_solve():
+    """One path: the march has no default solve and factors nothing."""
+    import inspect
+
+    param = inspect.signature(cq_march).parameters["solve"]
+    assert param.default is inspect.Parameter.empty
+    seq = WeightSequence(weights=np.array([[[2.0]], [[1.0]], [[0.5]]]))
+    loads = []
+
+    def halve(load):
+        loads.append(load.copy())
+        return load / 2.0
+
+    lam = cq_march(seq, np.array([[2.0], [0.0], [0.0]]), halve)
+    np.testing.assert_array_equal(lam[:, 0], [1.0, -0.5, 0.0])
+    np.testing.assert_array_equal(np.concatenate(loads), [2.0, -1.0, 0.0])
 
 
 def test_postprocess_rejects_bad_history():
@@ -728,8 +757,8 @@ def test_postprocess_of_identity_march_is_direct_convolution():
     transfer = as_matrix(oracle_transfer)
     rng = np.random.default_rng(5)
     g = rng.standard_normal(33)
-    hist = cq_march(cq_weights(as_matrix(lambda s: 1.0 + 0.0 * s), scheme),
-                    g[:, None])
+    hist = march(cq_weights(as_matrix(lambda s: 1.0 + 0.0 * s), scheme),
+                 g[:, None])
     via_history = cq_postprocess(transfer, scheme, hist)[:, 0]
     direct = np.convolve(cq_weights(transfer, scheme).weights[:, 0, 0], g)[:33]
     assert np.abs(via_history - direct).max() <= 1e-10 * max(

@@ -10,11 +10,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesbem import stokes_solver
-from stokesbem.bem_space import ConstraintMode, border_rows, constrain
+from stokesbem.bem_space import ConstraintMode, constrain, data_functional
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import ProblemConfig
@@ -170,6 +171,23 @@ class TestDataAdmissibility:
                 self.scheme(), steady, [(0.0, 0.0)], CFG,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_fails_before_the_contour(self, bad,
+                                                      monkeypatch):
+        """NaN or inf data is named with its time before any contour
+        sampling (the flux and causality comparisons cannot see NaN)."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("contour sampled")
+
+        monkeypatch.setattr(stokes_solver, "cq_weights", unreachable)
+        data = DirichletData(
+            lambda t, p: np.full(p.shape, bad if t >= 0.5 else 0.0))
+        with pytest.raises(ValueError, match=r"not finite at t = 0\.5$"):
+            run_simulation(
+                BoundaryCurve.circle(1.0), 8, "P0", ConstraintMode.none,
+                self.scheme(), data, [(0.0, 0.0)], CFG,
+            )
+
     def test_tangential_data_passes_flux_screen(self):
         """Rotational data has zero net flux and a causal ramp."""
         def values(t, p):
@@ -212,7 +230,6 @@ class TestRunSimulationBasics:
         assert circle_run.observation_points.shape == (3, 2)
         assert circle_run.velocity_series.shape == (13, 3, 2)
         assert circle_run.pressure_series.shape == (13, 3)
-        assert circle_run.multipliers.shape == (13, 0)
         assert circle_run.history.shape == (13, circle_run.space.dof_count)
         assert circle_run.space.mesh.n_elements == 32
 
@@ -320,15 +337,10 @@ class TestGaugeConstraints:
     """Bordered marching enforces moment orthogonality each step."""
 
     def test_moment_orthogonality(self, square_mult_run):
-        b = border_rows(square_mult_run.space, ConstraintMode.multiplier_m,
-                        reduced=False)[0]
+        b = data_functional(square_mult_run.space, lambda pos: pos)
         lam = square_mult_run.history
         scale = max(1.0, float(np.abs(lam).max()))
         assert np.abs(lam @ b).max() <= 1e-12 * scale
-
-    def test_multiplier_shape_and_reality(self, square_mult_run):
-        assert square_mult_run.multipliers.shape == (13, 1)
-        assert square_mult_run.multipliers.dtype == np.float64
 
     def test_augmented_operator_matches_multiplier(self, square_mult_run):
         """Kernel-shifted assembly and bordered marching agree."""
@@ -338,7 +350,6 @@ class TestGaugeConstraints:
             CQScheme(order=3, kappa=1.0 / 12, n_steps=12),
             manufactured_dirichlet_data(), [(0.3, 0.7)], CFG,
         )
-        assert aug.multipliers.shape == (13, 0)
         lam_scale = float(np.abs(square_mult_run.history).max())
         assert (
             np.abs(aug.history - square_mult_run.history).max()
@@ -353,32 +364,81 @@ class TestGaugeConstraints:
     @pytest.mark.parametrize("assembly", ["galerkin", "reduced"])
     def test_constraint_enters_the_leading_weight_only(self, assembly,
                                                        monkeypatch):
-        """Border or rank-one term, the constraint is in ``W_0`` alone:
-        the density block of every later weight is that of the plain
-        run, its border blocks are exactly 0, and ``W_0`` is
-        ``constrain`` of the plain ``W_0``."""
+        """Border or rank-one term, the constraint is in the factored
+        leading system alone: the weights reach ``cq_march`` exactly as
+        ``cq_weights`` returned them, the same in every mode, and the
+        factored system is ``constrain`` of the plain ``W_0``."""
+        sample = stokes_solver.cq_weights
+        factor = stokes_solver.factor
         march = stokes_solver.cq_march
-        weights = {}
+        returned, marched, systems = {}, {}, {}
         for mode in ConstraintMode:
-            def capture(seq, rhs, mode=mode):
-                weights[mode] = seq.weights.copy()
-                return march(seq, rhs)
+            def capture_weights(transfer, scheme, mode=mode):
+                seq = sample(transfer, scheme)
+                returned[mode] = seq.weights.copy()
+                return seq
 
-            monkeypatch.setattr(stokes_solver, "cq_march", capture)
+            def capture_factor(system, mode=mode):
+                systems[mode] = system.copy()
+                return factor(system)
+
+            def capture_march(seq, rhs, solve, mode=mode):
+                marched[mode] = seq.weights.copy()
+                return march(seq, rhs, solve)
+
+            monkeypatch.setattr(stokes_solver, "cq_weights", capture_weights)
+            monkeypatch.setattr(stokes_solver, "factor", capture_factor)
+            monkeypatch.setattr(stokes_solver, "cq_march", capture_march)
             res = run_simulation(
                 BoundaryCurve.circle(1.0), 8, "P0", mode,
                 CQScheme(order=2, kappa=0.1, n_steps=6),
                 manufactured_dirichlet_data(), [(0.0, 0.0)], CFG,
                 assembly=assembly,
             )
-        plain = weights[ConstraintMode.none]
-        dof = res.space.dof_count
-        for mode, w in weights.items():
-            np.testing.assert_array_equal(w[1:, :dof, :dof], plain[1:])
-            assert not w[1:, dof:, :].any() and not w[1:, :, dof:].any()
+        plain = marched[ConstraintMode.none]
+        for mode in ConstraintMode:
+            np.testing.assert_array_equal(marched[mode], returned[mode])
+            np.testing.assert_array_equal(marched[mode], plain)
             want = constrain(plain[0], res.space, mode,
                              reduced=assembly == "reduced")
-            np.testing.assert_array_equal(w[0], want)
+            np.testing.assert_array_equal(systems[mode], want)
+
+    @pytest.mark.parametrize("mode", list(ConstraintMode),
+                             ids=lambda m: m.value)
+    def test_one_solve_path_matches_the_padded_march(self, mode,
+                                                     monkeypatch):
+        """The march through the factored, constrained ``W_0`` agrees with
+        a march of the padded system: every weight zero-padded to the
+        constrained size, ``W_0`` replaced by the constrained one, one
+        LU, the rhs padded with the zero load of the border."""
+        march = stokes_solver.cq_march
+        seen = {}
+
+        def capture(seq, rhs, solve):
+            seen["w"], seen["rhs"] = seq.weights.copy(), rhs.copy()
+            return march(seq, rhs, solve)
+
+        monkeypatch.setattr(stokes_solver, "cq_march", capture)
+        res = run_simulation(
+            BoundaryCurve.square(1.0), 16, "P1_discontinuous", mode,
+            CQScheme(order=3, kappa=1.0 / 40, n_steps=40),
+            manufactured_dirichlet_data(), [(0.3, 0.7)], CFG,
+        )
+        w, rhs = seen["w"], seen["rhs"]
+        dof = w.shape[1]
+        system = constrain(w[0], res.space, mode, reduced=False)
+        k = system.shape[0] - dof
+        padded = np.pad(w, ((0, 0), (0, k), (0, k)))
+        padded[0] = system
+        load = np.pad(rhs, ((0, 0), (0, k)))
+        lu = scipy.linalg.lu_factor(padded[0])
+        lam = np.empty(load.shape)
+        for n in range(load.shape[0]):
+            tail = (np.einsum("mij,mj->i", padded[1:n + 1], lam[n - 1::-1])
+                    if n else 0.0)
+            lam[n] = scipy.linalg.lu_solve(lu, load[n] - tail)
+        scale = float(np.abs(lam[:, :dof]).max())
+        assert np.abs(res.history - lam[:, :dof]).max() <= 1e-14 * scale
 
 
 class TestInteriorAccuracy:
@@ -447,6 +507,24 @@ class TestGridSpec:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             GridSpec(**(dict(x0=0.0, y0=0.0) | kwargs))
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: CQScheme(3, 0.1, 8.5), "n_steps"),
+    (lambda: CQScheme(3, 0.1, 8.0), "n_steps"),
+    (lambda: CQScheme(3.0, 0.1, 8), "order"),
+    (lambda: build_mesh(BoundaryCurve.circle(1.0), 8.7), "n_elements"),
+    (lambda: GridSpec(0.0, 0.0, 1.0, 1.0, 2.5, 3), "n_rows"),
+    (lambda: GridSpec(0.0, 0.0, 1.0, 1.0, 3, np.float64(3.0)), "n_cols"),
+])
+def test_integer_counts_must_be_integers(make, field):
+    """Counts are Python or NumPy integers; a float, even integral, is
+    a ValueError that names the field (NumPy integers pass)."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        make()
+    CQScheme(np.int64(3), 0.1, np.int32(8))
+    build_mesh(BoundaryCurve.circle(1.0), np.int64(8))
+    GridSpec(0.0, 0.0, 1.0, 1.0, np.int64(2), 3)
 
 
 class TestMaskedDerivative:

@@ -47,4 +47,6 @@ def test_tracer_installs_and_counts_a_run():
     assert metrics["cq_engine.weight_bytes"] > 0
     assert metrics["cq_engine.contour_nodes"] > 0
     assert metrics["bem_space.assemble_V.calls"] > 0
+    assert metrics["cq_engine.march.s"] > 0
+    assert metrics["cq_engine.postprocess.self_s"] > 0
     assert metrics["stokes_solver.field_snapshot.us_per_point"] > 0
