@@ -11,7 +11,7 @@ singularities of the square keep the observed velocity rate a little
 below the smooth-boundary value of 3.
 
 ``--extended`` appends the (128, 320) row; note the stored convolution
-weights grow as L (4N + 1)^2 real numbers with L = M + 1 contour nodes,
+weights grow as L (4N)^2 real numbers with L = M + 1 contour nodes,
 the contour samples sharing their buffer: an estimate of about 0.7 GB
 there.
 """

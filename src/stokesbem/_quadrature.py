@@ -135,7 +135,7 @@ LOG_GAUSS_RULES = {
 @lru_cache(maxsize=32)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on ``(0, 1)``."""
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = np.polynomial.legendre.leggauss(n)
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
     nodes.setflags(write=False)
@@ -150,7 +150,7 @@ def log_gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``sum_i w_i u_i^k = (k+1)^-2`` exactly for ``k < 2 n``.
     """
     try:
-        xs, ws = LOG_GAUSS_RULES[int(n)]
+        xs, ws = LOG_GAUSS_RULES[n]
     except KeyError:
         raise ValueError(
             f"no tabulated -log(u) rule of order {n}; "

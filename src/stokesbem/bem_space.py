@@ -225,7 +225,7 @@ def _split_channels(cap: float, z_scale: float, n_log: int, n_smooth: int):
         graded = graded_panels(cap, 1.0)
         breaks = [graded[:1]]
         for a, b in zip(graded[:-1], graded[1:]):
-            n_sub = max(1, int(math.ceil((b - a) * z_scale / MAX_PANEL_Z_SPAN)))
+            n_sub = max(1, math.ceil((b - a) * z_scale / MAX_PANEL_Z_SPAN))
             breaks.append(np.linspace(a, b, n_sub + 1)[1:])
         xd, wd = panel_gauss(DIRECT_PANEL_ORDER, np.concatenate(breaks))
         us.append(xd)
@@ -573,7 +573,8 @@ def _check_finite(V: np.ndarray, n_basis: int) -> None:
 
 
 def constrain(V: np.ndarray, space: DensitySpace,
-              constraints: ConstraintMode, reduced: bool) -> np.ndarray:
+              constraints: ConstraintMode | str,
+              reduced: bool) -> np.ndarray:
     """The system matrix for ``constraints`` from the density block ``V``.
 
     With ``b`` the moment row ``<mu_j, m>``, ``m(x) = x`` (the
@@ -584,7 +585,10 @@ def constrain(V: np.ndarray, space: DensitySpace,
     constraint does not depend on the frequency, so the same call
     constrains one ``V(s)`` and the leading convolution weight ``W_0``;
     the dtype of ``V`` is kept, so a real ``W_0`` stays real.
+    ``constraints`` may be a mode or its value string; any other value
+    is a ``ValueError``.
     """
+    constraints = ConstraintMode(constraints)
     if constraints == ConstraintMode.none:
         return V.copy()
     b = data_functional(space, lambda pos: pos, reduced=reduced)

@@ -19,11 +19,11 @@ straight segment.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import count, length
 from ._quadrature import gauss_legendre_01, panel_gauss
 
 #: quadrature order used for element arclengths of non-polygonal curves and
@@ -48,28 +48,21 @@ class BoundaryCurve:
 
     @classmethod
     def square(cls, half_width: float = 1.0) -> "BoundaryCurve":
-        if not half_width > 0.0:
-            raise ValueError("half_width must be positive")
-        return cls(kind="square", half_width=half_width)
+        return cls(kind="square", half_width=length("half_width", half_width))
 
     @classmethod
     def circle(cls, radius: float = 1.0) -> "BoundaryCurve":
-        if not radius > 0.0:
-            raise ValueError("radius must be positive")
-        return cls(kind="circle", radius=radius)
+        return cls(kind="circle", radius=length("radius", radius))
 
     @classmethod
     def star(cls, base_radius: float = 1.0, amplitude: float = 0.3,
              lobes: int = 6) -> "BoundaryCurve":
-        if not base_radius > 0.0:
-            raise ValueError("base_radius must be positive")
+        length("base_radius", base_radius)
         if not 0.0 <= amplitude < base_radius:
             # r(theta) would touch or cross the origin and self-intersect
             raise ValueError("amplitude must satisfy 0 <= amplitude < base_radius")
-        if lobes < 1:
-            raise ValueError("lobes must be a positive integer")
         return cls(kind="star", base_radius=base_radius, amplitude=amplitude,
-                   lobes=int(lobes))
+                   lobes=count("lobes", lobes, 1))
 
     @property
     def is_polygonal(self) -> bool:
@@ -194,13 +187,7 @@ def build_mesh(curve: BoundaryCurve, n_elements: int) -> BoundaryMesh:
     ValueError
         If the element count violates the rules above.
     """
-    try:
-        n = operator.index(n_elements)
-    except TypeError:
-        raise ValueError(f"n_elements must be an integer, got "
-                         f"{n_elements!r}") from None
-    if n < 4:
-        raise ValueError(f"need at least 4 elements, got {n}")
+    n = count("n_elements", n_elements, 4)
     if curve.kind == "square" and n % 4 != 0:
         raise ValueError(f"square meshes need a multiple of 4 elements, got {n}")
     theta = np.arange(n + 1) / n

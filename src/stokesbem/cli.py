@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import count, length
 from .bem_space import ConstraintMode, build_space
 from .boundary_geometry import BoundaryCurve, build_mesh
 from .cq_engine import CQScheme
@@ -206,9 +207,8 @@ _DATA_CHOICES: dict[str, Callable[[], DirichletData]] = {
 def _build_time(raw: dict[str, str]) -> tuple[int, float]:
     """The BDF ``order`` and the positive ``final_time`` of a config."""
     order = _parse_int("order", _take(raw, "order", "3"))
-    final_time = _parse_float("final_time", _take(raw, "final_time", "1.0"))
-    if not final_time > 0.0:
-        raise ConfigError("key 'final_time' must be positive")
+    final_time = length("final_time", _parse_float(
+        "final_time", _take(raw, "final_time", "1.0")))
     return order, final_time
 
 
@@ -259,9 +259,8 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     here so component preconditions fire before any assembly work."""
     problem = _build_problem(raw)
     order, final_time = _build_time(raw)
-    n_steps = _parse_int("n_steps", _take(raw, "n_steps"))
-    if n_steps < 1:
-        raise ConfigError(f"key 'n_steps' must be at least 1, got {n_steps}")
+    n_steps = count("n_steps",
+                    _parse_int("n_steps", _take(raw, "n_steps")), 1)
     scheme = CQScheme(order, final_time / n_steps, n_steps)
     n_elements = _parse_int("n_elements", _take(raw, "n_elements"))
     output = _require_directory("output", _take(raw, "output", "series.csv"))

@@ -67,10 +67,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import mmap
-import operator
 import os
 
 import numpy as np
+
+from ._checks import count, length
 
 __all__ = [
     "CONTOUR_EPSILON",
@@ -126,10 +127,9 @@ def bdf_delta(order: int, zeta: complex | np.ndarray) -> complex | np.ndarray:
     Raises
     ------
     ValueError
-        If ``order`` lies outside ``{1, ..., 6}``.
+        If ``order`` is not an integer in ``{1, ..., 6}``.
     """
-    if not 1 <= order <= MAX_BDF_ORDER:
-        raise ValueError(f"BDF order must lie in 1..{MAX_BDF_ORDER}, got {order}")
+    order = count("order", order, 1, MAX_BDF_ORDER)
     w = np.asarray(zeta)
     u = 1.0 - w
     acc = np.zeros_like(u)
@@ -162,10 +162,12 @@ class CQScheme:
     Raises
     ------
     ValueError
-        For an order or step count that is not an integer, an
-        out-of-range order, a nonpositive step, no steps, or a
-        contour node whose scaled frequency ``delta(zeta_l) / kappa``
-        falls on the closed negative real axis, where the transfer
+        Naming the field, for an ``order`` or ``n_steps`` that is not an
+        integer (a float, even an integral one, is refused and never
+        truncated), an ``order`` outside ``1..6``, ``n_steps < 1``, or a
+        ``kappa`` that is not finite and positive.  Also for a contour
+        node whose scaled frequency ``delta(zeta_l) / kappa`` falls on
+        the closed negative real axis, where the transfer
         functions of interest are not defined.  BDF orders up to 2 keep
         ``Re delta > 0`` on the whole disk; orders 3 to 6 are only
         A(alpha)-stable, so for small steps part of the contour maps
@@ -178,20 +180,9 @@ class CQScheme:
     n_steps: int
 
     def __post_init__(self) -> None:
-        for name in ("order", "n_steps"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got "
-                                 f"{getattr(self, name)!r}") from None
-        if not 1 <= self.order <= MAX_BDF_ORDER:
-            raise ValueError(
-                f"BDF order must lie in 1..{MAX_BDF_ORDER}, got {self.order}"
-            )
-        if not self.kappa > 0.0:
-            raise ValueError(f"time step must be positive, got {self.kappa}")
-        if self.n_steps < 1:
-            raise ValueError(f"need at least one step, got {self.n_steps}")
+        count("order", self.order, 1, MAX_BDF_ORDER)
+        length("kappa", self.kappa)
+        count("n_steps", self.n_steps, 1)
         bad = self._cut_nodes()
         if bad.size:
             raise ValueError(

@@ -46,6 +46,8 @@ import math
 import numpy as np
 from scipy.special import kv
 
+from ._checks import count, length
+
 # Euler-Mascheroni constant, to double precision.
 EULER_GAMMA = 0.5772156649015328606
 
@@ -118,12 +120,8 @@ class ProblemConfig:
     dimension: int = 2
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.nu < math.inf:
-            raise ValueError(
-                f"viscosity must be positive and finite, got {self.nu}"
-            )
-        if self.dimension not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
+        length("viscosity", self.nu)
+        count("dimension", self.dimension, 2, 3)
 
     @property
     def kernel_prefactor(self) -> float:

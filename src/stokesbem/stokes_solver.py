@@ -32,7 +32,6 @@ convolution tail.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from typing import Callable
 
 import numpy as np
@@ -52,6 +51,7 @@ from .bem_space import (
     require_off_boundary,
     require_reduced_space,
 )
+from ._checks import count, length
 from ._quadrature import panel_gauss
 from .boundary_geometry import (
     BoundaryCurve,
@@ -127,10 +127,7 @@ class DirichletData:
     def __post_init__(self) -> None:
         if not callable(self.boundary_values):
             raise ValueError("boundary_values must be callable")
-        if self.smoothness < 0:
-            raise ValueError(
-                f"smoothness must be nonnegative, got {self.smoothness}"
-            )
+        count("smoothness", self.smoothness, 0)
 
     def sample(self, t: float, positions: np.ndarray) -> np.ndarray:
         """Evaluate the trace, validating shape, realness and finiteness."""
@@ -170,21 +167,14 @@ class GridSpec:
     n_cols: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite([self.x0, self.y0, self.dx, self.dy]).all():
+        if not np.isfinite([self.x0, self.y0]).all():
             raise ValueError(
-                f"grid origin and spacings must be finite, got x0={self.x0}, "
-                f"y0={self.y0}, dx={self.dx}, dy={self.dy}"
+                f"grid origin must be finite, got x0={self.x0}, y0={self.y0}"
             )
-        if not (self.dx > 0.0 and self.dy > 0.0):
-            raise ValueError("grid spacings must be positive")
-        for name in ("n_rows", "n_cols"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got "
-                                 f"{getattr(self, name)!r}") from None
-        if self.n_rows < 2 or self.n_cols < 2:
-            raise ValueError("grid needs at least 2 points per direction")
+        length("dx", self.dx)
+        length("dy", self.dy)
+        count("n_rows", self.n_rows, 2)
+        count("n_cols", self.n_cols, 2)
 
     def points(self) -> np.ndarray:
         """Lattice points, shape ``(n_rows, n_cols, 2)``."""
@@ -380,7 +370,7 @@ def run_simulation(
     curve: BoundaryCurve,
     n_elements: int,
     kind: str,
-    constraint: ConstraintMode,
+    constraint: ConstraintMode | str,
     scheme: CQScheme,
     data: DirichletData,
     observation_points,
@@ -395,8 +385,8 @@ def run_simulation(
     curve, n_elements, kind:
         Boundary, mesh resolution, and density family.
     constraint:
-        Gauge handling; ``multiplier_m`` borders the leading system by
-        its multiplier.
+        Gauge handling, a :class:`ConstraintMode` or its value string;
+        ``multiplier_m`` borders the leading system by its multiplier.
     scheme:
         Time discretization.
     data:
@@ -419,9 +409,10 @@ def run_simulation(
     ValueError
         For inadmissible data, observation points not of shape
         ``(K, 2)``, a non-finite point or one on the boundary, an
-        unknown assembly flag, a non-planar ``cfg``, or any violated
-        component precondition.
+        unknown constraint or assembly flag, a non-planar ``cfg``, or
+        any violated component precondition.
     """
+    constraint = ConstraintMode(constraint)
     if assembly not in ("galerkin", "reduced"):
         raise ValueError(
             f"assembly must be 'galerkin' or 'reduced', got {assembly!r}"
@@ -620,14 +611,10 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
     ValueError
         If a step index is out of range or every cell is masked.
     """
-    steps = np.asarray(step_indices, dtype=int).ravel()
-    n_keep = result.scheme.n_steps + 1
+    steps = np.array([count("step index", k, 0, result.scheme.n_steps)
+                      for k in np.ravel(step_indices)])
     if steps.size == 0:
         raise ValueError("need at least one step index")
-    if steps.min() < 0 or steps.max() >= n_keep:
-        raise ValueError(
-            f"step indices must lie in 0..{n_keep - 1}, got {steps.tolist()}"
-        )
     mask = snapshot_mask(result.space.mesh, grid)
     u_kept, p_kept = _observe(result.space, result.scheme, result.cfg,
                               result.history, grid.points()[~mask])

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._checks import count, length
 from .bem_space import (
     ConstraintMode,
     DensitySpace,
@@ -165,24 +166,22 @@ def convergence_sweep(
     Raises
     ------
     ValueError
-        If the ladder is empty, has a row with ``N < 1`` or ``M < 1`` or
-        does not double between rows.
+        If the ladder is empty, has a row whose ``N`` or ``M`` is not an
+        integer of at least 1 (a float is refused, never truncated), or
+        does not double between rows, or if ``final_time`` is not
+        finite and positive.
     """
-    ladder = [(int(n), int(m)) for n, m in ladder]
+    ladder = [(count("ladder N", n, 1), count("ladder M", m, 1))
+              for n, m in ladder]
     if not ladder:
         raise ValueError("refinement ladder must contain at least one row")
-    for n, m in ladder:
-        if n < 1 or m < 1:
-            raise ValueError(
-                f"refinement ladder needs N >= 1 and M >= 1 in every row, "
-                f"got ({n}, {m})"
-            )
     for (n0, m0), (n1, m1) in zip(ladder, ladder[1:]):
         if n1 != 2 * n0 or m1 != 2 * m0:
             raise ValueError(
                 f"refinement ladder must double N and M between rows; "
                 f"got ({n0}, {m0}) -> ({n1}, {m1})"
             )
+    length("final_time", problem.final_time)
     obs = np.atleast_2d(np.asarray(problem.observation_points, dtype=float))
     u_ref, p_ref = exact_solution(problem.final_time, obs)
 

@@ -187,6 +187,17 @@ def test_constrain_keeps_a_real_matrix_real(mode):
     np.testing.assert_array_equal(real, whole.real)
 
 
+def test_constrain_takes_a_mode_or_its_value():
+    space, plain = galerkin(BoundaryCurve.circle(1.0), 8, "P0", 2.0 + 0j)
+    for mode in ConstraintMode:
+        np.testing.assert_array_equal(
+            constrain(plain, space, mode.value, reduced=False),
+            constrain(plain, space, mode, reduced=False),
+        )
+    with pytest.raises(ValueError, match="'nonsense' is not a valid"):
+        constrain(plain, space, "nonsense", reduced=True)
+
+
 def test_vtilde_rank_one_reconstruction():
     space, plain = galerkin(BoundaryCurve.circle(1.0), 8, "P0", 3.0 + 1.0j)
     tilde = constrain(plain, space, ConstraintMode.augmented_Vtilde, False)

@@ -1,5 +1,7 @@
 """Tests for config parsing, output formats, and CLI exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -338,7 +340,7 @@ class TestRunCommand:
         assert cli.main(["run", path]) == 1
         err = capsys.readouterr().err
         assert "config error" in err
-        assert f"key 'n_steps' must be at least 1, got {value}" in err
+        assert f"n_steps must be at least 1, got {value}" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_unwritable_output_is_exit_1_without_traceback(
@@ -417,7 +419,7 @@ output = convergence.csv
         assert cli.main(["converge", path]) == 1
         err = capsys.readouterr().err
         assert "config error" in err
-        assert "key 'final_time' must be positive" in err
+        assert "final_time must be positive and finite, got 0.0" in err
 
     def test_non_doubling_ladder_is_config_error(self, tmp_path, capsys):
         path = write_config(
@@ -444,7 +446,7 @@ output = convergence.csv
         assert cli.main(["converge", path]) == 1
         err = capsys.readouterr().err
         assert "config error" in err
-        assert "ladder needs N >= 1 and M >= 1 in every row" in err
+        assert re.search(r"ladder [NM] must be at least 1, got 0", err)
         assert "Traceback" not in err
 
 

@@ -7,6 +7,7 @@ their masking and vorticity stencils.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from stokesbem.stokes_solver import (
     manufactured_dirichlet_data,
     run_simulation,
 )
+from stokesbem.verification import SweepProblem, convergence_sweep
 
 CFG = ProblemConfig()
 
@@ -133,7 +135,8 @@ class TestDirichletData:
             DirichletData(boundary_values=3)
 
     def test_rejects_negative_smoothness(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError,
+                           match="^smoothness must be at least 0, got -1$"):
             DirichletData(boundary_values=lambda t, p: p, smoothness=-1)
 
     def test_rejects_complex_values(self):
@@ -361,6 +364,30 @@ class TestGaugeConstraints:
             <= 1e-10 * vel_scale
         )
 
+    @staticmethod
+    def circle_history(constraint):
+        return run_simulation(
+            BoundaryCurve.circle(1.0), 16, "P0", constraint,
+            CQScheme(order=3, kappa=0.1, n_steps=10),
+            manufactured_dirichlet_data(), [(0.0, 0.0)], CFG,
+            assembly="reduced",
+        ).history
+
+    def test_value_string_runs_its_mode(self):
+        """``"none"`` runs the plain system, not the border."""
+        np.testing.assert_array_equal(
+            self.circle_history("none"),
+            self.circle_history(ConstraintMode.none),
+        )
+
+    def test_unknown_constraint_fails_before_sampling(self, monkeypatch):
+        def no_weights(*args, **kwargs):
+            raise AssertionError("cq_weights reached")
+
+        monkeypatch.setattr(stokes_solver, "cq_weights", no_weights)
+        with pytest.raises(ValueError, match="'nonsense' is not a valid"):
+            self.circle_history("nonsense")
+
     @pytest.mark.parametrize("assembly", ["galerkin", "reduced"])
     def test_constraint_enters_the_leading_weight_only(self, assembly,
                                                        monkeypatch):
@@ -516,15 +543,41 @@ class TestGridSpec:
     (lambda: build_mesh(BoundaryCurve.circle(1.0), 8.7), "n_elements"),
     (lambda: GridSpec(0.0, 0.0, 1.0, 1.0, 2.5, 3), "n_rows"),
     (lambda: GridSpec(0.0, 0.0, 1.0, 1.0, 3, np.float64(3.0)), "n_cols"),
+    (lambda: BoundaryCurve.star(1.0, 0.3, 2.5), "lobes"),
+    (lambda: DirichletData(lambda t, p: p, smoothness=2.5), "smoothness"),
+    (lambda: convergence_sweep(
+        SweepProblem(BoundaryCurve.circle(1.0), "P0", ConstraintMode.none, 3,
+                     manufactured_dirichlet_data(), OBS_INTERIOR, CFG),
+        [(8.7, 8)]), "ladder N"),
+    (lambda: field_snapshot(
+        types.SimpleNamespace(scheme=CQScheme(3, 0.1, 8)),
+        GridSpec(0.0, 0.0, 1.0, 1.0, 3, 3), [2.7]), "step index"),
 ])
 def test_integer_counts_must_be_integers(make, field):
     """Counts are Python or NumPy integers; a float, even integral, is
-    a ValueError that names the field (NumPy integers pass)."""
+    a ValueError that names the field and is never truncated (NumPy
+    integers pass)."""
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         make()
     CQScheme(np.int64(3), 0.1, np.int32(8))
     build_mesh(BoundaryCurve.circle(1.0), np.int64(8))
     GridSpec(0.0, 0.0, 1.0, 1.0, np.int64(2), 3)
+    BoundaryCurve.star(1.0, 0.3, np.int64(2))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+@pytest.mark.parametrize("make, field", [
+    (BoundaryCurve.circle, "radius"),
+    (BoundaryCurve.square, "half_width"),
+    (BoundaryCurve.star, "base_radius"),
+    (lambda kappa: CQScheme(3, kappa, 8), "kappa"),
+])
+def test_lengths_must_be_finite_and_positive(make, field, value):
+    """A length that is infinite, NaN or zero is a ValueError that
+    names the field, before any mesh or contour is built."""
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be positive and finite"):
+        make(value)
 
 
 class TestMaskedDerivative:
@@ -724,9 +777,11 @@ class TestFieldSnapshot:
 
     def test_rejects_bad_step_indices(self, circle_run):
         grid = GridSpec(x0=-0.5, y0=-0.5, dx=0.5, dy=0.5, n_rows=3, n_cols=3)
-        with pytest.raises(ValueError, match="step indices"):
+        with pytest.raises(ValueError,
+                           match="^step index must be in 0..12, got 13$"):
             field_snapshot(circle_run, grid, [13])
-        with pytest.raises(ValueError, match="step indices"):
+        with pytest.raises(ValueError,
+                           match="^step index must be in 0..12, got -1$"):
             field_snapshot(circle_run, grid, [-1])
         with pytest.raises(ValueError, match="at least one"):
             field_snapshot(circle_run, grid, [])
