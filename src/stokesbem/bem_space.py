@@ -17,10 +17,38 @@ multiplier row or adds a rank-one term.  :func:`factor`, the package's
 one LU, factors such a system once and returns its solve: density load
 in, density out, the multiplier dropped.
 
+Sector assembly
+---------------
+Every mesh of the package is a uniform parameter partition of a curve
+that a rotation by ``2 pi / m`` maps onto itself, element ``j`` onto
+element ``j + N / m`` (:attr:`BoundaryMesh.symmetry_order`: ``m = N``
+for the circle, 4 for the square, ``gcd(N, lobes)`` for the star).  The
+kernel is equivariant, ``E(Q r) = Q E(r) Q^T``, and so is every
+quadrature rule below, which depends on a pair of elements only through
+their geometry.  Hence the 2x2 dof blocks obey
+
+    block(i + k N/m, j + k N/m) = Q_k block(i, j) Q_k^T,
+
+with ``Q_k`` the rotation by ``2 pi k / m`` acting on the Cartesian
+component of each dof (``I_nb (x) R_k`` for ``nb`` basis functions; see
+Allgower, Boehmer, Georg & Miranda, *SIAM J. Numer. Anal.* 29 (1992)
+534-552).  Both assemblers therefore integrate only the rows of the
+first sector, elements ``i < N / m``: the reduced scheme all of their
+columns, the Galerkin scheme the self and vertex pairs and one
+separated pair per orbit of unordered pairs.  One routine for both,
+:func:`_assemble`, sums those rows and writes every other block as a
+rotated copy, and for the complex symmetric Galerkin matrix as the
+transpose of its mirror.  The clouds of the sector pairs alone are
+built and cached.  For ``m = 1``
+the sector is the whole mesh, ``Q_0`` is the identity and the matrices
+are those of an element-by-element assembly, bit for bit.
+
 Quadrature design
 -----------------
 The planar kernel profiles factor as ``A_2(z) = -log(z) P(z) + smooth``
-and ``B_2(z) = log(z) R(z) + smooth`` with ``z = sqrt(s) |x - y|``, so
+and ``B_2(z) = log(z) R(z) + smooth`` with ``z = sqrt(s) |x - y|``; here
+and below ``s`` is the Brinkman parameter ``s / nu`` of the frequency
+(:meth:`ProblemConfig.brinkman`), the one argument of the kernels.  So
 every singular integral is reduced to a one-dimensional coordinate ``u``
 along which the distance vanishes linearly.  On a split interval
 ``(0, u0)`` the integrand is separated against ``-log(u / u0)`` and
@@ -130,6 +158,12 @@ class ConstraintMode(enum.Enum):
     none = "none"
     multiplier_m = "multiplier_m"
     augmented_Vtilde = "augmented_Vtilde"
+
+    @classmethod
+    def _missing_(cls, value):
+        """Refuse an unknown value, naming the argument and the modes."""
+        valid = ", ".join(repr(mode.value) for mode in cls)
+        raise ValueError(f"constraint must be one of {valid}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -281,15 +315,20 @@ def _finish_cloud(pairs, diff, r_weights, fx, fy, sp_x, sp_y, split=None):
                  for m in [c != 0.0])
 
 
+def _sector_size(mesh: BoundaryMesh) -> int:
+    """Elements per rotational sector, ``N / mesh.symmetry_order``."""
+    return mesh.n_elements // mesh.symmetry_order
+
+
 def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
-    """Strip-coordinate cloud for all diagonal (self) element pairs.
+    """Strip-coordinate cloud for the self pairs of the first sector.
 
     With ``u = xi - eta`` the double integral over the reference square
     becomes two congruent strips ``v in (0, 1 - u)``, ``u in (0, 1)``;
     the distance vanishes linearly in ``u``, which carries the split.
     """
     mesh = space.mesh
-    n = mesh.n_elements
+    n = _sector_size(mesh)
     u, wu, al, be = _split_channels(cap, z_scale, SELF_LOG_ORDER,
                                     SELF_SMOOTH_ORDER)
     t, wt = gauss_legendre_01(SELF_INNER_ORDER)
@@ -312,7 +351,8 @@ def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
 
 
 def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
-    """Duffy-coordinate cloud for all ordered adjacent pairs (i, i+1).
+    """Duffy-coordinate cloud for the adjacent pairs (i, i+1) of the first
+    sector's rows.
 
     The shared vertex sits at the end of element i and the start of
     element i+1.  In corner coordinates ``(da, db)`` measured from the
@@ -322,7 +362,7 @@ def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
     curved adjacent pairs alike.
     """
     mesh = space.mesh
-    n = mesh.n_elements
+    n = _sector_size(mesh)
     p, wp, al, be = _split_channels(cap, z_scale, VERTEX_LOG_ORDER,
                                     VERTEX_SMOOTH_ORDER)
     q, wq = gauss_legendre_01(VERTEX_ANGULAR_ORDER)
@@ -336,23 +376,34 @@ def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
     split = [np.tile(np.repeat(c, q.size), 2) for c in (al, be)]
     xi = 1.0 - da
     eta = db
-    left = np.arange(n)[:, None]
-    right = (np.arange(n)[:, None] + 1) % n
-    pos_x, sp_x = _element_points(mesh, left, xi[None, :])
-    pos_y, sp_y = _element_points(mesh, right, eta[None, :])
+    left = np.arange(n)
+    right = (left + 1) % mesh.n_elements
+    pos_x, sp_x = _element_points(mesh, left[:, None], xi[None, :])
+    pos_y, sp_y = _element_points(mesh, right[:, None], eta[None, :])
     fb_x = _basis_values(space.n_basis, xi)
     fb_y = _basis_values(space.n_basis, eta)
-    pairs = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    pairs = np.stack([left, right], axis=1)
     return _finish_cloud(pairs, pos_x - pos_y, w_pt[None, :], fb_x, fb_y,
                          sp_x, sp_y, split)
 
 
-def _separated_pairs(mesh: BoundaryMesh):
-    """Unordered non-touching pairs (i < j) with their distance class."""
-    n = mesh.n_elements
-    i, j = np.triu_indices(n, k=1)
-    adjacent = (j - i == 1) | ((i == 0) & (j == n - 1))
-    i, j = i[~adjacent], j[~adjacent]
+def _separated_pairs(mesh: BoundaryMesh, ordered: bool):
+    """Non-touching pairs (i, j) of the first sector's rows, ``i < N/m``,
+    with their distance in element lengths.
+
+    ``ordered`` keeps them all, the rows of the reduced scheme.
+    Otherwise one pair per rotation orbit of unordered pairs is kept:
+    of ``(i, j)`` and the mirror ``(j, i)`` turned back into the first
+    sector, the lexicographically smaller.  For ``m = 1`` these are the
+    pairs ``i < j``.
+    """
+    n_all, n = mesh.n_elements, _sector_size(mesh)
+    i, j = np.divmod(np.arange(n * n_all), n_all)
+    keep = ((j - i) % n_all > 1) & ((i - j) % n_all > 1)
+    if not ordered:
+        mi, mj = j % n, (i - j + j % n) % n_all
+        keep &= (i < mi) | ((i == mi) & (j <= mj))
+    i, j = i[keep], j[keep]
     dist = np.linalg.norm(mesh.midpoints[i] - mesh.midpoints[j], axis=1)
     scale = np.maximum(mesh.arclengths[i], mesh.arclengths[j])
     return i, j, dist / scale
@@ -373,9 +424,10 @@ def _distance_classes(ratio: np.ndarray, classes):
 
 
 def _build_separated_clouds(space: DensitySpace):
-    """Tensor-rule clouds for separated pairs, one per distance class."""
+    """Tensor-rule clouds for one separated pair per orbit, one cloud per
+    distance class."""
     mesh = space.mesh
-    i, j, ratio = _separated_pairs(mesh)
+    i, j, ratio = _separated_pairs(mesh, ordered=False)
     clouds = []
     for sel, order, n_panels in _distance_classes(ratio, SEPARATED_CLASSES):
         ii, jj = i[sel], j[sel]
@@ -397,10 +449,11 @@ def _build_separated_clouds(space: DensitySpace):
     return clouds
 
 
-#: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span); the
-#: dyadic quantization of the split caps keeps the key set small across a
-#: convolution-quadrature contour.  It holds the clouds of one space only:
-#: a new space drops the others first.
+#: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span), and
+#: of the fill indices of the two assemblers keyed by (curve, N, kind,
+#: label); the dyadic quantization of the split caps keeps the key set
+#: small across a convolution-quadrature contour.  It holds the entries
+#: of one space only: a new space drops the others first.
 _GEOMETRY_CACHE: dict = {}
 
 
@@ -557,19 +610,98 @@ def _accumulate_blocks(V, cloud, bases, sqrt_s, pref, n_basis):
           sums[[0, 2, 2, 4]] + 1j * sums[[1, 3, 3, 5]])
 
 
+def _turned_sectors(sector: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """The images ``Q_k S Q_k^T``, ``k = 0 .. m - 1``, of the first
+    sector's rows ``S``, where ``Q_k`` turns the Cartesian component of
+    every dof by ``2 pi k / m``.
+
+    Shape ``(m, 2, 2, n nb, N nb)``: rotation, row component, column
+    component, row element and basis, column element and basis.  The
+    rotation is applied to the real and the imaginary parts alike;
+    ``Q_0`` is the identity, so ``k = 0`` holds ``S`` exactly.
+    """
+    m = mesh.symmetry_order
+    rows, cols = sector.shape[0] // 2, sector.shape[1] // 2
+    x = np.ascontiguousarray(
+        sector.reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)).view(float)
+    angle = 2.0 * np.pi * np.arange(m) / m
+    cos, sin = np.cos(angle), np.sin(angle)
+    rot = np.stack([cos, -sin, sin, cos], axis=1).reshape(m, 2, 2)
+    # entry (k, c, d; e, f) is Q_k[c, e] Q_k[d, f]; einsum rather than
+    # matmul for the thin shapes, see _interpolate
+    both = np.einsum("kce,kdf->kcdef", rot, rot).reshape(4 * m, 4)
+    turned = np.einsum("ab,bp->ap", both, x.reshape(4, -1))
+    return turned.reshape((m, 2, 2) + x.shape[2:]).view(complex)
+
+
+def _fill_index(space: DensitySpace, clouds) -> np.ndarray:
+    """Where :func:`_assemble` takes each entry of the matrix from, as flat
+    indices into the turned sectors (:func:`_turned_sectors`).
+
+    The block of the element pair ``(R, C)`` is the image under the
+    rotation ``k = R // n`` of the sector block ``(R % n, C - k n)`` if
+    one of the ``clouds`` holds that block, and otherwise the transpose
+    of the block of ``(C, R)``.
+    """
+    mesh = space.mesh
+    n_all, n, nb = mesh.n_elements, _sector_size(mesh), space.n_basis
+    listed = np.zeros((n, n_all), dtype=bool)
+    for cloud in clouds:
+        listed[cloud[0].pairs[:, 0], cloud[0].pairs[:, 1]] = True
+    row = np.arange(n_all)[:, None, None, None]
+    col = row.reshape(1, 1, n_all, 1)
+    p, q = np.arange(2 * nb)[:, None, None], np.arange(2 * nb)
+
+    def source(r, c, a, b):
+        # entry (a, b) of the block of (r, c): dof a of element r is
+        # component a % 2 of basis a // 2, and likewise for b and c
+        k, i = np.divmod(r, n)
+        j = (c - k * n) % n_all
+        head = ((k * 2 + a % 2) * 2 + b % 2) * n + i
+        return ((head * nb + a // 2) * n_all + j) * nb + b // 2
+
+    direct = listed[row % n, (col - row // n * n) % n_all]
+    return np.where(direct, source(row, col, p, q),
+                    source(col, row, q, p)).ravel()
+
+
 def _require_planar(cfg: ProblemConfig) -> None:
     if cfg.dimension != 2:
         raise NotImplementedError("matrix assembly is implemented for the "
                                   "planar problem only")
 
 
-def _check_finite(V: np.ndarray, n_basis: int) -> None:
-    if np.isfinite(V).all():
-        return
-    bad = np.argwhere(~np.isfinite(V))[0]
-    ei, ej = bad[0] // (2 * n_basis), bad[1] // (2 * n_basis)
-    raise RuntimeError(f"quadrature produced a non-finite entry for "
-                       f"element pair ({ei}, {ej})")
+def _assemble(space: DensitySpace, clouds, sqrt_s, cfg: ProblemConfig,
+              label: str) -> np.ndarray:
+    """The boundary-operator matrix of order ``dof_count`` from the
+    ``clouds`` of its first sector's rows, elements ``i < n = N / m``.
+
+    The clouds are summed into those rows, against every column.
+    Rotation by ``2 pi k / m`` maps the element pair ``(i, j)`` onto
+    ``(i + k n, j + k n)`` (mod ``N``) and its block ``B`` onto ``Q_k B
+    Q_k^T``, so every block of the matrix is the image of a sector
+    block.  The reduced scheme's clouds hold every sector block; the
+    Galerkin clouds hold one per orbit of unordered pairs, and the
+    matrix, complex symmetric, takes the other blocks as transposes
+    (:func:`_fill_index`, cached under ``label``).
+
+    Raises ``RuntimeError`` for a non-finite entry, naming its element
+    pair.
+    """
+    w = 2 * space.n_basis
+    sector = np.zeros((w * _sector_size(space.mesh), space.dof_count),
+                      dtype=complex)
+    for cloud, bases in zip(clouds, _ray_bases(clouds, sqrt_s)):
+        _accumulate_blocks(sector, cloud, bases, sqrt_s, cfg.kernel_prefactor,
+                           space.n_basis)
+    if not np.isfinite(sector).all():
+        ei, ej = np.argwhere(~np.isfinite(sector))[0] // w
+        raise RuntimeError(f"quadrature produced a non-finite entry for "
+                           f"element pair ({ei}, {ej})")
+    index = _cached(_space_key(space) + (label,),
+                    lambda: _fill_index(space, clouds))
+    turned = _turned_sectors(sector, space.mesh)
+    return np.take(turned, index).reshape(space.dof_count, space.dof_count)
 
 
 def constrain(V: np.ndarray, space: DensitySpace,
@@ -602,8 +734,9 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
     """Galerkin matrix ``V_ij(s) = <mu_i, V(s) mu_j>``, square of order
     ``dof_count``; :func:`constrain` removes its gauge kernel.
 
-    The matrix is complex symmetric by construction (each unordered
-    element pair is integrated once and mirrored).
+    The matrix is complex symmetric by construction: one unordered
+    element pair per rotation orbit is integrated, then turned into the
+    other sectors and mirrored (:func:`_assemble`).
 
     Raises
     ------
@@ -612,7 +745,8 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
         offending element pair).
     """
     _require_planar(cfg)
-    z_max = abs(freq.sqrt_s) * float(space.mesh.arclengths.max())
+    sqrt_s = cfg.brinkman(freq).sqrt_s
+    z_max = abs(sqrt_s) * float(space.mesh.arclengths.max())
     cap_u, z_u = _split_scale(z_max)
     cap_p, z_p = _split_scale(2.0 * z_max)
     key = _space_key(space)
@@ -622,18 +756,8 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
                            lambda: _build_vertex_cloud(space, cap_p, z_p))
     separated = _cached(key + ("separated",),
                         lambda: _build_separated_clouds(space))
-    ndof = space.dof_count
-    pref = cfg.kernel_prefactor
-    v_diag = np.zeros((ndof, ndof), dtype=complex)
-    v_off = np.zeros((ndof, ndof), dtype=complex)
     clouds = [self_cloud, vertex_cloud, *separated]
-    targets = [v_diag] + [v_off] * (len(clouds) - 1)
-    for V, cloud, bases in zip(targets, clouds,
-                               _ray_bases(clouds, freq.sqrt_s)):
-        _accumulate_blocks(V, cloud, bases, freq.sqrt_s, pref, space.n_basis)
-    V = v_diag + v_off + v_off.T
-    _check_finite(V, space.n_basis)
-    return V
+    return _assemble(space, clouds, sqrt_s, cfg, "fill")
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +765,15 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
 # ---------------------------------------------------------------------------
 
 def _build_diag_cloud(space: DensitySpace, cap: float, z_scale: float):
-    """Self-element rows of the reduced scheme: midpoint against own element.
+    """Self-element rows of the reduced scheme, first sector: midpoint
+    against own element.
 
     The inner integral is folded into the two half-elements; with
     ``eta = 1/2 +- v/2`` the distance from the midpoint vanishes
     linearly in ``v``, which carries the split.
     """
     mesh = space.mesh
-    n = mesh.n_elements
+    n = _sector_size(mesh)
     v, wv, al, be = _split_channels(cap, z_scale, DIAG_LOG_ORDER,
                                     DIAG_SMOOTH_ORDER)
     eta = np.concatenate([0.5 + 0.5 * v, 0.5 - 0.5 * v])
@@ -658,27 +783,28 @@ def _build_diag_cloud(space: DensitySpace, cap: float, z_scale: float):
     pos_y, sp_y = _element_points(mesh, elems, eta[None, :])
     fb_y = _basis_values(space.n_basis, eta)
     ones = np.ones((1, eta.size))
-    rows = mesh.arclengths[:, None]
+    rows = mesh.arclengths[:n, None]
     pairs = np.stack([np.arange(n), np.arange(n)], axis=1)
-    return _finish_cloud(pairs, mesh.midpoints[:, None, :] - pos_y,
+    return _finish_cloud(pairs, mesh.midpoints[:n, None, :] - pos_y,
                          w_pt[None, :], ones, fb_y, rows, sp_y, split)
 
 
 def _build_neighbor_cloud(space: DensitySpace, offset: int):
-    """Rows against an adjacent element, graded toward the shared vertex."""
+    """First-sector rows against an adjacent element, graded toward the
+    shared vertex."""
     mesh = space.mesh
-    n = mesh.n_elements
+    n = _sector_size(mesh)
     eta, w_pt = panel_gauss(NEIGHBOR_PANEL_ORDER, NEIGHBOR_BREAKS)
     if offset == -1:
         # previous element: shared vertex at eta = 1
         eta = 1.0 - eta
-    cols = (np.arange(n) + offset) % n
+    cols = (np.arange(n) + offset) % mesh.n_elements
     pos_y, sp_y = _element_points(mesh, cols[:, None], eta[None, :])
     fb_y = _basis_values(space.n_basis, eta)
     ones = np.ones((1, eta.size))
-    rows = mesh.arclengths[:, None]
+    rows = mesh.arclengths[:n, None]
     pairs = np.stack([np.arange(n), cols], axis=1)
-    return _finish_cloud(pairs, mesh.midpoints[:, None, :] - pos_y,
+    return _finish_cloud(pairs, mesh.midpoints[:n, None, :] - pos_y,
                          w_pt[None, :], ones, fb_y, rows, sp_y)
 
 
@@ -701,12 +827,11 @@ def _point_clouds(space: DensitySpace, points, ii, jj, ratio, row_weights,
 
 
 def _build_row_clouds(space: DensitySpace):
-    """Separated columns of the reduced scheme, classed by distance: the
-    separated pairs and their mirror images."""
+    """Separated columns of the reduced scheme's first-sector rows,
+    classed by distance."""
     mesh = space.mesh
-    i, j, ratio = _separated_pairs(mesh)
-    return _point_clouds(space, mesh.midpoints, np.concatenate([i, j]),
-                         np.concatenate([j, i]), np.concatenate([ratio, ratio]),
+    return _point_clouds(space, mesh.midpoints,
+                         *_separated_pairs(mesh, ordered=True),
                          mesh.arclengths, SEPARATED_CLASSES)
 
 
@@ -737,8 +862,9 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     """
     _require_planar(cfg)
     require_reduced_space(space)
+    sqrt_s = cfg.brinkman(freq).sqrt_s
     l_max = float(space.mesh.arclengths.max())
-    cap_d, z_dq = _split_scale(abs(freq.sqrt_s) * l_max / 2.0)
+    cap_d, z_dq = _split_scale(abs(sqrt_s) * l_max / 2.0)
     key = _space_key(space)
     diag = _cached(key + ("rdiag", cap_d, z_dq),
                    lambda: _build_diag_cloud(space, cap_d, z_dq))
@@ -747,14 +873,8 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     nb_prev = _cached(key + ("rprev",),
                       lambda: _build_neighbor_cloud(space, -1))
     far = _cached(key + ("rrows",), lambda: _build_row_clouds(space))
-    ndof = space.dof_count
-    pref = cfg.kernel_prefactor
-    V = np.zeros((ndof, ndof), dtype=complex)
     clouds = [diag, nb_next, nb_prev, *far]
-    for cloud, bases in zip(clouds, _ray_bases(clouds, freq.sqrt_s)):
-        _accumulate_blocks(V, cloud, bases, freq.sqrt_s, pref, space.n_basis)
-    _check_finite(V, space.n_basis)
-    return V
+    return _assemble(space, clouds, sqrt_s, cfg, "rfill")
 
 
 # ---------------------------------------------------------------------------
@@ -855,10 +975,11 @@ def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,
     _require_planar(cfg)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     clouds = _potential_clouds(space, points)
+    sqrt_s = cfg.brinkman(freq).sqrt_s
     out = np.zeros((2 * points.shape[0], space.dof_count), dtype=complex)
-    for cloud, bases in zip(clouds, _ray_bases(clouds, freq.sqrt_s)):
-        _accumulate_blocks(out, cloud, bases, freq.sqrt_s,
-                           cfg.kernel_prefactor, space.n_basis)
+    for cloud, bases in zip(clouds, _ray_bases(clouds, sqrt_s)):
+        _accumulate_blocks(out, cloud, bases, sqrt_s, cfg.kernel_prefactor,
+                           space.n_basis)
     return out
 
 

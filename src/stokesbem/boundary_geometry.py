@@ -14,6 +14,15 @@ A mesh is a uniform partition of the parameter interval into ``N``
 elements.  For the square ``N`` must be a multiple of four so that the
 corners always coincide with element boundaries and every element is a
 straight segment.
+
+Every curve is centered on the origin and its parametrization commutes
+with a rotation: ``x(theta + 1/m) = R x(theta)``, ``R`` the rotation by
+``2 pi / m``, for ``m = 4`` (square), any ``m`` (circle) and ``m`` a
+divisor of ``lobes`` (star).  A uniform mesh of ``N`` elements inherits
+the rotations whose ``m`` divides ``N``: rotation by ``2 pi / m`` maps
+element ``j`` onto element ``j + N / m``.  The largest such order is
+:attr:`BoundaryMesh.symmetry_order`: ``N`` for the circle, 4 for the
+square and ``gcd(N, lobes)`` for the star.
 """
 
 from __future__ import annotations
@@ -31,12 +40,18 @@ from ._quadrature import gauss_legendre_01, panel_gauss
 #: quantities are accurate to near machine precision on the meshes in use.
 GEOMETRY_RULE_ORDER = 16
 
+_KINDS = ("square", "circle", "star")
+
 
 @dataclass(frozen=True)
 class BoundaryCurve:
     """A closed parametrized curve ``x : [0, 1) -> R^2``.
 
     Use the classmethod constructors ``square``, ``circle`` and ``star``.
+    Every field is checked at construction, whatever the kind: a
+    ``ValueError`` names the field for an unknown ``kind``, a length
+    that is not finite and positive, an ``amplitude`` outside ``[0,
+    base_radius)`` or a ``lobes`` that is not an integer of at least 1.
     """
 
     kind: str
@@ -46,23 +61,31 @@ class BoundaryCurve:
     amplitude: float = 0.3
     lobes: int = 6
 
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {', '.join(_KINDS)}, "
+                             f"got {self.kind!r}")
+        for name in ("half_width", "radius", "base_radius"):
+            length(name, getattr(self, name))
+        if not 0.0 <= self.amplitude < self.base_radius:
+            # r(theta) would touch or cross the origin and self-intersect
+            raise ValueError("amplitude must satisfy 0 <= amplitude < "
+                             f"base_radius, got {self.amplitude!r}")
+        object.__setattr__(self, "lobes", count("lobes", self.lobes, 1))
+
     @classmethod
     def square(cls, half_width: float = 1.0) -> "BoundaryCurve":
-        return cls(kind="square", half_width=length("half_width", half_width))
+        return cls(kind="square", half_width=half_width)
 
     @classmethod
     def circle(cls, radius: float = 1.0) -> "BoundaryCurve":
-        return cls(kind="circle", radius=length("radius", radius))
+        return cls(kind="circle", radius=radius)
 
     @classmethod
     def star(cls, base_radius: float = 1.0, amplitude: float = 0.3,
              lobes: int = 6) -> "BoundaryCurve":
-        length("base_radius", base_radius)
-        if not 0.0 <= amplitude < base_radius:
-            # r(theta) would touch or cross the origin and self-intersect
-            raise ValueError("amplitude must satisfy 0 <= amplitude < base_radius")
         return cls(kind="star", base_radius=base_radius, amplitude=amplitude,
-                   lobes=count("lobes", lobes, 1))
+                   lobes=lobes)
 
     @property
     def is_polygonal(self) -> bool:
@@ -78,25 +101,23 @@ class BoundaryCurve:
             ang = 2.0 * np.pi * th
             rad = self.base_radius + self.amplitude * np.cos(self.lobes * ang)
             return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
-        if self.kind == "square":
-            w = self.half_width
-            side = np.floor(4.0 * th).astype(int)
-            loc = 4.0 * th - side
-            x = np.empty(th.shape + (2,), dtype=float)
-            m = side == 0
-            x[m, 0] = -w + 2.0 * w * loc[m]
-            x[m, 1] = -w
-            m = side == 1
-            x[m, 0] = w
-            x[m, 1] = -w + 2.0 * w * loc[m]
-            m = side == 2
-            x[m, 0] = w - 2.0 * w * loc[m]
-            x[m, 1] = w
-            m = side == 3
-            x[m, 0] = -w
-            x[m, 1] = w - 2.0 * w * loc[m]
-            return x
-        raise ValueError(f"unknown curve kind {self.kind!r}")
+        w = self.half_width
+        side = np.floor(4.0 * th).astype(int)
+        loc = 4.0 * th - side
+        x = np.empty(th.shape + (2,), dtype=float)
+        m = side == 0
+        x[m, 0] = -w + 2.0 * w * loc[m]
+        x[m, 1] = -w
+        m = side == 1
+        x[m, 0] = w
+        x[m, 1] = -w + 2.0 * w * loc[m]
+        m = side == 2
+        x[m, 0] = w - 2.0 * w * loc[m]
+        x[m, 1] = w
+        m = side == 3
+        x[m, 0] = -w
+        x[m, 1] = w - 2.0 * w * loc[m]
+        return x
 
     def velocity(self, theta) -> np.ndarray:
         """Parameter derivative ``x'(theta)``, shape ``(..., 2)``.
@@ -116,17 +137,15 @@ class BoundaryCurve:
             dx = drad * np.cos(ang) - rad * np.sin(ang)
             dy = drad * np.sin(ang) + rad * np.cos(ang)
             return 2.0 * np.pi * np.stack([dx, dy], axis=-1)
-        if self.kind == "square":
-            w = self.half_width
-            side = np.floor(4.0 * th).astype(int)
-            v = np.empty(th.shape + (2,), dtype=float)
-            speed = 8.0 * w          # perimeter, = |x'| for arclength-proportional
-            v[side == 0] = (speed, 0.0)
-            v[side == 1] = (0.0, speed)
-            v[side == 2] = (-speed, 0.0)
-            v[side == 3] = (0.0, -speed)
-            return v
-        raise ValueError(f"unknown curve kind {self.kind!r}")
+        w = self.half_width
+        side = np.floor(4.0 * th).astype(int)
+        v = np.empty(th.shape + (2,), dtype=float)
+        speed = 8.0 * w          # perimeter, = |x'| for arclength-proportional
+        v[side == 0] = (speed, 0.0)
+        v[side == 1] = (0.0, speed)
+        v[side == 2] = (-speed, 0.0)
+        v[side == 3] = (0.0, -speed)
+        return v
 
     def perimeter(self) -> float:
         """Total arclength, exact for square and circle."""
@@ -170,6 +189,19 @@ class BoundaryMesh:
     @property
     def perimeter(self) -> float:
         return float(self.arclengths.sum())
+
+    @property
+    def symmetry_order(self) -> int:
+        """Order ``m`` of the rotations that map the mesh onto itself.
+
+        Rotation by ``2 pi / m`` maps element ``j`` onto element ``j + N
+        / m`` (see the module docstring); ``m = 1`` is no symmetry.
+        """
+        if self.curve.kind == "circle":
+            return self.n_elements
+        if self.curve.kind == "square":
+            return 4
+        return math.gcd(self.n_elements, self.curve.lobes)
 
 
 def build_mesh(curve: BoundaryCurve, n_elements: int) -> BoundaryMesh:

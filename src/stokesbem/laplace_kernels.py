@@ -6,8 +6,13 @@ the resolvent (Brinkman) problem, whose fundamental velocity tensor is
     E_u(r; s) = 1 / (4 (d-1) pi nu) * [ A_d(z) / r^(d-2) * I
                                         + B_d(z) / r^d * (r x r) ],
 
-with ``r = |r|``, ``z = sqrt(s) r``, and ``I`` the d x d identity.  The
-accompanying pressure vector
+with ``r = |r|``, ``z = sqrt(s / nu) r``, and ``I`` the d x d identity.
+The viscosity enters twice because ``u_t = nu Lap u - grad p`` becomes
+``(s / nu) u - Lap u + grad (p / nu) = 0``: a Brinkman problem with
+parameter ``s / nu`` (:meth:`ProblemConfig.brinkman`, the one place that
+maps a frequency to the kernels' argument), whose velocity kernel is
+the unit-viscosity one divided by ``nu``.  The accompanying pressure
+vector
 
     e_p(r) = r / (2 (d-1) pi r^d)
 
@@ -127,6 +132,14 @@ class ProblemConfig:
     def kernel_prefactor(self) -> float:
         """The scaling ``1 / (4 (d-1) pi nu)`` of the velocity kernel."""
         return 1.0 / (4.0 * (self.dimension - 1) * math.pi * self.nu)
+
+    def brinkman(self, freq: ComplexFrequency) -> ComplexFrequency:
+        """The Brinkman parameter ``s / nu`` of the frequency ``s``.
+
+        Every kernel argument is ``z = sqrt(s / nu) r``; at ``nu = 1``
+        the division is exact and returns ``s`` itself.
+        """
+        return ComplexFrequency(freq.s / self.nu)
 
 
 def _require_right_half_plane(z: np.ndarray) -> None:
@@ -330,7 +343,7 @@ def velocity_kernel(r_vec, freq: ComplexFrequency, cfg: ProblemConfig) -> np.nda
     -------
     numpy.ndarray
         Complex symmetric d x d tensor ``1/(4(d-1) pi nu) [A_d(z)/r^{d-2} I
-        + B_d(z)/r^d r x r]`` with ``z = sqrt(s) r``.
+        + B_d(z)/r^d r x r]`` with ``z = sqrt(s / nu) r``.
     """
     r = np.asarray(r_vec, dtype=float)
     if r.shape != (cfg.dimension,):
@@ -338,7 +351,7 @@ def velocity_kernel(r_vec, freq: ComplexFrequency, cfg: ProblemConfig) -> np.nda
     dist = float(np.hypot.reduce(r) if cfg.dimension == 2 else np.linalg.norm(r))
     if dist == 0.0:
         raise ValueError("velocity kernel is singular at r = 0")
-    z = freq.sqrt_s * dist
+    z = cfg.brinkman(freq).sqrt_s * dist
     a, b = _scalar_pair(cfg.dimension, z)
     a, b = complex(a[0]), complex(b[0])
     rhat = r / dist

@@ -27,7 +27,7 @@ from stokesbem.bem_space import (
     potential_pressure_matrix,
     potential_velocity_matrix,
 )
-from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
+from stokesbem.boundary_geometry import BoundaryCurve, BoundaryMesh, build_mesh
 from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import (
     ComplexFrequency,
@@ -194,7 +194,8 @@ def test_constrain_takes_a_mode_or_its_value():
             constrain(plain, space, mode.value, reduced=False),
             constrain(plain, space, mode, reduced=False),
         )
-    with pytest.raises(ValueError, match="'nonsense' is not a valid"):
+    with pytest.raises(ValueError, match="constraint must be one of 'none', "
+                       "'multiplier_m', 'augmented_Vtilde', got 'nonsense'"):
         constrain(plain, space, "nonsense", reduced=True)
 
 
@@ -273,6 +274,64 @@ def test_nystrom_block_rotational_equivariance():
             expected = rot @ blocks[0, k] @ rot.T
             worst = max(worst, np.abs(blocks[i, (i + k) % n] - expected).max())
     assert worst <= 1e-12 * np.abs(v).max()
+
+
+def _contour_ends(n_steps, final_time=1.0):
+    """The half-contour nodes of smallest and largest modulus."""
+    nodes = _half_contour(n_steps, final_time)
+    return nodes[np.argmin(np.abs(nodes))], nodes[np.argmax(np.abs(nodes))]
+
+
+@pytest.mark.parametrize(
+    "curve, n, m, final_time, kind, assemble",
+    [
+        (BoundaryCurve.circle(1.0), 80, 80, 1.0, "P0", assemble_nystrom_V),
+        (BoundaryCurve.square(1.0), 32, 80, 1.0, "P1_discontinuous",
+         assemble_galerkin_V),
+        (BoundaryCurve.star(), 48, 24, 3.0, "P0", assemble_nystrom_V),
+        (BoundaryCurve.star(), 48, 24, 3.0, "P0", assemble_galerkin_V),
+    ],
+    ids=["circle-80-reduced", "square-p1-32-galerkin", "star-48-reduced",
+         "star-48-galerkin"],
+)
+def test_sector_assembly_matches_whole_mesh_assembly(monkeypatch, curve, n,
+                                                     m, final_time, kind,
+                                                     assemble):
+    """Assembling one rotational sector and filling the rest by rotation
+    agrees with assembling every block (symmetry order 1), at the
+    contour's smallest and largest frequency."""
+    space = build_space(build_mesh(curve, n), kind)
+    assert space.mesh.symmetry_order > 1
+    freqs = [ComplexFrequency(complex(s)) for s in _contour_ends(m, final_time)]
+    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
+    sector = [assemble(space, f, CFG) for f in freqs]
+    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
+    monkeypatch.setattr(BoundaryMesh, "symmetry_order", property(lambda _: 1))
+    for f, got in zip(freqs, sector):
+        want = assemble(space, f, CFG)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, order", [(25, 1), (48, 6), (20, 2)])
+def test_sector_pairs_cover_every_pair_once(n, order):
+    """The separated pairs of the Galerkin sector are one per orbit of
+    unordered pairs (the pairs ``i < j`` for order 1); those of the
+    reduced sector are every non-touching pair of the sector's rows."""
+    mesh = build_mesh(BoundaryCurve.star(1.0, 0.3, 6), n)
+    assert mesh.symmetry_order == order
+    sector = n // order
+    i, j, _ = bem_space._separated_pairs(mesh, ordered=True)
+    assert sorted(zip(i, j)) == [(a, b) for a in range(sector)
+                                 for b in range(n)
+                                 if (b - a) % n not in (0, 1, n - 1)]
+    i, j, _ = bem_space._separated_pairs(mesh, ordered=False)
+    orbits = [{frozenset(((a + k * sector) % n, (b + k * sector) % n))
+               for k in range(order)} for a, b in zip(i, j)]
+    covered = [pair for orbit in orbits for pair in orbit]
+    assert len(covered) == len(set(covered))
+    assert len(set(covered)) == n * (n - 3) // 2
+    if order == 1:
+        assert np.all(i < j)
 
 
 def test_nystrom_block_01_against_adaptive_oracle():

@@ -53,6 +53,60 @@ def test_curve_validation_errors():
         BoundaryCurve.star(1.0, 0.3, 0)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        (dict(kind="ellipse"), "kind"),
+        (dict(kind="star", lobes=2.5), "lobes"),
+        (dict(kind="star", lobes=0), "lobes"),
+        (dict(kind="circle", radius=np.inf), "radius"),
+        (dict(kind="square", half_width=np.nan), "half_width"),
+        (dict(kind="star", base_radius=-1.0), "base_radius"),
+        (dict(kind="star", amplitude=1.0), "amplitude"),
+        (dict(kind="star", amplitude=-0.1), "amplitude"),
+        (dict(kind="star", amplitude=np.nan), "amplitude"),
+    ],
+)
+def test_curve_fields_checked_at_construction(fields, name):
+    """The constructor itself, not only the classmethods, refuses a bad
+    field and names it."""
+    with pytest.raises(ValueError, match=name):
+        BoundaryCurve(**fields)
+
+
+def test_curve_keeps_an_integer_lobe_count():
+    curve = BoundaryCurve.star(lobes=np.int64(6))
+    assert type(curve.lobes) is int
+    assert curve == BoundaryCurve.star()
+
+
+@pytest.mark.parametrize(
+    "curve, n, order",
+    [
+        (BoundaryCurve.circle(1.0), 40, 40),
+        (BoundaryCurve.square(1.0), 16, 4),
+        (BoundaryCurve.star(1.0, 0.3, 6), 48, 6),
+        (BoundaryCurve.star(1.0, 0.3, 6), 20, 2),
+        (BoundaryCurve.star(1.0, 0.3, 6), 25, 1),
+    ],
+)
+def test_mesh_maps_onto_itself_under_its_symmetry(curve, n, order):
+    """``x(theta + 1/m) = R x(theta)`` for the rotation ``R`` by ``2 pi /
+    m``, so rotation maps element ``j`` onto element ``j + N/m``."""
+    mesh = build_mesh(curve, n)
+    assert mesh.symmetry_order == order
+    ang = 2.0 * np.pi / order
+    rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+    theta = np.linspace(0.0, 1.0, 97)
+    np.testing.assert_allclose(curve.point(theta + 1.0 / order),
+                               curve.point(theta) @ rot.T, atol=1e-14)
+    shift = n // order
+    np.testing.assert_allclose(np.roll(mesh.midpoints, -shift, axis=0),
+                               mesh.midpoints @ rot.T, atol=1e-14)
+    np.testing.assert_allclose(np.roll(mesh.arclengths, -shift),
+                               mesh.arclengths, rtol=1e-14)
+
+
 def test_perimeters():
     assert BoundaryCurve.square(1.0).perimeter() == pytest.approx(8.0)
     assert BoundaryCurve.circle(1.0).perimeter() == pytest.approx(2 * np.pi)

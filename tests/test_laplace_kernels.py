@@ -302,12 +302,21 @@ def test_velocity_kernel_rejects_origin():
 
 
 def test_velocity_kernel_viscosity_scaling():
-    thick = ProblemConfig(nu=4.0)
-    thin = ProblemConfig(nu=1.0)
+    """``u_t = nu Lap u - grad p`` transforms to ``(s/nu) u - Lap u +
+    grad(p/nu) = 0``: the Brinkman problem with parameter ``s/nu``, so
+    ``E(r; s, nu) = E(r; s/nu, 1) / nu``; ``z = sqrt(s/nu) r``."""
     r = np.array([0.5, 0.1])
-    t4 = velocity_kernel(r, ComplexFrequency(2.0 + 0j), thick)
-    t1 = velocity_kernel(r, ComplexFrequency(2.0 + 0j), thin)
-    np.testing.assert_allclose(t4, t1 / 4.0, rtol=1e-15)
+    rhat = r / np.linalg.norm(r)
+    s = 2.0 + 1.0j
+    for nu in (0.5, 2.0, 4.0):
+        got = velocity_kernel(r, ComplexFrequency(s), ProblemConfig(nu=nu))
+        want = velocity_kernel(r, ComplexFrequency(s / nu),
+                               ProblemConfig()) / nu
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        z = np.sqrt(s / nu) * np.linalg.norm(r)
+        direct = (scalar_A(2, z) * np.eye(2)
+                  + scalar_B(2, z) * np.outer(rhat, rhat)) / (4.0 * np.pi * nu)
+        np.testing.assert_allclose(got, direct, rtol=1e-14)
 
 
 def test_pressure_kernel_planar_axis():

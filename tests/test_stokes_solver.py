@@ -385,7 +385,8 @@ class TestGaugeConstraints:
             raise AssertionError("cq_weights reached")
 
         monkeypatch.setattr(stokes_solver, "cq_weights", no_weights)
-        with pytest.raises(ValueError, match="'nonsense' is not a valid"):
+        with pytest.raises(ValueError, match="constraint must be one of 'none', "
+                           "'multiplier_m', 'augmented_Vtilde', got 'nonsense'"):
             self.circle_history("nonsense")
 
     @pytest.mark.parametrize("assembly", ["galerkin", "reduced"])
@@ -485,6 +486,21 @@ class TestInteriorAccuracy:
         err_p = np.abs(res.pressure_series[-1] - p_exact).max()
         assert 1e-5 < err_u < 4e-3
         assert 1e-5 < err_p < 1.2e-2
+
+    @pytest.mark.parametrize("nu", [0.5, 2.0])
+    def test_manufactured_solution_at_any_viscosity(self, nu):
+        """The manufactured flow solves ``u_t = nu Lap u - grad p`` for
+        every ``nu`` (``Lap u = 0``), so the errors stay at their ``nu =
+        1`` size, 2.4e-4 and 7.0e-4; a kernel that takes ``nu`` in its
+        prefactor alone misses the pressure by a factor ``nu``."""
+        [row] = convergence_sweep(
+            SweepProblem(BoundaryCurve.circle(1.0), "P0", ConstraintMode.none,
+                         3, manufactured_dirichlet_data(),
+                         [(0.0, 0.0), (0.5, 0.5), (-0.6, 0.1)],
+                         ProblemConfig(nu=nu), assembly="reduced"),
+            [(40, 40)])
+        assert row.err_u < 1e-3
+        assert row.err_p < 1e-3
 
 
 class TestStability:

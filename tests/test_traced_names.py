@@ -6,8 +6,11 @@ recorders and reads ``.weights`` from what ``cq_weights`` returns.  The
 benchmark's own tests are not part of this suite, so a refactor that
 drops one of those names would otherwise fail only the benchmark.  The
 script runs a simulation and a small snapshot, so that the solver's and
-the observation layer's names are both exercised.  The tracer patches
-the package in place, hence the separate process.
+the observation layer's names are both exercised.  The kernel counts
+must be positive too: an assembly that stopped reaching the profiles
+through ``bem_space._ab2`` and ``bem_space._pr2`` would leave the traced
+kernel layer at zero without failing.  The tracer patches the package
+in place, hence the separate process.
 """
 
 import json
@@ -50,3 +53,7 @@ def test_tracer_installs_and_counts_a_run():
     assert metrics["cq_engine.march.s"] > 0
     assert metrics["cq_engine.postprocess.self_s"] > 0
     assert metrics["stokes_solver.field_snapshot.us_per_point"] > 0
+    branches = [name for name in metrics
+                if name.startswith("laplace_kernels.args.")]
+    assert sum(metrics[name] for name in branches) > 0
+    assert metrics["laplace_kernels.args.pr2_series"] > 0
