@@ -9,7 +9,7 @@ pressure, and vorticity on a uniform grid around the star and writes
 one text file per field per snapshot step (rows of grid values, masked
 near the boundary).
 
-Defaults finish in about 5 s on a 2-core VM; the grid evaluation
+Defaults finish in about 4.5 s on a 2-core VM; the grid evaluation
 dominates.
 """
 

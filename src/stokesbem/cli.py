@@ -267,14 +267,10 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
 
     steps_text = _take(raw, "snapshot_steps", "")
     snapshot_steps = tuple(
-        _parse_int("snapshot_steps", tok) for tok in steps_text.split()
+        count("snapshot_steps", _parse_int("snapshot_steps", tok), 0,
+              scheme.n_steps)
+        for tok in steps_text.split()
     )
-    for step in snapshot_steps:
-        if not 0 <= step <= scheme.n_steps:
-            raise ConfigError(
-                f"key 'snapshot_steps' needs steps in 0..{scheme.n_steps}, "
-                f"got {step}"
-            )
     grid_text = _take(raw, "snapshot_grid", "")
     snapshot_grid = None
     if grid_text:

@@ -46,6 +46,13 @@ worker that raised or died, or a fork that failed), which raises any
 error exactly as a serial sweep would.  The weights do not depend on
 the number of workers, and with one usable core nothing is forked.
 
+The same spread (``_spread`` over the done flags of a ``_shared_buffers``
+mapping) carries the point shares of a large observation pass in
+:mod:`stokesbem.stokes_solver`, each of which runs the whole contour
+for its own points.  A spread inside a spread that forked, in the
+caller or in a worker, runs serially, so such a share samples its
+nodes in its own process and no worker forks again.
+
 The implicit one-sided recurrence
 
     W_0 lam_n = phi_n - sum_{m=1}^{n} W_m lam_{n-m}
@@ -288,58 +295,79 @@ def _sample(transfer, node: int, s: complex) -> np.ndarray:
     return val
 
 
-def _shared_buffers(n_nodes: int, n_half: int, entries: int):
-    """The packed ``(L, entries)`` sample buffer, the ``(2, entries)``
-    imaginary rows of the real-axis nodes, the per-node ``max |F|`` and
-    the per-node done flags, as views of one zeroed anonymous mapping
-    that forked workers share with the caller."""
-    shapes = ((n_nodes, entries), (2, entries), (n_half,))
-    buf = mmap.mmap(-1, 8 * (n_nodes + 2) * entries + 9 * n_half)
+#: True in the caller and the workers of a spread that forked, so that a
+#: spread inside one (a point share's own contour sweep) runs serially.
+_FORKED = False
+
+
+def _process_count(n_items: int) -> int:
+    """Processes a spread of ``n_items`` items runs on: one per usable
+    core and at most one per item; one inside a spread that forked, or
+    where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+    if _FORKED or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_items)
+
+
+def _shared_buffers(shapes, n_flags: int):
+    """Zeroed float arrays of the given ``shapes`` and ``n_flags`` done
+    flags, as views of one anonymous mapping that forked workers share
+    with the caller."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = mmap.mmap(-1, 8 * sum(sizes) + n_flags)
     views, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
+    for shape, size in zip(shapes, sizes):
         views.append(np.frombuffer(buf, count=size, offset=offset).reshape(shape))
         offset += 8 * size
-    views.append(np.frombuffer(buf, dtype=bool, count=n_half, offset=offset))
+    views.append(np.frombuffer(buf, dtype=bool, count=n_flags, offset=offset))
     return views
 
 
-def _spread(evaluate, nodes: range) -> None:
-    """Call ``evaluate`` on every node, split round-robin over one process
-    per usable core.
+def _spread(evaluate, done: np.ndarray) -> None:
+    """Call ``evaluate`` on every item whose ``done`` flag is clear,
+    split round-robin over ``_process_count`` processes; ``evaluate(k)``
+    sets ``done[k]`` when it succeeds.
 
     The caller keeps the first share and forks a worker for each other
     one; a worker stops at its first failure and leaves by ``os._exit``.
-    Failures are swallowed here: the caller finds the nodes that are not
-    done and evaluates them again, in node order.  Serial where
-    ``os.fork`` or ``os.sched_getaffinity`` is missing.
+    Once the workers are reaped the caller evaluates, in order, every
+    item that is still not done (a worker that raised or died, a fork
+    that failed, a failure of its own), which raises any error exactly
+    as a serial sweep would.
     """
-    n_proc = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n_proc = min(len(os.sched_getaffinity(0)), len(nodes))
-    children = []
+    global _FORKED
+    items = np.flatnonzero(~done)
+    n_proc = _process_count(items.size)
+    outer, children = _FORKED, []
     try:
-        for share in (nodes[k::n_proc] for k in range(1, n_proc)):
+        for share in (items[k::n_proc] for k in range(1, n_proc)):
             try:
                 pid = os.fork()
             except OSError:
                 break
             if pid == 0:
+                _FORKED = True
                 code = 1
                 try:
-                    for node in share:
-                        evaluate(node)
+                    for item in share:
+                        evaluate(int(item))
                     code = 0
                 finally:
                     os._exit(code)
             children.append(pid)
-        for node in nodes[::n_proc]:
-            evaluate(node)
+        _FORKED = outer or bool(children)
+        for item in items[::n_proc]:
+            evaluate(int(item))
     except Exception:
-        pass  # the caller's sweep over the nodes not done raises it again
+        if n_proc == 1:
+            raise  # a serial sweep stops at its first failure
+        # otherwise the sweep below raises it again
     finally:
         for pid in children:
             os.waitpid(pid, 0)
+        _FORKED = outer
+    for item in np.flatnonzero(~done):
+        evaluate(int(item))
 
 
 def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
@@ -389,7 +417,7 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     first = _sample(transfer, 0, complex(freqs[0]))
     shape = first.shape
     packed, imag_ends, peaks, done = _shared_buffers(
-        n_nodes, freqs.size, first.size
+        ((n_nodes, first.size), (2, first.size), (freqs.size,)), freqs.size
     )
 
     def store(node: int, val: np.ndarray) -> None:
@@ -415,9 +443,7 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
         store(node, val)
 
     store(0, first)
-    _spread(evaluate, range(1, freqs.size))
-    for node in np.flatnonzero(~done):
-        evaluate(int(node))
+    _spread(evaluate, done)
     max_transfer = float(peaks.max())
 
     scale = scheme.contour_radius ** -np.arange(n_nodes, dtype=float)

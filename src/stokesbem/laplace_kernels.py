@@ -148,7 +148,7 @@ def _require_right_half_plane(z: np.ndarray) -> None:
         raise ValueError(f"argument {bad} has Re <= 0; kernels need Re z > 0")
 
 
-def _bessel_sums(z: np.ndarray):
+def _bessel_sums(z: np.ndarray, harmonic: bool = True):
     """The small-|z| series of the planar profiles, summed in one loop.
 
     With ``u = z^2/4``, ``H_k = 1 + 1/2 + ... + 1/k`` and ``g`` the Euler
@@ -165,34 +165,38 @@ def _bessel_sums(z: np.ndarray):
         M_2 = sum (2H_k + 1/(k+1) + 1/(k+2) - 2g) u^k/(k!(k+2)!),
 
     each truncated once ``u^k/(k!)^2`` drops below ``SERIES_TERM_FLOOR``.
+    With ``harmonic=False`` the harmonic sums are skipped and returned
+    as ``None``; the I-type sums are the same bits either way.
     """
     u = z * z / 4.0
     s_i0 = np.zeros_like(z)
     s_i1 = np.zeros_like(z)
     s_i2 = np.zeros_like(z)
-    s_h = np.zeros_like(z)
-    s_m1 = np.zeros_like(z)
-    s_m2 = np.zeros_like(z)
     t0 = np.ones_like(z)            # u^k / (k!)^2
     t1 = np.ones_like(z)            # u^k / (k!(k+1)!)
     t2 = np.full_like(z, 0.5)       # u^k / (k!(k+2)!)
-    harmonic = 0.0
+    if harmonic:
+        s_h = np.zeros_like(z)
+        s_m1 = np.zeros_like(z)
+        s_m2 = np.zeros_like(z)
+    h_k = 0.0
     for k in range(_MAX_SERIES_TERMS):
         s_i0 += t0
         s_i1 += t1
         s_i2 += t2
-        if k >= 1:
-            s_h += harmonic * t0
-        s_m1 += (2.0 * harmonic + 1.0 / (k + 1.0) - 2.0 * EULER_GAMMA) * t1
-        s_m2 += (2.0 * harmonic + 1.0 / (k + 1.0) + 1.0 / (k + 2.0)
-                 - 2.0 * EULER_GAMMA) * t2
+        if harmonic:
+            if k >= 1:
+                s_h += h_k * t0
+            s_m1 += (2.0 * h_k + 1.0 / (k + 1.0) - 2.0 * EULER_GAMMA) * t1
+            s_m2 += (2.0 * h_k + 1.0 / (k + 1.0) + 1.0 / (k + 2.0)
+                     - 2.0 * EULER_GAMMA) * t2
         t0 = t0 * u / ((k + 1.0) ** 2)
         t1 = t1 * u / ((k + 1.0) * (k + 2.0))
         t2 = t2 * u / ((k + 1.0) * (k + 3.0))
-        harmonic += 1.0 / (k + 1.0)
+        h_k += 1.0 / (k + 1.0)
         if np.max(np.abs(t0)) < SERIES_TERM_FLOOR:
             break
-    return u, (s_i0, s_i1, s_i2), (s_h, s_m1, s_m2)
+    return u, (s_i0, s_i1, s_i2), (s_h, s_m1, s_m2) if harmonic else None
 
 
 def _ab2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +298,8 @@ def _pr2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the I-type sums of ``_bessel_sums``, valid for |z| up to
     ``SPLIT_SERIES_RADIUS``; the split is never used beyond that.
     """
-    u, (i0, i1s, i2s), _ = _bessel_sums(np.asarray(z, dtype=complex))
+    u, (i0, i1s, i2s), _ = _bessel_sums(np.asarray(z, dtype=complex),
+                                        harmonic=False)
     return 2.0 * i0 - i1s, 2.0 * u * i2s
 
 

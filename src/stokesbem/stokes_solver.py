@@ -58,7 +58,15 @@ from .boundary_geometry import (
     BoundaryMesh,
     build_mesh,
 )
-from .cq_engine import CQScheme, cq_march, cq_postprocess, cq_weights
+from .cq_engine import (
+    CQScheme,
+    _process_count,
+    _shared_buffers,
+    _spread,
+    cq_march,
+    cq_postprocess,
+    cq_weights,
+)
 from .laplace_kernels import ComplexFrequency, ProblemConfig
 
 __all__ = [
@@ -100,8 +108,9 @@ FLUX_MIN_PANELS = 64
 # Memory cap (bytes) for one block of points in the field evaluation of
 # observation points and snapshot cells alike: the velocity-potential
 # weights, the potential matrix of one contour node, the postprocess
-# product and the potential clouds; points are processed in blocks
-# under it.
+# product and the potential clouds, counted per point; points are
+# processed in blocks under it.  A block split into point shares spreads
+# these over the processes, each holding one share at a time.
 SNAPSHOT_WEIGHT_BYTES = 1 << 28
 
 
@@ -479,6 +488,16 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
     buffer, 2 rows of the complex velocity-potential matrix of one
     contour node, the ``(M+1, 2, M+1)`` product of cq_postprocess, and
     the potential clouds with their ray bases.
+
+    With at least as many points as the half contour has nodes, each
+    block is dealt round-robin into one point share per usable core and
+    the shares are spread over processes (``cq_engine._spread``): each
+    runs the whole contour for its own points, writing the velocities
+    and the pressure-matrix rows into one shared mapping, and its
+    contour sweep is serial.  With fewer points the block is one share,
+    evaluated here, and ``cq_weights`` spreads the contour nodes
+    instead.  The pressure is multiplied here, one product per block,
+    so that its bits do not depend on the number of shares.
     """
     n_keep = scheme.n_steps + 1
     dof = space.dof_count
@@ -486,20 +505,32 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
                  + 16 * n_keep * n_keep
                  + potential_node_bytes(space, points))
     block = (np.cumsum(per_point) - per_point) // SNAPSHOT_WEIGHT_BYTES
+    by_points = points.shape[0] >= scheme.n_half_nodes
     velocity = np.empty((n_keep, points.shape[0], 2))
     pressure = np.empty((n_keep, points.shape[0]))
     for idx in np.split(np.arange(points.shape[0]),
                         np.flatnonzero(np.diff(block)) + 1):
-        pts = points[idx]
-        p_rows = potential_pressure_matrix(space, pts)
+        n_shares = _process_count(idx.size) if by_points else 1
+        vel, p_rows, done = _shared_buffers(
+            ((n_keep, idx.size, 2), (idx.size, dof)), n_shares
+        )
+
+        def evaluate(k: int) -> None:
+            share = slice(k, None, n_shares)
+            pts = points[idx[share]]
+            p_rows[share] = potential_pressure_matrix(space, pts)
+            vel[:, share] = cq_postprocess(
+                lambda s: potential_velocity_matrix(
+                    space, ComplexFrequency(s), cfg, pts
+                ),
+                scheme,
+                history,
+            ).reshape(n_keep, pts.shape[0], 2)
+            done[k] = True
+
+        _spread(evaluate, done)
         pressure[:, idx] = history @ p_rows.T
-        velocity[:, idx] = cq_postprocess(
-            lambda s: potential_velocity_matrix(
-                space, ComplexFrequency(s), cfg, pts
-            ),
-            scheme,
-            history,
-        ).reshape(n_keep, idx.size, 2)
+        velocity[:, idx] = vel
     return velocity, pressure
 
 

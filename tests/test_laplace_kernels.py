@@ -18,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import kv
 
 from stokesbem.laplace_kernels import (
+    SPLIT_SERIES_RADIUS,
     ComplexFrequency,
     ProblemConfig,
+    _bessel_sums,
+    _pr2,
     pressure_kernel,
     principal_sqrt,
     scalar_A,
@@ -230,6 +233,23 @@ def test_scalar_series_seam_band():
     for z in mods * np.exp(1j * args):
         assert abs(scalar_A(2, z) - mp_a2(z)) <= 1e-9 * max(abs(mp_a2(z)), 1e-3)
         assert abs(scalar_B(2, z) - mp_b2(z)) <= 1e-9 * max(abs(mp_b2(z)), 1e-3)
+
+
+def test_split_companions_skip_the_harmonic_sums_bit_for_bit():
+    """``_pr2`` sums the I-type series alone: the sums and the companions
+    are the bits of the full loop, whose harmonic sums it drops."""
+    rng = np.random.default_rng(83)
+    z = rng.uniform(0.01, SPLIT_SERIES_RADIUS, 400) * np.exp(
+        1j * rng.uniform(-1.5, 1.5, 400))
+    u, full, harmonic = _bessel_sums(z)
+    u_only, i_only, none = _bessel_sums(z, harmonic=False)
+    assert none is None and len(harmonic) == 3
+    assert np.array_equal(u_only, u)
+    for got, want in zip(i_only, full):
+        assert np.array_equal(got, want)
+    p, r = _pr2(z)
+    assert np.array_equal(p, 2.0 * full[0] - full[1])
+    assert np.array_equal(r, 2.0 * u * full[2])
 
 
 def test_scalar_rejects_bad_dimension():

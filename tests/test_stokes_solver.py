@@ -7,6 +7,7 @@ their masking and vorticity stencils.
 """
 
 import dataclasses
+import os
 import types
 
 import numpy as np
@@ -729,7 +730,10 @@ class TestFieldSnapshot:
         one contour node, postprocess product and potential clouds, at
         their mean size, splits the 301 unmasked cells into 7 blocks,
         with the fields of one block; the same 301 points as observation
-        points of a run split alike, with the series of one block."""
+        points of a run split alike, with the series of one block.  One
+        usable core keeps each block one share, evaluated here, so that
+        the count of postprocess calls is the count of blocks."""
+        use_cores(monkeypatch, 1)
         from stokesbem import stokes_solver
         from stokesbem.bem_space import potential_node_bytes
 
@@ -806,6 +810,178 @@ class TestFieldSnapshot:
         grid = GridSpec(x0=0.9, y0=-0.05, dx=0.05, dy=0.05, n_rows=2, n_cols=2)
         with pytest.raises(ValueError, match="element length"):
             field_snapshot(square_mult_run, grid, [0])
+
+
+def use_cores(monkeypatch, n: int) -> None:
+    """Let the solver see ``n`` usable cores, hence ``n`` processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_children_reaped() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def star_pulse(t: float, positions: np.ndarray) -> np.ndarray:
+    """A uniform, hence flux-free, causal pulse along (1, 1)."""
+    amp = t**5 * np.exp(-2.0 * t) if t > 0.0 else 0.0
+    return np.broadcast_to(amp * np.array([1.0, 1.0]), positions.shape)
+
+
+@pytest.fixture(scope="module")
+def star_run():
+    """Reduced P0 solve past the six-lobed star, N = 24, M = 12."""
+    return run_simulation(
+        BoundaryCurve.star(1.0, 0.3, 6), 24, "P0", ConstraintMode.none,
+        CQScheme(order=3, kappa=0.25, n_steps=12),
+        DirichletData(star_pulse, smoothness=4),
+        [(1.8, 0.0), (0.0, 1.8), (-1.2, -1.2)], CFG, assembly="reduced",
+    )
+
+
+STAR_GRID = GridSpec(x0=-2.0, y0=-2.0, dx=0.4, dy=0.4, n_rows=11, n_cols=11)
+CORE_COUNTS = (1, 2, 3)
+
+
+class TestPointShares:
+    """Observation passes with at least as many points as half-contour
+    nodes deal each block into one point share per usable core; the
+    shares run in forked workers, each over the whole contour."""
+
+    @staticmethod
+    def star_fields(run):
+        snap = field_snapshot(run, STAR_GRID, [4, 12])
+        return snap.velocity, snap.pressure, snap.vorticity
+
+    @staticmethod
+    def logged(monkeypatch, log):
+        """Log the pid of each velocity-potential evaluation."""
+        matrix = stokes_solver.potential_velocity_matrix
+
+        def logging_matrix(*args):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return matrix(*args)
+
+        monkeypatch.setattr(stokes_solver, "potential_velocity_matrix",
+                            logging_matrix)
+
+    def test_core_count_leaves_fields_bit_identical(self, star_run,
+                                                     circle_run, monkeypatch):
+        """The star snapshot and a circle run observed at the 301
+        unmasked cells of a grid give the same bits on 1, 2 and 3
+        cores."""
+        grid = GridSpec(x0=-1.3, y0=-1.3, dx=0.13, dy=0.13, n_rows=21,
+                        n_cols=21)
+        mask = field_snapshot(circle_run, grid, [12]).mask
+        kept = grid.points()[~mask]
+        assert kept.shape[0] == 301
+        assert kept.shape[0] >= circle_run.scheme.n_half_nodes
+
+        def observe():
+            res = run_simulation(
+                BoundaryCurve.circle(1.0), 32, "P0", ConstraintMode.none,
+                circle_run.scheme, manufactured_dirichlet_data(), kept, CFG,
+            )
+            return res.velocity_series, res.pressure_series
+
+        runs = []
+        for n in CORE_COUNTS:
+            use_cores(monkeypatch, n)
+            runs.append(self.star_fields(star_run) + observe())
+            assert_children_reaped()
+        for fields in runs[1:]:
+            for got, want in zip(fields, runs[0]):
+                assert np.array_equal(got, want)
+
+    def test_failing_share_is_raised_as_in_serial(self, star_run,
+                                                  monkeypatch):
+        """Kept cell 1 lies in a worker's share for 2 and 3 cores: the
+        share is redone here and raises the serial error, and no worker
+        is left unreaped."""
+        mask = field_snapshot(star_run, STAR_GRID, [0]).mask
+        bad = STAR_GRID.points()[~mask][1]
+        matrix = stokes_solver.potential_velocity_matrix
+
+        def failing(space, freq, cfg, points):
+            if (points == bad).all(axis=1).any():
+                raise ValueError("refused point")
+            return matrix(space, freq, cfg, points)
+
+        monkeypatch.setattr(stokes_solver, "potential_velocity_matrix",
+                            failing)
+        messages = []
+        for n in CORE_COUNTS:
+            use_cores(monkeypatch, n)
+            with pytest.raises(ValueError, match="contour node 0 ") as info:
+                field_snapshot(star_run, STAR_GRID, [4])
+            assert str(info.value.__cause__) == "refused point"
+            assert_children_reaped()
+            messages.append(str(info.value))
+        assert messages == messages[:1] * len(CORE_COUNTS)
+
+    def test_dead_worker_share_is_redone_here(self, star_run, monkeypatch):
+        """A worker that dies leaves its share to the caller."""
+        use_cores(monkeypatch, 1)
+        serial = self.star_fields(star_run)
+        parent = os.getpid()
+        matrix = stokes_solver.potential_velocity_matrix
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return matrix(*args)
+
+        monkeypatch.setattr(stokes_solver, "potential_velocity_matrix", dying)
+        for n in CORE_COUNTS[1:]:
+            use_cores(monkeypatch, n)
+            for got, want in zip(self.star_fields(star_run), serial):
+                assert np.array_equal(got, want)
+            assert_children_reaped()
+
+    def test_point_split_forks_once_per_further_core(self, star_run,
+                                                     monkeypatch, tmp_path):
+        """Only the caller forks, ``cores - 1`` times, and each process
+        sweeps the whole half contour for its own share."""
+        forks, calls = tmp_path / "forks", tmp_path / "calls"
+        fork = os.fork
+
+        def counted_fork():
+            with open(forks, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        self.logged(monkeypatch, calls)
+        n_half = star_run.scheme.n_half_nodes
+        for n in CORE_COUNTS:
+            use_cores(monkeypatch, n)
+            forks.write_text("")
+            calls.write_text("")
+            field_snapshot(star_run, STAR_GRID, [4])
+            assert_children_reaped()
+            assert forks.read_text().split() == [str(os.getpid())] * (n - 1)
+            pids = calls.read_text().split()
+            assert len(set(pids)) == n
+            assert all(pids.count(pid) == n_half for pid in set(pids))
+
+    def test_few_points_spread_the_nodes(self, star_run, monkeypatch,
+                                         tmp_path):
+        """Three observation points, fewer than the half contour's
+        nodes, are one share, and cq_weights spreads its nodes."""
+        calls = tmp_path / "calls"
+        self.logged(monkeypatch, calls)
+        points = star_run.observation_points
+        assert points.shape[0] < star_run.scheme.n_half_nodes
+        for n in CORE_COUNTS:
+            use_cores(monkeypatch, n)
+            calls.write_text("")
+            stokes_solver._observe(star_run.space, star_run.scheme,
+                                   star_run.cfg, star_run.history, points)
+            assert_children_reaped()
+            pids = calls.read_text().split()
+            assert len(pids) == star_run.scheme.n_half_nodes
+            assert len(set(pids)) == n
 
 
 class TestSimulationResultValidation:

@@ -9,8 +9,10 @@ script runs a simulation and a small snapshot, so that the solver's and
 the observation layer's names are both exercised.  The kernel counts
 must be positive too: an assembly that stopped reaching the profiles
 through ``bem_space._ab2`` and ``bem_space._pr2`` would leave the traced
-kernel layer at zero without failing.  The tracer patches the package
-in place, hence the separate process.
+kernel layer at zero without failing, and so would an observation pass
+whose point shares all ran in forked workers for the potential layer:
+the tracer sees the calling process only.  The tracer patches the
+package in place, hence the separate process.
 """
 
 import json
@@ -52,6 +54,7 @@ def test_tracer_installs_and_counts_a_run():
     assert metrics["bem_space.assemble_V.calls"] > 0
     assert metrics["cq_engine.march.s"] > 0
     assert metrics["cq_engine.postprocess.self_s"] > 0
+    assert metrics["bem_space.potential_velocity.calls"] > 0
     assert metrics["stokes_solver.field_snapshot.us_per_point"] > 0
     branches = [name for name in metrics
                 if name.startswith("laplace_kernels.args.")]
