@@ -10,7 +10,8 @@ Everything is expressed on the reference interval ``(0, 1)``.
   so ``sum w_i f(x_i) ~ int_0^1 (-log u) f(u) du``.  Nodes and weights
   were generated once with 60-digit arithmetic (modified Chebyshev
   moments ``int_0^1 u^k (-log u) du = (k+1)^-2`` plus Golub-Welsch) and
-  are frozen below as literals checked by the test suite.
+  are frozen below as literals checked by the test suite; only order
+  16, the order of every logarithmic split, is tabulated.
 * ``graded_panels(a, b, ratio)``: geometric subdivision of ``(a, b]``
   refined toward ``a``, used for nearly singular outer integrals.
 
@@ -29,72 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 LOG_GAUSS_RULES = {
-    8: (
-        (0.013320244160892465012,
-         0.07975042901389493841,
-         0.19787102932618805379,
-         0.35415399435190941967,
-         0.52945857523491727771,
-         0.70181452993909996384,
-         0.84937932044110667605,
-         0.95332645005635978877),
-        (0.16441660472800288683,
-         0.2375256100233060205,
-         0.22684198443191912637,
-         0.17575407900607024499,
-         0.11292403024675905186,
-         0.057872210717782072399,
-         0.020979073742132978043,
-         0.0036864071040276190134),
-    ),
-    10: (
-        (0.0090426309621996506369,
-         0.053971266222500629504,
-         0.13531182463925077487,
-         0.24705241628715982422,
-         0.38021253960933233397,
-         0.52379231797184320116,
-         0.66577520551642459722,
-         0.79419041601196621736,
-         0.89816109121900353817,
-         0.96884798871863353939),
-        (0.12095513195457051499,
-         0.18636354256407187033,
-         0.19566087327775998271,
-         0.17357714218290692084,
-         0.13569567299548420167,
-         0.093646758538110525987,
-         0.055787727351415874076,
-         0.027159810899233331146,
-         0.0095151826028485149993,
-         0.0016381576335982632549),
-    ),
-    12: (
-        (0.0065487222790800587893,
-         0.038946809560449959162,
-         0.098150263106006628862,
-         0.18113858159063157735,
-         0.2832200676673725547,
-         0.3984344351634366437,
-         0.51995262679235266273,
-         0.6405109167161064543,
-         0.75286501205183057837,
-         0.85024002416230220067,
-         0.92674968322391410105,
-         0.97775612968999747917),
-        (0.093192691443931324491,
-         0.14975182757632236417,
-         0.16655745436459300532,
-         0.15963355943698765116,
-         0.13842483186483562107,
-         0.11001657063572116234,
-         0.079961821770828970265,
-         0.05240695482464177065,
-         0.030071088873761187124,
-         0.014249245587998279107,
-         0.004899924582321760939,
-         0.00083402903805690336469),
-    ),
     16: (
         (0.0038978344871159159241,
          0.02302894561687323982,

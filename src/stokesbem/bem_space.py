@@ -10,6 +10,12 @@ reduced integration (midpoint test rule, a Nystrom-type method).  Also
 builds the off-boundary evaluation matrices of the velocity and pressure
 potentials.
 
+The test rule is a field of the space, :attr:`DensitySpace.assembly`,
+checked where the space is built.  Each assembler takes the spaces of
+its own rule only, and :func:`data_functional` and :func:`constrain`
+test by the space's rule, so the data and the moment border always
+match the matrix.
+
 Every matrix is a plain ``ndarray``.  The assemblers return the density
 block ``V(s)``, square of order ``dof_count``.  :func:`constrain` is the
 one function that removes the gauge kernel: it borders a matrix by the
@@ -168,30 +174,58 @@ class ConstraintMode(enum.Enum):
 
 @dataclass(frozen=True)
 class DensitySpace:
-    """Vector-valued discontinuous piecewise-polynomial space on a mesh.
+    """Vector-valued discontinuous piecewise-polynomial space on a mesh,
+    with the rule that tests it.
 
     Degrees of freedom are element-major: ``dof = 2 j + c`` for P0 and
     ``dof = 4 j + 2 a + c`` for P1_discontinuous, with element ``j``,
     local scalar function ``a`` (``1 - xi`` then ``xi``), Cartesian
-    component ``c``.
+    component ``c``; ``dof_count`` follows from the kind and the mesh.
+
+    ``assembly`` is the test rule of the outer integral, shared by the
+    matrix, :func:`data_functional` and :func:`constrain`:
+    ``"galerkin"`` tests by the basis itself, ``"reduced"`` by the
+    midpoint rule of :func:`assemble_nystrom_V`, defined for P0
+    densities on smooth curves only.  Every field is checked here, so a
+    space of either rule is consistent wherever it is used.
     """
 
     mesh: BoundaryMesh
     kind: str
-    dof_count: int
+    assembly: str = "galerkin"
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KIND_BASIS:
+            raise ValueError(f"unknown space kind {self.kind!r}; "
+                             f"expected one of {sorted(_KIND_BASIS)}")
+        if self.assembly not in ("galerkin", "reduced"):
+            raise ValueError(f"assembly must be 'galerkin' or 'reduced', "
+                             f"got {self.assembly!r}")
+        if self.reduced and self.kind != "P0":
+            raise ValueError("reduced integration is defined for P0 densities")
+        if self.reduced and self.mesh.curve.is_polygonal:
+            raise ValueError("reduced integration requires a smooth curve; "
+                             "corner elements are not supported")
+
+    @property
+    def reduced(self) -> bool:
+        """Whether the space is tested by the midpoint rule."""
+        return self.assembly == "reduced"
 
     @property
     def n_basis(self) -> int:
         return _KIND_BASIS[self.kind]
 
+    @property
+    def dof_count(self) -> int:
+        return 2 * self.n_basis * self.mesh.n_elements
 
-def build_space(mesh: BoundaryMesh, kind: str) -> DensitySpace:
-    """Create the density space of the given kind on ``mesh``."""
-    if kind not in _KIND_BASIS:
-        raise ValueError(f"unknown space kind {kind!r}; "
-                         f"expected one of {sorted(_KIND_BASIS)}")
-    return DensitySpace(mesh=mesh, kind=kind,
-                        dof_count=2 * _KIND_BASIS[kind] * mesh.n_elements)
+
+def build_space(mesh: BoundaryMesh, kind: str,
+                assembly: str = "galerkin") -> DensitySpace:
+    """Create the density space of the given kind and test rule on
+    ``mesh``."""
+    return DensitySpace(mesh=mesh, kind=kind, assembly=assembly)
 
 
 def _basis_values(n_basis: int, xi: np.ndarray) -> np.ndarray:
@@ -451,7 +485,7 @@ def _build_separated_clouds(space: DensitySpace):
 
 #: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span), and
 #: of the fill indices of the two assemblers keyed by (curve, N, kind,
-#: label); the dyadic quantization of the split caps keeps the key set
+#: assembly); the dyadic quantization of the split caps keeps the key set
 #: small across a convolution-quadrature contour.  It holds the entries
 #: of one space only: a new space drops the others first.
 _GEOMETRY_CACHE: dict = {}
@@ -671,8 +705,15 @@ def _require_planar(cfg: ProblemConfig) -> None:
                                   "planar problem only")
 
 
-def _assemble(space: DensitySpace, clouds, sqrt_s, cfg: ProblemConfig,
-              label: str) -> np.ndarray:
+def _require_assembly(space: DensitySpace, assembly: str) -> None:
+    """Refuse a space whose test rule is not the assembler's own."""
+    if space.assembly != assembly:
+        raise ValueError(f"the {assembly} assembler needs a space with "
+                         f"assembly {assembly!r}, got {space.assembly!r}")
+
+
+def _assemble(space: DensitySpace, clouds, sqrt_s,
+              cfg: ProblemConfig) -> np.ndarray:
     """The boundary-operator matrix of order ``dof_count`` from the
     ``clouds`` of its first sector's rows, elements ``i < n = N / m``.
 
@@ -683,7 +724,7 @@ def _assemble(space: DensitySpace, clouds, sqrt_s, cfg: ProblemConfig,
     block.  The reduced scheme's clouds hold every sector block; the
     Galerkin clouds hold one per orbit of unordered pairs, and the
     matrix, complex symmetric, takes the other blocks as transposes
-    (:func:`_fill_index`, cached under ``label``).
+    (:func:`_fill_index`, cached under the space's ``assembly``).
 
     Raises ``RuntimeError`` for a non-finite entry, naming its element
     pair.
@@ -698,20 +739,19 @@ def _assemble(space: DensitySpace, clouds, sqrt_s, cfg: ProblemConfig,
         ei, ej = np.argwhere(~np.isfinite(sector))[0] // w
         raise RuntimeError(f"quadrature produced a non-finite entry for "
                            f"element pair ({ei}, {ej})")
-    index = _cached(_space_key(space) + (label,),
+    index = _cached(_space_key(space) + (space.assembly,),
                     lambda: _fill_index(space, clouds))
     turned = _turned_sectors(sector, space.mesh)
     return np.take(turned, index).reshape(space.dof_count, space.dof_count)
 
 
 def constrain(V: np.ndarray, space: DensitySpace,
-              constraints: ConstraintMode | str,
-              reduced: bool) -> np.ndarray:
+              constraints: ConstraintMode | str) -> np.ndarray:
     """The system matrix for ``constraints`` from the density block ``V``.
 
     With ``b`` the moment row ``<mu_j, m>``, ``m(x) = x`` (the
-    :func:`data_functional` of ``m``, so ``reduced`` selects the
-    midpoint rule of the reduced scheme): ``multiplier_m`` borders ``V``
+    :func:`data_functional` of ``m``, so tested by the space's own
+    rule, that of ``V``): ``multiplier_m`` borders ``V``
     by ``b`` as a last row and column with a zero diagonal entry;
     ``augmented_Vtilde`` adds ``b b^T``; ``none`` copies ``V``.  The
     constraint does not depend on the frequency, so the same call
@@ -723,7 +763,7 @@ def constrain(V: np.ndarray, space: DensitySpace,
     constraints = ConstraintMode(constraints)
     if constraints == ConstraintMode.none:
         return V.copy()
-    b = data_functional(space, lambda pos: pos, reduced=reduced)
+    b = data_functional(space, lambda pos: pos)
     if constraints == ConstraintMode.augmented_Vtilde:
         return V + np.outer(b, b)
     return np.block([[V, b[:, None]], [b, np.zeros(1)]])
@@ -740,11 +780,14 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
 
     Raises
     ------
+    ValueError
+        For a space of the reduced rule.
     RuntimeError
         If quadrature produces a non-finite entry (reported with the
         offending element pair).
     """
     _require_planar(cfg)
+    _require_assembly(space, "galerkin")
     sqrt_s = cfg.brinkman(freq).sqrt_s
     z_max = abs(sqrt_s) * float(space.mesh.arclengths.max())
     cap_u, z_u = _split_scale(z_max)
@@ -757,7 +800,7 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
     separated = _cached(key + ("separated",),
                         lambda: _build_separated_clouds(space))
     clouds = [self_cloud, vertex_cloud, *separated]
-    return _assemble(space, clouds, sqrt_s, cfg, "fill")
+    return _assemble(space, clouds, sqrt_s, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -835,18 +878,6 @@ def _build_row_clouds(space: DensitySpace):
                          mesh.arclengths, SEPARATED_CLASSES)
 
 
-def require_reduced_space(space: DensitySpace) -> None:
-    """Raise ``ValueError`` unless reduced integration supports ``space``.
-
-    The scheme is defined for P0 densities on smooth curves only.
-    """
-    if space.kind != "P0":
-        raise ValueError("reduced integration is defined for P0 densities")
-    if space.mesh.curve.is_polygonal:
-        raise ValueError("reduced integration requires a smooth curve; "
-                         "corner elements are not supported")
-
-
 def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
                        cfg: ProblemConfig) -> np.ndarray:
     """Reduced-integration matrix: midpoint test rule, accurate columns.
@@ -854,14 +885,14 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     Row ``i`` is the element arclength times the kernel integral against
     each basis function, evaluated at the element midpoint; this is the
     Nystrom-type scheme obtained from the Galerkin method by reduced
-    integration of the outer (test) integral.  Restricted to piecewise
-    constants on smooth curves; the diagonal uses the logarithmic split
-    so its entries are finite and accurate.  Its gauge constraint is
-    :func:`constrain` with ``reduced=True``: the midpoint-rule moment
-    functionals match the reduced bilinear form.
+    integration of the outer (test) integral.  It takes a space of the
+    reduced rule only (P0 on a smooth curve, see :class:`DensitySpace`),
+    whose :func:`constrain` and :func:`data_functional` test by the same
+    midpoint rule; any other space is a ``ValueError``.  The diagonal
+    uses the logarithmic split so its entries are finite and accurate.
     """
     _require_planar(cfg)
-    require_reduced_space(space)
+    _require_assembly(space, "reduced")
     sqrt_s = cfg.brinkman(freq).sqrt_s
     l_max = float(space.mesh.arclengths.max())
     cap_d, z_dq = _split_scale(abs(sqrt_s) * l_max / 2.0)
@@ -874,7 +905,7 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
                       lambda: _build_neighbor_cloud(space, -1))
     far = _cached(key + ("rrows",), lambda: _build_row_clouds(space))
     clouds = [diag, nb_next, nb_prev, *far]
-    return _assemble(space, clouds, sqrt_s, cfg, "rfill")
+    return _assemble(space, clouds, sqrt_s, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,21 +1034,18 @@ def potential_pressure_matrix(space: DensitySpace, points) -> np.ndarray:
     return out
 
 
-def data_functional(space: DensitySpace, values_at, *,
-                    reduced: bool = False) -> np.ndarray:
+def data_functional(space: DensitySpace, values_at) -> np.ndarray:
     """Test a boundary field against the basis: ``rhs_i = <mu_i, g>``.
 
     ``values_at`` maps positions of shape (..., 2) to vector values of
-    the same shape.  With ``reduced`` the midpoint-times-arclength rule
-    is used (matching the reduced-integration scheme); otherwise the
+    the same shape.  A reduced space is tested by the
+    midpoint-times-arclength rule of its matrix, a Galerkin space by the
     element Gauss rule.
     """
     mesh = space.mesh
     nb = space.n_basis
     out = np.zeros(space.dof_count)
-    if reduced:
-        if nb != 1:
-            raise ValueError("reduced testing is defined for P0 only")
+    if space.reduced:
         vals = np.asarray(values_at(mesh.midpoints))
         out[0::2] = mesh.arclengths * vals[:, 0]
         out[1::2] = mesh.arclengths * vals[:, 1]

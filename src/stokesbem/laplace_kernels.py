@@ -45,6 +45,7 @@ exponentially in ``r``.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 import math
 
@@ -84,9 +85,11 @@ def principal_sqrt(s: complex) -> complex:
     Raises
     ------
     ValueError
-        If ``s`` lies on the branch cut ``(-inf, 0]``.
+        If ``s`` is not finite or lies on the branch cut ``(-inf, 0]``.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"frequency {s} is not finite")
     if s.imag == 0.0 and s.real <= 0.0:
         raise ValueError(f"frequency {s} lies on the cut (-inf, 0]")
     root = complex(np.sqrt(complex(s)))
@@ -143,6 +146,9 @@ class ProblemConfig:
 
 
 def _require_right_half_plane(z: np.ndarray) -> None:
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"argument {z.flat[np.argmin(finite)]} is not finite")
     if np.any(z.real <= 0.0):
         bad = z.flat[np.argmax(z.real <= 0.0)]
         raise ValueError(f"argument {bad} has Re <= 0; kernels need Re z > 0")

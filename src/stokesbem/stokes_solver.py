@@ -49,7 +49,6 @@ from .bem_space import (
     potential_pressure_matrix,
     potential_velocity_matrix,
     require_off_boundary,
-    require_reduced_space,
 )
 from ._checks import count, length
 from ._quadrature import panel_gauss
@@ -406,8 +405,10 @@ def run_simulation(
     cfg:
         Physical configuration.
     assembly:
+        The test rule of the density space (:class:`DensitySpace`):
         ``"galerkin"`` for the variational matrix, ``"reduced"`` for
-        the midpoint-tested scheme (P0 on smooth curves only).
+        the midpoint-tested scheme (P0 on smooth curves only).  The
+        data, the constraint and the assembler follow the space.
 
     Returns
     -------
@@ -422,15 +423,8 @@ def run_simulation(
         any violated component precondition.
     """
     constraint = ConstraintMode(constraint)
-    if assembly not in ("galerkin", "reduced"):
-        raise ValueError(
-            f"assembly must be 'galerkin' or 'reduced', got {assembly!r}"
-        )
-    reduced = assembly == "reduced"
     mesh = build_mesh(curve, n_elements)
-    space = build_space(mesh, kind)
-    if reduced:
-        require_reduced_space(space)
+    space = build_space(mesh, kind, assembly)
     if cfg.dimension != 2:
         raise ValueError(
             f"the transient solver is implemented for the planar problem "
@@ -453,16 +447,15 @@ def run_simulation(
 
     _check_data_admissible(data, curve, n_elements, scheme)
 
-    rhs = np.array([data_functional(space, lambda pos: data.sample(t, pos),
-                                    reduced=reduced)
+    rhs = np.array([data_functional(space, lambda pos: data.sample(t, pos))
                     for t in scheme.times()])
 
-    assemble = assemble_nystrom_V if reduced else assemble_galerkin_V
+    assemble = assemble_nystrom_V if space.reduced else assemble_galerkin_V
     seq = cq_weights(
         lambda s: assemble(space, ComplexFrequency(s), cfg), scheme
     )
     # the constraint is frequency independent: it enters W_0 alone
-    solve = factor(constrain(seq.weights[0], space, constraint, reduced))
+    solve = factor(constrain(seq.weights[0], space, constraint))
     history = cq_march(seq, rhs, solve)
     velocity, pressure = _observe(space, scheme, cfg, history, points)
 

@@ -297,9 +297,9 @@ def laplace_property_suite(
     Parameters
     ----------
     space:
-        Discrete density space; a polygon mesh keeps the kernel
-        residual at rounding level, smooth curves add an O(h^2)
-        interpolation error to it.
+        Discrete density space of the Galerkin rule; a polygon mesh
+        keeps the kernel residual at rounding level, smooth curves add
+        an O(h^2) interpolation error to it.
     frequencies:
         Probe points in the cut plane; defaults to
         :func:`default_frequencies`.
@@ -348,8 +348,8 @@ def laplace_property_suite(
                           kernel <= KERNEL_RESIDUAL_TOL)
         )
 
-        bordered = constrain(v, space, ConstraintMode.multiplier_m, False)
-        tilde = constrain(v, space, ConstraintMode.augmented_Vtilde, False)
+        bordered = constrain(v, space, ConstraintMode.multiplier_m)
+        tilde = constrain(v, space, ConstraintMode.augmented_Vtilde)
         rhs = data_functional(space, _gauge_trace)
         lam_mult = factor(bordered)(rhs)
         lam_tilde = factor(tilde)(rhs)

@@ -8,6 +8,7 @@ self entries carry ~2e-11 oracle noise from the extrapolation table;
 comparisons are at 1e-8.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from stokesbem import bem_space
 from stokesbem._quadrature import panel_gauss
 from stokesbem.bem_space import (
     ConstraintMode,
+    DensitySpace,
     assemble_galerkin_V,
     assemble_nystrom_V,
     build_space,
@@ -66,12 +68,63 @@ def galerkin(curve, n, kind, s, mode=ConstraintMode.none):
     """The space and its Galerkin system at ``s`` for the gauge ``mode``."""
     space = build_space(build_mesh(curve, n), kind)
     v = assemble_galerkin_V(space, ComplexFrequency(s), CFG)
-    return space, constrain(v, space, mode, reduced=False)
+    return space, constrain(v, space, mode)
 
 
-def moment_row(space, reduced=False):
+def moment_row(space):
     """The moment row ``<mu_j, m>`` of ``space``."""
-    return data_functional(space, lambda pos: pos, reduced=reduced)
+    return data_functional(space, lambda pos: pos)
+
+
+def rule_space(assemble, curve, n, kind):
+    """The space of ``kind`` on ``n`` elements of ``curve``, tested by the
+    rule of ``assemble``: reduced for the Nystrom assembler, Galerkin
+    otherwise (a potential takes either)."""
+    assembly = "reduced" if assemble is assemble_nystrom_V else "galerkin"
+    return build_space(build_mesh(curve, n), kind, assembly)
+
+
+def reduced_circle(n):
+    """The reduced P0 space on ``n`` elements of the unit circle."""
+    return build_space(build_mesh(BoundaryCurve.circle(1.0), n), "P0",
+                       "reduced")
+
+
+# ---------------------------------------------------------------------------
+# density spaces
+
+
+@pytest.mark.parametrize(
+    "curve, kind, assembly, message",
+    [(BoundaryCurve.circle(1.0), "P7", "galerkin",
+      "unknown space kind 'P7'; expected one of ['P0', 'P1_discontinuous']"),
+     (BoundaryCurve.circle(1.0), "P0", "midpoint",
+      "assembly must be 'galerkin' or 'reduced', got 'midpoint'"),
+     (BoundaryCurve.circle(1.0), "P1_discontinuous", "reduced",
+      "reduced integration is defined for P0 densities"),
+     (BoundaryCurve.square(1.0), "P0", "reduced",
+      "reduced integration requires a smooth curve; corner elements are "
+      "not supported")],
+    ids=["kind", "assembly", "reduced-p1", "reduced-square"],
+)
+def test_density_space_checks_its_fields(curve, kind, assembly, message):
+    """A space built directly is checked like one from ``build_space``."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DensitySpace(build_mesh(curve, 8), kind, assembly)
+
+
+@pytest.mark.parametrize("kind, per_element", [("P0", 2),
+                                               ("P1_discontinuous", 4)])
+def test_density_space_derives_its_dof_count(kind, per_element):
+    """The dof count follows from the kind and the mesh; it is no
+    constructor argument, so it cannot disagree with them."""
+    mesh = build_mesh(BoundaryCurve.circle(1.0), 12)
+    space = DensitySpace(mesh, kind)
+    assert space.assembly == "galerkin" and not space.reduced
+    assert space.dof_count == per_element * 12
+    assert DensitySpace(mesh, "P0", "reduced").reduced
+    with pytest.raises(TypeError, match="dof_count"):
+        DensitySpace(mesh, kind, dof_count=99)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +234,8 @@ def test_constrain_keeps_a_real_matrix_real(mode):
     space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
     freq = ComplexFrequency(2.0 + 1.0j)
     plain = assemble_galerkin_V(space, freq, CFG)
-    real = constrain(plain.real, space, mode, reduced=False)
-    whole = constrain(plain, space, mode, reduced=False)
+    real = constrain(plain.real, space, mode)
+    whole = constrain(plain, space, mode)
     assert real.dtype == np.float64
     np.testing.assert_array_equal(real, whole.real)
 
@@ -191,17 +244,17 @@ def test_constrain_takes_a_mode_or_its_value():
     space, plain = galerkin(BoundaryCurve.circle(1.0), 8, "P0", 2.0 + 0j)
     for mode in ConstraintMode:
         np.testing.assert_array_equal(
-            constrain(plain, space, mode.value, reduced=False),
-            constrain(plain, space, mode, reduced=False),
+            constrain(plain, space, mode.value),
+            constrain(plain, space, mode),
         )
     with pytest.raises(ValueError, match="constraint must be one of 'none', "
                        "'multiplier_m', 'augmented_Vtilde', got 'nonsense'"):
-        constrain(plain, space, "nonsense", reduced=True)
+        constrain(plain, space, "nonsense")
 
 
 def test_vtilde_rank_one_reconstruction():
     space, plain = galerkin(BoundaryCurve.circle(1.0), 8, "P0", 3.0 + 1.0j)
-    tilde = constrain(plain, space, ConstraintMode.augmented_Vtilde, False)
+    tilde = constrain(plain, space, ConstraintMode.augmented_Vtilde)
     b = moment_row(space)
     np.testing.assert_allclose(
         tilde, plain + np.outer(b, b), rtol=0, atol=0
@@ -210,7 +263,7 @@ def test_vtilde_rank_one_reconstruction():
 
 def test_vtilde_equals_v_on_moment_free_densities():
     space, plain = galerkin(BoundaryCurve.circle(1.0), 8, "P0", 2.0 + 0j)
-    tilde = constrain(plain, space, ConstraintMode.augmented_Vtilde, False)
+    tilde = constrain(plain, space, ConstraintMode.augmented_Vtilde)
     b = moment_row(space)
     rng = np.random.default_rng(3)
     lam = rng.standard_normal(space.dof_count)
@@ -245,14 +298,31 @@ def test_multiplier_vs_vtilde_densities_agree():
 
 
 def test_nystrom_rejects_p1_and_square():
+    """The reduced rule on P1 or on the square is refused where the
+    space is built, so no Nystrom assembly can see it."""
     circle = build_mesh(BoundaryCurve.circle(1.0), 8)
-    with pytest.raises(ValueError):
-        assemble_nystrom_V(
-            build_space(circle, "P1_discontinuous"), ComplexFrequency(1.0 + 0j), CFG
-        )
+    with pytest.raises(ValueError, match="reduced integration is defined for "
+                       "P0 densities"):
+        build_space(circle, "P1_discontinuous", "reduced")
     square = build_mesh(BoundaryCurve.square(1.0), 8)
-    with pytest.raises(ValueError):
-        assemble_nystrom_V(build_space(square, "P0"), ComplexFrequency(1.0 + 0j), CFG)
+    with pytest.raises(ValueError, match="reduced integration requires a "
+                       "smooth curve; corner elements are not supported"):
+        build_space(square, "P0", "reduced")
+
+
+@pytest.mark.parametrize(
+    "assemble, assembly, other",
+    [(assemble_nystrom_V, "reduced", "galerkin"),
+     (assemble_galerkin_V, "galerkin", "reduced")],
+    ids=["nystrom", "galerkin"],
+)
+def test_assembler_refuses_the_other_rule(assemble, assembly, other):
+    """A space tested by the other rule is refused before any quadrature,
+    so its data and moment border cannot disagree with the matrix."""
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0", other)
+    with pytest.raises(ValueError, match=f"the {assembly} assembler needs a "
+                       f"space with assembly '{assembly}', got '{other}'"):
+        assemble(space, ComplexFrequency(1.0 + 0j), CFG)
 
 
 def test_nystrom_block_rotational_equivariance():
@@ -263,7 +333,7 @@ def test_nystrom_block_rotational_equivariance():
     are not equal (they conjugate by the rotation).
     """
     n = 8
-    space = build_space(build_mesh(BoundaryCurve.circle(1.0), n), "P0")
+    space = reduced_circle(n)
     v = assemble_nystrom_V(space, ComplexFrequency(2.0 + 3.0j), CFG)
     blocks = v.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
     worst = 0.0
@@ -300,7 +370,7 @@ def test_sector_assembly_matches_whole_mesh_assembly(monkeypatch, curve, n,
     """Assembling one rotational sector and filling the rest by rotation
     agrees with assembling every block (symmetry order 1), at the
     contour's smallest and largest frequency."""
-    space = build_space(build_mesh(curve, n), kind)
+    space = rule_space(assemble, curve, n, kind)
     assert space.mesh.symmetry_order > 1
     freqs = [ComplexFrequency(complex(s)) for s in _contour_ends(m, final_time)]
     monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
@@ -335,7 +405,7 @@ def test_sector_pairs_cover_every_pair_once(n, order):
 
 
 def test_nystrom_block_01_against_adaptive_oracle():
-    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    space = reduced_circle(8)
     v = assemble_nystrom_V(space, ComplexFrequency(1.0 + 0j), CFG)
     expected = (np.pi / 4.0) * NYSTROM_CIRCLE8_BLOCK01
     assert np.abs(v[0:2, 2:4] - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -352,7 +422,7 @@ def test_nystrom_containment_decays_at_consistency_rate():
     freq = ComplexFrequency(2.0 + 3.0j)
     resid = {}
     for n in (32, 64, 128):
-        space = build_space(build_mesh(BoundaryCurve.circle(1.0), n), "P0")
+        space = reduced_circle(n)
         v = assemble_nystrom_V(space, freq, CFG)
         c_n = space.mesh.normals.ravel()
         resid[n] = np.abs(v @ c_n).max() / np.abs(v).max()
@@ -363,11 +433,40 @@ def test_nystrom_containment_decays_at_consistency_rate():
 
 @pytest.mark.parametrize("constraints", [ConstraintMode.multiplier_m])
 def test_nystrom_constraint_border_uses_reduced_moments(constraints):
-    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    space = reduced_circle(8)
     v = assemble_nystrom_V(space, ComplexFrequency(1.0 + 0j), CFG)
-    mat = constrain(v, space, constraints, reduced=True)
-    b = moment_row(space, reduced=True)
+    mat = constrain(v, space, constraints)
+    b = moment_row(space)
     np.testing.assert_allclose(mat[-1, :-1].real, b, rtol=1e-13)
+
+
+def midpoint_row(space, values_at):
+    """The reduced test rule written out: element arclength times the
+    field at the element midpoint, component by component."""
+    mesh = space.mesh
+    vals = values_at(mesh.midpoints)
+    return np.stack([mesh.arclengths * vals[:, 0],
+                     mesh.arclengths * vals[:, 1]], axis=1).ravel()
+
+
+def test_reduced_space_tests_data_and_moments_by_the_midpoint_rule():
+    """A reduced space's data and both moment constraints are those of
+    the midpoint rule, bit for bit; the Galerkin space on the same mesh
+    differs from it."""
+    space = reduced_circle(8)
+    field = lambda pos: np.stack([pos[..., 1] ** 2, np.sin(pos[..., 0])], -1)
+    np.testing.assert_array_equal(data_functional(space, field),
+                                  midpoint_row(space, field))
+    b = midpoint_row(space, lambda pos: pos)
+    v = assemble_nystrom_V(space, ComplexFrequency(1.0 + 0j), CFG)
+    np.testing.assert_array_equal(
+        constrain(v, space, ConstraintMode.multiplier_m),
+        np.block([[v, b[:, None]], [b, np.zeros(1)]]))
+    np.testing.assert_array_equal(
+        constrain(v, space, ConstraintMode.augmented_Vtilde),
+        v + np.outer(b, b))
+    galerkin_b = moment_row(build_space(space.mesh, "P0"))
+    assert np.abs(galerkin_b - b).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +555,7 @@ def test_cloud_profiles_match_direct_evaluation(monkeypatch, curve, n, kind,
     """Every cloud kind (self, vertex, separated classes; diag, both
     neighbours, row classes; the potential's point classes) at the probe
     frequencies and s = 1."""
-    space = build_space(build_mesh(curve, n), kind)
+    space = rule_space(assemble, curve, n, kind)
     errors = _cloud_errors(monkeypatch, assemble, space, PROBE_FREQUENCIES)
     assert errors.size == n_clouds
     assert errors.max() <= 1e-12
@@ -477,7 +576,7 @@ def test_cloud_profiles_match_direct_on_table_contours(monkeypatch, curve, n,
                                                        m, final_time, kind,
                                                        assemble):
     """The table contours, and the star illustration's at half size."""
-    space = build_space(build_mesh(curve, n), kind)
+    space = rule_space(assemble, curve, n, kind)
     errors = _cloud_errors(monkeypatch, assemble, space,
                            _half_contour(m, final_time))
     assert errors.max() <= 1e-12
@@ -498,7 +597,8 @@ def test_ray_basis_is_exact_for_cubics_and_at_its_nodes(scale):
 def test_ray_basis_of_far_panels_raises_no_overflow_warning():
     """Uniform panel ids past 1024 (r S on a radius-10 circle at s = 1067)
     take no power of two, so assembly warns of nothing."""
-    space = build_space(build_mesh(BoundaryCurve.circle(10.0), 16), "P0")
+    space = build_space(build_mesh(BoundaryCurve.circle(10.0), 16), "P0",
+                        "reduced")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         V = assemble_nystrom_V(space, ComplexFrequency(1067.0), CFG)
@@ -510,12 +610,14 @@ def test_interpolation_bases_leave_no_stale_state(monkeypatch):
     point sets, across two panel scales, reproduces bit for bit the
     matrices assembled with no bases or clouds held; the potentials put
     nothing into the geometry cache."""
-    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 16), "P0")
+    mesh = build_mesh(BoundaryCurve.circle(1.0), 16)
+    space, reduced = build_space(mesh, "P0"), build_space(mesh, "P0",
+                                                          "reduced")
     s1, s2 = ComplexFrequency(10.0 + 3.0j), ComplexFrequency(900.0 - 40.0j)
     assert bem_space._ray_scale(s1.sqrt_s) != bem_space._ray_scale(s2.sqrt_s)
     near, far = np.array([[0.3, 0.2], [1.1, 0.1]]), np.array([[2.0, -1.5]])
     operators = {
-        "reduced": lambda s: assemble_nystrom_V(space, s, CFG),
+        "reduced": lambda s: assemble_nystrom_V(reduced, s, CFG),
         "galerkin": lambda s: assemble_galerkin_V(space, s, CFG),
         "near-pressure": lambda s: potential_pressure_matrix(space, near),
         "near": lambda s: potential_velocity_matrix(space, s, CFG, near),
@@ -539,14 +641,15 @@ def test_interpolation_bases_leave_no_stale_state(monkeypatch):
 
 
 def test_geometry_cache_holds_one_space(monkeypatch):
-    """Assembling on a second space drops the first space's clouds."""
+    """Assembling on a second mesh drops the first mesh's clouds; the
+    Galerkin and the reduced space of one mesh share them."""
     monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
     freq = ComplexFrequency(10.0 + 3.0j)
-    spaces = [build_space(build_mesh(BoundaryCurve.circle(1.0), n), "P0")
-              for n in (8, 16)]
-    for space in spaces + spaces[:1]:
+    meshes = [build_mesh(BoundaryCurve.circle(1.0), n) for n in (8, 16)]
+    for mesh in meshes + meshes[:1]:
+        space = build_space(mesh, "P0")
         assemble_galerkin_V(space, freq, CFG)
-        assemble_nystrom_V(space, freq, CFG)
+        assemble_nystrom_V(build_space(mesh, "P0", "reduced"), freq, CFG)
         keys = {key[:3] for key in bem_space._GEOMETRY_CACHE}
         assert keys == {bem_space._space_key(space)}
 
@@ -751,7 +854,7 @@ def test_factor_keeps_a_real_system_real():
     real density, the zero load of the border appended."""
     space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
     v = assemble_galerkin_V(space, ComplexFrequency(2.0 + 0j), CFG).real
-    system = constrain(v, space, ConstraintMode.multiplier_m, False)
+    system = constrain(v, space, ConstraintMode.multiplier_m)
     rhs = np.random.default_rng(13).standard_normal(space.dof_count)
     lam = factor(system)(rhs)
     assert lam.dtype == np.float64 and lam.shape == (space.dof_count,)

@@ -230,10 +230,11 @@ def test_divergence_theorem(curve, area):
 # constraint functionals (the border rows of the density spaces)
 
 
-def _moment(mesh, kind, reduced=False):
-    """The moment row ``<mu_j, m>`` of the space ``kind`` on ``mesh``."""
-    space = build_space(mesh, kind)
-    return data_functional(space, lambda pos: pos, reduced=reduced)
+def _moment(mesh, kind, assembly="galerkin"):
+    """The moment row ``<mu_j, m>`` of the space ``kind`` on ``mesh``,
+    tested by the rule ``assembly``."""
+    space = build_space(mesh, kind, assembly)
+    return data_functional(space, lambda pos: pos)
 
 
 def test_moment_vector_antipodal_cancellation():
@@ -267,15 +268,16 @@ def test_p1_discontinuous_moment_matches_p0_on_constants():
 
 def test_reduced_moment_is_midpoint_rule():
     mesh = build_mesh(BoundaryCurve.circle(1.0), 12)
-    reduced = _moment(mesh, "P0", reduced=True)
+    reduced = _moment(mesh, "P0", "reduced")
     expected = (mesh.midpoints * mesh.arclengths[:, None]).ravel()
     np.testing.assert_allclose(reduced, expected, rtol=1e-13)
 
 
 def test_reduced_rejected_for_p1():
     mesh = build_mesh(BoundaryCurve.square(1.0), 8)
-    with pytest.raises(ValueError):
-        _moment(mesh, "P1_discontinuous", reduced=True)
+    with pytest.raises(ValueError, match="reduced integration is defined "
+                       "for P0 densities"):
+        _moment(mesh, "P1_discontinuous", "reduced")
 
 
 def test_unknown_space_tag_rejected():

@@ -421,7 +421,8 @@ def brinkman_transfer(name: str):
     from stokesbem.laplace_kernels import ComplexFrequency, ProblemConfig
 
     cfg = ProblemConfig()
-    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0",
+                        "reduced")
     if name == "V":
         return lambda s: assemble_nystrom_V(space, ComplexFrequency(s), cfg)
     points = np.array([[2.0, 0.5], [-1.5, -1.5], [0.0, 3.0]])

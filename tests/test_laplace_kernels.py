@@ -10,6 +10,7 @@ and their three-dimensional exponential counterparts.
 """
 
 import functools
+import re
 
 import mpmath as mp
 import numpy as np
@@ -89,6 +90,22 @@ def test_principal_sqrt_rejects_cut():
         principal_sqrt(-1.0)
     with pytest.raises(ValueError):
         principal_sqrt(0.0)
+
+
+NON_FINITE = [complex(np.nan, 0.0), complex(np.inf, 0.0),
+              complex(1.0, np.inf), complex(1.0, np.nan)]
+
+
+@pytest.mark.parametrize("s", NON_FINITE, ids=["nan", "inf", "1+inf j",
+                                               "1+nan j"])
+def test_principal_sqrt_rejects_non_finite(s):
+    """A non-finite frequency is refused by name before any kernel sees
+    it, through the square root and the frequency built on it."""
+    message = re.escape(f"frequency {s} is not finite")
+    with pytest.raises(ValueError, match=message):
+        principal_sqrt(s)
+    with pytest.raises(ValueError, match=message):
+        velocity_kernel([1.0, 0.0], ComplexFrequency(s), ProblemConfig())
 
 
 @settings(deadline=None)
@@ -260,6 +277,16 @@ def test_scalar_rejects_bad_dimension():
 def test_scalar_a2_rejects_left_half_plane():
     with pytest.raises(ValueError):
         scalar_A(2, -0.3 + 0.0j)
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=["nan", "inf", "1+inf j",
+                                               "1+nan j"])
+def test_scalar_a2_rejects_non_finite(z):
+    message = re.escape(f"argument {z} is not finite")
+    with pytest.raises(ValueError, match=message):
+        scalar_A(2, z)
+    with pytest.raises(ValueError, match=message):
+        scalar_B(2, np.array([1.0, z, 2.0]))
 
 
 def test_problem_config_rejects_infinite_viscosity():

@@ -428,8 +428,7 @@ class TestGaugeConstraints:
         for mode in ConstraintMode:
             np.testing.assert_array_equal(marched[mode], returned[mode])
             np.testing.assert_array_equal(marched[mode], plain)
-            want = constrain(plain[0], res.space, mode,
-                             reduced=assembly == "reduced")
+            want = constrain(plain[0], res.space, mode)
             np.testing.assert_array_equal(systems[mode], want)
 
     @pytest.mark.parametrize("mode", list(ConstraintMode),
@@ -455,7 +454,7 @@ class TestGaugeConstraints:
         )
         w, rhs = seen["w"], seen["rhs"]
         dof = w.shape[1]
-        system = constrain(w[0], res.space, mode, reduced=False)
+        system = constrain(w[0], res.space, mode)
         k = system.shape[0] - dof
         padded = np.pad(w, ((0, 0), (0, k), (0, k)))
         padded[0] = system
