@@ -4,16 +4,18 @@ Galerkin
 assembly, the multiplier-augmented system, third-order time stepping.
 
 Runs the ladder (N, M) = (4, 10) doubling to (64, 160) by default
-(about 3.5 s on a 2-core VM), prints the error table, and writes it as CSV.  The
+(about 2.9 s on a 2-core VM), prints the error table, and writes it as CSV.  The
 errors are measured at three points interior to the square at the
 final time against the closed-form reference solution.  The corner
 singularities of the square keep the observed velocity rate a little
 below the smooth-boundary value of 3.
 
-``--extended`` appends the (128, 320) row; note the stored convolution
-weights grow as L (4N)^2 real numbers with L = M + 1 contour nodes,
-the contour samples sharing their buffer: an estimate of about 0.7 GB
-there.
+``--extended`` appends the (128, 320) row.  The stored convolution
+weights hold the rows of one quarter of the square, its rotational
+sector: L * N * 4N real numbers with L = M + 1 contour nodes, the
+contour samples sharing their buffer, 168 MB there.  Measured on a
+2-core VM with one BLAS thread, the extended run takes about 14 s and
+peaks at about 290 MB in the calling process and 180 MB in a worker.
 """
 
 import argparse
@@ -30,7 +32,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--extended", action="store_true",
-        help="append the (128, 320) row (minutes of runtime, est. ~0.7 GB)",
+        help="append the (128, 320) row (about 14 s, peak about 0.3 GB)",
     )
     parser.add_argument(
         "--output", default="convergence_square.csv",

@@ -49,6 +49,12 @@ built and cached.  For ``m = 1``
 the sector is the whole mesh, ``Q_0`` is the identity and the matrices
 are those of an element-by-element assembly, bit for bit.
 
+The convolution weights of ``V`` are linear combinations of matrices
+``V(s)``, so they obey the same law.  The time march keeps their first
+sector's rows only: :class:`SectorAction` applies them through the
+rotations, and :func:`unfold` rebuilds the whole leading weight by the
+same rotation as the assemblers.
+
 Quadrature design
 -----------------
 The planar kernel profiles factor as ``A_2(z) = -log(z) P(z) + smooth``
@@ -484,10 +490,10 @@ def _build_separated_clouds(space: DensitySpace):
 
 
 #: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span), and
-#: of the fill indices of the two assemblers keyed by (curve, N, kind,
-#: assembly); the dyadic quantization of the split caps keeps the key set
-#: small across a convolution-quadrature contour.  It holds the entries
-#: of one space only: a new space drops the others first.
+#: of the fill indices of :func:`_unfold` keyed by (curve, N, kind,
+#: "unfold" or "mirror"); the dyadic quantization of the split caps keeps
+#: the key set small across a convolution-quadrature contour.  It holds
+#: the entries of one space only: a new space drops the others first.
 _GEOMETRY_CACHE: dict = {}
 
 
@@ -644,44 +650,50 @@ def _accumulate_blocks(V, cloud, bases, sqrt_s, pref, n_basis):
           sums[[0, 2, 2, 4]] + 1j * sums[[1, 3, 3, 5]])
 
 
+def _turns(m: int):
+    """``cos`` and ``sin`` of the angles ``2 pi k / m``, ``k = 0 .. m - 1``,
+    of the rotations ``Q_k`` that map a mesh of symmetry order ``m`` onto
+    itself."""
+    angle = 2.0 * np.pi * np.arange(m) / m
+    return np.cos(angle), np.sin(angle)
+
+
 def _turned_sectors(sector: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     """The images ``Q_k S Q_k^T``, ``k = 0 .. m - 1``, of the first
     sector's rows ``S``, where ``Q_k`` turns the Cartesian component of
     every dof by ``2 pi k / m``.
 
     Shape ``(m, 2, 2, n nb, N nb)``: rotation, row component, column
-    component, row element and basis, column element and basis.  The
-    rotation is applied to the real and the imaginary parts alike;
-    ``Q_0`` is the identity, so ``k = 0`` holds ``S`` exactly.
+    component, row element and basis, column element and basis, of the
+    dtype of ``S``.  A complex ``S`` is turned in its real and imaginary
+    parts alike; ``Q_0`` is the identity, so ``k = 0`` holds ``S``
+    exactly.
     """
     m = mesh.symmetry_order
     rows, cols = sector.shape[0] // 2, sector.shape[1] // 2
     x = np.ascontiguousarray(
         sector.reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)).view(float)
-    angle = 2.0 * np.pi * np.arange(m) / m
-    cos, sin = np.cos(angle), np.sin(angle)
+    cos, sin = _turns(m)
     rot = np.stack([cos, -sin, sin, cos], axis=1).reshape(m, 2, 2)
     # entry (k, c, d; e, f) is Q_k[c, e] Q_k[d, f]; einsum rather than
     # matmul for the thin shapes, see _interpolate
     both = np.einsum("kce,kdf->kcdef", rot, rot).reshape(4 * m, 4)
     turned = np.einsum("ab,bp->ap", both, x.reshape(4, -1))
-    return turned.reshape((m, 2, 2) + x.shape[2:]).view(complex)
+    return turned.reshape((m, 2, 2) + x.shape[2:]).view(sector.dtype)
 
 
-def _fill_index(space: DensitySpace, clouds) -> np.ndarray:
-    """Where :func:`_assemble` takes each entry of the matrix from, as flat
+def _fill_index(space: DensitySpace, held: np.ndarray) -> np.ndarray:
+    """Where :func:`_unfold` takes each entry of the matrix from, as flat
     indices into the turned sectors (:func:`_turned_sectors`).
 
-    The block of the element pair ``(R, C)`` is the image under the
-    rotation ``k = R // n`` of the sector block ``(R % n, C - k n)`` if
-    one of the ``clouds`` holds that block, and otherwise the transpose
-    of the block of ``(C, R)``.
+    ``held[i, j]`` tells whether the sector's rows hold the block of the
+    element pair ``(i, j)``, ``i < n``.  The block of ``(R, C)`` is the
+    image under the rotation ``k = R // n`` of the sector block ``(R % n,
+    C - k n)`` if that block is held, and otherwise the transpose of the
+    block of ``(C, R)``.
     """
     mesh = space.mesh
     n_all, n, nb = mesh.n_elements, _sector_size(mesh), space.n_basis
-    listed = np.zeros((n, n_all), dtype=bool)
-    for cloud in clouds:
-        listed[cloud[0].pairs[:, 0], cloud[0].pairs[:, 1]] = True
     row = np.arange(n_all)[:, None, None, None]
     col = row.reshape(1, 1, n_all, 1)
     p, q = np.arange(2 * nb)[:, None, None], np.arange(2 * nb)
@@ -694,9 +706,107 @@ def _fill_index(space: DensitySpace, clouds) -> np.ndarray:
         head = ((k * 2 + a % 2) * 2 + b % 2) * n + i
         return ((head * nb + a // 2) * n_all + j) * nb + b // 2
 
-    direct = listed[row % n, (col - row // n * n) % n_all]
+    direct = held[row % n, (col - row // n * n) % n_all]
     return np.where(direct, source(row, col, p, q),
                     source(col, row, q, p)).ravel()
+
+
+def _unfold(sector: np.ndarray, space: DensitySpace,
+            held: np.ndarray) -> np.ndarray:
+    """The matrix of order ``dof_count`` whose first sector's rows are
+    ``sector``, of which the blocks ``held`` are set (:func:`_fill_index`),
+    filled by rotation and, where a block is not held, by transposition.
+
+    The fill index is cached per space under whether every block is
+    held: the reduced scheme and :func:`unfold` share that one.
+    """
+    label = "unfold" if held.all() else "mirror"
+    index = _cached(_space_key(space) + (label,),
+                    lambda: _fill_index(space, held))
+    turned = _turned_sectors(sector, space.mesh)
+    return np.take(turned, index).reshape(space.dof_count, space.dof_count)
+
+
+def unfold(sector: np.ndarray, space: DensitySpace) -> np.ndarray:
+    """The matrix of order ``dof_count`` that the rotations of the mesh map
+    onto itself and whose first ``SectorAction.rows`` rows are
+    ``sector``: its block ``(i + k n, j)`` is ``Q_k sector(i, j - k n)
+    Q_k^T``.
+
+    Such is every convolution weight of ``V``, a linear combination of
+    matrices ``V(s)``, real like ``sector`` (see :class:`SectorAction`).
+    It is filled by the rotation of the assemblers (:func:`_unfold`), every
+    block directly.  For ``m = 1`` it returns a copy of ``sector``, bit
+    for bit.
+    """
+    mesh = space.mesh
+    held = np.ones((_sector_size(mesh), mesh.n_elements), dtype=bool)
+    return _unfold(sector, space, held)
+
+
+@dataclass(frozen=True)
+class SectorAction:
+    """The rotations of a space's mesh acting on its density vectors.
+
+    A matrix ``W`` that the rotations map onto itself, ``W(i + k n, j) =
+    Q_k W(i, j - k n) Q_k^T`` in element blocks (see the module
+    docstring), is given by its first ``rows`` rows ``S``, those of the
+    elements ``i < n``.  Block ``k`` of a product is then
+
+        (W lam)_k = Q_k S (Q_k^T lam rolled by k n elements),
+
+    so one product ``S @ copies(lam)`` holds all ``m`` blocks in the
+    sector's frame, and :meth:`place` turns them back into the global
+    frame.  The rotated copies are gathered by a precomputed index and
+    turned elementwise, which is cheaper per step than a rotation by
+    ``einsum``.  For ``m = 1`` both are the identity, bit for bit.
+
+    Attributes
+    ----------
+    rows:
+        ``r = 2 nb N / m``, the dofs of one sector.
+    gather:
+        ``(dof, m)`` index, entry ``(p, k)`` being ``(p + k r) mod dof``.
+    cos, sin:
+        ``(m,)``, of the angles ``2 pi k / m`` of ``Q_k``.
+    """
+
+    rows: int
+    gather: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+    @property
+    def order(self) -> int:
+        """The symmetry order ``m``, the copies per product."""
+        return self.cos.size
+
+    def copies(self, lam: np.ndarray) -> np.ndarray:
+        """``(dof, m)``: column ``k`` is ``Q_k^T`` of ``lam`` rolled by
+        ``k`` sectors."""
+        x, y = lam[self.gather].reshape(-1, 2, self.order).transpose(1, 0, 2)
+        out = np.empty((x.shape[0], 2, self.order))
+        out[:, 0] = self.cos * x + self.sin * y
+        out[:, 1] = self.cos * y - self.sin * x
+        return out.reshape(-1, self.order)
+
+    def place(self, part: np.ndarray) -> np.ndarray:
+        """The global dof vector whose sector ``k`` is ``Q_k`` of column
+        ``k`` of the ``(rows, m)`` array ``part``."""
+        x, y = part.reshape(-1, 2, self.order).transpose(1, 0, 2)
+        out = np.empty((self.order, x.shape[0], 2))
+        out[..., 0] = (self.cos * x - self.sin * y).T
+        out[..., 1] = (self.sin * x + self.cos * y).T
+        return out.reshape(-1)
+
+
+def sector_action(space: DensitySpace) -> SectorAction:
+    """The :class:`SectorAction` of the rotations of ``space``'s mesh."""
+    m = space.mesh.symmetry_order
+    rows = space.dof_count // m
+    gather = (np.arange(space.dof_count)[:, None]
+              + rows * np.arange(m)) % space.dof_count
+    return SectorAction(rows, gather, *_turns(m))
 
 
 def _require_planar(cfg: ProblemConfig) -> None:
@@ -724,7 +834,7 @@ def _assemble(space: DensitySpace, clouds, sqrt_s,
     block.  The reduced scheme's clouds hold every sector block; the
     Galerkin clouds hold one per orbit of unordered pairs, and the
     matrix, complex symmetric, takes the other blocks as transposes
-    (:func:`_fill_index`, cached under the space's ``assembly``).
+    (:func:`_unfold`).
 
     Raises ``RuntimeError`` for a non-finite entry, naming its element
     pair.
@@ -739,10 +849,11 @@ def _assemble(space: DensitySpace, clouds, sqrt_s,
         ei, ej = np.argwhere(~np.isfinite(sector))[0] // w
         raise RuntimeError(f"quadrature produced a non-finite entry for "
                            f"element pair ({ei}, {ej})")
-    index = _cached(_space_key(space) + (space.assembly,),
-                    lambda: _fill_index(space, clouds))
-    turned = _turned_sectors(sector, space.mesh)
-    return np.take(turned, index).reshape(space.dof_count, space.dof_count)
+    held = np.zeros((_sector_size(space.mesh), space.mesh.n_elements),
+                    dtype=bool)
+    for cloud in clouds:
+        held[cloud[0].pairs[:, 0], cloud[0].pairs[:, 1]] = True
+    return _unfold(sector, space, held)
 
 
 def constrain(V: np.ndarray, space: DensitySpace,

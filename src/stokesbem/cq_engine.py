@@ -61,7 +61,15 @@ then marches a discretized operator equation forward in time with the
 solve of the leading system that the caller factored once (``W_0``, with
 any frequency-independent constraint added), and observables are
 recovered by one more discrete convolution against the weights of the
-observation transfer function.
+observation transfer function.  The march pushes each solution forward:
+once ``lam_t`` is solved, ``W_1 ... W_{M-t}`` applied to it are added to
+the tails of the later steps, one matrix product per step.  The weights
+of a matrix that a group of order ``m`` maps onto itself may be given by
+the rows of one sector, ``dof / m`` of them, with the group action that
+applies them (:func:`cq_march`); the boundary operator of
+:mod:`stokesbem.stokes_solver` is marched so, and its weights cost ``L
+dof^2 / m`` reals.  This module knows no mesh: the plain matrix is the
+trivial action.
 
 A transfer function returns a 2-D matrix at every frequency (a scalar
 transfer is the 1x1 matrix), its weights have shape ``(M + 1, rows,
@@ -475,22 +483,51 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     return seq
 
 
+class _Identity:
+    """The trivial group action of a plain matrix: one copy, placed as
+    it is (see :class:`stokesbem.bem_space.SectorAction`)."""
+
+    order = 1
+
+    @staticmethod
+    def copies(lam: np.ndarray) -> np.ndarray:
+        return lam[:, None]
+
+    @staticmethod
+    def place(part: np.ndarray) -> np.ndarray:
+        return part[:, 0]
+
+
 def cq_march(weights: WeightSequence, rhs_samples: np.ndarray,
-             solve) -> np.ndarray:
+             solve, action=_Identity) -> np.ndarray:
     """Solve the implicit convolution recurrence forward in time.
 
-    Computes ``lam_n = solve(phi_n - sum_{m=1}^{n} W_m lam_{n-m})``.
+    Computes ``lam_n = solve(phi_n - sum_{m=1}^{n} W_m lam_{n-m})`` by
+    pushing each solution forward: once ``lam_t`` is known, ``W_1 ...
+    W_{M-t}`` applied to it are added to the tails of the steps ahead,
+    one product of the contiguous weights against ``action.copies(lam_t)``.
+    The weights may be those of one sector of a matrix that a group of
+    order ``m`` maps onto itself: ``rows`` rows by ``m rows`` columns,
+    the product then holds each tail in the sector's frame and
+    ``action.place`` turns it into the global one.  The default action
+    is the trivial one, for square weight matrices.
 
     Parameters
     ----------
     weights:
-        Weights of the boundary system; matrices must be square.
+        Weights of the boundary system: square matrices, or the first
+        sector's rows under ``action``.
     rhs_samples:
         Real data samples ``phi_0, ..., phi_M``, shaped ``(M + 1, n)``.
     solve:
         The solve of the leading system, for instance
         :func:`stokesbem.bem_space.factor` of ``W_0``, constrained or
         not: a real load of length ``n`` to a real vector of length ``n``.
+    action:
+        The group, with ``order`` ``m``, ``copies(lam)`` of shape ``(n,
+        m)`` and ``place(part)`` from shape ``(rows, m)`` to ``(n,)``;
+        :func:`stokesbem.bem_space.sector_action` of the space for
+        sector weights.
 
     Returns
     -------
@@ -508,19 +545,23 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray,
     if np.iscomplexobj(rhs):
         raise ValueError("right-hand side samples must be real")
     rhs = np.ascontiguousarray(rhs, dtype=float)
-    n_steps = w.shape[0] - 1
-    if w.shape[1:2] != w.shape[2:]:
-        raise ValueError(f"marching needs square weight matrices, got {w.shape[1:]}")
-    want = (n_steps + 1,) + w.shape[2:]
+    n_steps, rows, cols = w.shape[0] - 1, w.shape[1], w.shape[2]
+    if rows * action.order != cols:
+        raise ValueError(f"marching needs square weight matrices, or the "
+                         f"rows of one of {action.order} sectors, got "
+                         f"{w.shape[1:]}")
+    want = (n_steps + 1, cols)
     if rhs.shape != want:
         raise ValueError(f"rhs must have shape {want}, got {rhs.shape}")
     lam = np.empty(rhs.shape)
-    for n in range(n_steps + 1):
-        if n:
-            tail = np.einsum("mij,mj->i", w[1 : n + 1], lam[n - 1 :: -1])
-        else:
-            tail = 0.0
-        lam[n] = solve(rhs[n] - tail)
+    tails = np.zeros((n_steps + 1, rows, action.order))
+    for t in range(n_steps + 1):
+        lam[t] = solve(rhs[t] - action.place(tails[t]))
+        ahead = n_steps - t
+        if ahead:
+            flat = w[1 : ahead + 1].reshape(ahead * rows, cols)
+            tails[t + 1 :] += (flat @ action.copies(lam[t])).reshape(
+                ahead, rows, action.order)
     return lam
 
 

@@ -146,9 +146,6 @@ class ProblemConfig:
 
 
 def _require_right_half_plane(z: np.ndarray) -> None:
-    finite = np.isfinite(z)
-    if not finite.all():
-        raise ValueError(f"argument {z.flat[np.argmin(finite)]} is not finite")
     if np.any(z.real <= 0.0):
         bad = z.flat[np.argmax(z.real <= 0.0)]
         raise ValueError(f"argument {bad} has Re <= 0; kernels need Re z > 0")
@@ -311,15 +308,18 @@ def _pr2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _scalar_pair(dimension: int, z) -> tuple[np.ndarray, np.ndarray]:
     """(A_d, B_d) on an array of arguments, with domain validation."""
+    if dimension not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {dimension}")
     za = np.atleast_1d(np.asarray(z, dtype=complex))
+    finite = np.isfinite(za)
+    if not finite.all():
+        raise ValueError(f"argument {za.flat[np.argmin(finite)]} is not finite")
     if dimension == 2:
         _require_right_half_plane(za)
         return _ab2(za)
-    if dimension == 3:
-        if np.any(za.real < 0.0):
-            raise ValueError("A_3/B_3 are evaluated only for Re z >= 0")
-        return _ab3(za)
-    raise ValueError(f"dimension must be 2 or 3, got {dimension}")
+    if np.any(za.real < 0.0):
+        raise ValueError("A_3/B_3 are evaluated only for Re z >= 0")
+    return _ab3(za)
 
 
 def scalar_A(dimension: int, z):

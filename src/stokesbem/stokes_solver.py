@@ -27,6 +27,13 @@ for the plain density block, and the march takes the solve of
 With a border the recurrence enforces ``<lam_n, m> = 0`` at every step
 while the multiplier acts instantaneously, never entering the
 convolution tail.
+
+A rotation of order ``m`` maps every mesh onto itself, and ``V(s)``, so
+every weight, is fixed by the rows of its first sector.  Only those
+``r = dof / m`` rows are sampled and transformed, ``L r dof`` reals in
+all; ``W_0`` is unfolded to the whole matrix once for the factored
+system, and the march applies the later weights through the rotations
+(:class:`stokesbem.bem_space.SectorAction`).
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ from .bem_space import (
     potential_pressure_matrix,
     potential_velocity_matrix,
     require_off_boundary,
+    sector_action,
+    unfold,
 )
 from ._checks import count, length
 from ._quadrature import panel_gauss
@@ -421,6 +430,13 @@ def run_simulation(
         ``(K, 2)``, a non-finite point or one on the boundary, an
         unknown constraint or assembly flag, a non-planar ``cfg``, or
         any violated component precondition.
+
+    Notes
+    -----
+    The weights of ``V`` are held for the first rotational sector's
+    rows only, ``(M + 1) r dof`` reals with ``r = 2 nb N / m``; the
+    unfolded ``W_0`` (``dof^2`` reals) is factored once, and the march
+    applies the rest through the rotations.
     """
     constraint = ConstraintMode(constraint)
     mesh = build_mesh(curve, n_elements)
@@ -451,12 +467,15 @@ def run_simulation(
                     for t in scheme.times()])
 
     assemble = assemble_nystrom_V if space.reduced else assemble_galerkin_V
+    action = sector_action(space)
+    # the weights, like V(s), are fixed by their first sector's rows
     seq = cq_weights(
-        lambda s: assemble(space, ComplexFrequency(s), cfg), scheme
+        lambda s: assemble(space, ComplexFrequency(s), cfg)[: action.rows],
+        scheme,
     )
     # the constraint is frequency independent: it enters W_0 alone
-    solve = factor(constrain(seq.weights[0], space, constraint))
-    history = cq_march(seq, rhs, solve)
+    solve = factor(constrain(unfold(seq.weights[0], space), space, constraint))
+    history = cq_march(seq, rhs, solve, action)
     velocity, pressure = _observe(space, scheme, cfg, history, points)
 
     return SimulationResult(

@@ -289,6 +289,18 @@ def test_scalar_a2_rejects_non_finite(z):
         scalar_B(2, np.array([1.0, z, 2.0]))
 
 
+@pytest.mark.parametrize("z", [complex(np.nan, 0.0), complex(1.0, np.inf)],
+                         ids=["nan", "1+inf j"])
+def test_scalar_a3_rejects_non_finite(z):
+    """The spatial profiles refuse a non-finite argument by name, as the
+    planar ones do, before any evaluation could warn."""
+    message = re.escape(f"argument {z} is not finite")
+    with pytest.raises(ValueError, match=message):
+        scalar_A(3, z)
+    with pytest.raises(ValueError, match=message):
+        scalar_B(3, np.array([1.0, z, 2.0]))
+
+
 def test_problem_config_rejects_infinite_viscosity():
     with pytest.raises(ValueError, match="viscosity must be positive and finite"):
         ProblemConfig(nu=np.inf)

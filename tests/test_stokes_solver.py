@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesbem import stokes_solver
-from stokesbem.bem_space import ConstraintMode, constrain, data_functional
+from stokesbem.bem_space import (ConstraintMode, constrain, data_functional,
+                                 unfold)
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import ProblemConfig
@@ -394,9 +395,10 @@ class TestGaugeConstraints:
     def test_constraint_enters_the_leading_weight_only(self, assembly,
                                                        monkeypatch):
         """Border or rank-one term, the constraint is in the factored
-        leading system alone: the weights reach ``cq_march`` exactly as
-        ``cq_weights`` returned them, the same in every mode, and the
-        factored system is ``constrain`` of the plain ``W_0``."""
+        leading system alone: the sector weights reach ``cq_march``
+        exactly as ``cq_weights`` returned them, the same in every mode,
+        and the factored system is ``constrain`` of the plain ``W_0``
+        unfolded from its sector."""
         sample = stokes_solver.cq_weights
         factor = stokes_solver.factor
         march = stokes_solver.cq_march
@@ -411,9 +413,9 @@ class TestGaugeConstraints:
                 systems[mode] = system.copy()
                 return factor(system)
 
-            def capture_march(seq, rhs, solve, mode=mode):
+            def capture_march(seq, rhs, solve, action, mode=mode):
                 marched[mode] = seq.weights.copy()
-                return march(seq, rhs, solve)
+                return march(seq, rhs, solve, action)
 
             monkeypatch.setattr(stokes_solver, "cq_weights", capture_weights)
             monkeypatch.setattr(stokes_solver, "factor", capture_factor)
@@ -428,7 +430,7 @@ class TestGaugeConstraints:
         for mode in ConstraintMode:
             np.testing.assert_array_equal(marched[mode], returned[mode])
             np.testing.assert_array_equal(marched[mode], plain)
-            want = constrain(plain[0], res.space, mode)
+            want = constrain(unfold(plain[0], res.space), res.space, mode)
             np.testing.assert_array_equal(systems[mode], want)
 
     @pytest.mark.parametrize("mode", list(ConstraintMode),
@@ -437,14 +439,18 @@ class TestGaugeConstraints:
                                                      monkeypatch):
         """The march through the factored, constrained ``W_0`` agrees with
         a march of the padded system: every weight zero-padded to the
-        constrained size, ``W_0`` replaced by the constrained one, one
-        LU, the rhs padded with the zero load of the border."""
+        constrained size, ``W_0`` replaced by the constrained one (unfolded
+        from its sector), one LU, the rhs padded with the zero load of the
+        border.  The later weights are applied in their sector, as the
+        march applies them: padded by zeros, they add nothing to the
+        border rows and take nothing from the multiplier, so the padded
+        tail is the sector tail with zeros appended."""
         march = stokes_solver.cq_march
         seen = {}
 
-        def capture(seq, rhs, solve):
-            seen["w"], seen["rhs"] = seq.weights.copy(), rhs.copy()
-            return march(seq, rhs, solve)
+        def capture(seq, rhs, solve, action):
+            seen.update(w=seq.weights.copy(), rhs=rhs.copy(), action=action)
+            return march(seq, rhs, solve, action)
 
         monkeypatch.setattr(stokes_solver, "cq_march", capture)
         res = run_simulation(
@@ -452,19 +458,22 @@ class TestGaugeConstraints:
             CQScheme(order=3, kappa=1.0 / 40, n_steps=40),
             manufactured_dirichlet_data(), [(0.3, 0.7)], CFG,
         )
-        w, rhs = seen["w"], seen["rhs"]
-        dof = w.shape[1]
-        system = constrain(w[0], res.space, mode)
+        w, rhs, action = seen["w"], seen["rhs"], seen["action"]
+        n_steps, rows, dof = w.shape[0] - 1, w.shape[1], w.shape[2]
+        system = constrain(unfold(w[0], res.space), res.space, mode)
         k = system.shape[0] - dof
-        padded = np.pad(w, ((0, 0), (0, k), (0, k)))
-        padded[0] = system
         load = np.pad(rhs, ((0, 0), (0, k)))
-        lu = scipy.linalg.lu_factor(padded[0])
+        lu = scipy.linalg.lu_factor(system)
         lam = np.empty(load.shape)
-        for n in range(load.shape[0]):
-            tail = (np.einsum("mij,mj->i", padded[1:n + 1], lam[n - 1::-1])
-                    if n else 0.0)
+        tails = np.zeros((n_steps + 1, rows, action.order))
+        for n in range(n_steps + 1):
+            tail = np.pad(action.place(tails[n]), (0, k))
             lam[n] = scipy.linalg.lu_solve(lu, load[n] - tail)
+            ahead = n_steps - n
+            if ahead:
+                flat = w[1:ahead + 1].reshape(ahead * rows, dof)
+                tails[n + 1:] += (flat @ action.copies(lam[n, :dof])).reshape(
+                    ahead, rows, action.order)
         scale = float(np.abs(lam[:, :dof]).max())
         assert np.abs(res.history - lam[:, :dof]).max() <= 1e-14 * scale
 
