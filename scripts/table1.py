@@ -4,7 +4,7 @@ Galerkin
 assembly, the multiplier-augmented system, third-order time stepping.
 
 Runs the ladder (N, M) = (4, 10) doubling to (64, 160) by default
-(about 2.9 s on a 2-core VM), prints the error table, and writes it as CSV.  The
+(about 3.7 s on a 2-core VM), prints the error table, and writes it as CSV.  The
 errors are measured at three points interior to the square at the
 final time against the closed-form reference solution.  The corner
 singularities of the square keep the observed velocity rate a little

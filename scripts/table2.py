@@ -2,7 +2,7 @@
 """Convergence study on the unit circle: P0 densities, reduced
 integration, third-order time stepping.
 
-Runs the ladder N = M in {20, 40, 80, 160} by default (about 1.8 s on a
+Runs the ladder N = M in {20, 40, 80, 160} by default (about 2.3 s on a
 2-core VM), prints the error table, and writes it as CSV.  The errors are
 measured at three points interior to the circle at the final time
 against the closed-form reference solution; both rates should settle

@@ -96,12 +96,15 @@ clouds of the latest assembly until ``S`` or the clouds change.
 
 A cloud is a tuple of channels (``_PairCloud``), each with its
 quadrature weights folded in: a plain channel takes ``(A_2, B_2)``, the
-companion channel of a logarithmic split ``(P, -R)``.  One contraction,
-``_accumulate_blocks``, turns every cloud into 2x2 matrix blocks: those
-of ``V``, and those of the velocity potential, whose clouds pair an
-observation point with an element, classed by distance.  The pressure
-potential is summed over the same point clouds; the clouds of the
-latest point set are held beside the bases.
+companion channel of a logarithmic split ``(P, -R)``.  One constructor,
+``_pair_cloud``, builds every cloud; the singular classes give it their
+coordinate maps, and one distance-class loop gives it the rules of the
+Galerkin separated pairs, the reduced scheme's far rows and the
+potentials.  One contraction, ``_accumulate_blocks``, turns every cloud
+into 2x2 matrix blocks: those of ``V``, and those of the velocity
+potential, whose clouds pair an observation point with an element.  The
+pressure potential is summed over the same point clouds; the clouds of
+the latest point set are held beside the bases.
 """
 
 from __future__ import annotations
@@ -127,12 +130,10 @@ Z_SPLIT_CAP = 6.0
 MAX_PANEL_Z_SPAN = 3.0
 
 #: rule orders for the self-element strip scheme
-SELF_LOG_ORDER = 16
 SELF_SMOOTH_ORDER = 12
 SELF_INNER_ORDER = 12
 
 #: rule orders for the shared-vertex Duffy scheme
-VERTEX_LOG_ORDER = 16
 VERTEX_SMOOTH_ORDER = 12
 VERTEX_ANGULAR_ORDER = 12
 
@@ -140,7 +141,6 @@ VERTEX_ANGULAR_ORDER = 12
 DIRECT_PANEL_ORDER = 8
 
 #: reduced-integration (midpoint test rule) inner quadrature
-DIAG_LOG_ORDER = 16
 DIAG_SMOOTH_ORDER = 16
 NEIGHBOR_PANEL_ORDER = 12
 NEIGHBOR_BREAKS = (0.0, 0.0625, 0.125, 0.25, 0.5, 1.0)
@@ -272,31 +272,32 @@ def _split_scale(z: float) -> tuple[float, float]:
     return 2.0 ** -min(k, 16), 2.0 ** math.ceil(math.log2(z))
 
 
-def _split_channels(cap: float, z_scale: float, n_log: int, n_smooth: int):
+def _split_channels(cap: float, z_scale: float, n_smooth: int):
     """Quadrature channels on (0, 1) for a log-singular radial integrand.
 
     Returns ``(u, w, alpha, beta)``.  A kernel profile value at a node is
     reconstructed as ``alpha * A + beta * P`` (and ``alpha * B - beta *
     R`` for the transverse part), which realizes the identity
     ``A(z) = -log(u / cap) P(z) + [A(z) + log(u / cap) P(z)]`` with the
-    first factor integrated by the log-weighted rule and the bracket,
-    smooth in ``u``, by a Gauss rule.  Above ``cap``, graded direct
-    panels evaluate the profiles themselves (``alpha = 1``); each panel
-    is subdivided until its z-span ``z_scale * width`` is resolvable.
+    first factor integrated by the one log-weighted rule
+    (``log_gauss_01``) and the bracket, smooth in ``u``, by a Gauss rule
+    of order ``n_smooth``.  Above ``cap``, graded direct panels evaluate
+    the profiles themselves (``alpha = 1``); each panel is subdivided
+    until its z-span ``z_scale * width`` is resolvable.
     """
     us, ws, als, bes = [], [], [], []
-    tl, wl = log_gauss_01(n_log)
+    tl, wl = log_gauss_01()
     us.append(cap * tl)
     ws.append(cap * wl)
-    als.append(np.zeros(n_log))
-    bes.append(np.ones(n_log))
+    als.append(np.zeros(tl.size))
+    bes.append(np.ones(tl.size))
     tg, wg = gauss_legendre_01(n_smooth)
     us.append(cap * tg)
     ws.append(cap * wg)
     als.append(np.ones(n_smooth))
     bes.append(np.log(tg))
     if cap < 1.0:
-        graded = graded_panels(cap, 1.0)
+        graded = graded_panels(cap)
         breaks = [graded[:1]]
         for a, b in zip(graded[:-1], graded[1:]):
             n_sub = max(1, math.ceil((b - a) * z_scale / MAX_PANEL_Z_SPAN))
@@ -321,7 +322,7 @@ class _PairCloud:
     profiles ``(A_2, B_2)`` at its points, a ``companion`` channel
     ``(P, -R)``.  A cloud is a tuple of channels on the same pairs: one,
     or two for the split self, vertex and reduced diagonal clouds (see
-    ``_split_channels``).
+    ``_split_channels``).  :func:`_pair_cloud` builds every cloud.
     """
 
     pairs: np.ndarray
@@ -331,20 +332,40 @@ class _PairCloud:
     companion: bool
 
 
-def _finish_cloud(pairs, diff, r_weights, fx, fy, sp_x, sp_y, split=None):
-    """Assemble a cloud from raw per-point geometry; ``fx`` and ``fy``
-    hold the row and the column basis functions at the points.
+def _pair_cloud(space: DensitySpace, rows, xi, cols, eta, w_pt, split=None,
+                at=None):
+    """The cloud of the pairs ``(rows[k], cols[k])`` on the nodes of one
+    rule, whose weights ``w_pt`` span the node axes.
 
-    ``split`` holds the ``(alpha, beta)`` weights of ``_split_channels``
-    at the points: the plain channel takes the points with ``alpha !=
-    0``, the companion channel those with ``beta != 0``.  Without it the
-    cloud is one plain channel of weight 1.
+    The column is element ``cols[k]`` at coordinates ``eta``.  The row
+    is element ``rows[k]`` at coordinates ``xi`` (the Galerkin rule) or,
+    with ``at = (points, weights)``, the point ``points[rows[k]]`` of
+    weight ``weights[rows[k]]``: a reduced-rule midpoint and its
+    arclength, or an observation point and 1.  ``xi`` and ``eta``
+    broadcast to the node axes, so the tensor rule evaluates each
+    element at its own nodes only.  ``split`` holds the ``(alpha,
+    beta)`` of ``_split_channels`` at the flat nodes: the plain channel
+    takes those with ``alpha != 0``, the companion channel those with
+    ``beta != 0``.  Without it the cloud is one plain channel.
     """
-    pairs = np.asarray(pairs)
+    mesh = space.mesh
+    # the pair axis first, then the node axes
+    lead = (slice(None),) + (None,) * np.ndim(w_pt)
+    pos_y, sp_y = _element_points(mesh, cols[lead], eta)
+    fy = _basis_values(space.n_basis, eta)
+    if at is None:
+        pos_x, sp_x = _element_points(mesh, rows[lead], xi)
+        fx = _basis_values(space.n_basis, xi)
+    else:
+        points, weights = at
+        pos_x, sp_x, fx = points[rows[lead]], weights[rows[lead]], (1.0,)
+    diff = (pos_x - pos_y).reshape(rows.size, -1, 2)
     r = np.linalg.norm(diff, axis=-1)
     rhat = np.stack([diff[..., 0], diff[..., 1]]) / r
-    base = r_weights * sp_x * sp_y
-    wab = np.stack([base * fa * fb for fa in fx for fb in fy])
+    base = w_pt * sp_x * sp_y
+    wab = np.stack([base * fa * fb for fa in fx for fb in fy]).reshape(
+        -1, *r.shape)
+    pairs = np.stack([rows, cols], axis=1)
     if split is None:
         return (_PairCloud(pairs, r, rhat, wab, companion=False),)
     return tuple(_PairCloud(pairs, np.compress(m, r, axis=1),
@@ -367,10 +388,7 @@ def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
     becomes two congruent strips ``v in (0, 1 - u)``, ``u in (0, 1)``;
     the distance vanishes linearly in ``u``, which carries the split.
     """
-    mesh = space.mesh
-    n = _sector_size(mesh)
-    u, wu, al, be = _split_channels(cap, z_scale, SELF_LOG_ORDER,
-                                    SELF_SMOOTH_ORDER)
+    u, wu, al, be = _split_channels(cap, z_scale, SELF_SMOOTH_ORDER)
     t, wt = gauss_legendre_01(SELF_INNER_ORDER)
     uu = u[:, None]
     eta_plus = (1.0 - uu) * t[None, :]
@@ -378,16 +396,10 @@ def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
     w2 = (wu[:, None] * wt[None, :] * (1.0 - uu)).ravel()
     xi = np.concatenate([xi_plus.ravel(), eta_plus.ravel()])
     eta = np.concatenate([eta_plus.ravel(), xi_plus.ravel()])
-    w_pt = np.concatenate([w2, w2])
     split = [np.tile(np.repeat(c, t.size), 2) for c in (al, be)]
-    elems = np.arange(n)[:, None]
-    pos_x, sp_x = _element_points(mesh, elems, xi[None, :])
-    pos_y, sp_y = _element_points(mesh, elems, eta[None, :])
-    fb_x = _basis_values(space.n_basis, xi)
-    fb_y = _basis_values(space.n_basis, eta)
-    pairs = np.stack([np.arange(n), np.arange(n)], axis=1)
-    return _finish_cloud(pairs, pos_x - pos_y, w_pt[None, :], fb_x, fb_y,
-                         sp_x, sp_y, split)
+    elems = np.arange(_sector_size(space.mesh))
+    return _pair_cloud(space, elems, xi, elems, eta,
+                       np.concatenate([w2, w2]), split)
 
 
 def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
@@ -402,29 +414,17 @@ def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
     curved adjacent pairs alike.
     """
     mesh = space.mesh
-    n = _sector_size(mesh)
-    p, wp, al, be = _split_channels(cap, z_scale, VERTEX_LOG_ORDER,
-                                    VERTEX_SMOOTH_ORDER)
+    p, wp, al, be = _split_channels(cap, z_scale, VERTEX_SMOOTH_ORDER)
     q, wq = gauss_legendre_01(VERTEX_ANGULAR_ORDER)
     pp = p[:, None]
     da1, db1 = np.broadcast_arrays(pp, pp * q[None, :])
-    da2, db2 = db1, da1
     w2 = (wp[:, None] * wq[None, :] * pp).ravel()
-    da = np.concatenate([da1.ravel(), da2.ravel()])
-    db = np.concatenate([db1.ravel(), db2.ravel()])
-    w_pt = np.concatenate([w2, w2])
+    da = np.concatenate([da1.ravel(), db1.ravel()])
+    db = np.concatenate([db1.ravel(), da1.ravel()])
     split = [np.tile(np.repeat(c, q.size), 2) for c in (al, be)]
-    xi = 1.0 - da
-    eta = db
-    left = np.arange(n)
-    right = (left + 1) % mesh.n_elements
-    pos_x, sp_x = _element_points(mesh, left[:, None], xi[None, :])
-    pos_y, sp_y = _element_points(mesh, right[:, None], eta[None, :])
-    fb_x = _basis_values(space.n_basis, xi)
-    fb_y = _basis_values(space.n_basis, eta)
-    pairs = np.stack([left, right], axis=1)
-    return _finish_cloud(pairs, pos_x - pos_y, w_pt[None, :], fb_x, fb_y,
-                         sp_x, sp_y, split)
+    left = np.arange(_sector_size(mesh))
+    return _pair_cloud(space, left, 1.0 - da, (left + 1) % mesh.n_elements,
+                       db, np.concatenate([w2, w2]), split)
 
 
 def _separated_pairs(mesh: BoundaryMesh, ordered: bool):
@@ -463,29 +463,18 @@ def _distance_classes(ratio: np.ndarray, classes):
             yield sel, order, n_panels
 
 
-def _build_separated_clouds(space: DensitySpace):
-    """Tensor-rule clouds for one separated pair per orbit, one cloud per
-    distance class."""
-    mesh = space.mesh
-    i, j, ratio = _separated_pairs(mesh, ordered=False)
+def _class_clouds(space: DensitySpace, ii, jj, ratio, classes, at=None):
+    """One cloud per distance class of the pairs ``(ii, jj)``: the
+    class's Gauss rule on the column element, and on the row element too
+    (the tensor rule) unless the rows are the points ``at`` of
+    :func:`_pair_cloud`."""
     clouds = []
-    for sel, order, n_panels in _distance_classes(ratio, SEPARATED_CLASSES):
-        ii, jj = i[sel], j[sel]
+    for sel, order, n_panels in _distance_classes(ratio, classes):
         x, w = panel_gauss(order, np.linspace(0.0, 1.0, n_panels + 1))
-        q = x.size
-        pos_x, sp_x = _element_points(mesh, ii[:, None], x[None, :])
-        pos_y, sp_y = _element_points(mesh, jj[:, None], x[None, :])
-        fb = _basis_values(space.n_basis, x)
-        diff = pos_x[:, :, None, :] - pos_y[:, None, :, :]
-        npair = ii.size
-        diff = diff.reshape(npair, q * q, 2)
-        wxy = (w[:, None] * w[None, :]).reshape(q * q)
-        fx = np.stack([np.repeat(fb[a], q) for a in range(space.n_basis)])
-        fy = np.stack([np.tile(fb[a], q) for a in range(space.n_basis)])
-        spx = np.repeat(sp_x, q, axis=1)
-        spy = np.tile(sp_y, (1, q))
-        clouds.append(_finish_cloud(np.stack([ii, jj], axis=1), diff,
-                                    wxy[None, :], fx, fy, spx, spy))
+        xi = None
+        if at is None:
+            xi, w = x[:, None], w[:, None] * w[None, :]
+        clouds.append(_pair_cloud(space, ii[sel], xi, jj[sel], x, w, at=at))
     return clouds
 
 
@@ -908,8 +897,9 @@ def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
                          lambda: _build_self_cloud(space, cap_u, z_u))
     vertex_cloud = _cached(key + ("vertex", cap_p, z_p),
                            lambda: _build_vertex_cloud(space, cap_p, z_p))
-    separated = _cached(key + ("separated",),
-                        lambda: _build_separated_clouds(space))
+    separated = _cached(key + ("separated",), lambda: _class_clouds(
+        space, *_separated_pairs(space.mesh, ordered=False),
+        SEPARATED_CLASSES))
     clouds = [self_cloud, vertex_cloud, *separated]
     return _assemble(space, clouds, sqrt_s, cfg)
 
@@ -927,66 +917,26 @@ def _build_diag_cloud(space: DensitySpace, cap: float, z_scale: float):
     linearly in ``v``, which carries the split.
     """
     mesh = space.mesh
-    n = _sector_size(mesh)
-    v, wv, al, be = _split_channels(cap, z_scale, DIAG_LOG_ORDER,
-                                    DIAG_SMOOTH_ORDER)
+    v, wv, al, be = _split_channels(cap, z_scale, DIAG_SMOOTH_ORDER)
     eta = np.concatenate([0.5 + 0.5 * v, 0.5 - 0.5 * v])
     w_pt = np.concatenate([0.5 * wv, 0.5 * wv])
     split = [np.tile(c, 2) for c in (al, be)]
-    elems = np.arange(n)[:, None]
-    pos_y, sp_y = _element_points(mesh, elems, eta[None, :])
-    fb_y = _basis_values(space.n_basis, eta)
-    ones = np.ones((1, eta.size))
-    rows = mesh.arclengths[:n, None]
-    pairs = np.stack([np.arange(n), np.arange(n)], axis=1)
-    return _finish_cloud(pairs, mesh.midpoints[:n, None, :] - pos_y,
-                         w_pt[None, :], ones, fb_y, rows, sp_y, split)
+    elems = np.arange(_sector_size(mesh))
+    return _pair_cloud(space, elems, None, elems, eta, w_pt, split,
+                       at=(mesh.midpoints, mesh.arclengths))
 
 
 def _build_neighbor_cloud(space: DensitySpace, offset: int):
     """First-sector rows against an adjacent element, graded toward the
     shared vertex."""
     mesh = space.mesh
-    n = _sector_size(mesh)
     eta, w_pt = panel_gauss(NEIGHBOR_PANEL_ORDER, NEIGHBOR_BREAKS)
     if offset == -1:
         # previous element: shared vertex at eta = 1
         eta = 1.0 - eta
-    cols = (np.arange(n) + offset) % mesh.n_elements
-    pos_y, sp_y = _element_points(mesh, cols[:, None], eta[None, :])
-    fb_y = _basis_values(space.n_basis, eta)
-    ones = np.ones((1, eta.size))
-    rows = mesh.arclengths[:n, None]
-    pairs = np.stack([np.arange(n), cols], axis=1)
-    return _finish_cloud(pairs, mesh.midpoints[:n, None, :] - pos_y,
-                         w_pt[None, :], ones, fb_y, rows, sp_y)
-
-
-def _point_clouds(space: DensitySpace, points, ii, jj, ratio, row_weights,
-                  classes):
-    """Clouds of (point ``ii``, element ``jj``) pairs, one per distance
-    class of ``ratio`` in ``classes``; ``row_weights`` scale the points."""
-    mesh = space.mesh
-    clouds = []
-    for sel, order, n_panels in _distance_classes(ratio, classes):
-        ik, jk = ii[sel], jj[sel]
-        x, w = panel_gauss(order, np.linspace(0.0, 1.0, n_panels + 1))
-        pos_y, sp_y = _element_points(mesh, jk[:, None], x[None, :])
-        clouds.append(_finish_cloud(np.stack([ik, jk], axis=1),
-                                    points[ik][:, None, :] - pos_y,
-                                    w[None, :], np.ones((1, x.size)),
-                                    _basis_values(space.n_basis, x),
-                                    row_weights[ik][:, None], sp_y))
-    return clouds
-
-
-def _build_row_clouds(space: DensitySpace):
-    """Separated columns of the reduced scheme's first-sector rows,
-    classed by distance."""
-    mesh = space.mesh
-    return _point_clouds(space, mesh.midpoints,
-                         *_separated_pairs(mesh, ordered=True),
-                         mesh.arclengths, SEPARATED_CLASSES)
+    rows = np.arange(_sector_size(mesh))
+    return _pair_cloud(space, rows, None, (rows + offset) % mesh.n_elements,
+                       eta, w_pt, at=(mesh.midpoints, mesh.arclengths))
 
 
 def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
@@ -1005,7 +955,8 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     _require_planar(cfg)
     _require_assembly(space, "reduced")
     sqrt_s = cfg.brinkman(freq).sqrt_s
-    l_max = float(space.mesh.arclengths.max())
+    mesh = space.mesh
+    l_max = float(mesh.arclengths.max())
     cap_d, z_dq = _split_scale(abs(sqrt_s) * l_max / 2.0)
     key = _space_key(space)
     diag = _cached(key + ("rdiag", cap_d, z_dq),
@@ -1014,7 +965,9 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
                       lambda: _build_neighbor_cloud(space, +1))
     nb_prev = _cached(key + ("rprev",),
                       lambda: _build_neighbor_cloud(space, -1))
-    far = _cached(key + ("rrows",), lambda: _build_row_clouds(space))
+    far = _cached(key + ("rrows",), lambda: _class_clouds(
+        space, *_separated_pairs(mesh, ordered=True), SEPARATED_CLASSES,
+        at=(mesh.midpoints, mesh.arclengths)))
     clouds = [diag, nb_next, nb_prev, *far]
     return _assemble(space, clouds, sqrt_s, cfg)
 
@@ -1027,14 +980,26 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
 PROJECTION_STEPS = 8
 
 
-def require_off_boundary(mesh: BoundaryMesh, points: np.ndarray) -> None:
-    """Raise ``ValueError`` for a point within 1e-12 of the curve.
+def check_observation_points(mesh: BoundaryMesh, points) -> np.ndarray:
+    """The observation points ``points`` as a float array of shape (K, 2).
 
-    Points within one element length of an element midpoint are
-    projected onto that element's parameter interval by Gauss-Newton
-    steps on ``|x(theta) - p|^2``; the other points are tested against
-    the element samples only.
+    Raises ``ValueError`` unless that shape holds with ``K >= 1``, every
+    point is finite and none lies within 1e-12 of the curve.  Points
+    within one element length of an element midpoint are projected onto
+    that element's parameter interval by Gauss-Newton steps on ``|x(theta)
+    - p|^2``; the other points are tested against the element samples
+    only.
     """
+    shape = np.shape(points)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != 2 or not points.shape[0]:
+        raise ValueError("observation points must have shape (K, 2) with "
+                         f"K >= 1, got shape {shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"observation point {k} = {points[k].tolist()} "
+                         "is not finite")
     samples = np.concatenate([mesh.midpoints, mesh.endpoints[:, 0, :]])
     d = np.linalg.norm(points[:, None, :] - samples[None, :, :], axis=-1)
     on_curve = (d < 1e-12).any(axis=1)
@@ -1052,6 +1017,7 @@ def require_off_boundary(mesh: BoundaryMesh, points: np.ndarray) -> None:
     if on_curve.any():
         k = int(np.argmax(on_curve))
         raise ValueError(f"observation point {k} lies on the boundary")
+    return points
 
 
 def _point_element_pairs(mesh: BoundaryMesh, points: np.ndarray):
@@ -1072,17 +1038,17 @@ _POINT_SLOT: list = [None, None]
 def _potential_clouds(space: DensitySpace, points: np.ndarray):
     """The (point, element) clouds of ``points``, classed by distance.
 
-    Built once per point set, after checking that no point lies on the
-    boundary; a new point set drops the previous clouds and the ray
-    bases before its own are built.
+    Built once per point set, after :func:`check_observation_points`;
+    a new point set drops the previous clouds and the ray bases before
+    its own are built.
     """
     key = _space_key(space) + (points.shape, points.tobytes())
     if _POINT_SLOT[0] != key:
         _POINT_SLOT[:], _RAY_SLOT[:] = [None, None], [None, {}]
-        require_off_boundary(space.mesh, points)
-        _POINT_SLOT[:] = [key, _point_clouds(
-            space, points, *_point_element_pairs(space.mesh, points),
-            np.ones(points.shape[0]), POTENTIAL_CLASSES)]
+        check_observation_points(space.mesh, points)
+        _POINT_SLOT[:] = [key, _class_clouds(
+            space, *_point_element_pairs(space.mesh, points),
+            POTENTIAL_CLASSES, at=(points, np.ones(points.shape[0])))]
     return _POINT_SLOT[1]
 
 
@@ -1112,7 +1078,8 @@ def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,
     point-major (x then y component per point).  The kernel is smooth
     off the boundary; quadrature order follows the distance to each
     element in element lengths, and the profiles are interpolated along
-    the frequency ray like those of the boundary operator.
+    the frequency ray like those of the boundary operator.  A point set
+    that :func:`check_observation_points` refuses is a ``ValueError``.
     """
     _require_planar(cfg)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -1131,7 +1098,7 @@ def potential_pressure_matrix(space: DensitySpace, points) -> np.ndarray:
     The pressure kernel ``(x - y) / (2 pi |x - y|^2)`` does not depend
     on the frequency, so neither does this matrix; shape
     ``(K, dof_count)``, real.  It is summed over the velocity
-    potential's clouds of the same points.
+    potential's clouds of the same points, checked alike.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     nb = space.n_basis
@@ -1184,15 +1151,20 @@ def factor(system: np.ndarray):
     Raises
     ------
     numpy.linalg.LinAlgError
-        If the system is numerically singular (the frequency is on or
-        near the branch cut, or assembly is broken).
+        If the system is numerically singular, its pivot ratio
+        ``min|u_ii| / max|u_ii|`` at most 1e-14 (the frequency is on or
+        near the branch cut, or assembly is broken); the message states
+        the ratio.
     ValueError
         From ``solve``, if the load is longer than the system.
     """
     lu_piv = scipy.linalg.lu_factor(system)
     du = np.abs(np.diag(lu_piv[0]))
     if du.min() <= du.max() * 1e-14:
-        raise np.linalg.LinAlgError("system matrix is numerically singular")
+        ratio = du.min() / du.max() if du.max() > 0.0 else 0.0
+        raise np.linalg.LinAlgError(
+            f"system matrix is numerically singular: pivot ratio min|u_ii| "
+            f"/ max|u_ii| = {ratio:.3e} is not above 1e-14")
     size = du.size
 
     def solve(load: np.ndarray) -> np.ndarray:

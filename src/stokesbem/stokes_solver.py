@@ -49,13 +49,13 @@ from .bem_space import (
     assemble_galerkin_V,
     assemble_nystrom_V,
     build_space,
+    check_observation_points,
     constrain,
     data_functional,
     factor,
     potential_node_bytes,
     potential_pressure_matrix,
     potential_velocity_matrix,
-    require_off_boundary,
     sector_action,
     unfold,
 )
@@ -446,20 +446,8 @@ def run_simulation(
             f"the transient solver is implemented for the planar problem "
             f"only, got dimension {cfg.dimension}"
         )
-    points = np.atleast_2d(np.asarray(observation_points, dtype=float))
-    if points.ndim != 2 or points.shape[1] != 2 or not points.shape[0]:
-        raise ValueError(
-            "observation points must have shape (K, 2) with K >= 1, got "
-            f"shape {np.shape(observation_points)}"
-        )
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(
-            f"observation point {k} = {points[k].tolist()} is not finite"
-        )
-    # reject points on the boundary before any sampling or assembly
-    require_off_boundary(mesh, points)
+    # reject bad points before any sampling or assembly
+    points = check_observation_points(mesh, observation_points)
 
     _check_data_admissible(data, curve, n_elements, scheme)
 

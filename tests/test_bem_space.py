@@ -178,6 +178,45 @@ def test_galerkin_separated_entry_against_adaptive_oracle():
     )
 
 
+@pytest.mark.parametrize("s", [2.0 + 1.0j, 5.0 - 40.0j])
+def test_galerkin_separated_blocks_pair_row_and_column_bases(s):
+    """Every separated P1 block on the square (N = 8, symmetry order 4),
+    held or filled by rotation and mirroring, against a test-side double
+    Gauss sum of the kernel at the pair's class rule, with the row basis
+    at the row nodes and the column basis at the column nodes."""
+    mesh = build_mesh(BoundaryCurve.square(1.0), 8)
+    assert mesh.symmetry_order == 4
+    space = build_space(mesh, "P1_discontinuous")
+    freq = ComplexFrequency(s)
+    mat = assemble_galerkin_V(space, freq, CFG)
+    n = mesh.n_elements
+    ii, jj = np.nonzero((np.subtract.outer(np.arange(n), np.arange(n)) + 1)
+                        % n > 2)
+    dist = np.linalg.norm(mesh.midpoints[ii] - mesh.midpoints[jj], axis=1)
+    ratio = dist / np.maximum(mesh.arclengths[ii], mesh.arclengths[jj])
+    orders = set()
+    for sel, order, n_panels in bem_space._distance_classes(
+            ratio, bem_space.SEPARATED_CLASSES):
+        orders.add(order)
+        x, w = panel_gauss(order, np.linspace(0.0, 1.0, n_panels + 1))
+        fb = np.stack([1.0 - x, x])
+        for i, j in zip(ii[sel], jj[sel]):
+            pos_x, sp_x = bem_space._element_points(mesh, i, x)
+            pos_y, sp_y = bem_space._element_points(mesh, j, x)
+            want = np.zeros((4, 4), dtype=complex)
+            for p in range(x.size):
+                for q in range(x.size):
+                    tensor = velocity_kernel(pos_x[p] - pos_y[q], freq, CFG)
+                    weight = w[p] * w[q] * sp_x[p] * sp_y[q]
+                    for a in range(2):
+                        for b in range(2):
+                            want[2 * a:2 * a + 2, 2 * b:2 * b + 2] += (
+                                weight * fb[a, p] * fb[b, q] * tensor)
+            got = mat[4 * i:4 * i + 4, 4 * j:4 * j + 4]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert len(orders) > 1
+
+
 def test_galerkin_rejects_three_dimensional_config():
     space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
     with pytest.raises(NotImplementedError):
@@ -788,6 +827,52 @@ def test_potentials_reject_point_on_curve_between_samples():
     assert np.isfinite(potential_pressure_matrix(space, outside)).all()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_potentials_reject_non_finite_points(bad):
+    """A non-finite point falls in no distance class; it is refused, not
+    given a zero row."""
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    points = np.array([[0.3, 0.2], [bad, 0.0]])
+    message = rf"observation point 1 = \[{bad}, 0.0\] is not finite"
+    with pytest.raises(ValueError, match=message):
+        potential_pressure_matrix(space, points)
+    with pytest.raises(ValueError, match=message):
+        potential_velocity_matrix(space, ComplexFrequency(1.0 + 0j), CFG,
+                                  points)
+
+
+@pytest.mark.parametrize("points, shape", [
+    (np.zeros((0, 2)), r"\(0, 2\)"),
+    (np.ones((2, 3)), r"\(2, 3\)"),
+], ids=["empty", "three-columns"])
+def test_potentials_reject_points_of_wrong_shape(points, shape):
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    message = rf"shape \(K, 2\) with K >= 1, got shape {shape}"
+    with pytest.raises(ValueError, match=message):
+        potential_pressure_matrix(space, points)
+    with pytest.raises(ValueError, match=message):
+        potential_velocity_matrix(space, ComplexFrequency(1.0 + 0j), CFG,
+                                  points)
+
+
+def test_potentials_check_each_point_set_once(monkeypatch):
+    """The observation-point rule runs when the point set changes, not at
+    every frequency."""
+    space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
+    checked = []
+    check = bem_space.check_observation_points
+    monkeypatch.setattr(bem_space, "check_observation_points",
+                        lambda mesh, pts: checked.append(1) or check(mesh, pts))
+    monkeypatch.setattr(bem_space, "_POINT_SLOT", [None, None])
+    points = np.array([[0.3, 0.2], [2.0, 1.0]])
+    for s in (1.0 + 0j, 3.0 - 2.0j, 40.0 + 7.0j):
+        potential_velocity_matrix(space, ComplexFrequency(s), CFG, points)
+        potential_pressure_matrix(space, points)
+    assert len(checked) == 1
+    potential_pressure_matrix(space, points[:1])
+    assert len(checked) == 2
+
+
 def test_pressure_potential_far_point_oracle():
     from stokesbem._quadrature import gauss_legendre_01
     from stokesbem.bem_space import _element_points
@@ -913,6 +998,17 @@ def test_multiplier_solution_satisfies_constraint():
     assert lam.shape == (space.dof_count,)
     b = moment_row(space)
     assert abs(b @ lam) <= 1e-10 * max(np.abs(lam).max(), 1.0)
+
+
+def test_factor_names_the_pivot_ratio():
+    """The refusal states the pivot ratio and the bound it failed; a
+    system just above the bound is factored."""
+    message = (r"numerically singular: pivot ratio min\|u_ii\| / "
+               r"max\|u_ii\| = 2\.500e-15 is not above 1e-14")
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        factor(np.diag([4.0, 1e-14]))
+    solve = factor(np.diag([4.0, 1e-13]))
+    np.testing.assert_allclose(solve(np.array([4.0, 1e-13])), [1.0, 1.0])
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
