@@ -74,7 +74,9 @@ trivial action.
 A transfer function returns a 2-D matrix at every frequency (a scalar
 transfer is the 1x1 matrix), its weights have shape ``(M + 1, rows,
 cols)``, and a history is the plain real array of one vector per step,
-shape ``(M + 1, n)``.
+shape ``(M + 1, n)``.  :func:`cq_postprocess` also takes a stack of ``c``
+histories, ``(c, M + 1, n)``, convolved one by one against the weights
+of one contour sweep.
 """
 
 from __future__ import annotations
@@ -566,10 +568,14 @@ def cq_march(weights: WeightSequence, rhs_samples: np.ndarray,
 
 
 def cq_postprocess(transfer, scheme: CQScheme, history: np.ndarray) -> np.ndarray:
-    """Convolve observation weights against a computed history.
+    """Convolve observation weights against computed histories.
 
     Generates the weights ``S_0, ..., S_M`` of the observation transfer
-    function and returns ``u_n = sum_{m=0}^{n} S_m lam_{n-m}``.
+    function once and returns ``u_n = sum_{m=0}^{n} S_m lam_{n-m}`` for
+    one history, or for each history of a stack.  A stack is convolved
+    one history at a time, so the working buffer is that of one history
+    whatever the stack's depth, and each result has the bits of a call
+    with that history alone.
 
     Parameters
     ----------
@@ -580,40 +586,59 @@ def cq_postprocess(transfer, scheme: CQScheme, history: np.ndarray) -> np.ndarra
         The scheme the history was marched with.
     history:
         Real, finite solution samples ``lam_0, ..., lam_M``, shaped
-        ``(M + 1, n)``.
+        ``(M + 1, n)``, or a stack of ``c`` such histories, shaped
+        ``(c, M + 1, n)``.
 
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(M + 1, rows)`` of real observables.
+        Array of shape ``(M + 1, rows)`` of real observables, or ``(c,
+        M + 1, rows)`` for a stack.
 
     Raises
     ------
     ValueError
-        If the history is not a real, finite 2-D array, its length does
-        not match the scheme or the matrix columns do not match its
-        width; the history is checked before any transfer evaluation.
+        If a history is not real and finite, the array is neither 2-D
+        nor a 3-D stack, a history's length does not match the scheme or
+        the matrix columns do not match its width; every history is
+        checked before any transfer evaluation.
     """
     lam = np.asarray(history)
-    if lam.ndim != 2:
-        raise ValueError(f"history must be 2-D, got shape {lam.shape}")
+    if lam.ndim not in (2, 3):
+        raise ValueError(f"history must be a 3-D stack or 2-D, got shape "
+                         f"{lam.shape}")
     if np.iscomplexobj(lam):
         raise ValueError("history must be real")
-    if not np.isfinite(lam).all():
-        raise ValueError("history contains non-finite entries")
+    finite = np.isfinite(lam.reshape((-1,) + lam.shape[-2:])).all(axis=(1, 2))
+    if not finite.all():
+        where = (f" (history {int(np.argmin(finite))} of the stack)"
+                 if lam.ndim == 3 else "")
+        raise ValueError(f"history contains non-finite entries{where}")
     n_keep = scheme.n_steps + 1
-    if lam.shape[0] != n_keep:
+    if lam.shape[-2] != n_keep:
+        kind = "stacked 2-D history" if lam.ndim == 3 else "history"
         raise ValueError(
-            f"history length {lam.shape[0]} does not match scheme with "
+            f"{kind} length {lam.shape[-2]} does not match scheme with "
             f"{n_keep} samples"
         )
     w = cq_weights(transfer, scheme).weights
-    if w.shape[2:] != lam.shape[1:]:
+    if w.shape[2:] != lam.shape[-1:]:
         raise ValueError(
             f"observation weights of shape {w.shape[1:]} do not match a "
             f"history of shape {lam.shape}"
         )
-    rows = w.shape[1]
+    if lam.ndim == 2:
+        return _convolve(w, lam)
+    out = np.empty((lam.shape[0], n_keep, w.shape[1]))
+    for k, one in enumerate(lam):
+        out[k] = _convolve(w, one)
+    return out
+
+
+def _convolve(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``u_n = sum_{m=0}^{n} w_m lam_{n-m}`` for weights ``(M + 1, rows,
+    n)`` and a history ``(M + 1, n)``; the product is freed on return."""
+    n_keep, rows = w.shape[:2]
     # One BLAS product gives B[m, :, k] = S_m lam_k; the causal
     # convolution is then the sum over the anti-diagonals n = m + k.
     b = (w.reshape(n_keep * rows, -1) @ lam.T).reshape(n_keep, rows, n_keep)

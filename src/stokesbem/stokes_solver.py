@@ -46,6 +46,7 @@ import numpy as np
 from .bem_space import (
     ConstraintMode,
     DensitySpace,
+    _turns,
     assemble_galerkin_V,
     assemble_nystrom_V,
     build_space,
@@ -120,6 +121,14 @@ FLUX_MIN_PANELS = 64
 # processed in blocks under it.  A block split into point shares spreads
 # these over the processes, each holding one share at a time.
 SNAPSHOT_WEIGHT_BYTES = 1 << 28
+
+# Distance, relative to the largest coordinate of a point set, within
+# which a point counts as the image of another under a rotation of the
+# mesh, and the rounding cell of the coordinates by which candidates are
+# looked up (see _orbits).  Grid points mirrored through the origin
+# differ by a few ulps.
+ORBIT_TOL = 1e-13
+ORBIT_CELL = 2.0**-24
 
 
 @dataclasses.dataclass(frozen=True)
@@ -477,60 +486,161 @@ def run_simulation(
     )
 
 
+def _turn(v: np.ndarray, cos, sin) -> np.ndarray:
+    """The vectors on the last axis of ``v`` turned by the angle of
+    ``cos`` and ``sin``, which broadcast against the other axes."""
+    return np.stack([cos * v[..., 0] - sin * v[..., 1],
+                     sin * v[..., 0] + cos * v[..., 1]], axis=-1)
+
+
+def _orbits(m: int, points: np.ndarray):
+    """Each point's representative and turn: ``points[i]`` is, within
+    ``ORBIT_TOL``, ``Q_k points[rep[i]]`` with ``k = turn[i]`` and
+    ``Q_k`` the rotation by ``2 pi k / m``, one that maps a mesh of
+    symmetry order ``m`` onto itself.
+
+    A representative is its own, with turn 0; it is the point of least
+    index among the images of a point that are in the set.  Candidates
+    are looked up by coordinates rounded to ``ORBIT_CELL`` and accepted
+    by distance only, so a point never takes a representative farther
+    than ``ORBIT_TOL`` from its image; a match lost to rounding, or to a
+    candidate that is itself derived, leaves the point its own
+    representative, which costs time alone.  Both bounds are relative
+    to the largest coordinate of the set.  With ``m = 1`` every point is
+    a representative.
+    """
+    n = points.shape[0]
+    index = np.arange(n)
+    cos, sin = _turns(m)
+    best = np.full(n, n)
+    turn = np.zeros(n, dtype=int)
+    scale = float(np.abs(points).max())
+    if m > 1 and n > 1 and scale > 0.0:
+
+        def key(p):
+            # an image lies within sqrt(2) / ORBIT_CELL < 2^26 cells of
+            # the origin, so both shifted coordinates fit one key
+            q = np.round(p / (ORBIT_CELL * scale)).astype(np.int64) + (1 << 26)
+            return q[..., 0] << 32 | q[..., 1]
+
+        own = key(points)
+        order = np.argsort(own, kind="stable")
+        for k in range(1, m):
+            image = _turn(points, cos[k], sin[k])
+            at = np.searchsorted(own, key(image), sorter=order)
+            j = order[np.minimum(at, n - 1)]
+            gap = np.linalg.norm(points[j] - image, axis=-1)
+            better = (gap <= ORBIT_TOL * scale) & (j < best)
+            # points[j] = Q_k points[i]: points[i] = Q_{m-k} points[j]
+            best[better], turn[better] = j[better], m - k
+    derived = best < index
+    # one step from a representative only: a candidate that is derived
+    # itself leaves the point its own representative
+    derived[derived] = best[best[derived]] >= best[derived]
+    return np.where(derived, best, index), np.where(derived, turn, 0)
+
+
+def _deal(cost: np.ndarray, n_shares: int) -> np.ndarray:
+    """The share of each item: the costliest first, each to the share
+    with the least cost so far, the lower share on a tie; the same costs
+    always give the same deal."""
+    share = np.zeros(cost.size, dtype=int)
+    load = np.zeros(n_shares)
+    for item in np.argsort(-cost, kind="stable"):
+        share[item] = k = int(np.argmin(load))
+        load[k] += cost[item]
+    return share
+
+
 def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
              history: np.ndarray, points: np.ndarray):
     """Velocity ``(M + 1, K, 2)`` and pressure ``(M + 1, K)`` histories
     at the ``K`` points, off the boundary, from the ``(M + 1, dof)``
     density history.
 
-    Points are evaluated in blocks under ``SNAPSHOT_WEIGHT_BYTES``,
-    counting per point: 2 rows of cq_weights' packed ``(L, entries)``
-    buffer, 2 rows of the complex velocity-potential matrix of one
-    contour node, the ``(M+1, 2, M+1)`` product of cq_postprocess, and
-    the potential clouds with their ray bases.
+    The points are first gathered into orbits under the rotations
+    ``Q_k`` that map the mesh onto itself (:func:`_orbits`), and only
+    one representative per orbit is evaluated.  The rest follow from
 
-    With at least as many points as the half contour has nodes, each
-    block is dealt round-robin into one point share per usable core and
-    the shares are spread over processes (``cq_engine._spread``): each
-    runs the whole contour for its own points, writing the velocities
-    and the pressure-matrix rows into one shared mapping, and its
-    contour sweep is serial.  With fewer points the block is one share,
-    evaluated here, and ``cq_weights`` spreads the contour nodes
-    instead.  The pressure is multiplied here, one product per block,
-    so that its bits do not depend on the number of shares.
+        u(Q_k x; lam) = Q_k u(x; copies(lam)[:, k]),
+        p(Q_k x; lam) = p(x; copies(lam)[:, k]),
+
+    with ``copies`` that of :class:`stokesbem.bem_space.SectorAction`:
+    each representative is convolved against a stack of ``c`` histories,
+    the density's turned copies of the ``c`` turns the set uses.  A set
+    with no orbit (``c = 1``) is convolved against the plain history.
+
+    Representatives are evaluated in blocks under
+    ``SNAPSHOT_WEIGHT_BYTES``, counting per representative: 2 rows of
+    cq_weights' packed ``(L, entries)`` buffer, 2 rows of the complex
+    velocity-potential matrix of one contour node, the ``(M+1, 2, M+1)``
+    product of cq_postprocess, which convolves the stack one history at
+    a time, for each history beyond the first its velocities in
+    cq_postprocess's result and in the shared buffer, and the potential
+    clouds with their ray bases.
+
+    With at least as many representatives as the half contour has nodes,
+    each block is dealt into one point share per usable core by the
+    bytes of each representative's clouds (:func:`_deal`), and the
+    shares are spread over processes (``cq_engine._spread``): each runs
+    the whole contour for its own points, writing the velocities and the
+    pressure-matrix rows into one shared mapping, and its contour sweep
+    is serial.  With fewer the block is one share, evaluated here, and
+    ``cq_weights`` spreads the contour nodes instead.  The pressure is
+    multiplied here, one product per block and turn, so that its bits do
+    not depend on the number of shares.
     """
     n_keep = scheme.n_steps + 1
     dof = space.dof_count
+    m = space.mesh.symmetry_order
+    cos, sin = _turns(m)
+    rep, turn = _orbits(m, points)
+    reps = np.flatnonzero(rep == np.arange(points.shape[0]))
+    turns, slot = np.unique(turn, return_inverse=True)
+    if turns.size == 1:
+        stack = history[None]
+    else:
+        copies = sector_action(space).copies
+        stack = np.ascontiguousarray(np.stack(
+            [copies(lam)[:, turns] for lam in history]).transpose(2, 0, 1))
+    cloud_bytes = potential_node_bytes(space, points[reps])
     per_point = (2 * dof * 8 * scheme.n_contour_nodes + 2 * dof * 16
-                 + 16 * n_keep * n_keep
-                 + potential_node_bytes(space, points))
+                 + 16 * n_keep * n_keep + 32 * (turns.size - 1) * n_keep
+                 + cloud_bytes)
     block = (np.cumsum(per_point) - per_point) // SNAPSHOT_WEIGHT_BYTES
-    by_points = points.shape[0] >= scheme.n_half_nodes
+    by_points = reps.size >= scheme.n_half_nodes
+    at_rep = np.searchsorted(reps, rep)
     velocity = np.empty((n_keep, points.shape[0], 2))
     pressure = np.empty((n_keep, points.shape[0]))
-    for idx in np.split(np.arange(points.shape[0]),
+    for idx in np.split(np.arange(reps.size),
                         np.flatnonzero(np.diff(block)) + 1):
         n_shares = _process_count(idx.size) if by_points else 1
+        share_of = _deal(cloud_bytes[idx], n_shares)
         vel, p_rows, done = _shared_buffers(
-            ((n_keep, idx.size, 2), (idx.size, dof)), n_shares
+            ((turns.size, n_keep, idx.size, 2), (idx.size, dof)), n_shares
         )
 
         def evaluate(k: int) -> None:
-            share = slice(k, None, n_shares)
-            pts = points[idx[share]]
-            p_rows[share] = potential_pressure_matrix(space, pts)
-            vel[:, share] = cq_postprocess(
+            mine = np.flatnonzero(share_of == k)
+            pts = points[reps[idx[mine]]]
+            p_rows[mine] = potential_pressure_matrix(space, pts)
+            vel[:, :, mine] = cq_postprocess(
                 lambda s: potential_velocity_matrix(
                     space, ComplexFrequency(s), cfg, pts
                 ),
                 scheme,
-                history,
-            ).reshape(n_keep, pts.shape[0], 2)
+                stack[0] if turns.size == 1 else stack,
+            ).reshape(turns.size, n_keep, pts.shape[0], 2)
             done[k] = True
 
         _spread(evaluate, done)
-        pressure[:, idx] = history @ p_rows.T
-        velocity[:, idx] = vel
+        inside = (at_rep >= idx[0]) & (at_rep <= idx[-1])
+        for t, k in enumerate(turns):
+            at = np.flatnonzero(inside & (slot == t))
+            src = at_rep[at] - idx[0]
+            pressure[:, at] = stack[t] @ p_rows[src].T
+            u = vel[t][:, src]
+            velocity[:, at] = _turn(u, cos[k], sin[k]) if k else u
     return velocity, pressure
 
 
@@ -620,7 +730,10 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
     (:func:`snapshot_mask`; the potential quadrature loses accuracy
     there); all other cells, on both sides of the boundary, are
     evaluated through the same potential matrices as the observation
-    points.  Vorticity is
+    points, once per orbit of the rotations that map the mesh onto
+    itself: on a grid centred at the origin the star's half turn halves
+    the cells evaluated, and the square's or the circle's quarter turns
+    quarter them.  Vorticity is
     ``d(u_y)/dx - d(u_x)/dy`` by central differences with one-sided
     fallback where a neighbor is masked.
 

@@ -748,6 +748,50 @@ def test_postprocess_shape_errors():
         cq_postprocess(mat, scheme, np.zeros((9, 3)))
 
 
+def test_postprocess_of_a_stack_is_one_call_per_history(monkeypatch):
+    """A stack of histories gives, within 1e-15 of their max, what one
+    call per history gives, from one contour sweep (counted on one
+    usable core, where every node is sampled here)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    scheme = CQScheme(order=3, kappa=0.1, n_steps=10)
+    base = np.array([[1.0, 0.3, 0.1], [0.2, 1.0, -0.4]], dtype=complex)
+    calls = []
+
+    def transfer(s):
+        calls.append(s)
+        return base / (s + 1.0)
+
+    stack = np.random.default_rng(7).standard_normal((4, 11, 3))
+    singles = np.stack([cq_postprocess(transfer, scheme, h) for h in stack])
+    calls.clear()
+    out = cq_postprocess(transfer, scheme, stack)
+    assert len(calls) == scheme.n_half_nodes
+    assert out.shape == (4, 11, 2)
+    assert np.abs(out - singles).max() <= 1e-15 * np.abs(singles).max()
+
+
+def test_postprocess_checks_every_history_of_a_stack():
+    """Each history of a stack must be real, finite and of the scheme's
+    length, before the transfer is evaluated."""
+    scheme = CQScheme(order=2, kappa=0.1, n_steps=3)
+
+    def never(s):
+        raise AssertionError("transfer evaluated for a bad history")
+
+    nan = np.zeros((3, 4, 2))
+    nan[2, 1, 0] = np.inf
+    complex_ = np.zeros((3, 4, 2), dtype=complex)
+    complex_[1, 3, 1] = 1e-30j
+    bad = {
+        "non-finite entries \\(history 2 of the stack\\)": nan,
+        "real": complex_,
+        "length 3 does not match": np.zeros((3, 3, 2)),
+    }
+    for message, stack in bad.items():
+        with pytest.raises(ValueError, match=message):
+            cq_postprocess(never, scheme, stack)
+
+
 def test_postprocess_of_identity_march_is_direct_convolution():
     """Convolving after an identity solve equals convolving the data.
 

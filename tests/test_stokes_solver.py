@@ -734,13 +734,16 @@ class TestFieldSnapshot:
 
     def test_blocked_snapshot_matches_one_block(self, circle_run,
                                                 monkeypatch):
-        """A cap of 50 points' packed weight buffer, potential matrix of
-        one contour node, postprocess product and potential clouds, at
-        their mean size, splits the 301 unmasked cells into 7 blocks,
-        with the fields of one block; the same 301 points as observation
-        points of a run split alike, with the series of one block.  One
-        usable core keeps each block one share, evaluated here, so that
-        the count of postprocess calls is the count of blocks."""
+        """The quarter turns of the circle gather the 301 unmasked cells
+        into 76 orbits.  A cap of 11 representatives' packed weight
+        buffer, potential matrix of one contour node, postprocess
+        product, velocities of the three further turned histories and
+        potential clouds, at their mean size, splits the representatives
+        into 7 blocks, with the fields of one block; the same 301 points
+        as observation points of a run split alike, with the series of
+        one block.  One usable core keeps each block one share,
+        evaluated here, so that the count of postprocess calls is the
+        count of blocks."""
         use_cores(monkeypatch, 1)
         from stokesbem import stokes_solver
         from stokesbem.bem_space import potential_node_bytes
@@ -764,15 +767,21 @@ class TestFieldSnapshot:
         mask = field_snapshot(circle_run, grid, [12]).mask
         kept = grid.points().reshape(-1, 2)[~mask.ravel()]
         wholes = [snapshot(), observe()]
+        rep, turn = stokes_solver._orbits(
+            circle_run.space.mesh.symmetry_order, kept)
+        reps = kept[rep == np.arange(kept.shape[0])]
+        assert reps.shape[0] == 76
+        assert np.unique(turn).tolist() == [0, 8, 16, 24]
         dof = circle_run.space.dof_count
         per_point = (
             2 * dof * 8 * scheme.n_contour_nodes
             + 2 * dof * 16
             + 16 * (scheme.n_steps + 1) ** 2
-            + potential_node_bytes(circle_run.space, kept)
+            + 32 * 3 * (scheme.n_steps + 1)
+            + potential_node_bytes(circle_run.space, reps)
         )
         monkeypatch.setattr(stokes_solver, "SNAPSHOT_WEIGHT_BYTES",
-                            50 * int(per_point.mean()))
+                            11 * int(per_point.mean()))
         blocks = []
         postprocess = stokes_solver.cq_postprocess
 
@@ -903,16 +912,19 @@ class TestPointShares:
                 assert np.array_equal(got, want)
 
     def test_failing_share_is_raised_as_in_serial(self, star_run,
-                                                  monkeypatch):
-        """Kept cell 1 lies in a worker's share for 2 and 3 cores: the
-        share is redone here and raises the serial error, and no worker
-        is left unreaped."""
+                                                  monkeypatch, tmp_path):
+        """Kept cell 1, a representative of its orbit, lies in a
+        worker's share for 2 and 3 cores: the share is redone here and
+        raises the serial error, and no worker is left unreaped."""
         mask = field_snapshot(star_run, STAR_GRID, [0]).mask
         bad = STAR_GRID.points()[~mask][1]
         matrix = stokes_solver.potential_velocity_matrix
+        refusals = tmp_path / "refusals"
 
         def failing(space, freq, cfg, points):
             if (points == bad).all(axis=1).any():
+                with open(refusals, "a") as out:
+                    out.write(f"{os.getpid()}\n")
                 raise ValueError("refused point")
             return matrix(space, freq, cfg, points)
 
@@ -921,9 +933,13 @@ class TestPointShares:
         messages = []
         for n in CORE_COUNTS:
             use_cores(monkeypatch, n)
+            refusals.write_text("")
             with pytest.raises(ValueError, match="contour node 0 ") as info:
                 field_snapshot(star_run, STAR_GRID, [4])
             assert str(info.value.__cause__) == "refused point"
+            pids = refusals.read_text().split()
+            assert pids[-1] == str(os.getpid())
+            assert (pids[0] != pids[-1]) == (n > 1)
             assert_children_reaped()
             messages.append(str(info.value))
         assert messages == messages[:1] * len(CORE_COUNTS)
@@ -990,6 +1006,120 @@ class TestPointShares:
             pids = calls.read_text().split()
             assert len(pids) == star_run.scheme.n_half_nodes
             assert len(set(pids)) == n
+
+
+def turned(points, turns, m):
+    """The images of ``points`` under the rotations by ``2 pi k / m``,
+    ``k`` in ``turns``, each image set in the order of ``points``."""
+    angle = 2.0 * np.pi * np.asarray(turns)[:, None] / m
+    x, y = np.asarray(points, dtype=float).T
+    return np.stack([np.cos(angle) * x - np.sin(angle) * y,
+                     np.sin(angle) * x + np.cos(angle) * y],
+                    axis=-1).reshape(-1, 2)
+
+
+class TestOrbits:
+    """A point set that rotations of the mesh map onto itself is
+    evaluated at one representative per orbit; the other points take
+    the turned fields of the turned density."""
+
+    @staticmethod
+    def assert_orbits_match_points(run, points, n_reps, monkeypatch):
+        """The orbit pass evaluates ``n_reps`` points and agrees with
+        evaluating each point alone within 1e-11 of each field's max."""
+        args = (run.space, run.scheme, run.cfg, run.history)
+        single = [stokes_solver._observe(*args, p[None]) for p in points]
+        want_u = np.concatenate([u for u, _ in single], axis=1)
+        want_p = np.concatenate([p for _, p in single], axis=1)
+        seen = []
+        matrix = stokes_solver.potential_velocity_matrix
+
+        def counted(space, freq, cfg, pts):
+            seen.append(pts.shape[0])
+            return matrix(space, freq, cfg, pts)
+
+        monkeypatch.setattr(stokes_solver, "potential_velocity_matrix",
+                            counted)
+        use_cores(monkeypatch, 1)
+        got_u, got_p = stokes_solver._observe(*args, points)
+        assert set(seen) == {n_reps}
+        for got, want in ((got_u, want_u), (got_p, want_p)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-11 * np.abs(want).max())
+
+    def test_half_turn_closed_set_on_the_star(self, star_run, monkeypatch):
+        points = turned([(1.7, 0.2), (0.4, -1.5), (-0.9, 1.1), (0.1, 0.05)],
+                        [0, 3], 6)
+        assert star_run.space.mesh.symmetry_order == 6
+        self.assert_orbits_match_points(star_run, points, 4, monkeypatch)
+
+    def test_sixth_turn_closed_set_on_the_star(self, star_run, monkeypatch):
+        """Every turn of the star's mesh.  The pulse along (1, 1) has no
+        symmetry, so a turn the wrong way, ``Q_k^T`` or the copies
+        rolled by ``-k``, shows here.  The half turn is its own inverse,
+        and the manufactured data of the circle and the square, which a
+        quarter turn maps to its negative, hide the wrong roll."""
+        points = turned([(1.7, 0.2), (-0.9, 1.1)], np.arange(6), 6)
+        self.assert_orbits_match_points(star_run, points, 2, monkeypatch)
+
+    def test_quarter_turn_closed_set_on_the_circle(self, circle_run,
+                                                   monkeypatch):
+        points = turned([(0.3, 0.1), (-0.5, 0.6), (1.6, -0.4)],
+                        [0, 8, 16, 24], 32)
+        self.assert_orbits_match_points(circle_run, points, 3, monkeypatch)
+
+    def test_quarter_turn_closed_set_on_the_p1_square(self, square_mult_run,
+                                                      monkeypatch):
+        assert square_mult_run.space.n_basis == 2
+        points = turned([(0.3, 0.1), (-0.2, 0.35), (1.2, -0.9)],
+                        [0, 1, 2, 3], 4)
+        self.assert_orbits_match_points(square_mult_run, points, 3,
+                                        monkeypatch)
+
+    def test_offset_images_are_never_matched(self, star_run):
+        """An image moved by 1e-9 in any direction is its own
+        representative; the exact image is derived."""
+        base = np.array([[1.3, -0.7]])
+        image = turned(base, [3], 6)
+        offsets = 1e-9 * turned([(1.0, 0.0)], np.arange(8), 8)
+        points = np.concatenate([base, image + offsets, image])
+        rep, turn = stokes_solver._orbits(6, points)
+        assert rep.tolist() == list(range(9)) + [0]
+        assert turn.tolist() == [0] * 9 + [3]
+
+    def test_more_points_than_two_to_the_sixteen(self):
+        """A centred 260 x 260 lattice, 67,600 points, pairs every point
+        with its half-turn image, ``points[n - 1 - i]``."""
+        axis = (np.arange(260) - 129.5) / 128.0
+        x, y = np.meshgrid(axis, axis, indexing="ij")
+        points = np.stack([x.ravel(), y.ravel()], axis=-1)
+        n = points.shape[0]
+        assert n > 2**16
+        rep, turn = stokes_solver._orbits(2, points)
+        index = np.arange(n)
+        assert np.array_equal(rep, np.minimum(index, n - 1 - index))
+        assert np.array_equal(turn, (index >= n // 2).astype(int))
+
+    def test_set_without_orbit_convolves_the_plain_history(self, star_run,
+                                                           monkeypatch):
+        """The run's own three points form no orbit: one call with the
+        ``(M + 1, dof)`` history, and the run's series bit for bit."""
+        histories = []
+        postprocess = stokes_solver.cq_postprocess
+
+        def recorded(transfer, scheme, history):
+            histories.append(history)
+            return postprocess(transfer, scheme, history)
+
+        monkeypatch.setattr(stokes_solver, "cq_postprocess", recorded)
+        velocity, pressure = stokes_solver._observe(
+            star_run.space, star_run.scheme, star_run.cfg, star_run.history,
+            star_run.observation_points)
+        assert len(histories) == 1
+        assert histories[0].shape == star_run.history.shape
+        assert np.array_equal(histories[0], star_run.history)
+        assert np.array_equal(velocity, star_run.velocity_series)
+        assert np.array_equal(pressure, star_run.pressure_series)
 
 
 class TestSimulationResultValidation:
