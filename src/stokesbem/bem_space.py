@@ -53,7 +53,11 @@ The convolution weights of ``V`` are linear combinations of matrices
 ``V(s)``, so they obey the same law.  The time march keeps their first
 sector's rows only: :class:`SectorAction` applies them through the
 rotations, and :func:`unfold` rebuilds the whole leading weight by the
-same rotation as the assemblers.
+same rotation as the assemblers.  :class:`SectorAction` is also the one
+home of ``Q_k`` on vectors: it turns densities, points and velocities by
+one formula and finds the orbits of a point set, on which the
+observation pass of :mod:`stokesbem.stokes_solver` evaluates one
+representative each.
 
 Quadrature design
 -----------------
@@ -154,6 +158,14 @@ POTENTIAL_CLASSES = ((4.0, 6, 1), (2.0, 8, 1), (1.0, 12, 1), (0.0, 12, 4))
 
 #: Chebyshev nodes per panel of the ray-wise profile interpolation
 RAY_PANEL_ORDER = 20
+
+#: Distance, relative to the largest coordinate of a point set, within
+#: which a point counts as the image of another under a rotation of the
+#: mesh, and the rounding cell of the coordinates by which candidates are
+#: looked up (see :meth:`SectorAction.orbits`).  Grid points mirrored
+#: through the origin differ by a few ulps.
+ORBIT_TOL = 1e-13
+ORBIT_CELL = 2.0**-24
 
 _KIND_BASIS = {"P0": 1, "P1_discontinuous": 2}
 
@@ -733,9 +745,16 @@ def unfold(sector: np.ndarray, space: DensitySpace) -> np.ndarray:
     return _unfold(sector, space, held)
 
 
+def _rotate(x, y, cos, sin):
+    """The components of the vectors ``(x, y)`` turned by the angle of
+    ``cos`` and ``sin``; all four broadcast together."""
+    return cos * x - sin * y, sin * x + cos * y
+
+
 @dataclass(frozen=True)
 class SectorAction:
-    """The rotations of a space's mesh acting on its density vectors.
+    """The rotations ``Q_k`` of a space's mesh, acting on its density
+    vectors and on points and velocities of the plane.
 
     A matrix ``W`` that the rotations map onto itself, ``W(i + k n, j) =
     Q_k W(i, j - k n) Q_k^T`` in element blocks (see the module
@@ -746,22 +765,20 @@ class SectorAction:
 
     so one product ``S @ copies(lam)`` holds all ``m`` blocks in the
     sector's frame, and :meth:`place` turns them back into the global
-    frame.  The rotated copies are gathered by a precomputed index and
-    turned elementwise, which is cheaper per step than a rotation by
-    ``einsum``.  For ``m = 1`` both are the identity, bit for bit.
+    frame.  The rolled copies are gathered from the density wrapped
+    around and turned elementwise, which is cheaper per step than a
+    rotation by ``einsum``.  Every turn, :meth:`copies`, :meth:`place` and
+    :meth:`turn`, is the one formula ``_rotate``.
 
     Attributes
     ----------
     rows:
         ``r = 2 nb N / m``, the dofs of one sector.
-    gather:
-        ``(dof, m)`` index, entry ``(p, k)`` being ``(p + k r) mod dof``.
     cos, sin:
         ``(m,)``, of the angles ``2 pi k / m`` of ``Q_k``.
     """
 
     rows: int
-    gather: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
 
@@ -770,32 +787,95 @@ class SectorAction:
         """The symmetry order ``m``, the copies per product."""
         return self.cos.size
 
-    def copies(self, lam: np.ndarray) -> np.ndarray:
-        """``(dof, m)``: column ``k`` is ``Q_k^T`` of ``lam`` rolled by
-        ``k`` sectors."""
-        x, y = lam[self.gather].reshape(-1, 2, self.order).transpose(1, 0, 2)
-        out = np.empty((x.shape[0], 2, self.order))
-        out[:, 0] = self.cos * x + self.sin * y
-        out[:, 1] = self.cos * y - self.sin * x
-        return out.reshape(-1, self.order)
+    def turn(self, v: np.ndarray, k) -> np.ndarray:
+        """``Q_k`` of the points or velocities on the last axis of ``v``;
+        ``k``, a turn or an array of turns, broadcasts against the other
+        axes."""
+        return np.stack(_rotate(v[..., 0], v[..., 1], self.cos[k],
+                                self.sin[k]), axis=-1)
+
+    def copies(self, lam: np.ndarray, turns=slice(None)) -> np.ndarray:
+        """``(..., dof, c)`` for densities ``lam`` of shape ``(..., dof)``:
+        column ``j`` is ``Q_k^T`` of ``lam`` rolled by ``k`` sectors, ``k
+        = turns[j]``; all ``m`` turns by default.
+
+        The identity turn alone is ``lam`` itself, a view: the formula
+        would give ``1 x + 0 y``, equal to ``x`` but for a zero's sign.
+        """
+        k = np.arange(self.order)[turns]
+        if k.tolist() == [0]:
+            return lam[..., None]
+        # entry p + k r of lam wrapped around is entry p of lam rolled by
+        # k sectors
+        wrap = np.concatenate([lam, lam[..., :-1]], axis=-1)
+        index = np.arange(lam.shape[-1])[:, None] + k * self.rows
+        v = np.take(wrap, index, axis=-1).reshape(lam.shape[:-1]
+                                                  + (-1, 2, k.size))
+        out = np.empty(v.shape)
+        # Q_k^T is the formula at the angle -2 pi k / m
+        out[..., 0, :], out[..., 1, :] = _rotate(
+            v[..., 0, :], v[..., 1, :], self.cos[k], -self.sin[k])
+        return out.reshape(lam.shape + (k.size,))
 
     def place(self, part: np.ndarray) -> np.ndarray:
         """The global dof vector whose sector ``k`` is ``Q_k`` of column
         ``k`` of the ``(rows, m)`` array ``part``."""
-        x, y = part.reshape(-1, 2, self.order).transpose(1, 0, 2)
-        out = np.empty((self.order, x.shape[0], 2))
-        out[..., 0] = (self.cos * x - self.sin * y).T
-        out[..., 1] = (self.sin * x + self.cos * y).T
+        x, y = part.reshape(-1, 2, self.order).transpose(1, 2, 0)
+        out = np.empty((self.order, x.shape[1], 2))
+        out[..., 0], out[..., 1] = _rotate(x, y, self.cos[:, None],
+                                           self.sin[:, None])
         return out.reshape(-1)
+
+    def orbits(self, points: np.ndarray):
+        """Each point's representative and turn: ``points[i]`` is, within
+        ``ORBIT_TOL``, ``Q_k points[rep[i]]`` with ``k = turn[i]``.
+
+        A representative is its own, with turn 0; it is the point of
+        least index among the images of a point that are in the set.
+        Candidates are looked up by coordinates rounded to
+        ``ORBIT_CELL`` and accepted by distance only, so a point never
+        takes a representative farther than ``ORBIT_TOL`` from its
+        image; a match lost to rounding, or to a candidate that is
+        itself derived, leaves the point its own representative, which
+        costs time alone.  Both bounds are relative to the largest
+        coordinate of the set.  With ``m = 1`` every point is a
+        representative.
+        """
+        n, m = points.shape[0], self.order
+        index = np.arange(n)
+        best = np.full(n, n)
+        turn = np.zeros(n, dtype=int)
+        scale = float(np.abs(points).max())
+        if m > 1 and n > 1 and scale > 0.0:
+
+            def key(p):
+                # an image lies within sqrt(2) / ORBIT_CELL < 2^26 cells
+                # of the origin, so both shifted coordinates fit one key
+                q = (np.round(p / (ORBIT_CELL * scale)).astype(np.int64)
+                     + (1 << 26))
+                return q[..., 0] << 32 | q[..., 1]
+
+            own = key(points)
+            order = np.argsort(own, kind="stable")
+            for k in range(1, m):
+                image = self.turn(points, k)
+                at = np.searchsorted(own, key(image), sorter=order)
+                j = order[np.minimum(at, n - 1)]
+                gap = np.linalg.norm(points[j] - image, axis=-1)
+                better = (gap <= ORBIT_TOL * scale) & (j < best)
+                # points[j] = Q_k points[i]: points[i] = Q_{m-k} points[j]
+                best[better], turn[better] = j[better], m - k
+        derived = best < index
+        # one step from a representative only: a candidate that is
+        # derived itself leaves the point its own representative
+        derived[derived] = best[best[derived]] >= best[derived]
+        return np.where(derived, best, index), np.where(derived, turn, 0)
 
 
 def sector_action(space: DensitySpace) -> SectorAction:
     """The :class:`SectorAction` of the rotations of ``space``'s mesh."""
     m = space.mesh.symmetry_order
-    rows = space.dof_count // m
-    gather = (np.arange(space.dof_count)[:, None]
-              + rows * np.arange(m)) % space.dof_count
-    return SectorAction(rows, gather, *_turns(m))
+    return SectorAction(space.dof_count // m, *_turns(m))
 
 
 def _require_planar(cfg: ProblemConfig) -> None:

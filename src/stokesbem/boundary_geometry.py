@@ -42,6 +42,11 @@ GEOMETRY_RULE_ORDER = 16
 
 _KINDS = ("square", "circle", "star")
 
+#: the square's corners ``(-1, -1) .. (-1, 1)`` in units of its half
+#: width, and the unit direction of the side that starts at each
+_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+_SIDES = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
 
 @dataclass(frozen=True)
 class BoundaryCurve:
@@ -104,20 +109,9 @@ class BoundaryCurve:
         w = self.half_width
         side = np.floor(4.0 * th).astype(int)
         loc = 4.0 * th - side
-        x = np.empty(th.shape + (2,), dtype=float)
-        m = side == 0
-        x[m, 0] = -w + 2.0 * w * loc[m]
-        x[m, 1] = -w
-        m = side == 1
-        x[m, 0] = w
-        x[m, 1] = -w + 2.0 * w * loc[m]
-        m = side == 2
-        x[m, 0] = w - 2.0 * w * loc[m]
-        x[m, 1] = w
-        m = side == 3
-        x[m, 0] = -w
-        x[m, 1] = w - 2.0 * w * loc[m]
-        return x
+        # th % 1.0 is 1.0 for a tiny negative th: side 4 is side 0, loc 0
+        side %= 4
+        return _CORNERS[side] * w + (2.0 * w * loc)[..., None] * _SIDES[side]
 
     def velocity(self, theta) -> np.ndarray:
         """Parameter derivative ``x'(theta)``, shape ``(..., 2)``.
@@ -137,15 +131,9 @@ class BoundaryCurve:
             dx = drad * np.cos(ang) - rad * np.sin(ang)
             dy = drad * np.sin(ang) + rad * np.cos(ang)
             return 2.0 * np.pi * np.stack([dx, dy], axis=-1)
-        w = self.half_width
-        side = np.floor(4.0 * th).astype(int)
-        v = np.empty(th.shape + (2,), dtype=float)
-        speed = 8.0 * w          # perimeter, = |x'| for arclength-proportional
-        v[side == 0] = (speed, 0.0)
-        v[side == 1] = (0.0, speed)
-        v[side == 2] = (-speed, 0.0)
-        v[side == 3] = (0.0, -speed)
-        return v
+        # the perimeter, = |x'| for the arclength-proportional square
+        side = np.floor(4.0 * th).astype(int) % 4
+        return 8.0 * self.half_width * _SIDES[side]
 
     def perimeter(self) -> float:
         """Total arclength, exact for square and circle."""

@@ -76,7 +76,8 @@ transfer is the 1x1 matrix), its weights have shape ``(M + 1, rows,
 cols)``, and a history is the plain real array of one vector per step,
 shape ``(M + 1, n)``.  :func:`cq_postprocess` also takes a stack of ``c``
 histories, ``(c, M + 1, n)``, convolved one by one against the weights
-of one contour sweep.
+of one contour sweep by the same loop, which takes a plain history as
+the stack of one.
 """
 
 from __future__ import annotations
@@ -572,10 +573,10 @@ def cq_postprocess(transfer, scheme: CQScheme, history: np.ndarray) -> np.ndarra
 
     Generates the weights ``S_0, ..., S_M`` of the observation transfer
     function once and returns ``u_n = sum_{m=0}^{n} S_m lam_{n-m}`` for
-    one history, or for each history of a stack.  A stack is convolved
-    one history at a time, so the working buffer is that of one history
-    whatever the stack's depth, and each result has the bits of a call
-    with that history alone.
+    one history, or for each history of a stack.  A history is convolved
+    as a stack of one, and a stack one history at a time, so the working
+    buffer is that of one history whatever the stack's depth, and each
+    result has the bits of a call with that history alone.
 
     Parameters
     ----------
@@ -627,22 +628,15 @@ def cq_postprocess(transfer, scheme: CQScheme, history: np.ndarray) -> np.ndarra
             f"observation weights of shape {w.shape[1:]} do not match a "
             f"history of shape {lam.shape}"
         )
-    if lam.ndim == 2:
-        return _convolve(w, lam)
-    out = np.empty((lam.shape[0], n_keep, w.shape[1]))
-    for k, one in enumerate(lam):
-        out[k] = _convolve(w, one)
-    return out
-
-
-def _convolve(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``u_n = sum_{m=0}^{n} w_m lam_{n-m}`` for weights ``(M + 1, rows,
-    n)`` and a history ``(M + 1, n)``; the product is freed on return."""
-    n_keep, rows = w.shape[:2]
-    # One BLAS product gives B[m, :, k] = S_m lam_k; the causal
-    # convolution is then the sum over the anti-diagonals n = m + k.
-    b = (w.reshape(n_keep * rows, -1) @ lam.T).reshape(n_keep, rows, n_keep)
-    out = np.zeros((n_keep, rows))
-    for m in range(n_keep):
-        out[m:] += b[m, :, : n_keep - m].T
-    return out
+    rows = w.shape[1]
+    stack = lam if lam.ndim == 3 else lam[None]
+    out = np.zeros((stack.shape[0], n_keep, rows))
+    for one, u in zip(stack, out):
+        # One BLAS product gives B[m, :, k] = S_m lam_k; the causal
+        # convolution is then the sum over the anti-diagonals n = m + k.
+        b = (w.reshape(n_keep * rows, -1) @ one.T).reshape(n_keep, rows,
+                                                            n_keep)
+        for m in range(n_keep):
+            u[m:] += b[m, :, : n_keep - m].T
+        del b  # freed before the next history's product
+    return out if lam.ndim == 3 else out[0]

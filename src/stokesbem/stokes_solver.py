@@ -33,7 +33,9 @@ every weight, is fixed by the rows of its first sector.  Only those
 ``r = dof / m`` rows are sampled and transformed, ``L r dof`` reals in
 all; ``W_0`` is unfolded to the whole matrix once for the factored
 system, and the march applies the later weights through the rotations
-(:class:`stokesbem.bem_space.SectorAction`).
+(:class:`stokesbem.bem_space.SectorAction`).  The observation pass
+evaluates one point per orbit of the same rotations and turns the rest
+by that action too; this module applies no rotation of its own.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import numpy as np
 from .bem_space import (
     ConstraintMode,
     DensitySpace,
-    _turns,
     assemble_galerkin_V,
     assemble_nystrom_V,
     build_space,
@@ -121,15 +122,6 @@ FLUX_MIN_PANELS = 64
 # processed in blocks under it.  A block split into point shares spreads
 # these over the processes, each holding one share at a time.
 SNAPSHOT_WEIGHT_BYTES = 1 << 28
-
-# Distance, relative to the largest coordinate of a point set, within
-# which a point counts as the image of another under a rotation of the
-# mesh, and the rounding cell of the coordinates by which candidates are
-# looked up (see _orbits).  Grid points mirrored through the origin
-# differ by a few ulps.
-ORBIT_TOL = 1e-13
-ORBIT_CELL = 2.0**-24
-
 
 @dataclasses.dataclass(frozen=True)
 class DirichletData:
@@ -486,60 +478,6 @@ def run_simulation(
     )
 
 
-def _turn(v: np.ndarray, cos, sin) -> np.ndarray:
-    """The vectors on the last axis of ``v`` turned by the angle of
-    ``cos`` and ``sin``, which broadcast against the other axes."""
-    return np.stack([cos * v[..., 0] - sin * v[..., 1],
-                     sin * v[..., 0] + cos * v[..., 1]], axis=-1)
-
-
-def _orbits(m: int, points: np.ndarray):
-    """Each point's representative and turn: ``points[i]`` is, within
-    ``ORBIT_TOL``, ``Q_k points[rep[i]]`` with ``k = turn[i]`` and
-    ``Q_k`` the rotation by ``2 pi k / m``, one that maps a mesh of
-    symmetry order ``m`` onto itself.
-
-    A representative is its own, with turn 0; it is the point of least
-    index among the images of a point that are in the set.  Candidates
-    are looked up by coordinates rounded to ``ORBIT_CELL`` and accepted
-    by distance only, so a point never takes a representative farther
-    than ``ORBIT_TOL`` from its image; a match lost to rounding, or to a
-    candidate that is itself derived, leaves the point its own
-    representative, which costs time alone.  Both bounds are relative
-    to the largest coordinate of the set.  With ``m = 1`` every point is
-    a representative.
-    """
-    n = points.shape[0]
-    index = np.arange(n)
-    cos, sin = _turns(m)
-    best = np.full(n, n)
-    turn = np.zeros(n, dtype=int)
-    scale = float(np.abs(points).max())
-    if m > 1 and n > 1 and scale > 0.0:
-
-        def key(p):
-            # an image lies within sqrt(2) / ORBIT_CELL < 2^26 cells of
-            # the origin, so both shifted coordinates fit one key
-            q = np.round(p / (ORBIT_CELL * scale)).astype(np.int64) + (1 << 26)
-            return q[..., 0] << 32 | q[..., 1]
-
-        own = key(points)
-        order = np.argsort(own, kind="stable")
-        for k in range(1, m):
-            image = _turn(points, cos[k], sin[k])
-            at = np.searchsorted(own, key(image), sorter=order)
-            j = order[np.minimum(at, n - 1)]
-            gap = np.linalg.norm(points[j] - image, axis=-1)
-            better = (gap <= ORBIT_TOL * scale) & (j < best)
-            # points[j] = Q_k points[i]: points[i] = Q_{m-k} points[j]
-            best[better], turn[better] = j[better], m - k
-    derived = best < index
-    # one step from a representative only: a candidate that is derived
-    # itself leaves the point its own representative
-    derived[derived] = best[best[derived]] >= best[derived]
-    return np.where(derived, best, index), np.where(derived, turn, 0)
-
-
 def _deal(cost: np.ndarray, n_shares: int) -> np.ndarray:
     """The share of each item: the costliest first, each to the share
     with the least cost so far, the lower share on a tie; the same costs
@@ -559,16 +497,18 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
     density history.
 
     The points are first gathered into orbits under the rotations
-    ``Q_k`` that map the mesh onto itself (:func:`_orbits`), and only
-    one representative per orbit is evaluated.  The rest follow from
+    ``Q_k`` that map the mesh onto itself, and only one representative
+    per orbit is evaluated.  The rest follow from
 
         u(Q_k x; lam) = Q_k u(x; copies(lam)[:, k]),
         p(Q_k x; lam) = p(x; copies(lam)[:, k]),
 
-    with ``copies`` that of :class:`stokesbem.bem_space.SectorAction`:
-    each representative is convolved against a stack of ``c`` histories,
-    the density's turned copies of the ``c`` turns the set uses.  A set
-    with no orbit (``c = 1``) is convolved against the plain history.
+    with the orbits, ``copies`` and the turn ``Q_k`` all those of
+    :class:`stokesbem.bem_space.SectorAction`: each representative is
+    convolved against a stack of ``c`` histories, the density's turned
+    copies of the ``c`` turns the set uses, and every velocity is turned
+    back by its own ``Q_k``.  A set with no orbit is the stack of its one
+    identity turn.
 
     Representatives are evaluated in blocks under
     ``SNAPSHOT_WEIGHT_BYTES``, counting per representative: 2 rows of
@@ -592,17 +532,12 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
     """
     n_keep = scheme.n_steps + 1
     dof = space.dof_count
-    m = space.mesh.symmetry_order
-    cos, sin = _turns(m)
-    rep, turn = _orbits(m, points)
+    action = sector_action(space)
+    rep, turn = action.orbits(points)
     reps = np.flatnonzero(rep == np.arange(points.shape[0]))
     turns, slot = np.unique(turn, return_inverse=True)
-    if turns.size == 1:
-        stack = history[None]
-    else:
-        copies = sector_action(space).copies
-        stack = np.ascontiguousarray(np.stack(
-            [copies(lam)[:, turns] for lam in history]).transpose(2, 0, 1))
+    stack = np.ascontiguousarray(
+        np.moveaxis(action.copies(history, turns), -1, 0))
     cloud_bytes = potential_node_bytes(space, points[reps])
     per_point = (2 * dof * 8 * scheme.n_contour_nodes + 2 * dof * 16
                  + 16 * n_keep * n_keep + 32 * (turns.size - 1) * n_keep
@@ -629,7 +564,7 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
                     space, ComplexFrequency(s), cfg, pts
                 ),
                 scheme,
-                stack[0] if turns.size == 1 else stack,
+                stack,
             ).reshape(turns.size, n_keep, pts.shape[0], 2)
             done[k] = True
 
@@ -639,8 +574,7 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
             at = np.flatnonzero(inside & (slot == t))
             src = at_rep[at] - idx[0]
             pressure[:, at] = stack[t] @ p_rows[src].T
-            u = vel[t][:, src]
-            velocity[:, at] = _turn(u, cos[k], sin[k]) if k else u
+            velocity[:, at] = action.turn(vel[t][:, src], k)
     return velocity, pressure
 
 
@@ -730,9 +664,10 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
     (:func:`snapshot_mask`; the potential quadrature loses accuracy
     there); all other cells, on both sides of the boundary, are
     evaluated through the same potential matrices as the observation
-    points, once per orbit of the rotations that map the mesh onto
-    itself: on a grid centred at the origin the star's half turn halves
-    the cells evaluated, and the square's or the circle's quarter turns
+    points, by the same pass, once per orbit of the rotations that map
+    the mesh onto itself (:meth:`stokesbem.bem_space.SectorAction.orbits`):
+    on a grid centred at the origin the star's half turn halves the
+    cells evaluated, and the square's or the circle's quarter turns
     quarter them.  Vorticity is
     ``d(u_y)/dx - d(u_x)/dy`` by central differences with one-sided
     fallback where a neighbor is masked.

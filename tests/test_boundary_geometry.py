@@ -22,6 +22,16 @@ def test_square_starts_at_lower_left_corner():
     np.testing.assert_allclose(sq.point(0.0), [-1.0, -1.0], atol=1e-15)
 
 
+def test_square_tiny_negative_parameter_is_the_start():
+    """A parameter just below 0 wraps to ``theta % 1 = 1.0``, the fifth
+    side's start, which is the first corner on the first side."""
+    sq = BoundaryCurve.square(0.5)
+    th = np.array([-1e-20, 0.0])
+    assert (th % 1.0)[0] == 1.0
+    np.testing.assert_array_equal(sq.point(th), [[-0.5, -0.5]] * 2)
+    np.testing.assert_array_equal(sq.velocity(th), [[4.0, 0.0]] * 2)
+
+
 def test_square_counterclockwise():
     sq = BoundaryCurve.square(1.0)
     np.testing.assert_allclose(sq.point(0.125), [0.0, -1.0], atol=1e-14)

@@ -770,6 +770,21 @@ def test_postprocess_of_a_stack_is_one_call_per_history(monkeypatch):
     assert np.abs(out - singles).max() <= 1e-15 * np.abs(singles).max()
 
 
+def test_postprocess_of_a_history_is_its_stack_of_one(monkeypatch):
+    """A 2-D history gives, bit for bit, the one result of the stack
+    that holds it alone, in the history's own shape."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    scheme = CQScheme(order=3, kappa=0.1, n_steps=10)
+    base = np.array([[1.0, 0.3, 0.1], [0.2, 1.0, -0.4]], dtype=complex)
+    history = np.random.default_rng(8).standard_normal((11, 3))
+    plain = cq_postprocess(lambda s: base / (s + 1.0), scheme, history)
+    stacked = cq_postprocess(lambda s: base / (s + 1.0), scheme,
+                             history[None])
+    assert plain.shape == (11, 2)
+    assert stacked.shape == (1, 11, 2)
+    assert plain.tobytes() == stacked[0].tobytes()
+
+
 def test_postprocess_checks_every_history_of_a_stack():
     """Each history of a stack must be real, finite and of the scheme's
     length, before the transfer is evaluated."""

@@ -151,6 +151,53 @@ def test_sector_action_applies_the_unfolded_matrix():
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_copies_of_chosen_turns_are_columns_of_all_copies():
+    """``copies(lam, turns)`` is ``copies(lam)[:, turns]`` bit for bit,
+    for one density and for each density of a history, whatever the
+    order of the turns, on the square P1 (m = 4) and the star (m = 6).
+    The identity turn alone is a view of the densities."""
+    rng = np.random.default_rng(4)
+    for curve, n, kind, picks in [
+            (BoundaryCurve.square(1.0), 8, "P1_discontinuous",
+             ([0], [2], [3, 1], [0, 1, 2, 3])),
+            (BoundaryCurve.star(), 12, "P0", ([0], [5], [0, 3], [4, 1, 2]))]:
+        space = stokesbem.build_space(stokesbem.build_mesh(curve, n), kind)
+        action = sector_action(space)
+        history = rng.standard_normal((5, space.dof_count))
+        for turns in picks:
+            turns = np.array(turns)
+            one = action.copies(history[0], turns)
+            assert one.tobytes() == action.copies(history[0])[:, turns].tobytes()
+            want = np.stack([action.copies(lam)[:, turns] for lam in history])
+            got = action.copies(history, turns)
+            assert got.shape == (5, space.dof_count, turns.size)
+            assert got.tobytes() == want.tobytes()
+            # the march's product takes its bits from a C-ordered operand
+            assert one.flags.c_contiguous and got.flags.c_contiguous
+            assert np.shares_memory(got, history) == (turns.tolist() == [0])
+
+
+def test_turn_is_the_rotation_matrix():
+    """``turn(v, k)`` is the product of ``Q_k = [[c, -s], [s, c]]``, ``c,
+    s`` of ``2 pi k / m``, with each vector, bit for bit, for one turn
+    and for an array of turns against a stack of point sets."""
+    space = stokesbem.build_space(
+        stokesbem.build_mesh(BoundaryCurve.star(), 12), "P0")
+    action = sector_action(space)
+    m = action.order
+    points = np.random.default_rng(5).standard_normal((3, 7, 2))
+    k = np.arange(m)[:, None, None]
+    angle = 2.0 * np.pi * k / m
+    q = np.array([[np.cos(angle), -np.sin(angle)],
+                  [np.sin(angle), np.cos(angle)]])
+    x, y = points[..., 0], points[..., 1]
+    want = np.stack([q[0, 0] * x + q[0, 1] * y,
+                     q[1, 0] * x + q[1, 1] * y], axis=-1)
+    assert want.shape == (m, 3, 7, 2)
+    assert action.turn(points, k).tobytes() == want.tobytes()
+    assert action.turn(points, 2).tobytes() == want[2].tobytes()
+
+
 def test_circle_run_peak_memory_holds_no_full_weights():
     """A circle run at N = M = 160 keeps the weights of one element's
     rows: the peak resident set of a fresh process rises by less than

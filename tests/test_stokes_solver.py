@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesbem import stokes_solver
-from stokesbem.bem_space import (ConstraintMode, constrain, data_functional,
-                                 unfold)
+from stokesbem.bem_space import (ConstraintMode, build_space, constrain,
+                                 data_functional, sector_action, unfold)
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
-from stokesbem.laplace_kernels import ProblemConfig
+from stokesbem.laplace_kernels import ComplexFrequency, ProblemConfig
 from stokesbem.stokes_solver import (
     MASK_SENTINEL,
     DirichletData,
@@ -767,8 +767,7 @@ class TestFieldSnapshot:
         mask = field_snapshot(circle_run, grid, [12]).mask
         kept = grid.points().reshape(-1, 2)[~mask.ravel()]
         wholes = [snapshot(), observe()]
-        rep, turn = stokes_solver._orbits(
-            circle_run.space.mesh.symmetry_order, kept)
+        rep, turn = sector_action(circle_run.space).orbits(kept)
         reps = kept[rep == np.arange(kept.shape[0])]
         assert reps.shape[0] == 76
         assert np.unique(turn).tolist() == [0, 8, 16, 24]
@@ -1083,7 +1082,8 @@ class TestOrbits:
         image = turned(base, [3], 6)
         offsets = 1e-9 * turned([(1.0, 0.0)], np.arange(8), 8)
         points = np.concatenate([base, image + offsets, image])
-        rep, turn = stokes_solver._orbits(6, points)
+        assert star_run.space.mesh.symmetry_order == 6
+        rep, turn = sector_action(star_run.space).orbits(points)
         assert rep.tolist() == list(range(9)) + [0]
         assert turn.tolist() == [0] * 9 + [3]
 
@@ -1095,15 +1095,19 @@ class TestOrbits:
         points = np.stack([x.ravel(), y.ravel()], axis=-1)
         n = points.shape[0]
         assert n > 2**16
-        rep, turn = stokes_solver._orbits(2, points)
+        space = build_space(build_mesh(BoundaryCurve.star(), 8), "P0")
+        assert space.mesh.symmetry_order == 2
+        rep, turn = sector_action(space).orbits(points)
         index = np.arange(n)
         assert np.array_equal(rep, np.minimum(index, n - 1 - index))
         assert np.array_equal(turn, (index >= n // 2).astype(int))
 
-    def test_set_without_orbit_convolves_the_plain_history(self, star_run,
-                                                           monkeypatch):
+    def test_set_without_orbit_gives_the_plain_series(self, star_run,
+                                                      monkeypatch):
         """The run's own three points form no orbit: one call with the
-        ``(M + 1, dof)`` history, and the run's series bit for bit."""
+        stack of the identity turn, a view of the history, and, bit for
+        bit, the series of the plain ``(M + 1, dof)`` history convolved
+        and multiplied alone."""
         histories = []
         postprocess = stokes_solver.cq_postprocess
 
@@ -1112,14 +1116,23 @@ class TestOrbits:
             return postprocess(transfer, scheme, history)
 
         monkeypatch.setattr(stokes_solver, "cq_postprocess", recorded)
+        use_cores(monkeypatch, 1)
+        run, points = star_run, star_run.observation_points
         velocity, pressure = stokes_solver._observe(
-            star_run.space, star_run.scheme, star_run.cfg, star_run.history,
-            star_run.observation_points)
+            run.space, run.scheme, run.cfg, run.history, points)
         assert len(histories) == 1
-        assert histories[0].shape == star_run.history.shape
-        assert np.array_equal(histories[0], star_run.history)
-        assert np.array_equal(velocity, star_run.velocity_series)
-        assert np.array_equal(pressure, star_run.pressure_series)
+        assert histories[0].shape == (1,) + run.history.shape
+        assert np.shares_memory(histories[0], run.history)
+        plain_u = postprocess(
+            lambda s: stokes_solver.potential_velocity_matrix(
+                run.space, ComplexFrequency(s), run.cfg, points),
+            run.scheme, run.history).reshape(velocity.shape)
+        plain_p = run.history @ stokes_solver.potential_pressure_matrix(
+            run.space, points).T
+        assert velocity.tobytes() == plain_u.tobytes()
+        assert pressure.tobytes() == plain_p.tobytes()
+        assert velocity.tobytes() == run.velocity_series.tobytes()
+        assert pressure.tobytes() == run.pressure_series.tobytes()
 
 
 class TestSimulationResultValidation:
