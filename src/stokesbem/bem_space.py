@@ -54,8 +54,11 @@ The convolution weights of ``V`` are linear combinations of matrices
 sector's rows only: :class:`SectorAction` applies them through the
 rotations, and :func:`unfold` rebuilds the whole leading weight by the
 same rotation as the assemblers.  :class:`SectorAction` is also the one
-home of ``Q_k`` on vectors: it turns densities, points and velocities by
-one formula and finds the orbits of a point set, on which the
+home of the mesh's symmetries on vectors.  Besides the rotations it
+holds the mesh's reflections ``Q_k tau`` (``tau x(theta) = x(-theta)``,
+see :mod:`stokesbem.boundary_geometry`), the dihedral group of order
+``2 m``.  It turns densities, points and velocities by one formula and
+finds the orbits of a point set under the whole group, on which the
 observation pass of :mod:`stokesbem.stokes_solver` evaluates one
 representative each.
 
@@ -116,6 +119,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -160,7 +164,7 @@ POTENTIAL_CLASSES = ((4.0, 6, 1), (2.0, 8, 1), (1.0, 12, 1), (0.0, 12, 4))
 RAY_PANEL_ORDER = 20
 
 #: Distance, relative to the largest coordinate of a point set, within
-#: which a point counts as the image of another under a rotation of the
+#: which a point counts as the image of another under a symmetry of the
 #: mesh, and the rounding cell of the coordinates by which candidates are
 #: looked up (see :meth:`SectorAction.orbits`).  Grid points mirrored
 #: through the origin differ by a few ulps.
@@ -651,12 +655,13 @@ def _accumulate_blocks(V, cloud, bases, sqrt_s, pref, n_basis):
           sums[[0, 2, 2, 4]] + 1j * sums[[1, 3, 3, 5]])
 
 
-def _turns(m: int):
-    """``cos`` and ``sin`` of the angles ``2 pi k / m``, ``k = 0 .. m - 1``,
-    of the rotations ``Q_k`` that map a mesh of symmetry order ``m`` onto
-    itself."""
+def _turns(m: int) -> np.ndarray:
+    """``(2, 2, m)``: the rotations ``Q_k = [[c, -s], [s, c]]`` by the
+    angles ``2 pi k / m``, ``k = 0 .. m - 1``, that map a mesh of symmetry
+    order ``m`` onto itself, the matrix on the first two axes."""
     angle = 2.0 * np.pi * np.arange(m) / m
-    return np.cos(angle), np.sin(angle)
+    cos, sin = np.cos(angle), np.sin(angle)
+    return np.array([[cos, -sin], [sin, cos]])
 
 
 def _turned_sectors(sector: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
@@ -674,11 +679,10 @@ def _turned_sectors(sector: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     rows, cols = sector.shape[0] // 2, sector.shape[1] // 2
     x = np.ascontiguousarray(
         sector.reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)).view(float)
-    cos, sin = _turns(m)
-    rot = np.stack([cos, -sin, sin, cos], axis=1).reshape(m, 2, 2)
+    rot = _turns(m)
     # entry (k, c, d; e, f) is Q_k[c, e] Q_k[d, f]; einsum rather than
     # matmul for the thin shapes, see _interpolate
-    both = np.einsum("kce,kdf->kcdef", rot, rot).reshape(4 * m, 4)
+    both = np.einsum("cek,dfk->kcdef", rot, rot).reshape(4 * m, 4)
     turned = np.einsum("ab,bp->ap", both, x.reshape(4, -1))
     return turned.reshape((m, 2, 2) + x.shape[2:]).view(sector.dtype)
 
@@ -745,16 +749,19 @@ def unfold(sector: np.ndarray, space: DensitySpace) -> np.ndarray:
     return _unfold(sector, space, held)
 
 
-def _rotate(x, y, cos, sin):
-    """The components of the vectors ``(x, y)`` turned by the angle of
-    ``cos`` and ``sin``; all four broadcast together."""
-    return cos * x - sin * y, sin * x + cos * y
+def _apply(q: np.ndarray, i: int, x, y):
+    """Component ``i`` of the vectors ``q (x, y)``, ``q`` one or more 2x2
+    matrices on its first two axes; ``q``'s other axes broadcast with
+    ``x`` and ``y``.  One component at a time: both at once hold twice
+    the temporaries and took twice as long in the march's copies."""
+    return q[i, 0] * x + q[i, 1] * y
 
 
 @dataclass(frozen=True)
 class SectorAction:
-    """The rotations ``Q_k`` of a space's mesh, acting on its density
-    vectors and on points and velocities of the plane.
+    """The symmetries of a space's mesh, acting on its density vectors
+    and on points and velocities of the plane: the rotations ``Q_k`` and
+    the reflections ``Q_k tau``, the dihedral group of order ``2 m``.
 
     A matrix ``W`` that the rotations map onto itself, ``W(i + k n, j) =
     Q_k W(i, j - k n) Q_k^T`` in element blocks (see the module
@@ -765,56 +772,83 @@ class SectorAction:
 
     so one product ``S @ copies(lam)`` holds all ``m`` blocks in the
     sector's frame, and :meth:`place` turns them back into the global
-    frame.  The rolled copies are gathered from the density wrapped
-    around and turned elementwise, which is cheaper per step than a
-    rotation by ``einsum``.  Every turn, :meth:`copies`, :meth:`place` and
-    :meth:`turn`, is the one formula ``_rotate``.
+    frame.  The rolled copies are gathered by an index, built once per
+    action for the march's ``m`` rotations, and turned elementwise, which
+    is cheaper per step than a rotation by ``einsum``.
+
+    Group element ``k`` is ``Q_k`` for ``k < m`` and ``Q_{k-m} tau`` for
+    ``m <= k < 2 m``, where ``tau x(theta) = x(-theta)`` is the mesh's
+    reflection (:mod:`stokesbem.boundary_geometry`): it maps element
+    ``j`` onto element ``N - 1 - j``, reversed.  A reflection is its own
+    inverse.  Every turn, :meth:`copies`, :meth:`place` and :meth:`turn`,
+    is the one formula ``_apply`` of the element's matrix.
 
     Attributes
     ----------
     rows:
         ``r = 2 nb N / m``, the dofs of one sector.
-    cos, sin:
-        ``(m,)``, of the angles ``2 pi k / m`` of ``Q_k``.
+    group:
+        ``(2, 2, 2 m)``, the matrix of each group element on the first
+        two axes, so that each entry is contiguous over the elements.
     """
 
     rows: int
-    cos: np.ndarray
-    sin: np.ndarray
+    group: np.ndarray
 
     @property
     def order(self) -> int:
-        """The symmetry order ``m``, the copies per product."""
-        return self.cos.size
+        """The symmetry order ``m``, the rotations and the copies per
+        product."""
+        return self.group.shape[-1] // 2
 
     def turn(self, v: np.ndarray, k) -> np.ndarray:
-        """``Q_k`` of the points or velocities on the last axis of ``v``;
-        ``k``, a turn or an array of turns, broadcasts against the other
-        axes."""
-        return np.stack(_rotate(v[..., 0], v[..., 1], self.cos[k],
-                                self.sin[k]), axis=-1)
+        """Group element ``k`` applied to the points or velocities on the
+        last axis of ``v``; ``k``, an element or an array of elements,
+        broadcasts against the other axes."""
+        q = self.group[:, :, k]
+        return np.stack([_apply(q, i, v[..., 0], v[..., 1]) for i in (0, 1)],
+                        axis=-1)
 
-    def copies(self, lam: np.ndarray, turns=slice(None)) -> np.ndarray:
+    def _gather(self, k: np.ndarray):
+        """For :meth:`copies` of the elements ``k``: where column ``j``
+        takes each dof from the density, and the transposes of the
+        elements' matrices.
+
+        Entry ``(p + k r) mod dof`` of the density is entry ``p`` of the
+        density rolled by ``k`` sectors.  A reflection reads the dof
+        pairs in reverse order before the roll, ``p`` from ``dof - 2 - p
+        + 2 (p % 2)``: the elements reversed, and the basis functions of
+        each element swapped with them.
+        """
+        m, dof = self.order, self.rows * self.order
+        p = np.arange(dof)[:, None]
+        start = np.where(k < m, p, dof - 2 - p + 2 * (p % 2))
+        return ((start + k % m * self.rows) % dof,
+                self.group[:, :, k].swapaxes(0, 1))
+
+    @cached_property
+    def _rotations(self):
+        """:meth:`_gather` of the ``m`` rotations, the march's copies."""
+        return self._gather(np.arange(self.order))
+
+    def copies(self, lam: np.ndarray, turns=None) -> np.ndarray:
         """``(..., dof, c)`` for densities ``lam`` of shape ``(..., dof)``:
-        column ``j`` is ``Q_k^T`` of ``lam`` rolled by ``k`` sectors, ``k
-        = turns[j]``; all ``m`` turns by default.
+        column ``j`` is ``g^T lam(g .)`` for the group element ``g`` of
+        ``k = turns[j]``, so ``Q_k^T`` of ``lam`` rolled by ``k`` sectors
+        for a rotation; the ``m`` rotations by default.
 
         The identity turn alone is ``lam`` itself, a view: the formula
         would give ``1 x + 0 y``, equal to ``x`` but for a zero's sign.
         """
-        k = np.arange(self.order)[turns]
+        k = np.arange(self.order) if turns is None else np.asarray(turns)
         if k.tolist() == [0]:
             return lam[..., None]
-        # entry p + k r of lam wrapped around is entry p of lam rolled by
-        # k sectors
-        wrap = np.concatenate([lam, lam[..., :-1]], axis=-1)
-        index = np.arange(lam.shape[-1])[:, None] + k * self.rows
-        v = np.take(wrap, index, axis=-1).reshape(lam.shape[:-1]
-                                                  + (-1, 2, k.size))
+        index, q = self._rotations if turns is None else self._gather(k)
+        v = np.take(lam, index, axis=-1).reshape(lam.shape[:-1]
+                                                 + (-1, 2, k.size))
         out = np.empty(v.shape)
-        # Q_k^T is the formula at the angle -2 pi k / m
-        out[..., 0, :], out[..., 1, :] = _rotate(
-            v[..., 0, :], v[..., 1, :], self.cos[k], -self.sin[k])
+        for i in (0, 1):
+            out[..., i, :] = _apply(q, i, v[..., 0, :], v[..., 1, :])
         return out.reshape(lam.shape + (k.size,))
 
     def place(self, part: np.ndarray) -> np.ndarray:
@@ -822,13 +856,13 @@ class SectorAction:
         ``k`` of the ``(rows, m)`` array ``part``."""
         x, y = part.reshape(-1, 2, self.order).transpose(1, 2, 0)
         out = np.empty((self.order, x.shape[1], 2))
-        out[..., 0], out[..., 1] = _rotate(x, y, self.cos[:, None],
-                                           self.sin[:, None])
+        for i in (0, 1):
+            out[..., i] = _apply(self.group[:, :, : self.order, None], i, x, y)
         return out.reshape(-1)
 
     def orbits(self, points: np.ndarray):
         """Each point's representative and turn: ``points[i]`` is, within
-        ``ORBIT_TOL``, ``Q_k points[rep[i]]`` with ``k = turn[i]``.
+        ``ORBIT_TOL``, group element ``turn[i]`` of ``points[rep[i]]``.
 
         A representative is its own, with turn 0; it is the point of
         least index among the images of a point that are in the set.
@@ -838,15 +872,15 @@ class SectorAction:
         image; a match lost to rounding, or to a candidate that is
         itself derived, leaves the point its own representative, which
         costs time alone.  Both bounds are relative to the largest
-        coordinate of the set.  With ``m = 1`` every point is a
-        representative.
+        coordinate of the set.  With ``m = 1`` the group is the identity
+        and the reflection ``tau``.
         """
         n, m = points.shape[0], self.order
         index = np.arange(n)
         best = np.full(n, n)
         turn = np.zeros(n, dtype=int)
         scale = float(np.abs(points).max())
-        if m > 1 and n > 1 and scale > 0.0:
+        if n > 1 and scale > 0.0:
 
             def key(p):
                 # an image lies within sqrt(2) / ORBIT_CELL < 2^26 cells
@@ -857,14 +891,15 @@ class SectorAction:
 
             own = key(points)
             order = np.argsort(own, kind="stable")
-            for k in range(1, m):
+            for k in range(1, 2 * m):
                 image = self.turn(points, k)
                 at = np.searchsorted(own, key(image), sorter=order)
                 j = order[np.minimum(at, n - 1)]
                 gap = np.linalg.norm(points[j] - image, axis=-1)
                 better = (gap <= ORBIT_TOL * scale) & (j < best)
-                # points[j] = Q_k points[i]: points[i] = Q_{m-k} points[j]
-                best[better], turn[better] = j[better], m - k
+                # points[j] = g_k points[i]: points[i] = g_k^-1 points[j],
+                # Q_{m-k} for a rotation and g_k for a reflection
+                best[better], turn[better] = j[better], m - k if k < m else k
         derived = best < index
         # one step from a representative only: a candidate that is
         # derived itself leaves the point its own representative
@@ -873,9 +908,17 @@ class SectorAction:
 
 
 def sector_action(space: DensitySpace) -> SectorAction:
-    """The :class:`SectorAction` of the rotations of ``space``'s mesh."""
-    m = space.mesh.symmetry_order
-    return SectorAction(space.dof_count // m, *_turns(m))
+    """The :class:`SectorAction` of the symmetries of ``space``'s mesh."""
+    mesh = space.mesh
+    m = mesh.symmetry_order
+    # tau x(theta) = x(-theta) fixes x(0): the reflection in the line
+    # through the origin and x(0), exact for the axes and the diagonals
+    a, b = mesh.endpoints[0, 0]
+    tau = np.array([[a * a - b * b, 2 * a * b],
+                    [2 * a * b, b * b - a * a]]) / (a * a + b * b)
+    rot = _turns(m)
+    return SectorAction(space.dof_count // m, np.concatenate(
+        [rot, np.einsum("abk,bc->ack", rot, tau)], axis=-1))
 
 
 def _require_planar(cfg: ProblemConfig) -> None:

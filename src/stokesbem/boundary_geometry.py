@@ -23,6 +23,12 @@ the rotations whose ``m`` divides ``N``: rotation by ``2 pi / m`` maps
 element ``j`` onto element ``j + N / m``.  The largest such order is
 :attr:`BoundaryMesh.symmetry_order`: ``N`` for the circle, 4 for the
 square and ``gcd(N, lobes)`` for the star.
+
+Every curve is also its own mirror image: ``x(-theta) = tau x(theta)``,
+``tau`` the reflection in the line through the origin and ``x(0)``,
+``(x, y) -> (x, -y)`` for the circle and the star and ``(x, y) -> (y,
+x)`` for the square.  Every uniform mesh inherits it: ``tau`` maps
+element ``j`` onto element ``N - 1 - j``, reversed.
 """
 
 from __future__ import annotations

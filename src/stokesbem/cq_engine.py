@@ -29,10 +29,12 @@ the accuracy floor of the computed weights.  For transfer functions with real sy
 real up to that floor.  The samples and the weights share one real
 ``(L, entries)`` buffer: each evaluation is written into it as it is
 made, in the FFTPACK half-complex layout (``Re F_0``, then ``Re F_l,
--Im F_l`` row pairs, then ``Re F_{L/2}`` for even ``L``), one library
-call inverse-transforms it in place along the nodes and the rows are
-scaled by ``R^{-n}`` in place, so the ``L = M + 1`` rows of the buffer
-are the weights and cost ``L * entries`` reals and nothing more.
+-Im F_l`` row pairs, then ``Re F_{L/2}`` for even ``L``).  NumPy's
+inverse real transform then takes it along the nodes a block of columns
+at a time, each block's temporaries under ``_TRANSFORM_BLOCK_BYTES``, and
+writes the block back in place scaled by ``R^{-n}``, so the ``L = M +
+1`` rows of the buffer are the weights and cost ``L * entries`` reals
+and little more.
 
 The evaluations are independent, so they are spread over one process
 per usable core.  Node 0 is evaluated first, in the calling process,
@@ -116,6 +118,10 @@ CONTOUR_EPSILON = 1e-15
 # whichever is larger: the scaling ``R^{-n}`` amplifies machine noise in
 # the late coefficients above any fixed relative threshold.
 IMAG_RESIDUE_TOL = 1e-10
+
+# Bytes of the temporaries of one block of columns of the inverse
+# transform: its half spectrum and the transform's output.
+_TRANSFORM_BLOCK_BYTES = 1 << 20
 
 # Largest multistep order with a convergence theory for operator
 # convolution quadrature; BDF methods of higher order are not zero
@@ -381,6 +387,21 @@ def _spread(evaluate, done: np.ndarray) -> None:
         evaluate(int(item))
 
 
+def _inverse_transform(packed: np.ndarray, scale: np.ndarray) -> None:
+    """Replace each column of the ``(L, entries)`` buffer ``packed``,
+    FFTPACK half-complex rows, by its inverse real transform times
+    ``scale``, in place, one block of columns at a time."""
+    n = packed.shape[0]
+    width = max(1, _TRANSFORM_BLOCK_BYTES // (24 * n))
+    for start in range(0, packed.shape[1], width):
+        block = packed[:, start : start + width]
+        half = np.zeros((n // 2 + 1, block.shape[1]), dtype=complex)
+        half.real[0] = block[0]
+        half.real[1:] = block[1::2]
+        half.imag[1 : (n + 1) // 2] = block[2::2]
+        np.multiply(np.fft.irfft(half, n, axis=0), scale[:, None], out=block)
+
+
 def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     """Generate the convolution weights of a transfer function.
 
@@ -419,9 +440,6 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
         exceeds ``IMAG_RESIDUE_TOL`` relative to the largest weight,
         indicating a symbol that is not real.
     """
-    # deferred: importing scipy's FFT costs about 25 ms of package import
-    import scipy.fftpack
-
     n_nodes = scheme.n_contour_nodes
     freqs = scheme.frequencies()[: scheme.n_half_nodes]
     # node 0 first, here: it fills the geometry caches the workers share
@@ -458,8 +476,7 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     max_transfer = float(peaks.max())
 
     scale = scheme.contour_radius ** -np.arange(n_nodes, dtype=float)
-    packed = scipy.fftpack.irfft(packed, axis=0, overwrite_x=True)
-    packed *= scale[:, None]
+    _inverse_transform(packed, scale)
     seq = WeightSequence(weights=packed.reshape((n_nodes,) + shape))
 
     # The Hermitian extension drops every imaginary part but those of the

@@ -34,8 +34,9 @@ every weight, is fixed by the rows of its first sector.  Only those
 all; ``W_0`` is unfolded to the whole matrix once for the factored
 system, and the march applies the later weights through the rotations
 (:class:`stokesbem.bem_space.SectorAction`).  The observation pass
-evaluates one point per orbit of the same rotations and turns the rest
-by that action too; this module applies no rotation of its own.
+evaluates one point per orbit of the same rotations and of the mesh's
+reflections, and turns the rest by that action too; this module applies
+no rotation or reflection of its own.
 """
 
 from __future__ import annotations
@@ -497,17 +498,19 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
     density history.
 
     The points are first gathered into orbits under the rotations
-    ``Q_k`` that map the mesh onto itself, and only one representative
-    per orbit is evaluated.  The rest follow from
+    ``Q_k`` and the reflections ``Q_k tau`` that map the mesh onto
+    itself, and only one representative per orbit is evaluated.  The
+    rest follow, for each such orthogonal ``g``, from
 
-        u(Q_k x; lam) = Q_k u(x; copies(lam)[:, k]),
-        p(Q_k x; lam) = p(x; copies(lam)[:, k]),
+        u(g x; lam) = g u(x; g^T lam(g .)),
+        p(g x; lam) = p(x; g^T lam(g .)),
 
-    with the orbits, ``copies`` and the turn ``Q_k`` all those of
-    :class:`stokesbem.bem_space.SectorAction`: each representative is
+    with the orbits, the densities ``g^T lam(g .)`` (``copies``) and the
+    turn ``g`` all those of :class:`stokesbem.bem_space.SectorAction`;
+    a reflection also reverses the elements.  Each representative is
     convolved against a stack of ``c`` histories, the density's turned
     copies of the ``c`` turns the set uses, and every velocity is turned
-    back by its own ``Q_k``.  A set with no orbit is the stack of its one
+    back by its own ``g``.  A set with no orbit is the stack of its one
     identity turn.
 
     Representatives are evaluated in blocks under
@@ -665,10 +668,12 @@ def field_snapshot(result: SimulationResult, grid: GridSpec,
     there); all other cells, on both sides of the boundary, are
     evaluated through the same potential matrices as the observation
     points, by the same pass, once per orbit of the rotations that map
-    the mesh onto itself (:meth:`stokesbem.bem_space.SectorAction.orbits`):
-    on a grid centred at the origin the star's half turn halves the
-    cells evaluated, and the square's or the circle's quarter turns
-    quarter them.  Vorticity is
+    the mesh onto itself and of its reflections
+    (:meth:`stokesbem.bem_space.SectorAction.orbits`): on a grid centred
+    at the origin the star's half turn and its mirror images in the axes
+    leave about a quarter of the cells to evaluate, and the square's or
+    the circle's quarter turns and mirror images in the axes and the
+    diagonals about an eighth.  Vorticity is
     ``d(u_y)/dx - d(u_x)/dy`` by central differences with one-sided
     fallback where a neighbor is masked.
 

@@ -1016,3 +1016,75 @@ def test_factor_rejects_singular_system():
     _, mat = galerkin(BoundaryCurve.circle(1.0), 6, "P0", 1.0 + 0j)
     with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
         factor(np.zeros_like(mat))
+
+
+# -- the mesh's reflections in SectorAction ------------------------------------
+
+REFLECTION_SPACES = [(BoundaryCurve.circle(1.0), 12, "P0"),
+                     (BoundaryCurve.square(1.0), 8, "P1_discontinuous"),
+                     (BoundaryCurve.star(), 12, "P0"),
+                     (BoundaryCurve.star(), 25, "P1_discontinuous")]
+
+
+@pytest.mark.parametrize("curve, n, kind", REFLECTION_SPACES,
+                         ids=["circle", "square-p1", "star", "star-25-p1"])
+def test_reflections_map_the_mesh_onto_itself_reversed(curve, n, kind):
+    """Group element ``m + k``, ``Q_k tau``, maps the endpoints of
+    element ``j`` onto those of element ``(N - 1 - j + k N / m) mod N``
+    swapped; ``tau`` is ``(x, y) -> (y, x)`` on the square and ``(x, y)
+    -> (x, -y)`` on the circle and the star, also for ``m = 1``."""
+    mesh = build_mesh(curve, n)
+    action = bem_space.sector_action(build_space(mesh, kind))
+    m = action.order
+    ends = mesh.endpoints
+    tau = [[0.0, 1.0], [1.0, 0.0]] if curve.kind == "square" else \
+        [[1.0, 0.0], [0.0, -1.0]]
+    assert np.array_equal(action.group[:, :, m], tau)
+    for k in range(m):
+        src = (n - 1 - np.arange(n) + k * (n // m)) % n
+        np.testing.assert_allclose(action.turn(ends, m + k),
+                                   ends[src][:, ::-1], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("curve, n, kind", REFLECTION_SPACES,
+                         ids=["circle", "square-p1", "star", "star-25-p1"])
+def test_reflected_copies_reverse_the_density(curve, n, kind):
+    """``copies(lam, turns)`` of a reflection ``g = Q_k tau`` is ``g^T``
+    of the density taken over the elements in reverse order, rolled by
+    ``k`` sectors, with the two P1 basis functions of each element
+    swapped; a rotation among the turns keeps its column of the march's
+    copies, bit for bit."""
+    space = build_space(build_mesh(curve, n), kind)
+    action = bem_space.sector_action(space)
+    m, nb = action.order, space.n_basis
+    history = np.random.default_rng(6).standard_normal((3, space.dof_count))
+    turns = np.array([m, 2 * m - 1, 0, m - 1, m + m // 2])
+    got = action.copies(history, turns)
+    assert got.shape == (3, space.dof_count, turns.size)
+    for lam, one in zip(history, got):
+        v = lam.reshape(n, nb, 2)
+        for j, k in enumerate(turns):
+            if k < m:
+                assert one[:, j].tobytes() == action.copies(lam)[:, k].tobytes()
+                continue
+            g = action.group[:, :, k]
+            src = (n - 1 - np.arange(n) + (k - m) * (n // m)) % n
+            want = (v[src, ::-1] @ g).reshape(-1)
+            np.testing.assert_allclose(one[:, j], want, rtol=0,
+                                       atol=1e-15 * np.abs(lam).max())
+
+
+@pytest.mark.parametrize("curve, n, kind", REFLECTION_SPACES,
+                         ids=["circle", "square-p1", "star", "star-25-p1"])
+def test_every_reflection_is_its_own_inverse(curve, n, kind):
+    """``turn(turn(v, k), k)`` is ``v`` for each reflection ``k = m ..
+    2 m - 1``, and a rotation is undone by ``m - k``."""
+    action = bem_space.sector_action(build_space(build_mesh(curve, n), kind))
+    m = action.order
+    v = np.random.default_rng(7).standard_normal((9, 2))
+    for k in range(m, 2 * m):
+        np.testing.assert_allclose(action.turn(action.turn(v, k), k), v,
+                                   rtol=0, atol=1e-14)
+    for k in range(1, m):
+        np.testing.assert_allclose(action.turn(action.turn(v, k), m - k), v,
+                                   rtol=0, atol=1e-14)

@@ -25,6 +25,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.fftpack
 import scipy.integrate
 import scipy.special
 from hypothesis import given, settings
@@ -271,8 +272,8 @@ def test_weights_peak_memory_is_one_buffer():
     for odd L = 41 and even L = 42: the peak resident set of a fresh
     process rises by at most 1.5 times its size across the call.  The
     buffer is a shared mapping, which tracemalloc does not see; the
-    resident set counts it, the per-node samples and the FFT library's
-    own scratch memory.  The peak is the process's own high-water mark
+    resident set counts it, the per-node samples and the temporaries of
+    the transform's blocks of columns.  The peak is the process's own high-water mark
     ``VmHWM``: ``ru_maxrss`` of a fresh process starts at the peak of
     the test process, which it inherits through fork and exec."""
     script = (
@@ -317,6 +318,26 @@ def test_entry_blocks_leave_weights_bit_identical():
     marked[-1, -1] = 1j
     with pytest.raises(RuntimeError, match="not a real symbol"):
         cq_weights(lambda s: matrix(s) + marked, scheme)
+
+
+@pytest.mark.parametrize("n_nodes", [21, 22, 81])
+@pytest.mark.parametrize("width", [3, None], ids=["blocks-of-3", "one-block"])
+def test_inverse_transform_is_fftpack_bit_for_bit(monkeypatch, n_nodes,
+                                                  width):
+    """NumPy's transform of the half-complex rows, a block of columns at
+    a time, is ``scipy.fftpack.irfft`` times the scale, bit for bit, at
+    odd and even ``L``: with blocks of 3 of the 10 columns, the last one
+    ragged, and with the default block, which takes all 10 at once."""
+    rng = np.random.default_rng(8)
+    packed = rng.standard_normal((n_nodes, 10))
+    scale = CQScheme(3, 0.05, n_nodes - 1).contour_radius ** -np.arange(
+        n_nodes, dtype=float)
+    want = scipy.fftpack.irfft(packed, axis=0) * scale[:, None]
+    if width is not None:
+        monkeypatch.setattr(stokesbem.cq_engine, "_TRANSFORM_BLOCK_BYTES",
+                            24 * n_nodes * width)
+    stokesbem.cq_engine._inverse_transform(packed, scale)
+    assert packed.tobytes() == want.tobytes()
 
 
 def test_weights_report_failing_node():

@@ -734,12 +734,13 @@ class TestFieldSnapshot:
 
     def test_blocked_snapshot_matches_one_block(self, circle_run,
                                                 monkeypatch):
-        """The quarter turns of the circle gather the 301 unmasked cells
-        into 76 orbits.  A cap of 11 representatives' packed weight
-        buffer, potential matrix of one contour node, postprocess
-        product, velocities of the three further turned histories and
-        potential clouds, at their mean size, splits the representatives
-        into 7 blocks, with the fields of one block; the same 301 points
+        """The quarter turns of the circle and its reflections in the
+        axes and the diagonals gather the 301 unmasked cells into 46
+        orbits.  A cap of 11 representatives' packed weight buffer,
+        potential matrix of one contour node, postprocess product,
+        velocities of the seven further turned histories and potential
+        clouds, at their mean size, splits the representatives into 5
+        blocks, with the fields of one block; the same 301 points
         as observation points of a run split alike, with the series of
         one block.  One usable core keeps each block one share,
         evaluated here, so that the count of postprocess calls is the
@@ -769,14 +770,14 @@ class TestFieldSnapshot:
         wholes = [snapshot(), observe()]
         rep, turn = sector_action(circle_run.space).orbits(kept)
         reps = kept[rep == np.arange(kept.shape[0])]
-        assert reps.shape[0] == 76
-        assert np.unique(turn).tolist() == [0, 8, 16, 24]
+        assert reps.shape[0] == 46
+        assert np.unique(turn).tolist() == [0, 8, 16, 24, 32, 40, 48, 56]
         dof = circle_run.space.dof_count
         per_point = (
             2 * dof * 8 * scheme.n_contour_nodes
             + 2 * dof * 16
             + 16 * (scheme.n_steps + 1) ** 2
-            + 32 * 3 * (scheme.n_steps + 1)
+            + 32 * 7 * (scheme.n_steps + 1)
             + potential_node_bytes(circle_run.space, reps)
         )
         monkeypatch.setattr(stokes_solver, "SNAPSHOT_WEIGHT_BYTES",
@@ -793,7 +794,7 @@ class TestFieldSnapshot:
         for evaluate, whole in zip((snapshot, observe), wholes):
             blocks.clear()
             split = evaluate()
-            assert len(blocks) == 7
+            assert len(blocks) == 5
             for got, want in zip(split, whole):
                 scale = np.abs(want[want != MASK_SENTINEL]).max()
                 np.testing.assert_allclose(got, want, rtol=0,
@@ -912,11 +913,11 @@ class TestPointShares:
 
     def test_failing_share_is_raised_as_in_serial(self, star_run,
                                                   monkeypatch, tmp_path):
-        """Kept cell 1, a representative of its orbit, lies in a
+        """Kept cell 2, a representative of its orbit, lies in a
         worker's share for 2 and 3 cores: the share is redone here and
         raises the serial error, and no worker is left unreaped."""
         mask = field_snapshot(star_run, STAR_GRID, [0]).mask
-        bad = STAR_GRID.points()[~mask][1]
+        bad = STAR_GRID.points()[~mask][2]
         matrix = stokes_solver.potential_velocity_matrix
         refusals = tmp_path / "refusals"
 
@@ -1017,10 +1018,18 @@ def turned(points, turns, m):
                     axis=-1).reshape(-1, 2)
 
 
+def mirrored(points, angle):
+    """The images of ``points`` under the reflection in the line through
+    the origin at ``angle``, in the order of ``points``."""
+    c, s = np.cos(2.0 * angle), np.sin(2.0 * angle)
+    x, y = np.asarray(points, dtype=float).T
+    return np.stack([c * x + s * y, s * x - c * y], axis=-1)
+
+
 class TestOrbits:
-    """A point set that rotations of the mesh map onto itself is
-    evaluated at one representative per orbit; the other points take
-    the turned fields of the turned density."""
+    """A point set that rotations or reflections of the mesh map onto
+    itself is evaluated at one representative per orbit; the other
+    points take the turned fields of the turned density."""
 
     @staticmethod
     def assert_orbits_match_points(run, points, n_reps, monkeypatch):
@@ -1075,6 +1084,38 @@ class TestOrbits:
         self.assert_orbits_match_points(square_mult_run, points, 3,
                                         monkeypatch)
 
+    def test_mirror_closed_set_on_the_circle(self, circle_run, monkeypatch):
+        """The circle's reflection ``tau`` maps ``(x, y)`` to ``(x,
+        -y)``."""
+        base = [(0.3, 0.1), (-0.5, 0.6), (1.6, -0.4)]
+        points = np.concatenate([base, mirrored(base, 0.0)])
+        self.assert_orbits_match_points(circle_run, points, 3, monkeypatch)
+
+    def test_mirror_closed_set_on_the_p1_square(self, square_mult_run,
+                                                monkeypatch):
+        """The square's reflection ``tau`` is the one in the diagonal,
+        ``(x, y)`` to ``(y, x)``; the one in the x axis is the square's
+        ``Q_3 tau``.  A reflection reverses each element, so the two P1
+        basis functions of the reflected density trade places; a copy
+        that kept them shows here."""
+        assert square_mult_run.space.n_basis == 2
+        base = [(0.3, 0.1), (-0.2, 0.35), (1.2, -0.9)]
+        points = np.concatenate([base, mirrored(base, np.pi / 4),
+                                 mirrored(base, 0.0)])
+        self.assert_orbits_match_points(square_mult_run, points, 3,
+                                        monkeypatch)
+
+    def test_mirror_closed_set_on_the_star(self, star_run, monkeypatch):
+        """Every reflection of the star's mesh, in the lines at ``pi k /
+        6``.  The pulse along (1, 1) has no mirror symmetry, so a wrong
+        ``tau``, a density whose elements are not reversed or reversed
+        about the wrong element, shows here."""
+        base = [(1.7, 0.2), (-0.9, 1.1)]
+        points = np.concatenate(
+            [base] + [mirrored(base, np.pi * k / 6) for k in range(6)])
+        assert star_run.space.mesh.symmetry_order == 6
+        self.assert_orbits_match_points(star_run, points, 2, monkeypatch)
+
     def test_offset_images_are_never_matched(self, star_run):
         """An image moved by 1e-9 in any direction is its own
         representative; the exact image is derived."""
@@ -1088,8 +1129,12 @@ class TestOrbits:
         assert turn.tolist() == [0] * 9 + [3]
 
     def test_more_points_than_two_to_the_sixteen(self):
-        """A centred 260 x 260 lattice, 67,600 points, pairs every point
-        with its half-turn image, ``points[n - 1 - i]``."""
+        """A centred 260 x 260 lattice, 67,600 points, takes every point
+        to the least index of its four images: the point ``(a, b)`` of
+        the lattice's row and column, its half-turn image ``(259 - a,
+        259 - b)`` (element 1), its mirror image in the x axis ``(a, 259
+        - b)`` (element 2, ``tau``) and in the y axis ``(259 - a, b)``
+        (element 3, the half turn after ``tau``)."""
         axis = (np.arange(260) - 129.5) / 128.0
         x, y = np.meshgrid(axis, axis, indexing="ij")
         points = np.stack([x.ravel(), y.ravel()], axis=-1)
@@ -1098,9 +1143,12 @@ class TestOrbits:
         space = build_space(build_mesh(BoundaryCurve.star(), 8), "P0")
         assert space.mesh.symmetry_order == 2
         rep, turn = sector_action(space).orbits(points)
-        index = np.arange(n)
-        assert np.array_equal(rep, np.minimum(index, n - 1 - index))
-        assert np.array_equal(turn, (index >= n // 2).astype(int))
+        a, b = np.divmod(np.arange(n), 260)
+        assert np.array_equal(
+            rep, 260 * np.minimum(a, 259 - a) + np.minimum(b, 259 - b))
+        low_a, low_b = a < 130, b < 130
+        assert np.array_equal(turn, np.select(
+            [low_a & low_b, ~low_a & ~low_b, low_a], [0, 1, 2], 3))
 
     def test_set_without_orbit_gives_the_plain_series(self, star_run,
                                                       monkeypatch):
