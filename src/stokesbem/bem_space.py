@@ -16,12 +16,16 @@ its own rule only, and :func:`data_functional` and :func:`constrain`
 test by the space's rule, so the data and the moment border always
 match the matrix.
 
-Every matrix is a plain ``ndarray``.  The assemblers return the density
-block ``V(s)``, square of order ``dof_count``.  :func:`constrain` is the
-one function that removes the gauge kernel: it borders a matrix by the
-multiplier row or adds a rank-one term.  :func:`factor`, the package's
-one LU, factors such a system once and returns its solve: density load
-in, density out, the multiplier dropped.
+Every matrix is a plain ``ndarray``.  The assemblers and the velocity
+potential take a block of frequencies, a 1-D array, and return one
+matrix per frequency as a stack on a leading axis: the assemblers the
+first sector's rows of the density block ``V(s)`` (see below), whose
+:func:`unfold` is the square matrix of order ``dof_count``.
+:func:`constrain` is the one function that removes the gauge kernel: it
+borders a matrix by the multiplier row or adds a rank-one term.
+:func:`factor`, the package's one LU, factors such a system once and
+returns its solve: density load in, density out, the multiplier
+dropped.
 
 Sector assembly
 ---------------
@@ -42,22 +46,24 @@ Allgower, Boehmer, Georg & Miranda, *SIAM J. Numer. Anal.* 29 (1992)
 first sector, elements ``i < N / m``: the reduced scheme all of their
 columns, the Galerkin scheme the self and vertex pairs and one
 separated pair per orbit of unordered pairs.  One routine for both,
-:func:`_assemble`, sums those rows and writes every other block as a
-rotated copy, and for the complex symmetric Galerkin matrix as the
-transpose of its mirror.  The clouds of the sector pairs alone are
-built and cached.  For ``m = 1``
-the sector is the whole mesh, ``Q_0`` is the identity and the matrices
-are those of an element-by-element assembly, bit for bit.
+:func:`_assemble`, sums those rows and returns them, the rows that the
+time march keeps: the reduced clouds hold every block of them, and the
+complex symmetric Galerkin matrix takes each block it does not hold as
+the transpose of a rotated held block.  The clouds of the sector pairs
+alone are built and cached.  For ``m = 1`` the sector is the whole
+mesh, ``Q_0`` is the identity and the matrices are those of an
+element-by-element assembly, bit for bit.
 
 The convolution weights of ``V`` are linear combinations of matrices
 ``V(s)``, so they obey the same law.  The time march keeps their first
 sector's rows only: :class:`SectorAction` applies them through the
-rotations, and :func:`unfold` rebuilds the whole leading weight by the
-same rotation as the assemblers.  :class:`SectorAction` is also the one
-home of the mesh's symmetries on vectors.  Besides the rotations it
-holds the mesh's reflections ``Q_k tau`` (``tau x(theta) = x(-theta)``,
-see :mod:`stokesbem.boundary_geometry`), the dihedral group of order
-``2 m``.  It turns densities, points and velocities by one formula and
+rotations, and :func:`unfold` rebuilds a whole matrix from them, the
+leading weight or a ``V(s)``, every block by rotation.
+:class:`SectorAction` is also the one home of the mesh's symmetries on
+vectors.  Besides the rotations it holds the mesh's reflections ``Q_k
+tau`` (``tau x(theta) = x(-theta)``, see
+:mod:`stokesbem.boundary_geometry`), the dihedral group of order ``2
+m``.  It turns densities, points and velocities by one formula and
 finds the orbits of a point set under the whole group, on which the
 observation pass of :mod:`stokesbem.stokes_solver` evaluates one
 representative each.
@@ -97,9 +103,23 @@ at most 1 in ``|z|`` and lies at least half its width away from the
 singularity, and ``RAY_PANEL_ORDER`` Chebyshev nodes resolve it to
 machine precision (Trefethen, *Approximation Theory and Approximation
 Practice*, SIAM 2013).  Only the nodes of occupied panels are evaluated
-directly.  The barycentric basis rows depend on ``s`` only through
+directly.  A channel whose occupied panels would hold at least as many
+nodes as it has points takes its profiles at the points themselves
+instead.  The barycentric basis rows depend on ``s`` only through
 ``S``, which takes few values along a contour; they are kept for the
-clouds of the latest assembly until ``S`` or the clouds change.
+clouds of the latest run of frequencies until ``S`` or the clouds
+change.
+
+The frequencies of a block are summed together (:func:`_sum_clouds`).
+Consecutive frequencies with the same clouds, which depend on ``s``
+only through the dyadic split radii, and the same ``S`` form a run, a
+handful per contour.  A run is cut into blocks whose largest
+temporary, a channel's profile tensor, holds at most ``_BLOCK_BYTES``;
+each block makes one profile call per channel, at the nodes (or the
+points) of all its frequencies, one contraction per panel and channel,
+and one scatter per cloud.  Every entry is the arithmetic of its
+frequency alone, so a block gives the matrices of single frequencies
+bit for bit.
 
 A cloud is a tuple of channels (``_PairCloud``), each with its
 quadrature weights folded in: a plain channel takes ``(A_2, B_2)``, the
@@ -117,6 +137,7 @@ the latest point set are held beside the bases.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -162,6 +183,11 @@ POTENTIAL_CLASSES = ((4.0, 6, 1), (2.0, 8, 1), (1.0, 12, 1), (0.0, 12, 4))
 
 #: Chebyshev nodes per panel of the ray-wise profile interpolation
 RAY_PANEL_ORDER = 20
+
+#: Bytes of the largest temporary of one block of frequencies summed
+#: together, the profile tensor of a cloud channel (``_sum_clouds``); a
+#: frequency whose tensor is larger is a block of its own.
+_BLOCK_BYTES = 1 << 18
 
 #: Distance, relative to the largest coordinate of a point set, within
 #: which a point counts as the image of another under a symmetry of the
@@ -495,10 +521,11 @@ def _class_clouds(space: DensitySpace, ii, jj, ratio, classes, at=None):
 
 
 #: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span), and
-#: of the fill indices of :func:`_unfold` keyed by (curve, N, kind,
-#: "unfold" or "mirror"); the dyadic quantization of the split caps keeps
-#: the key set small across a convolution-quadrature contour.  It holds
-#: the entries of one space only: a new space drops the others first.
+#: of the fill indices (:func:`_fill_index`) of :func:`unfold` and of the
+#: Galerkin rows keyed by (curve, N, kind, "unfold" or "mirror"); the
+#: dyadic quantization of the split caps keeps the key set small across
+#: a convolution-quadrature contour.  It holds the entries of one space
+#: only: a new space drops the others first.
 _GEOMETRY_CACHE: dict = {}
 
 
@@ -543,12 +570,16 @@ def _ray_scale(sqrt_s: complex) -> float:
     return 2.0 ** math.ceil(math.log2(abs(sqrt_s)))
 
 
+def _panel_ids(rs: np.ndarray) -> np.ndarray:
+    """The panel of each scaled distance ``r S``: uniform panels ``[k, k
+    + 1)`` for ``r S >= 1``; below, the binary exponent ``e`` of ``r S``
+    names the geometric panel ``[2^(e-1), 2^e)``."""
+    return np.where(rs >= 1.0, np.floor(rs), np.frexp(rs)[1]).astype(np.int64)
+
+
 def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis:
     """Panel sort and barycentric rows for the distances ``r`` (1-D)."""
-    rs = r * scale
-    # uniform panels [k, k + 1) / S for r S >= 1; below, the binary
-    # exponent e of r S names the geometric panel [2^(e-1), 2^e) / S
-    ids = np.where(rs >= 1.0, np.floor(rs), np.frexp(rs)[1]).astype(np.int64)
+    ids = _panel_ids(r * scale)
     order = np.argsort(ids, kind="stable")
     panels, starts, counts = np.unique(ids[order], return_index=True,
                                        return_counts=True)
@@ -571,88 +602,140 @@ def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis:
                      rows=rows)
 
 
-def _interpolate(basis: _RayBasis, profiles, sqrt_s):
+def _channel_basis(r: np.ndarray, scale: float):
+    """The ray basis of the distances ``r`` (1-D), or ``None`` where it
+    would hold at least as many nodes as ``r`` has points: the profiles
+    are then evaluated at the points themselves."""
+    n_panels = np.unique(_panel_ids(r * scale)).size
+    if n_panels * RAY_PANEL_ORDER >= r.size:
+        return None
+    return _ray_basis(r, scale)
+
+
+def _interpolate(basis: _RayBasis, profiles, sqrt_s: np.ndarray):
     """Interpolated values, in input order, of the two profiles that
-    ``profiles`` (``_ab2`` or ``_pr2``) returns at ``z = sqrt_s r``: the
-    real and imaginary parts of the first, then of the second, as the
-    rows of a real (4, n_points) array."""
-    f, g = profiles(sqrt_s * basis.nodes)
-    table = np.stack([f.real, f.imag, g.real, g.imag], axis=1)
-    out = np.empty((4, basis.rows.shape[1]))
+    ``profiles`` (``_ab2`` or ``_pr2``) returns at ``z = sqrt_s r``, for
+    each of the ``b`` roots ``sqrt_s`` (1-D): the real and imaginary
+    parts of the first, then of the second, as a real (b, 4, n_points)
+    array.  One profile call takes the nodes of every root, and one
+    contraction per panel their rows."""
+    f, g = profiles(basis.nodes[:, None, :] * sqrt_s[None, :, None])
+    # (panel, root, part, node): each panel's table is one (4 b, order)
+    # matrix, row 4 i + part for root i
+    table = np.stack([f.real, f.imag, g.real, g.imag], axis=2)
+    out = np.empty((4 * sqrt_s.size, basis.rows.shape[1]))
     b = basis.bounds
     # einsum rather than matmul: a multithreaded BLAS call on these thin
     # shapes costs milliseconds regardless of its size
     for k in range(table.shape[0]):
-        np.einsum("fj,jp->fp", table[k], basis.rows[:, b[k]:b[k + 1]],
-                  out=out[:, b[k]:b[k + 1]])
-    return np.take(out, basis.inverse, axis=1)
+        np.einsum("fj,jp->fp", table[k].reshape(-1, RAY_PANEL_ORDER),
+                  basis.rows[:, b[k]:b[k + 1]], out=out[:, b[k]:b[k + 1]])
+    return np.take(out, basis.inverse, axis=1).reshape(sqrt_s.size, 4, -1)
 
 
-#: the scale ``S`` of the last assembly and the bases of its clouds, a
-#: dict from ``id(cloud)`` to ``(cloud, one basis per channel)``; the
-#: cloud is held so that its id cannot be reused.  Only the clouds of one
-#: assembly are held, which bounds the memory; a contour sweep crosses
-#: few scales, so most assemblies reuse them.
+#: the scale ``S`` of the last run of frequencies summed and the bases of
+#: its clouds, a dict from ``id(cloud)`` to ``(cloud, one basis or None
+#: per channel)``; the cloud is held so that its id cannot be reused.
+#: Only the clouds of one run are held, which bounds the memory; a
+#: contour sweep crosses few scales, so most runs reuse them.
 _RAY_SLOT: list = [None, {}]
 
 
-def _ray_bases(clouds, sqrt_s) -> list:
-    """The interpolation bases of each cloud's channels at ``sqrt_s``.
+def _ray_bases(clouds, scale: float) -> list:
+    """The interpolation bases of each cloud's channels at the scale
+    ``scale`` (:func:`_channel_basis`).
 
     Bases of other clouds or another scale are dropped before new ones
     are built.
     """
-    scale = _ray_scale(sqrt_s)
     held = _RAY_SLOT[1] if _RAY_SLOT[0] == scale else {}
     held = {id(c): held[id(c)] for c in clouds if id(c) in held}
     _RAY_SLOT[:] = [scale, held]
     for cloud in clouds:
         if id(cloud) not in held:
-            held[id(cloud)] = (cloud, tuple(_ray_basis(ch.r.ravel(), scale)
+            held[id(cloud)] = (cloud, tuple(_channel_basis(ch.r.ravel(), scale)
                                             for ch in cloud))
     return [held[id(c)][1] for c in clouds]
 
 
-def _cloud_profiles(channel: _PairCloud, basis: _RayBasis, sqrt_s):
-    """The channel's two kernel profiles at ``z = sqrt_s * channel.r``.
+def _cloud_profiles(channel: _PairCloud, basis, sqrt_s: np.ndarray):
+    """The channel's two kernel profiles at ``z = sqrt_s * channel.r``,
+    for each of the roots ``sqrt_s`` (1-D).
 
     ``(A_2, B_2)`` for a plain channel, ``(P, -R)`` for a companion one,
-    interpolated from the channel's ``basis`` (see ``_ray_bases`` and the
-    module docstring).  Each is a real array of shape (2, n_pairs,
-    n_points) holding the real and the imaginary part.
+    interpolated from the channel's ``basis`` or, where it is ``None``,
+    evaluated at the points (see ``_ray_bases`` and the module
+    docstring).  Each is a real array of shape (b, 2, n_pairs, n_points)
+    holding the real and the imaginary part.
     """
-    shape = (2,) + channel.r.shape
-    if channel.companion:
-        values = _interpolate(basis, _pr2, sqrt_s)
-        return values[:2].reshape(shape), -values[2:].reshape(shape)
-    values = _interpolate(basis, _ab2, sqrt_s)
-    return values[:2].reshape(shape), values[2:].reshape(shape)
+    profiles = _pr2 if channel.companion else _ab2
+    if basis is None:
+        f, g = profiles(sqrt_s[:, None] * channel.r.ravel()[None, :])
+        values = np.stack([f.real, f.imag, g.real, g.imag], axis=1)
+    else:
+        values = _interpolate(basis, profiles, sqrt_s)
+    shape = (sqrt_s.size, 2) + channel.r.shape
+    f, g = values[:, :2].reshape(shape), values[:, 2:].reshape(shape)
+    return (f, -g) if channel.companion else (f, g)
 
 
 def _accumulate_blocks(V, cloud, bases, sqrt_s, pref, n_basis):
-    """Add a cloud's 2x2 dof blocks into the matrix ``V`` (no mirroring).
+    """Add a cloud's 2x2 dof blocks into the stack ``V``, whose matrix
+    ``i`` is that of the root ``sqrt_s[i]`` (no mirroring).
 
     ``n_basis`` counts the column functions; the cloud gives the row
     count, one for an observation point (two matrix rows).  Each channel
     contributes ``f I + g rhat rhat^T`` for its profiles ``(f, g)``; the
-    pairs of a cloud are distinct, so one indexed add scatters them all.
+    pairs of a cloud are distinct, so one indexed add scatters them all,
+    for every root at once.
     """
     sums = 0.0
     for channel, basis in zip(cloud, bases):
         f, g = _cloud_profiles(channel, basis, sqrt_s)
         x, y = channel.rhat
-        # real and imaginary parts of f + g x^2, g x y, f + g y^2
+        # real and imaginary parts of f + g x^2, g x y, f + g y^2, six
+        # rows per root
         tensor = np.concatenate([f + g * (x * x), g * (x * y),
-                                 f + g * (y * y)])
-        sums = sums + np.einsum("knp,cnp->cnk", channel.wab, tensor)
+                                 f + g * (y * y)], axis=1)
+        sums = sums + np.einsum("knp,cnp->cnk", channel.wab,
+                                tensor.reshape((-1,) + channel.r.shape))
+    sums = sums.reshape((sqrt_s.size, 6) + sums.shape[1:])
     pairs = cloud[0].pairs
     n_rows = cloud[0].wab.shape[0] // n_basis
     a, b = np.divmod(np.arange(n_rows * n_basis), n_basis)
     rows = 2 * n_rows * pairs[:, :1] + 2 * a
     cols = 2 * n_basis * pairs[:, 1:] + 2 * b
-    V[np.stack([rows, rows, rows + 1, rows + 1]),
+    V[:, np.stack([rows, rows, rows + 1, rows + 1]),
       np.stack([cols, cols + 1, cols, cols + 1])] += pref * (
-          sums[[0, 2, 2, 4]] + 1j * sums[[1, 3, 3, 5]])
+          sums[:, [0, 2, 2, 4]] + 1j * sums[:, [1, 3, 3, 5]])
+
+
+def _sum_clouds(out, sqrt_s, clouds_at, pref, n_basis) -> None:
+    """Add into ``out[i]`` the blocks of the clouds ``clouds_at(root)``
+    of the root ``sqrt_s[i]``, for every root of ``sqrt_s`` (1-D).
+
+    Consecutive roots with the same clouds and ray scale form a run,
+    whose ray bases are taken once.  A run is summed a block of roots at
+    a time, each block as large as keeps the profile tensor of a channel
+    (six reals per point and root) within ``_BLOCK_BYTES``, and one root
+    at least: one profile call, one contraction per channel and one
+    scatter per cloud serve the whole block.
+    """
+    keys = [(clouds_at(root), _ray_scale(root)) for root in sqrt_s]
+    start = 0
+    for _, run in itertools.groupby(
+            keys, key=lambda key: ([id(c) for c in key[0]], key[1])):
+        stop = start + len(list(run))
+        clouds, scale = keys[start]
+        bases = _ray_bases(clouds, scale)
+        points = max(ch.r.size for cloud in clouds for ch in cloud)
+        width = max(1, _BLOCK_BYTES // (6 * 8 * points))
+        for lo in range(start, stop, width):
+            hi = min(lo + width, stop)
+            for cloud, cloud_bases in zip(clouds, bases):
+                _accumulate_blocks(out[lo:hi], cloud, cloud_bases,
+                                   sqrt_s[lo:hi], pref, n_basis)
+        start = stop
 
 
 def _turns(m: int) -> np.ndarray:
@@ -687,9 +770,11 @@ def _turned_sectors(sector: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     return turned.reshape((m, 2, 2) + x.shape[2:]).view(sector.dtype)
 
 
-def _fill_index(space: DensitySpace, held: np.ndarray) -> np.ndarray:
-    """Where :func:`_unfold` takes each entry of the matrix from, as flat
-    indices into the turned sectors (:func:`_turned_sectors`).
+def _fill_index(space: DensitySpace, held: np.ndarray,
+                n_rows: int) -> np.ndarray:
+    """Where the first ``n_rows`` element rows of a matrix are taken
+    from, as flat indices into the turned sectors
+    (:func:`_turned_sectors`) of its first sector's rows.
 
     ``held[i, j]`` tells whether the sector's rows hold the block of the
     element pair ``(i, j)``, ``i < n``.  The block of ``(R, C)`` is the
@@ -699,8 +784,8 @@ def _fill_index(space: DensitySpace, held: np.ndarray) -> np.ndarray:
     """
     mesh = space.mesh
     n_all, n, nb = mesh.n_elements, _sector_size(mesh), space.n_basis
-    row = np.arange(n_all)[:, None, None, None]
-    col = row.reshape(1, 1, n_all, 1)
+    row = np.arange(n_rows)[:, None, None, None]
+    col = np.arange(n_all).reshape(1, 1, n_all, 1)
     p, q = np.arange(2 * nb)[:, None, None], np.arange(2 * nb)
 
     def source(r, c, a, b):
@@ -716,22 +801,6 @@ def _fill_index(space: DensitySpace, held: np.ndarray) -> np.ndarray:
                     source(col, row, q, p)).ravel()
 
 
-def _unfold(sector: np.ndarray, space: DensitySpace,
-            held: np.ndarray) -> np.ndarray:
-    """The matrix of order ``dof_count`` whose first sector's rows are
-    ``sector``, of which the blocks ``held`` are set (:func:`_fill_index`),
-    filled by rotation and, where a block is not held, by transposition.
-
-    The fill index is cached per space under whether every block is
-    held: the reduced scheme and :func:`unfold` share that one.
-    """
-    label = "unfold" if held.all() else "mirror"
-    index = _cached(_space_key(space) + (label,),
-                    lambda: _fill_index(space, held))
-    turned = _turned_sectors(sector, space.mesh)
-    return np.take(turned, index).reshape(space.dof_count, space.dof_count)
-
-
 def unfold(sector: np.ndarray, space: DensitySpace) -> np.ndarray:
     """The matrix of order ``dof_count`` that the rotations of the mesh map
     onto itself and whose first ``SectorAction.rows`` rows are
@@ -739,14 +808,18 @@ def unfold(sector: np.ndarray, space: DensitySpace) -> np.ndarray:
     Q_k^T``.
 
     Such is every convolution weight of ``V``, a linear combination of
-    matrices ``V(s)``, real like ``sector`` (see :class:`SectorAction`).
-    It is filled by the rotation of the assemblers (:func:`_unfold`), every
-    block directly.  For ``m = 1`` it returns a copy of ``sector``, bit
-    for bit.
+    matrices ``V(s)``, real like ``sector`` (see :class:`SectorAction`),
+    and every ``V(s)`` itself, complex, from the rows that the
+    assemblers return.  Every block is filled directly by rotation, by
+    an index cached per space.  For ``m = 1`` it returns a copy of
+    ``sector``, bit for bit.
     """
     mesh = space.mesh
     held = np.ones((_sector_size(mesh), mesh.n_elements), dtype=bool)
-    return _unfold(sector, space, held)
+    index = _cached(_space_key(space) + ("unfold",),
+                    lambda: _fill_index(space, held, mesh.n_elements))
+    turned = _turned_sectors(sector, mesh)
+    return np.take(turned, index).reshape(space.dof_count, space.dof_count)
 
 
 def _apply(q: np.ndarray, i: int, x, y):
@@ -934,38 +1007,55 @@ def _require_assembly(space: DensitySpace, assembly: str) -> None:
                          f"assembly {assembly!r}, got {space.assembly!r}")
 
 
-def _assemble(space: DensitySpace, clouds, sqrt_s,
-              cfg: ProblemConfig) -> np.ndarray:
-    """The boundary-operator matrix of order ``dof_count`` from the
-    ``clouds`` of its first sector's rows, elements ``i < n = N / m``.
+def _roots(freqs, cfg: ProblemConfig) -> np.ndarray:
+    """The roots ``sqrt(s / nu)`` of the frequencies ``freqs`` (1-D), the
+    kernels' argument per unit distance; a frequency on the cut is a
+    ``ValueError`` (:class:`ComplexFrequency`)."""
+    return np.array([cfg.brinkman(ComplexFrequency(s)).sqrt_s
+                     for s in np.ravel(freqs)], dtype=complex)
 
-    The clouds are summed into those rows, against every column.
-    Rotation by ``2 pi k / m`` maps the element pair ``(i, j)`` onto
-    ``(i + k n, j + k n)`` (mod ``N``) and its block ``B`` onto ``Q_k B
-    Q_k^T``, so every block of the matrix is the image of a sector
-    block.  The reduced scheme's clouds hold every sector block; the
-    Galerkin clouds hold one per orbit of unordered pairs, and the
-    matrix, complex symmetric, takes the other blocks as transposes
-    (:func:`_unfold`).
+
+def _assemble(space: DensitySpace, freqs, cfg: ProblemConfig,
+              clouds_at) -> np.ndarray:
+    """The first sector's rows of the boundary-operator matrix at each
+    frequency of ``freqs``, shape ``(b, 2 nb n, dof_count)`` for the
+    elements ``i < n = N / m``.
+
+    ``clouds_at(sqrt_s)`` lists the clouds of those rows at one root;
+    they are summed against every column (:func:`_sum_clouds`).  The
+    reduced scheme's clouds hold every block of the rows.  The Galerkin
+    clouds hold one block per orbit of unordered pairs: rotation by ``2
+    pi k / m`` maps the element pair ``(i, j)`` onto ``(i + k n, j + k
+    n)`` (mod ``N``) and its block ``B`` onto ``Q_k B Q_k^T``, and the
+    matrix is complex symmetric, so each other block of the rows is the
+    transpose of a turned held block (:func:`_fill_index`).
 
     Raises ``RuntimeError`` for a non-finite entry, naming its element
     pair.
     """
-    w = 2 * space.n_basis
-    sector = np.zeros((w * _sector_size(space.mesh), space.dof_count),
-                      dtype=complex)
-    for cloud, bases in zip(clouds, _ray_bases(clouds, sqrt_s)):
-        _accumulate_blocks(sector, cloud, bases, sqrt_s, cfg.kernel_prefactor,
-                           space.n_basis)
+    sqrt_s = _roots(freqs, cfg)
+    w, n = 2 * space.n_basis, _sector_size(space.mesh)
+    sector = np.zeros((sqrt_s.size, w * n, space.dof_count), dtype=complex)
+    _sum_clouds(sector, sqrt_s, clouds_at, cfg.kernel_prefactor,
+                space.n_basis)
     if not np.isfinite(sector).all():
-        ei, ej = np.argwhere(~np.isfinite(sector))[0] // w
+        ei, ej = np.argwhere(~np.isfinite(sector))[0, 1:] // w
         raise RuntimeError(f"quadrature produced a non-finite entry for "
                            f"element pair ({ei}, {ej})")
-    held = np.zeros((_sector_size(space.mesh), space.mesh.n_elements),
-                    dtype=bool)
-    for cloud in clouds:
-        held[cloud[0].pairs[:, 0], cloud[0].pairs[:, 1]] = True
-    return _unfold(sector, space, held)
+    if space.reduced:
+        return sector
+
+    def mirror_index():
+        held = np.zeros((n, space.mesh.n_elements), dtype=bool)
+        for cloud in clouds_at(sqrt_s[0]):
+            held[cloud[0].pairs[:, 0], cloud[0].pairs[:, 1]] = True
+        return _fill_index(space, held, n)
+
+    index = _cached(_space_key(space) + ("mirror",), mirror_index)
+    for k, rows in enumerate(sector):
+        sector[k] = np.take(_turned_sectors(rows, space.mesh),
+                            index).reshape(rows.shape)
+    return sector
 
 
 def constrain(V: np.ndarray, space: DensitySpace,
@@ -992,39 +1082,45 @@ def constrain(V: np.ndarray, space: DensitySpace,
     return np.block([[V, b[:, None]], [b, np.zeros(1)]])
 
 
-def assemble_galerkin_V(space: DensitySpace, freq: ComplexFrequency,
+def assemble_galerkin_V(space: DensitySpace, freqs,
                         cfg: ProblemConfig) -> np.ndarray:
-    """Galerkin matrix ``V_ij(s) = <mu_i, V(s) mu_j>``, square of order
-    ``dof_count``; :func:`constrain` removes its gauge kernel.
+    """Galerkin matrices ``V_ij(s) = <mu_i, V(s) mu_j>`` at the
+    frequencies ``freqs`` (1-D), as their first sector's rows: shape
+    ``(b, 2 nb N / m, dof_count)``, one stack entry per frequency.
+    :func:`unfold` gives a whole matrix, :func:`constrain` removes its
+    gauge kernel.
 
     The matrix is complex symmetric by construction: one unordered
-    element pair per rotation orbit is integrated, then turned into the
-    other sectors and mirrored (:func:`_assemble`).
+    element pair per rotation orbit is integrated, then turned and
+    mirrored into the rest of the rows (:func:`_assemble`).
 
     Raises
     ------
     ValueError
-        For a space of the reduced rule.
+        For a space of the reduced rule, or a frequency on the cut.
     RuntimeError
         If quadrature produces a non-finite entry (reported with the
         offending element pair).
     """
     _require_planar(cfg)
     _require_assembly(space, "galerkin")
-    sqrt_s = cfg.brinkman(freq).sqrt_s
-    z_max = abs(sqrt_s) * float(space.mesh.arclengths.max())
-    cap_u, z_u = _split_scale(z_max)
-    cap_p, z_p = _split_scale(2.0 * z_max)
+    l_max = float(space.mesh.arclengths.max())
     key = _space_key(space)
-    self_cloud = _cached(key + ("self", cap_u, z_u),
-                         lambda: _build_self_cloud(space, cap_u, z_u))
-    vertex_cloud = _cached(key + ("vertex", cap_p, z_p),
-                           lambda: _build_vertex_cloud(space, cap_p, z_p))
     separated = _cached(key + ("separated",), lambda: _class_clouds(
         space, *_separated_pairs(space.mesh, ordered=False),
         SEPARATED_CLASSES))
-    clouds = [self_cloud, vertex_cloud, *separated]
-    return _assemble(space, clouds, sqrt_s, cfg)
+
+    def clouds_at(sqrt_s):
+        z_max = abs(sqrt_s) * l_max
+        cap_u, z_u = _split_scale(z_max)
+        cap_p, z_p = _split_scale(2.0 * z_max)
+        self_cloud = _cached(key + ("self", cap_u, z_u),
+                             lambda: _build_self_cloud(space, cap_u, z_u))
+        vertex_cloud = _cached(key + ("vertex", cap_p, z_p),
+                               lambda: _build_vertex_cloud(space, cap_p, z_p))
+        return [self_cloud, vertex_cloud, *separated]
+
+    return _assemble(space, freqs, cfg, clouds_at)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,9 +1158,10 @@ def _build_neighbor_cloud(space: DensitySpace, offset: int):
                        eta, w_pt, at=(mesh.midpoints, mesh.arclengths))
 
 
-def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
+def assemble_nystrom_V(space: DensitySpace, freqs,
                        cfg: ProblemConfig) -> np.ndarray:
-    """Reduced-integration matrix: midpoint test rule, accurate columns.
+    """Reduced-integration matrices at the frequencies ``freqs`` (1-D):
+    midpoint test rule, accurate columns.
 
     Row ``i`` is the element arclength times the kernel integral against
     each basis function, evaluated at the element midpoint; this is the
@@ -1074,16 +1171,14 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     whose :func:`constrain` and :func:`data_functional` test by the same
     midpoint rule; any other space is a ``ValueError``.  The diagonal
     uses the logarithmic split so its entries are finite and accurate.
+    Like :func:`assemble_galerkin_V` it returns the first sector's rows,
+    shape ``(b, 2 N / m, dof_count)``, which its clouds hold entirely.
     """
     _require_planar(cfg)
     _require_assembly(space, "reduced")
-    sqrt_s = cfg.brinkman(freq).sqrt_s
     mesh = space.mesh
     l_max = float(mesh.arclengths.max())
-    cap_d, z_dq = _split_scale(abs(sqrt_s) * l_max / 2.0)
     key = _space_key(space)
-    diag = _cached(key + ("rdiag", cap_d, z_dq),
-                   lambda: _build_diag_cloud(space, cap_d, z_dq))
     nb_next = _cached(key + ("rnext",),
                       lambda: _build_neighbor_cloud(space, +1))
     nb_prev = _cached(key + ("rprev",),
@@ -1091,8 +1186,14 @@ def assemble_nystrom_V(space: DensitySpace, freq: ComplexFrequency,
     far = _cached(key + ("rrows",), lambda: _class_clouds(
         space, *_separated_pairs(mesh, ordered=True), SEPARATED_CLASSES,
         at=(mesh.midpoints, mesh.arclengths)))
-    clouds = [diag, nb_next, nb_prev, *far]
-    return _assemble(space, clouds, sqrt_s, cfg)
+
+    def clouds_at(sqrt_s):
+        cap_d, z_dq = _split_scale(abs(sqrt_s) * l_max / 2.0)
+        diag = _cached(key + ("rdiag", cap_d, z_dq),
+                       lambda: _build_diag_cloud(space, cap_d, z_dq))
+        return [diag, nb_next, nb_prev, *far]
+
+    return _assemble(space, freqs, cfg, clouds_at)
 
 
 # ---------------------------------------------------------------------------
@@ -1180,7 +1281,9 @@ def potential_node_bytes(space: DensitySpace, points) -> np.ndarray:
 
     Counted from the distance classes without building the clouds: per
     quadrature node a distance, a direction, ``n_basis`` weights and a
-    barycentric row of ``RAY_PANEL_ORDER`` entries with its sort index.
+    barycentric row of ``RAY_PANEL_ORDER`` entries with its sort index;
+    a channel evaluated at its points holds no rows, so the count is a
+    bound.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     kk, _, ratio = _point_element_pairs(space.mesh, points)
@@ -1191,13 +1294,14 @@ def potential_node_bytes(space: DensitySpace, points) -> np.ndarray:
     return nodes * 8 * (4 + space.n_basis + RAY_PANEL_ORDER)
 
 
-def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,
+def potential_velocity_matrix(space: DensitySpace, freqs,
                               cfg: ProblemConfig,
                               points) -> np.ndarray:
-    """Evaluation matrix of the velocity potential at off-boundary points.
+    """Evaluation matrices of the velocity potential at off-boundary
+    points, one per frequency of ``freqs`` (1-D).
 
-    Maps density coefficients to the complex velocity vectors
-    ``(S(s) lam)(z_k)``; shape ``(2 K, dof_count)`` with rows ordered
+    Each maps density coefficients to the complex velocity vectors
+    ``(S(s) lam)(z_k)``; shape ``(b, 2 K, dof_count)`` with rows ordered
     point-major (x then y component per point).  The kernel is smooth
     off the boundary; quadrature order follows the distance to each
     element in element lengths, and the profiles are interpolated along
@@ -1207,11 +1311,11 @@ def potential_velocity_matrix(space: DensitySpace, freq: ComplexFrequency,
     _require_planar(cfg)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     clouds = _potential_clouds(space, points)
-    sqrt_s = cfg.brinkman(freq).sqrt_s
-    out = np.zeros((2 * points.shape[0], space.dof_count), dtype=complex)
-    for cloud, bases in zip(clouds, _ray_bases(clouds, sqrt_s)):
-        _accumulate_blocks(out, cloud, bases, sqrt_s, cfg.kernel_prefactor,
-                           space.n_basis)
+    sqrt_s = _roots(freqs, cfg)
+    out = np.zeros((sqrt_s.size, 2 * points.shape[0], space.dof_count),
+                   dtype=complex)
+    _sum_clouds(out, sqrt_s, lambda root: clouds, cfg.kernel_prefactor,
+                space.n_basis)
     return out
 
 

@@ -36,17 +36,25 @@ writes the block back in place scaled by ``R^{-n}``, so the ``L = M +
 1`` rows of the buffer are the weights and cost ``L * entries`` reals
 and little more.
 
-The evaluations are independent, so they are spread over one process
-per usable core.  Node 0 is evaluated first, in the calling process,
-which fills the geometry caches that the forked workers then share
-copy-on-write.  The buffer is one anonymous shared mapping that also
-holds the imaginary rows of the two real-axis nodes, each node's
-``max |F|`` and a done flag per node: every worker writes its nodes'
-rows straight into it and leaves, so nothing is pickled.  The caller
-then evaluates, in node order, every node no worker marked done (a
-worker that raised or died, or a fork that failed), which raises any
-error exactly as a serial sweep would.  The weights do not depend on
-the number of workers, and with one usable core nothing is forked.
+The evaluations are independent problems, one per node (Banjai &
+Sauter, *SIAM J. Numer. Anal.* 47 (2008) 227-249), so the transfer is
+sampled a block of nodes at a time, and the blocks are spread over one
+process per usable core.  Node 0 is evaluated first, alone, in the
+calling process, which fills the geometry caches that the forked
+workers then share copy-on-write.  The other nodes are dealt
+round-robin into one share per process, and each share is cut into
+blocks whose stacked samples hold at most ``_SAMPLE_BLOCK_BYTES`` (a
+node that holds more is a block of its own).  The buffer is one
+anonymous shared mapping that also holds the imaginary rows of the two
+real-axis nodes, each node's ``max |F|`` and a done flag per node: every
+worker writes its nodes' rows straight into it and leaves, so nothing
+is pickled.  The caller then evaluates, in
+node order, every node no worker marked done (a worker that raised or
+died, or a fork that failed), which raises any error exactly as a
+serial sweep would.  A block that fails is sampled again node by node,
+so an error names its node whatever the blocks.  The weights do not
+depend on the number of workers or on the blocks, and with one usable
+core nothing is forked.
 
 The same spread (``_spread`` over the done flags of a ``_shared_buffers``
 mapping) carries the point shares of a large observation pass in
@@ -73,13 +81,15 @@ applies them (:func:`cq_march`); the boundary operator of
 dof^2 / m`` reals.  This module knows no mesh: the plain matrix is the
 trivial action.
 
-A transfer function returns a 2-D matrix at every frequency (a scalar
-transfer is the 1x1 matrix), its weights have shape ``(M + 1, rows,
-cols)``, and a history is the plain real array of one vector per step,
-shape ``(M + 1, n)``.  :func:`cq_postprocess` also takes a stack of ``c``
-histories, ``(c, M + 1, n)``, convolved one by one against the weights
-of one contour sweep by the same loop, which takes a plain history as
-the stack of one.
+A transfer function takes a 1-D array of ``b`` frequencies, a block, and
+returns the ``(b, rows, cols)`` stack of its matrices at them, the same
+2-D shape at every frequency (a scalar transfer is the 1x1 matrix); a
+single frequency is the block of one.  Its weights have shape ``(M + 1,
+rows, cols)``, and a history is the plain real array of one vector per
+step, shape ``(M + 1, n)``.  :func:`cq_postprocess` also takes a stack
+of ``c`` histories, ``(c, M + 1, n)``, convolved one by one against the
+weights of one contour sweep by the same loop, which takes a plain
+history as the stack of one.
 """
 
 from __future__ import annotations
@@ -122,6 +132,11 @@ IMAG_RESIDUE_TOL = 1e-10
 # Bytes of the temporaries of one block of columns of the inverse
 # transform: its half spectrum and the transform's output.
 _TRANSFORM_BLOCK_BYTES = 1 << 20
+
+# Bytes of the samples of one block of contour nodes, the stack that the
+# transfer returns for it; a node whose matrix is larger is a block of
+# its own.
+_SAMPLE_BLOCK_BYTES = 1 << 18
 
 # Largest multistep order with a convergence theory for operator
 # convolution quadrature; BDF methods of higher order are not zero
@@ -283,16 +298,18 @@ class WeightSequence:
         object.__setattr__(self, "peak", max(hi, -lo))
 
 
-def _sample(transfer, node: int, s: complex) -> np.ndarray:
-    """Evaluate the transfer callback at contour node ``node``.
+def _sample_node(transfer, node: int, s: np.ndarray, shape) -> np.ndarray:
+    """Evaluate the transfer callback at contour node ``node`` alone, the
+    block ``s`` of its one frequency.
 
     Failures inside the callback are re-raised with the node index
     attached: a ``ValueError`` (a configuration error) stays one, any
     other failure becomes a ``RuntimeError``.  Non-finite return values
     are rejected for the same reason (a frequency off the domain of the
-    symbol).
+    symbol), and so is a matrix whose shape is not ``shape`` (unless
+    ``shape`` is None, for the first node).
     """
-    where = f"contour node {node} (s = {s:.6g})"
+    where = f"contour node {node} (s = {complex(s[0]):.6g})"
     try:
         val = np.asarray(transfer(s), dtype=complex)
     except Exception as exc:
@@ -302,14 +319,43 @@ def _sample(transfer, node: int, s: complex) -> np.ndarray:
         ):
             raise ValueError(f"transfer rejected {where}: {exc}") from exc
         raise RuntimeError(f"transfer evaluation failed at {where}") from exc
-    if val.ndim != 2:
+    if val.ndim != 3 or val.shape[0] != 1:
         raise ValueError(
-            f"transfer must return a 2-D matrix, got shape {val.shape} at "
-            f"contour node {node}"
+            f"transfer must return one 2-D matrix per frequency, got shape "
+            f"{val.shape} for one frequency at contour node {node}"
         )
     if not np.isfinite(val).all():
         raise RuntimeError(f"transfer returned non-finite values at {where}")
+    if shape is not None and val.shape[1:] != shape:
+        raise ValueError(
+            f"transfer changed output shape at contour node {node}: "
+            f"{val.shape[1:]} != {shape}"
+        )
     return val
+
+
+def _sample(transfer, nodes: np.ndarray, freqs: np.ndarray,
+            shape=None) -> np.ndarray:
+    """The ``(b, rows, cols)`` samples of the transfer at the contour
+    nodes ``nodes``, whose frequencies it takes as one block.
+
+    A block that raises, or returns anything but a finite stack of
+    ``shape`` matrices, is sampled again one node at a time
+    (:func:`_sample_node`), so that the error names the first failing
+    node of the block, with the class, message and cause of a sweep of
+    single nodes.
+    """
+    if nodes.size > 1:
+        try:
+            val = np.asarray(transfer(freqs[nodes]), dtype=complex)
+        except Exception:
+            # any failure: the nodes alone raise it with its node
+            val = None
+        if (val is not None and val.shape == (nodes.size,) + shape
+                and np.isfinite(val).all()):
+            return val
+    return np.concatenate([_sample_node(transfer, int(k), freqs[k : k + 1],
+                                        shape) for k in nodes])
 
 
 #: True in the caller and the workers of a spread that forked, so that a
@@ -341,14 +387,15 @@ def _shared_buffers(shapes, n_flags: int):
 
 
 def _spread(evaluate, done: np.ndarray) -> None:
-    """Call ``evaluate`` on every item whose ``done`` flag is clear,
-    split round-robin over ``_process_count`` processes; ``evaluate(k)``
-    sets ``done[k]`` when it succeeds.
+    """Call ``evaluate`` on the items whose ``done`` flag is clear, split
+    round-robin into one share per ``_process_count`` process;
+    ``evaluate(items)`` takes a share, an array of items in order, and
+    sets ``done[k]`` for each item ``k`` it finishes.
 
     The caller keeps the first share and forks a worker for each other
     one; a worker stops at its first failure and leaves by ``os._exit``.
-    Once the workers are reaped the caller evaluates, in order, every
-    item that is still not done (a worker that raised or died, a fork
+    Once the workers are reaped the caller evaluates, in order, the
+    items that are still not done (a worker that raised or died, a fork
     that failed, a failure of its own), which raises any error exactly
     as a serial sweep would.
     """
@@ -366,15 +413,13 @@ def _spread(evaluate, done: np.ndarray) -> None:
                 _FORKED = True
                 code = 1
                 try:
-                    for item in share:
-                        evaluate(int(item))
+                    evaluate(share)
                     code = 0
                 finally:
                     os._exit(code)
             children.append(pid)
         _FORKED = outer or bool(children)
-        for item in items[::n_proc]:
-            evaluate(int(item))
+        evaluate(items[::n_proc])
     except Exception:
         if n_proc == 1:
             raise  # a serial sweep stops at its first failure
@@ -383,8 +428,9 @@ def _spread(evaluate, done: np.ndarray) -> None:
         for pid in children:
             os.waitpid(pid, 0)
         _FORKED = outer
-    for item in np.flatnonzero(~done):
-        evaluate(int(item))
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        evaluate(rest)
 
 
 def _inverse_transform(packed: np.ndarray, scale: np.ndarray) -> None:
@@ -410,11 +456,16 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     assumed to be a real symbol (``F(conj s) = conj F(s)``), which holds
     for every Laplace-domain operator of a real time-domain kernel; only
     half the contour is evaluated and the weights are returned real.
+    The half contour is sampled in blocks of nodes (see the module
+    docstring); the weights are those of a sweep of single nodes, bit
+    for bit, whenever the callback's matrix at a frequency does not
+    depend on the block it comes in.
 
     Parameters
     ----------
     transfer:
-        Callback mapping a complex frequency to a complex matrix of
+        Callback mapping a 1-D array of ``b`` complex frequencies to the
+        ``(b, rows, cols)`` stack of its complex matrices at them, of
         fixed shape.
     scheme:
         Contour and multistep parameters.
@@ -432,22 +483,24 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     ------
     ValueError
         If the callback raises a ``ValueError`` at some node (reported
-        with its index), returns anything but a 2-D matrix or changes its
-        output shape.
+        with its index), returns anything but one 2-D matrix per
+        frequency or changes its output shape.
     RuntimeError
         If the callback fails otherwise or returns non-finite values at
-        some node (reported with its index), or if the imaginary residue
+        some node (reported with its index, the first such node of its
+        block, sampled alone), or if the imaginary residue
         exceeds ``IMAG_RESIDUE_TOL`` relative to the largest weight,
         indicating a symbol that is not real.
     """
     n_nodes = scheme.n_contour_nodes
     freqs = scheme.frequencies()[: scheme.n_half_nodes]
     # node 0 first, here: it fills the geometry caches the workers share
-    first = _sample(transfer, 0, complex(freqs[0]))
-    shape = first.shape
+    first = _sample(transfer, np.zeros(1, dtype=int), freqs)
+    shape = first.shape[1:]
     packed, imag_ends, peaks, done = _shared_buffers(
         ((n_nodes, first.size), (2, first.size), (freqs.size,)), freqs.size
     )
+    width = max(1, _SAMPLE_BLOCK_BYTES // first.nbytes)
 
     def store(node: int, val: np.ndarray) -> None:
         flat = val.reshape(-1)
@@ -462,16 +515,14 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
             imag_ends[int(node > 0)] = flat.imag
         done[node] = True
 
-    def evaluate(node: int) -> None:
-        val = _sample(transfer, node, complex(freqs[node]))
-        if val.shape != shape:
-            raise ValueError(
-                f"transfer changed output shape at contour node {node}: "
-                f"{val.shape} != {shape}"
-            )
-        store(node, val)
+    def evaluate(nodes: np.ndarray) -> None:
+        for start in range(0, nodes.size, width):
+            block = nodes[start : start + width]
+            samples = _sample(transfer, block, freqs, shape)
+            for node, val in zip(block, samples):
+                store(int(node), val)
 
-    store(0, first)
+    store(0, first[0])
     _spread(evaluate, done)
     max_transfer = float(peaks.max())
 
@@ -598,8 +649,10 @@ def cq_postprocess(transfer, scheme: CQScheme, history: np.ndarray) -> np.ndarra
     Parameters
     ----------
     transfer:
-        Callback for the observation operator; returns matrices of shape
-        ``(rows, n)``, observables by unknowns.
+        Callback for the observation operator, taking a block of
+        frequencies as :func:`cq_weights` does; returns a stack of
+        matrices of shape ``(rows, n)``, observables by unknowns, one
+        per frequency.
     scheme:
         The scheme the history was marched with.
     history:

@@ -70,6 +70,7 @@ from .boundary_geometry import (
     build_mesh,
 )
 from .cq_engine import (
+    _SAMPLE_BLOCK_BYTES,
     CQScheme,
     _process_count,
     _shared_buffers,
@@ -78,7 +79,7 @@ from .cq_engine import (
     cq_postprocess,
     cq_weights,
 )
-from .laplace_kernels import ComplexFrequency, ProblemConfig
+from .laplace_kernels import ProblemConfig
 
 __all__ = [
     "DATA_COMPATIBILITY_TOL",
@@ -458,11 +459,9 @@ def run_simulation(
 
     assemble = assemble_nystrom_V if space.reduced else assemble_galerkin_V
     action = sector_action(space)
-    # the weights, like V(s), are fixed by their first sector's rows
-    seq = cq_weights(
-        lambda s: assemble(space, ComplexFrequency(s), cfg)[: action.rows],
-        scheme,
-    )
+    # the weights, like V(s), are fixed by their first sector's rows,
+    # which are what the assemblers return
+    seq = cq_weights(lambda s: assemble(space, s, cfg), scheme)
     # the constraint is frequency independent: it enters W_0 alone
     solve = factor(constrain(unfold(seq.weights[0], space), space, constraint))
     history = cq_march(seq, rhs, solve, action)
@@ -520,7 +519,10 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
     product of cq_postprocess, which convolves the stack one history at
     a time, for each history beyond the first its velocities in
     cq_postprocess's result and in the shared buffer, and the potential
-    clouds with their ray bases.
+    clouds with their ray bases.  cq_weights stacks the potential
+    matrices of a block of contour nodes, which hold one node's rows or
+    at most ``cq_engine._SAMPLE_BLOCK_BYTES``: the cap is lowered by
+    that much per share.
 
     With at least as many representatives as the half contour has nodes,
     each block is dealt into one point share per usable core by the
@@ -545,8 +547,12 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
     per_point = (2 * dof * 8 * scheme.n_contour_nodes + 2 * dof * 16
                  + 16 * n_keep * n_keep + 32 * (turns.size - 1) * n_keep
                  + cloud_bytes)
-    block = (np.cumsum(per_point) - per_point) // SNAPSHOT_WEIGHT_BYTES
     by_points = reps.size >= scheme.n_half_nodes
+    # each share stacks the samples of a block of nodes: one node's are
+    # counted per point, the rest of the block per share
+    shares = _process_count(reps.size) if by_points else 1
+    block = (np.cumsum(per_point) - per_point) // max(
+        SNAPSHOT_WEIGHT_BYTES - shares * _SAMPLE_BLOCK_BYTES, 1)
     at_rep = np.searchsorted(reps, rep)
     velocity = np.empty((n_keep, points.shape[0], 2))
     pressure = np.empty((n_keep, points.shape[0]))
@@ -558,18 +564,17 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
             ((turns.size, n_keep, idx.size, 2), (idx.size, dof)), n_shares
         )
 
-        def evaluate(k: int) -> None:
-            mine = np.flatnonzero(share_of == k)
-            pts = points[reps[idx[mine]]]
-            p_rows[mine] = potential_pressure_matrix(space, pts)
-            vel[:, :, mine] = cq_postprocess(
-                lambda s: potential_velocity_matrix(
-                    space, ComplexFrequency(s), cfg, pts
-                ),
-                scheme,
-                stack,
-            ).reshape(turns.size, n_keep, pts.shape[0], 2)
-            done[k] = True
+        def evaluate(shares: np.ndarray) -> None:
+            for k in shares:
+                mine = np.flatnonzero(share_of == k)
+                pts = points[reps[idx[mine]]]
+                p_rows[mine] = potential_pressure_matrix(space, pts)
+                vel[:, :, mine] = cq_postprocess(
+                    lambda s: potential_velocity_matrix(space, s, cfg, pts),
+                    scheme,
+                    stack,
+                ).reshape(turns.size, n_keep, pts.shape[0], 2)
+                done[k] = True
 
         _spread(evaluate, done)
         inside = (at_rep >= idx[0]) & (at_rep <= idx[-1])

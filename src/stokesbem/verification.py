@@ -39,6 +39,7 @@ from .bem_space import (
     constrain,
     data_functional,
     factor,
+    unfold,
 )
 from .boundary_geometry import BoundaryCurve
 from .cq_engine import CQScheme, cq_postprocess
@@ -319,7 +320,7 @@ def laplace_property_suite(
     for s in frequencies:
         freq = ComplexFrequency(complex(s))
         label = f"s = {s.real:.6g} {s.imag:+.6g}i"
-        v = assemble_galerkin_V(space, freq, cfg)
+        v = unfold(assemble_galerkin_V(space, [freq.s], cfg)[0], space)
         v_scale = float(np.abs(v).max())
 
         sym = float(np.abs(v - v.T).max()) / v_scale
@@ -406,7 +407,8 @@ def cq_order_report() -> PropertyReport:
             scheme = CQScheme(order=p, kappa=1.0 / m, n_steps=m)
             times = scheme.times()
             values = cq_postprocess(
-                lambda s: np.array([[transfer(s)]]), scheme,
+                lambda s: np.array([[[transfer(complex(x))]] for x in s]),
+                scheme,
                 (times**5)[:, None],
             )[:, 0].real
             samples = np.arange(m // 8, m + 1, m // 8)

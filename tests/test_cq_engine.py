@@ -6,8 +6,10 @@ inside each test from the scheme itself.  The floor is tight: no fixed
 absolute tolerance below it is attainable in double precision, and the
 measured errors sit within one order of magnitude beneath it.
 
-Transfers are matrices; a scalar transfer is passed as the 1x1 matrix
-(``as_matrix``), its histories as ``(M + 1, 1)`` arrays.
+Transfers take a block of frequencies and return a stack of matrices,
+one per frequency; a matrix-valued function of one frequency is passed
+through ``blockwise``, a scalar one as the 1x1 matrix (``as_matrix``),
+its histories as ``(M + 1, 1)`` arrays.
 Convergence-order checks use the scalar transfer ``F(s) = 1/(s+1)``
 whose causal convolution with ``g`` has the closed forms
 
@@ -46,13 +48,21 @@ from stokesbem.cq_engine import (
 
 def weight_floor(transfer, scheme: CQScheme) -> float:
     """Accuracy floor sqrt(eps_contour) * max ||F|| over the contour."""
-    peak = max(np.abs(transfer(complex(s))).max() for s in scheme.frequencies())
+    peak = max(np.abs(transfer(np.array([s]))).max()
+               for s in scheme.frequencies())
     return np.sqrt(CONTOUR_EPSILON) * peak
+
+
+def blockwise(matrix):
+    """The transfer of a matrix-valued function of one frequency: the
+    stack of its matrices at each frequency of a block, each taken at
+    the Python complex number."""
+    return lambda s: np.stack([matrix(complex(x)) for x in s])
 
 
 def as_matrix(scalar):
     """The 1x1 matrix transfer of a scalar one."""
-    return lambda s: np.array([[scalar(s)]])
+    return blockwise(lambda s: np.array([[scalar(s)]]))
 
 
 def march(seq: WeightSequence, rhs) -> np.ndarray:
@@ -236,7 +246,8 @@ def test_weights_matrix_agrees_with_scalar():
     g = lambda s: 1.0 / (s + 2.0)
     ws = cq_weights(as_matrix(f), scheme).weights[:, 0, 0]
     wg = cq_weights(as_matrix(g), scheme).weights[:, 0, 0]
-    wm = cq_weights(lambda s: np.diag([f(s), g(s)]), scheme).weights
+    wm = cq_weights(blockwise(lambda s: np.diag([f(s), g(s)])),
+                    scheme).weights
     assert wm.shape == (25, 2, 2)
     scale = np.abs(ws).max()
     assert np.abs(wm[:, 0, 0] - ws).max() <= 1e-14 * scale
@@ -285,8 +296,9 @@ def test_weights_peak_memory_is_one_buffer():
         "        return next(int(line.split()[1]) for line in status\n"
         "                    if line.startswith('VmHWM:'))\n"
         "a = np.random.default_rng(6).standard_normal((200, 200))\n"
-        "transfer = lambda s: a / (s + 1.0)\n"
-        "cq_weights(lambda s: a[:2, :2] / (s + 1.0), CQScheme(3, 0.05, 2))\n"
+        "transfer = lambda s: a / (s[:, None, None] + 1.0)\n"
+        "cq_weights(lambda s: a[:2, :2] / (s[:, None, None] + 1.0),\n"
+        "           CQScheme(3, 0.05, 2))\n"
         "before = peak()\n"
         "seq = cq_weights(transfer, CQScheme(3, 0.05, int(sys.argv[1])))\n"
         "print(seq.weights.shape[0], 1024 * (peak() - before))\n"
@@ -309,10 +321,10 @@ def test_entry_blocks_leave_weights_bit_identical():
     scheme = CQScheme(order=3, kappa=0.05, n_steps=24)
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((2, 5, 4))
-    matrix = lambda s: a / (s + 1.0) + b / (s + 2.0) ** 2
+    matrix = blockwise(lambda s: a / (s + 1.0) + b / (s + 2.0) ** 2)
     whole = cq_weights(matrix, scheme).weights
     assert whole.shape == (25, 5, 4)
-    block = cq_weights(lambda s: matrix(s)[1:4, :3], scheme).weights
+    block = cq_weights(lambda s: matrix(s)[:, 1:4, :3], scheme).weights
     assert np.array_equal(block, whole[:, 1:4, :3])
     marked = np.zeros((5, 4), dtype=complex)
     marked[-1, -1] = 1j
@@ -349,13 +361,13 @@ def test_weights_report_failing_node():
         return np.array([[1.0 / s]])
 
     with pytest.raises(RuntimeError, match="contour node"):
-        cq_weights(broken, scheme)
+        cq_weights(blockwise(broken), scheme)
 
     def infinite(s):
         return np.array([[np.inf if abs(s.imag) > 5.0 else 1.0 / s]])
 
     with pytest.raises(RuntimeError, match="non-finite"):
-        cq_weights(infinite, scheme)
+        cq_weights(blockwise(infinite), scheme)
 
 
 def test_weights_keep_config_errors_with_failing_node():
@@ -370,7 +382,7 @@ def test_weights_keep_config_errors_with_failing_node():
         return np.array([[1.0 / s]])
 
     with pytest.raises(ValueError, match="contour node 3.*bad parameter"):
-        cq_weights(rejecting, scheme)
+        cq_weights(blockwise(rejecting), scheme)
 
     def singular(s):
         if abs(s - target) < 1e-9:
@@ -378,7 +390,7 @@ def test_weights_keep_config_errors_with_failing_node():
         return np.array([[1.0 / s]])
 
     with pytest.raises(RuntimeError, match="contour node 3"):
-        cq_weights(singular, scheme)
+        cq_weights(blockwise(singular), scheme)
 
 
 def test_weights_reject_shape_change():
@@ -391,7 +403,7 @@ def test_weights_reject_shape_change():
         return np.eye(size, dtype=complex) / s
 
     with pytest.raises(ValueError, match="changed output shape"):
-        cq_weights(shifty, scheme)
+        cq_weights(blockwise(shifty), scheme)
 
 
 def test_weights_reject_scalar_transfer():
@@ -439,40 +451,40 @@ def brinkman_transfer(name: str):
         potential_velocity_matrix,
     )
     from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
-    from stokesbem.laplace_kernels import ComplexFrequency, ProblemConfig
+    from stokesbem.laplace_kernels import ProblemConfig
 
     cfg = ProblemConfig()
     space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0",
                         "reduced")
     if name == "V":
-        return lambda s: assemble_nystrom_V(space, ComplexFrequency(s), cfg)
+        return lambda s: assemble_nystrom_V(space, s, cfg)
     points = np.array([[2.0, 0.5], [-1.5, -1.5], [0.0, 3.0]])
-    return lambda s: potential_velocity_matrix(
-        space, ComplexFrequency(s), cfg, points
-    )
+    return lambda s: potential_velocity_matrix(space, s, cfg, points)
 
 
 @pytest.mark.parametrize("name", ["V", "potential"])
 def test_worker_count_leaves_weights_bit_identical(monkeypatch, tmp_path, name):
-    """1, 2 and 3 processes share the nodes, each evaluated once, and
-    give the same weights bit for bit."""
+    """1, 2 and 3 processes share the nodes, every node evaluated exactly
+    once across them, and give the same weights bit for bit."""
     transfer = brinkman_transfer(name)
-    log = tmp_path / "pids"
+    log = tmp_path / "frequencies"
 
     def logged(s):
         with open(log, "a") as out:
-            out.write(f"{os.getpid()}\n")
+            out.writelines(f"{os.getpid()} {x!r}\n" for x in s)
         return transfer(s)
 
     scheme = CQScheme(order=3, kappa=1.0 / 16, n_steps=16)
+    half = sorted(map(repr, scheme.frequencies()[: scheme.n_half_nodes]))
     runs = []
     for n in WORKER_COUNTS:
         use_cores(monkeypatch, n)
         log.write_text("")
         runs.append(cq_weights(logged, scheme).weights)
         assert_children_reaped()
-        pids = log.read_text().split()
-        assert len(pids) == scheme.n_half_nodes
+        pids, seen = zip(*(line.split(" ", 1)
+                           for line in log.read_text().splitlines()))
+        assert sorted(seen) == half
         assert len(set(pids)) == n
     for weights in runs[1:]:
         assert np.array_equal(weights, runs[0])
@@ -500,7 +512,7 @@ def test_worker_failure_is_raised_as_in_serial(monkeypatch, error, raised,
     for n in WORKER_COUNTS:
         use_cores(monkeypatch, n)
         with pytest.raises(raised, match="contour node 2 ") as info:
-            cq_weights(transfer, scheme)
+            cq_weights(blockwise(transfer), scheme)
         assert type(info.value.__cause__) is error
         assert_children_reaped()
         messages.append(str(info.value))
@@ -517,6 +529,7 @@ def test_dead_worker_and_failed_fork_leave_weights_bit_identical(monkeypatch):
             os._exit(3)
         return np.array([[1.0 / (s + 1.0), 1.0 / (s + 2.0) ** 2]])
 
+    dying = blockwise(dying)
     scheme = CQScheme(order=3, kappa=0.05, n_steps=24)
     use_cores(monkeypatch, 1)
     serial = cq_weights(dying, scheme).weights
@@ -568,7 +581,8 @@ def test_march_matrix_diagonal_matches_scalar():
     g = lambda s: 1.0 / (s + 2.0)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal((25, 2))
-    coupled = march(cq_weights(lambda s: np.diag([f(s), g(s)]), scheme), rhs)
+    coupled = march(cq_weights(blockwise(lambda s: np.diag([f(s), g(s)])),
+                               scheme), rhs)
     first = march(cq_weights(as_matrix(f), scheme), rhs[:, :1])
     second = march(cq_weights(as_matrix(g), scheme), rhs[:, 1:])
     scale = np.abs(coupled).max()
@@ -623,7 +637,8 @@ def test_march_rejects_bad_shapes_and_complex_data():
         march(seq, np.zeros(9))
     with pytest.raises(ValueError):
         march(seq, np.full((9, 1), 1.0 + 1.0j))
-    mat = cq_weights(lambda s: np.eye(2, dtype=complex) / (s + 1.0), scheme)
+    mat = cq_weights(blockwise(lambda s: np.eye(2, dtype=complex) / (s + 1.0)),
+                     scheme)
     with pytest.raises(ValueError):
         march(mat, np.zeros((9, 3)))
 
@@ -738,6 +753,7 @@ def test_postprocess_rectangular_matches_direct_sum():
     """The blocked anti-diagonal accumulation equals the literal formula."""
     scheme = CQScheme(order=2, kappa=0.1, n_steps=10)
 
+    @blockwise
     def transfer(s):
         base = np.array(
             [[1.0, 0.3, 0.1, 0.0], [0.0, 1.0, 0.2, 0.4], [0.5, 0.0, 1.0, 0.1]],
@@ -764,7 +780,7 @@ def test_postprocess_shape_errors():
         cq_postprocess(transfer, scheme, np.zeros((8, 1)))
     with pytest.raises(ValueError):
         cq_postprocess(transfer, scheme, np.zeros((9, 2)))
-    mat = lambda s: np.eye(2, dtype=complex) / (s + 1.0)
+    mat = blockwise(lambda s: np.eye(2, dtype=complex) / (s + 1.0))
     with pytest.raises(ValueError):
         cq_postprocess(mat, scheme, np.zeros((9, 3)))
 
@@ -778,6 +794,7 @@ def test_postprocess_of_a_stack_is_one_call_per_history(monkeypatch):
     base = np.array([[1.0, 0.3, 0.1], [0.2, 1.0, -0.4]], dtype=complex)
     calls = []
 
+    @blockwise
     def transfer(s):
         calls.append(s)
         return base / (s + 1.0)
@@ -798,9 +815,9 @@ def test_postprocess_of_a_history_is_its_stack_of_one(monkeypatch):
     scheme = CQScheme(order=3, kappa=0.1, n_steps=10)
     base = np.array([[1.0, 0.3, 0.1], [0.2, 1.0, -0.4]], dtype=complex)
     history = np.random.default_rng(8).standard_normal((11, 3))
-    plain = cq_postprocess(lambda s: base / (s + 1.0), scheme, history)
-    stacked = cq_postprocess(lambda s: base / (s + 1.0), scheme,
-                             history[None])
+    transfer = blockwise(lambda s: base / (s + 1.0))
+    plain = cq_postprocess(transfer, scheme, history)
+    stacked = cq_postprocess(transfer, scheme, history[None])
     assert plain.shape == (11, 2)
     assert stacked.shape == (1, 11, 2)
     assert plain.tobytes() == stacked[0].tobytes()
@@ -906,14 +923,13 @@ def test_brinkman_weight_norms_stay_bounded():
     """No growth beyond 10x the largest of the first five weights."""
     from stokesbem.bem_space import assemble_galerkin_V, build_space
     from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
-    from stokesbem.laplace_kernels import ComplexFrequency, ProblemConfig
+    from stokesbem.laplace_kernels import ProblemConfig
 
     cfg = ProblemConfig()
     space = build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")
     scheme = CQScheme(order=3, kappa=1.0 / 32, n_steps=32)
-    seq = cq_weights(
-        lambda s: assemble_galerkin_V(space, ComplexFrequency(s), cfg),
-        scheme,
-    )
+    # the first sector's rows: a norm of the whole matrix is sqrt(m) times
+    # theirs, so the ratio of norms is that of the whole weights
+    seq = cq_weights(lambda s: assemble_galerkin_V(space, s, cfg), scheme)
     norms = np.linalg.norm(seq.weights, axis=(1, 2))
     assert norms.max() <= 10.0 * norms[:5].max()

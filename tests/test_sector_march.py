@@ -29,7 +29,7 @@ from stokesbem.bem_space import (
 )
 from stokesbem.boundary_geometry import BoundaryCurve
 from stokesbem.cq_engine import CONTOUR_EPSILON, CQScheme, cq_weights
-from stokesbem.laplace_kernels import ComplexFrequency, ProblemConfig
+from stokesbem.laplace_kernels import ProblemConfig
 from stokesbem.stokes_solver import manufactured_dirichlet_data, run_simulation
 
 CFG = ProblemConfig()
@@ -70,11 +70,14 @@ def captured_run(monkeypatch, name):
 
 def full_weights(res):
     """The weights of the whole matrix ``V(s)``, as the package sampled
-    them before the march kept one sector."""
+    them before the march kept one sector: each sample the assembler's
+    sector rows, unfolded."""
     assemble = (assemble_nystrom_V if res.space.reduced
                 else assemble_galerkin_V)
-    return cq_weights(lambda s: assemble(res.space, ComplexFrequency(s), CFG),
-                      res.scheme).weights
+    return cq_weights(
+        lambda s: np.array([unfold(rows, res.space)
+                            for rows in assemble(res.space, s, CFG)]),
+        res.scheme).weights
 
 
 @pytest.mark.parametrize("name", CASES)

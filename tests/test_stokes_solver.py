@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from stokesbem import stokes_solver
 from stokesbem.bem_space import (ConstraintMode, build_space, constrain,
-                                 data_functional, sector_action, unfold)
+                                 data_functional, potential_node_bytes,
+                                 sector_action, unfold)
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
-from stokesbem.laplace_kernels import ComplexFrequency, ProblemConfig
+from stokesbem.laplace_kernels import ProblemConfig
 from stokesbem.stokes_solver import (
     MASK_SENTINEL,
     DirichletData,
@@ -739,15 +740,14 @@ class TestFieldSnapshot:
         orbits.  A cap of 11 representatives' packed weight buffer,
         potential matrix of one contour node, postprocess product,
         velocities of the seven further turned histories and potential
-        clouds, at their mean size, splits the representatives into 5
-        blocks, with the fields of one block; the same 301 points
-        as observation points of a run split alike, with the series of
-        one block.  One usable core keeps each block one share,
-        evaluated here, so that the count of postprocess calls is the
-        count of blocks."""
+        clouds, at their mean size, and of the one share's block of
+        stacked samples, splits the representatives into 5 blocks, with
+        the fields of one block; the same 301 points as observation
+        points of a run split alike, with the series of one block.  One
+        usable core keeps each block one share, evaluated here, so that
+        the count of postprocess calls is the count of blocks."""
         use_cores(monkeypatch, 1)
         from stokesbem import stokes_solver
-        from stokesbem.bem_space import potential_node_bytes
 
         grid = GridSpec(
             x0=-1.3, y0=-1.3, dx=0.13, dy=0.13, n_rows=21, n_cols=21
@@ -781,7 +781,8 @@ class TestFieldSnapshot:
             + potential_node_bytes(circle_run.space, reps)
         )
         monkeypatch.setattr(stokes_solver, "SNAPSHOT_WEIGHT_BYTES",
-                            11 * int(per_point.mean()))
+                            11 * int(per_point.mean())
+                            + stokes_solver._SAMPLE_BLOCK_BYTES)
         blocks = []
         postprocess = stokes_solver.cq_postprocess
 
@@ -872,16 +873,31 @@ class TestPointShares:
 
     @staticmethod
     def logged(monkeypatch, log):
-        """Log the pid of each velocity-potential evaluation."""
+        """Log the pid and the frequency of each velocity-potential
+        matrix evaluated, one line per frequency of a block."""
         matrix = stokes_solver.potential_velocity_matrix
 
-        def logging_matrix(*args):
+        def logging_matrix(space, freqs, cfg, points):
             with open(log, "a") as out:
-                out.write(f"{os.getpid()}\n")
-            return matrix(*args)
+                out.writelines(f"{os.getpid()} {s!r}\n" for s in freqs)
+            return matrix(space, freqs, cfg, points)
 
         monkeypatch.setattr(stokes_solver, "potential_velocity_matrix",
                             logging_matrix)
+
+    @staticmethod
+    def seen(log):
+        """The frequencies of ``logged`` by pid."""
+        by_pid = {}
+        for line in log.read_text().splitlines():
+            pid, s = line.split(" ", 1)
+            by_pid.setdefault(pid, []).append(s)
+        return by_pid
+
+    @staticmethod
+    def half_contour(run):
+        scheme = run.scheme
+        return sorted(map(repr, scheme.frequencies()[: scheme.n_half_nodes]))
 
     def test_core_count_leaves_fields_bit_identical(self, star_run,
                                                      circle_run, monkeypatch):
@@ -913,11 +929,18 @@ class TestPointShares:
 
     def test_failing_share_is_raised_as_in_serial(self, star_run,
                                                   monkeypatch, tmp_path):
-        """Kept cell 2, a representative of its orbit, lies in a
-        worker's share for 2 and 3 cores: the share is redone here and
-        raises the serial error, and no worker is left unreaped."""
+        """A representative cell that ``_deal`` puts in a worker's share
+        for 2 and 3 cores: the share is redone here and raises the
+        serial error, and no worker is left unreaped."""
         mask = field_snapshot(star_run, STAR_GRID, [0]).mask
-        bad = STAR_GRID.points()[~mask][2]
+        kept = STAR_GRID.points()[~mask]
+        rep, _ = sector_action(star_run.space).orbits(kept)
+        reps = np.flatnonzero(rep == np.arange(kept.shape[0]))
+        cost = potential_node_bytes(star_run.space, kept[reps])
+        in_worker = ((stokes_solver._deal(cost, 2) > 0)
+                     & (stokes_solver._deal(cost, 3) > 0))
+        assert in_worker.any()
+        bad = kept[reps[np.argmax(in_worker)]]
         matrix = stokes_solver.potential_velocity_matrix
         refusals = tmp_path / "refusals"
 
@@ -965,8 +988,9 @@ class TestPointShares:
 
     def test_point_split_forks_once_per_further_core(self, star_run,
                                                      monkeypatch, tmp_path):
-        """Only the caller forks, ``cores - 1`` times, and each process
-        sweeps the whole half contour for its own share."""
+        """Only the caller forks, ``cores - 1`` times, and each of the
+        ``cores`` processes sweeps the whole half contour for its own
+        share, evaluating every node exactly once."""
         forks, calls = tmp_path / "forks", tmp_path / "calls"
         fork = os.fork
 
@@ -977,7 +1001,7 @@ class TestPointShares:
 
         monkeypatch.setattr(os, "fork", counted_fork)
         self.logged(monkeypatch, calls)
-        n_half = star_run.scheme.n_half_nodes
+        half = self.half_contour(star_run)
         for n in CORE_COUNTS:
             use_cores(monkeypatch, n)
             forks.write_text("")
@@ -985,14 +1009,15 @@ class TestPointShares:
             field_snapshot(star_run, STAR_GRID, [4])
             assert_children_reaped()
             assert forks.read_text().split() == [str(os.getpid())] * (n - 1)
-            pids = calls.read_text().split()
-            assert len(set(pids)) == n
-            assert all(pids.count(pid) == n_half for pid in set(pids))
+            by_pid = self.seen(calls)
+            assert len(by_pid) == n
+            assert all(sorted(seen) == half for seen in by_pid.values())
 
     def test_few_points_spread_the_nodes(self, star_run, monkeypatch,
                                          tmp_path):
         """Three observation points, fewer than the half contour's
-        nodes, are one share, and cq_weights spreads its nodes."""
+        nodes, are one share, and cq_weights spreads its nodes over the
+        ``cores`` processes, every node evaluated exactly once."""
         calls = tmp_path / "calls"
         self.logged(monkeypatch, calls)
         points = star_run.observation_points
@@ -1003,9 +1028,10 @@ class TestPointShares:
             stokes_solver._observe(star_run.space, star_run.scheme,
                                    star_run.cfg, star_run.history, points)
             assert_children_reaped()
-            pids = calls.read_text().split()
-            assert len(pids) == star_run.scheme.n_half_nodes
-            assert len(set(pids)) == n
+            by_pid = self.seen(calls)
+            assert len(by_pid) == n
+            assert sorted(sum(by_pid.values(), [])) == self.half_contour(
+                star_run)
 
 
 def turned(points, turns, m):
@@ -1173,7 +1199,7 @@ class TestOrbits:
         assert np.shares_memory(histories[0], run.history)
         plain_u = postprocess(
             lambda s: stokes_solver.potential_velocity_matrix(
-                run.space, ComplexFrequency(s), run.cfg, points),
+                run.space, s, run.cfg, points),
             run.scheme, run.history).reshape(velocity.shape)
         plain_p = run.history @ stokes_solver.potential_pressure_matrix(
             run.space, points).T
