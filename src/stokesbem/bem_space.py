@@ -570,19 +570,23 @@ def _ray_scale(sqrt_s: complex) -> float:
     return 2.0 ** math.ceil(math.log2(abs(sqrt_s)))
 
 
-def _panel_ids(rs: np.ndarray) -> np.ndarray:
-    """The panel of each scaled distance ``r S``: uniform panels ``[k, k
-    + 1)`` for ``r S >= 1``; below, the binary exponent ``e`` of ``r S``
-    names the geometric panel ``[2^(e-1), 2^e)``."""
-    return np.where(rs >= 1.0, np.floor(rs), np.frexp(rs)[1]).astype(np.int64)
+def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis | None:
+    """Panel sort and barycentric rows for the distances ``r`` (1-D), or
+    ``None`` where the occupied panels would hold at least as many nodes
+    as ``r`` has points: the profiles are then evaluated at the points
+    themselves.
 
-
-def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis:
-    """Panel sort and barycentric rows for the distances ``r`` (1-D)."""
-    ids = _panel_ids(r * scale)
+    The panel of a scaled distance ``r S`` is uniform, ``[k, k + 1)``,
+    for ``r S >= 1``; below, the binary exponent ``e`` of ``r S`` names
+    the geometric panel ``[2^(e-1), 2^e)``.
+    """
+    rs = r * scale
+    ids = np.where(rs >= 1.0, np.floor(rs), np.frexp(rs)[1]).astype(np.int64)
     order = np.argsort(ids, kind="stable")
     panels, starts, counts = np.unique(ids[order], return_index=True,
                                        return_counts=True)
+    if panels.size * RAY_PANEL_ORDER >= r.size:
+        return None
     # powers of the geometric ids only: 2.0 ** k overflows for k >= 1024
     geo = np.minimum(panels, 0)
     lo = np.where(panels >= 1, panels, 2.0 ** (geo - 1)) / scale
@@ -600,16 +604,6 @@ def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis:
                      bounds=np.append(starts, r.size),
                      nodes=mid[:, None] + half[:, None] * _CHEB_T[None, :],
                      rows=rows)
-
-
-def _channel_basis(r: np.ndarray, scale: float):
-    """The ray basis of the distances ``r`` (1-D), or ``None`` where it
-    would hold at least as many nodes as ``r`` has points: the profiles
-    are then evaluated at the points themselves."""
-    n_panels = np.unique(_panel_ids(r * scale)).size
-    if n_panels * RAY_PANEL_ORDER >= r.size:
-        return None
-    return _ray_basis(r, scale)
 
 
 def _interpolate(basis: _RayBasis, profiles, sqrt_s: np.ndarray):
@@ -643,7 +637,7 @@ _RAY_SLOT: list = [None, {}]
 
 def _ray_bases(clouds, scale: float) -> list:
     """The interpolation bases of each cloud's channels at the scale
-    ``scale`` (:func:`_channel_basis`).
+    ``scale`` (:func:`_ray_basis`).
 
     Bases of other clouds or another scale are dropped before new ones
     are built.
@@ -653,7 +647,7 @@ def _ray_bases(clouds, scale: float) -> list:
     _RAY_SLOT[:] = [scale, held]
     for cloud in clouds:
         if id(cloud) not in held:
-            held[id(cloud)] = (cloud, tuple(_channel_basis(ch.r.ravel(), scale)
+            held[id(cloud)] = (cloud, tuple(_ray_basis(ch.r.ravel(), scale)
                                             for ch in cloud))
     return [held[id(c)][1] for c in clouds]
 

@@ -633,9 +633,9 @@ def test_direct_channels_are_those_whose_basis_holds_as_many_nodes():
     has points gets no basis and takes its profiles at the points, bit
     for bit those of the kernel; a larger channel is interpolated."""
     few = np.linspace(0.1, 3.0, 40)
-    assert bem_space._channel_basis(few, 4.0) is None
+    assert bem_space._ray_basis(few, 4.0) is None
     many = np.linspace(0.1, 3.0, 4000)
-    assert bem_space._channel_basis(many, 4.0) is not None
+    assert bem_space._ray_basis(many, 4.0) is not None
     mesh = reduced_circle(80).mesh
     clouds = bem_space._class_clouds(
         reduced_circle(80), *bem_space._separated_pairs(mesh, ordered=True),
@@ -726,8 +726,10 @@ def test_block_temporaries_stay_under_the_byte_bounds(monkeypatch):
 def test_ray_basis_is_exact_for_cubics_and_at_its_nodes(scale):
     """Distances on the panels' own nodes (some hit them exactly) and a
     cubic profile are reproduced to rounding."""
-    panels = bem_space._ray_basis(np.array([0.003, 0.05, 0.3, 1.7]), scale)
-    r = panels.nodes.ravel()
+    # repeated distances and nodes: a basis needs more points than nodes
+    panels = bem_space._ray_basis(
+        np.repeat([0.003, 0.05, 0.3, 1.7], bem_space.RAY_PANEL_ORDER + 1), scale)
+    r = np.tile(panels.nodes.ravel(), 2)
     basis = bem_space._ray_basis(r, scale)
     (f, _, g, _), = bem_space._interpolate(basis, lambda z: (z, z**3),
                                            np.ones(1))
