@@ -57,11 +57,11 @@ depend on the number of workers or on the blocks, and with one usable
 core nothing is forked.
 
 The same spread (``_spread`` over the done flags of a ``_shared_buffers``
-mapping) carries the point shares of a large observation pass in
-:mod:`stokesbem.stokes_solver`, each of which runs the whole contour
-for its own points.  A spread inside a spread that forked, in the
-caller or in a worker, runs serially, so such a share samples its
-nodes in its own process and no worker forks again.
+mapping) deals the orbit representatives of a large observation pass in
+:mod:`stokesbem.stokes_solver`, round-robin like the nodes, and each
+process runs the whole contour for its own points.  A spread inside a
+spread runs serially, in the caller or in a worker, so such a process
+samples its nodes itself and no worker forks again.
 
 The implicit one-sided recurrence
 
@@ -358,16 +358,16 @@ def _sample(transfer, nodes: np.ndarray, freqs: np.ndarray,
                                         shape) for k in nodes])
 
 
-#: True in the caller and the workers of a spread that forked, so that a
-#: spread inside one (a point share's own contour sweep) runs serially.
-_FORKED = False
+#: True in the caller and the workers of a spread while it runs, so that
+#: a spread inside it (a point's own contour sweep) runs serially.
+_IN_SPREAD = False
 
 
 def _process_count(n_items: int) -> int:
     """Processes a spread of ``n_items`` items runs on: one per usable
-    core and at most one per item; one inside a spread that forked, or
-    where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
-    if _FORKED or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    core and at most one per item; one inside a spread, or where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+    if _IN_SPREAD or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return min(len(os.sched_getaffinity(0)), n_items)
 
@@ -387,10 +387,13 @@ def _shared_buffers(shapes, n_flags: int):
 
 
 def _spread(evaluate, done: np.ndarray) -> None:
-    """Call ``evaluate`` on the items whose ``done`` flag is clear, split
+    """Call ``evaluate`` on the items whose ``done`` flag is clear, dealt
     round-robin into one share per ``_process_count`` process;
     ``evaluate(items)`` takes a share, an array of items in order, and
-    sets ``done[k]`` for each item ``k`` it finishes.
+    sets ``done[k]`` for each item ``k`` it finishes.  The items are the
+    contour nodes of :func:`cq_weights` or the orbit representatives of
+    an observation pass; while the spread runs, its caller and its
+    workers are inside it (``_IN_SPREAD``), whether it forked or not.
 
     The caller keeps the first share and forks a worker for each other
     one; a worker stops at its first failure and leaves by ``os._exit``.
@@ -399,10 +402,11 @@ def _spread(evaluate, done: np.ndarray) -> None:
     that failed, a failure of its own), which raises any error exactly
     as a serial sweep would.
     """
-    global _FORKED
+    global _IN_SPREAD
     items = np.flatnonzero(~done)
     n_proc = _process_count(items.size)
-    outer, children = _FORKED, []
+    outer, children = _IN_SPREAD, []
+    _IN_SPREAD = True
     try:
         for share in (items[k::n_proc] for k in range(1, n_proc)):
             try:
@@ -410,7 +414,6 @@ def _spread(evaluate, done: np.ndarray) -> None:
             except OSError:
                 break
             if pid == 0:
-                _FORKED = True
                 code = 1
                 try:
                     evaluate(share)
@@ -418,7 +421,6 @@ def _spread(evaluate, done: np.ndarray) -> None:
                 finally:
                     os._exit(code)
             children.append(pid)
-        _FORKED = outer or bool(children)
         evaluate(items[::n_proc])
     except Exception:
         if n_proc == 1:
@@ -427,7 +429,7 @@ def _spread(evaluate, done: np.ndarray) -> None:
     finally:
         for pid in children:
             os.waitpid(pid, 0)
-        _FORKED = outer
+        _IN_SPREAD = outer
     rest = np.flatnonzero(~done)
     if rest.size:
         evaluate(rest)

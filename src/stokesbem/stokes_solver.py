@@ -120,9 +120,10 @@ FLUX_MIN_PANELS = 64
 # Memory cap (bytes) for one block of points in the field evaluation of
 # observation points and snapshot cells alike: the velocity-potential
 # weights, the potential matrix of one contour node, the postprocess
-# product and the potential clouds, counted per point; points are
-# processed in blocks under it.  A block split into point shares spreads
-# these over the processes, each holding one share at a time.
+# product, the velocity and pressure rows and the potential clouds,
+# counted per point; points are processed in blocks under it.  A block
+# whose points are spread over processes divides these among them, each
+# holding its own points' share.
 SNAPSHOT_WEIGHT_BYTES = 1 << 28
 
 @dataclasses.dataclass(frozen=True)
@@ -478,18 +479,6 @@ def run_simulation(
     )
 
 
-def _deal(cost: np.ndarray, n_shares: int) -> np.ndarray:
-    """The share of each item: the costliest first, each to the share
-    with the least cost so far, the lower share on a tie; the same costs
-    always give the same deal."""
-    share = np.zeros(cost.size, dtype=int)
-    load = np.zeros(n_shares)
-    for item in np.argsort(-cost, kind="stable"):
-        share[item] = k = int(np.argmin(load))
-        load[k] += cost[item]
-    return share
-
-
 def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
              history: np.ndarray, points: np.ndarray):
     """Velocity ``(M + 1, K, 2)`` and pressure ``(M + 1, K)`` histories
@@ -517,23 +506,23 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
     cq_weights' packed ``(L, entries)`` buffer, 2 rows of the complex
     velocity-potential matrix of one contour node, the ``(M+1, 2, M+1)``
     product of cq_postprocess, which convolves the stack one history at
-    a time, for each history beyond the first its velocities in
-    cq_postprocess's result and in the shared buffer, and the potential
-    clouds with their ray bases.  cq_weights stacks the potential
-    matrices of a block of contour nodes, which hold one node's rows or
-    at most ``cq_engine._SAMPLE_BLOCK_BYTES``: the cap is lowered by
-    that much per share.
+    a time, for each history its velocities in cq_postprocess's result
+    and in the shared buffer, its pressure-matrix row in
+    potential_pressure_matrix's result and in the shared buffer, and the
+    potential clouds with their ray bases.  cq_weights stacks the
+    potential matrices of a block of contour nodes, which hold one
+    node's rows or at most ``cq_engine._SAMPLE_BLOCK_BYTES``: the cap is
+    lowered by that much per process.
 
     With at least as many representatives as the half contour has nodes,
-    each block is dealt into one point share per usable core by the
-    bytes of each representative's clouds (:func:`_deal`), and the
-    shares are spread over processes (``cq_engine._spread``): each runs
-    the whole contour for its own points, writing the velocities and the
-    pressure-matrix rows into one shared mapping, and its contour sweep
-    is serial.  With fewer the block is one share, evaluated here, and
+    the representatives of each block are the items of
+    ``cq_engine._spread``, dealt round-robin over one process per usable
+    core: each process runs the whole contour for its own points,
+    serially, writing their velocities and pressure-matrix rows into one
+    shared mapping.  With fewer, the block is evaluated here at once and
     ``cq_weights`` spreads the contour nodes instead.  The pressure is
     multiplied here, one product per block and turn, so that its bits do
-    not depend on the number of shares.
+    not depend on the deal.
     """
     n_keep = scheme.n_steps + 1
     dof = space.dof_count
@@ -543,40 +532,38 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
     turns, slot = np.unique(turn, return_inverse=True)
     stack = np.ascontiguousarray(
         np.moveaxis(action.copies(history, turns), -1, 0))
-    cloud_bytes = potential_node_bytes(space, points[reps])
     per_point = (2 * dof * 8 * scheme.n_contour_nodes + 2 * dof * 16
-                 + 16 * n_keep * n_keep + 32 * (turns.size - 1) * n_keep
-                 + cloud_bytes)
+                 + 16 * n_keep * n_keep + 32 * turns.size * n_keep
+                 + 16 * dof + potential_node_bytes(space, points[reps]))
     by_points = reps.size >= scheme.n_half_nodes
-    # each share stacks the samples of a block of nodes: one node's are
-    # counted per point, the rest of the block per share
-    shares = _process_count(reps.size) if by_points else 1
+    # each process stacks the samples of a block of nodes: one node's
+    # are counted per point, the rest of the block per process
+    n_proc = _process_count(reps.size) if by_points else 1
     block = (np.cumsum(per_point) - per_point) // max(
-        SNAPSHOT_WEIGHT_BYTES - shares * _SAMPLE_BLOCK_BYTES, 1)
+        SNAPSHOT_WEIGHT_BYTES - n_proc * _SAMPLE_BLOCK_BYTES, 1)
     at_rep = np.searchsorted(reps, rep)
     velocity = np.empty((n_keep, points.shape[0], 2))
     pressure = np.empty((n_keep, points.shape[0]))
     for idx in np.split(np.arange(reps.size),
                         np.flatnonzero(np.diff(block)) + 1):
-        n_shares = _process_count(idx.size) if by_points else 1
-        share_of = _deal(cloud_bytes[idx], n_shares)
         vel, p_rows, done = _shared_buffers(
-            ((turns.size, n_keep, idx.size, 2), (idx.size, dof)), n_shares
+            ((turns.size, n_keep, idx.size, 2), (idx.size, dof)), idx.size
         )
 
-        def evaluate(shares: np.ndarray) -> None:
-            for k in shares:
-                mine = np.flatnonzero(share_of == k)
-                pts = points[reps[idx[mine]]]
-                p_rows[mine] = potential_pressure_matrix(space, pts)
-                vel[:, :, mine] = cq_postprocess(
-                    lambda s: potential_velocity_matrix(space, s, cfg, pts),
-                    scheme,
-                    stack,
-                ).reshape(turns.size, n_keep, pts.shape[0], 2)
-                done[k] = True
+        def evaluate(mine: np.ndarray) -> None:
+            pts = points[reps[idx[mine]]]
+            p_rows[mine] = potential_pressure_matrix(space, pts)
+            vel[:, :, mine] = cq_postprocess(
+                lambda s: potential_velocity_matrix(space, s, cfg, pts),
+                scheme,
+                stack,
+            ).reshape(turns.size, n_keep, pts.shape[0], 2)
+            done[mine] = True
 
-        _spread(evaluate, done)
+        if by_points:
+            _spread(evaluate, done)
+        else:
+            evaluate(np.arange(idx.size))
         inside = (at_rep >= idx[0]) & (at_rep <= idx[-1])
         for t, k in enumerate(turns):
             at = np.flatnonzero(inside & (slot == t))

@@ -739,13 +739,14 @@ class TestFieldSnapshot:
         axes and the diagonals gather the 301 unmasked cells into 46
         orbits.  A cap of 11 representatives' packed weight buffer,
         potential matrix of one contour node, postprocess product,
-        velocities of the seven further turned histories and potential
-        clouds, at their mean size, and of the one share's block of
-        stacked samples, splits the representatives into 5 blocks, with
-        the fields of one block; the same 301 points as observation
-        points of a run split alike, with the series of one block.  One
-        usable core keeps each block one share, evaluated here, so that
-        the count of postprocess calls is the count of blocks."""
+        velocities of the eight turned histories, pressure-matrix rows
+        and potential clouds, at their mean size, and of the one
+        process's block of stacked samples, splits the representatives
+        into 5 blocks, with the fields of one block; the same 301 points
+        as observation points of a run split alike, with the series of
+        one block.  One usable core evaluates each block here, at once,
+        so that the count of postprocess calls is the count of
+        blocks."""
         use_cores(monkeypatch, 1)
         from stokesbem import stokes_solver
 
@@ -777,7 +778,8 @@ class TestFieldSnapshot:
             2 * dof * 8 * scheme.n_contour_nodes
             + 2 * dof * 16
             + 16 * (scheme.n_steps + 1) ** 2
-            + 32 * 7 * (scheme.n_steps + 1)
+            + 32 * 8 * (scheme.n_steps + 1)
+            + 16 * dof
             + potential_node_bytes(circle_run.space, reps)
         )
         monkeypatch.setattr(stokes_solver, "SNAPSHOT_WEIGHT_BYTES",
@@ -835,6 +837,11 @@ def use_cores(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def point_key(point) -> str:
+    """A point as the text the logging helpers write and compare."""
+    return ",".join(repr(float(c)) for c in point)
+
+
 def assert_children_reaped() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -862,9 +869,9 @@ CORE_COUNTS = (1, 2, 3)
 
 
 class TestPointShares:
-    """Observation passes with at least as many points as half-contour
-    nodes deal each block into one point share per usable core; the
-    shares run in forked workers, each over the whole contour."""
+    """Observation passes with at least as many representatives as
+    half-contour nodes deal each block's representatives round-robin
+    over one process per usable core, each over the whole contour."""
 
     @staticmethod
     def star_fields(run):
@@ -886,8 +893,24 @@ class TestPointShares:
                             logging_matrix)
 
     @staticmethod
+    def logged_points(monkeypatch, log):
+        """Log the pid and each point of every pressure-matrix
+        evaluation, which a process makes once for its own points."""
+        matrix = stokes_solver.potential_pressure_matrix
+
+        def logging_matrix(space, points):
+            with open(log, "a") as out:
+                out.writelines(f"{os.getpid()} {point_key(x)}\n"
+                               for x in points)
+            return matrix(space, points)
+
+        monkeypatch.setattr(stokes_solver, "potential_pressure_matrix",
+                            logging_matrix)
+
+    @staticmethod
     def seen(log):
-        """The frequencies of ``logged`` by pid."""
+        """The frequencies of ``logged``, or the points of
+        ``logged_points``, by pid."""
         by_pid = {}
         for line in log.read_text().splitlines():
             pid, s = line.split(" ", 1)
@@ -929,18 +952,15 @@ class TestPointShares:
 
     def test_failing_share_is_raised_as_in_serial(self, star_run,
                                                   monkeypatch, tmp_path):
-        """A representative cell that ``_deal`` puts in a worker's share
-        for 2 and 3 cores: the share is redone here and raises the
-        serial error, and no worker is left unreaped."""
+        """Representative 1, which the round-robin deal gives to a
+        worker for 2 and 3 cores: the worker's points are redone here
+        and raise the serial error, and no worker is left unreaped."""
         mask = field_snapshot(star_run, STAR_GRID, [0]).mask
         kept = STAR_GRID.points()[~mask]
         rep, _ = sector_action(star_run.space).orbits(kept)
         reps = np.flatnonzero(rep == np.arange(kept.shape[0]))
-        cost = potential_node_bytes(star_run.space, kept[reps])
-        in_worker = ((stokes_solver._deal(cost, 2) > 0)
-                     & (stokes_solver._deal(cost, 3) > 0))
-        assert in_worker.any()
-        bad = kept[reps[np.argmax(in_worker)]]
+        assert reps.size >= star_run.scheme.n_half_nodes
+        bad = kept[reps[1]]
         matrix = stokes_solver.potential_velocity_matrix
         refusals = tmp_path / "refusals"
 
@@ -990,8 +1010,11 @@ class TestPointShares:
                                                      monkeypatch, tmp_path):
         """Only the caller forks, ``cores - 1`` times, and each of the
         ``cores`` processes sweeps the whole half contour for its own
-        share, evaluating every node exactly once."""
+        points, evaluating every node exactly once.  Every
+        representative is evaluated by exactly one process, and the
+        caller's are every ``cores``-th from the first."""
         forks, calls = tmp_path / "forks", tmp_path / "calls"
+        evaluated = tmp_path / "points"
         fork = os.fork
 
         def counted_fork():
@@ -1001,17 +1024,60 @@ class TestPointShares:
 
         monkeypatch.setattr(os, "fork", counted_fork)
         self.logged(monkeypatch, calls)
+        self.logged_points(monkeypatch, evaluated)
         half = self.half_contour(star_run)
+        mask = field_snapshot(star_run, STAR_GRID, [0]).mask
+        kept = STAR_GRID.points()[~mask]
+        rep, _ = sector_action(star_run.space).orbits(kept)
+        reps = [point_key(x) for x in kept[rep == np.arange(kept.shape[0])]]
+        assert len(reps) >= len(half)
         for n in CORE_COUNTS:
             use_cores(monkeypatch, n)
             forks.write_text("")
             calls.write_text("")
+            evaluated.write_text("")
             field_snapshot(star_run, STAR_GRID, [4])
             assert_children_reaped()
             assert forks.read_text().split() == [str(os.getpid())] * (n - 1)
             by_pid = self.seen(calls)
             assert len(by_pid) == n
             assert all(sorted(seen) == half for seen in by_pid.values())
+            by_pid = self.seen(evaluated)
+            assert len(by_pid) == n
+            assert sorted(sum(by_pid.values(), [])) == sorted(reps)
+            assert by_pid[str(os.getpid())] == reps[::n]
+
+    def test_half_contour_nodes_decide_the_split(self, star_run,
+                                                 monkeypatch, tmp_path):
+        """Six representatives, one fewer than the seven half-contour
+        nodes of M = 12, leave the points together and spread the nodes,
+        every node evaluated exactly once across the processes; seven
+        split the points, and every process sweeps the whole half
+        contour."""
+        calls = tmp_path / "calls"
+        self.logged(monkeypatch, calls)
+        half = self.half_contour(star_run)
+        assert len(half) == 7
+        for n_points in (6, 7):
+            k = np.arange(n_points)
+            radius, angle = 1.6 + 0.1 * k, 0.3 + 0.9 * k
+            points = np.stack([radius * np.cos(angle),
+                               radius * np.sin(angle)], axis=-1)
+            rep, _ = sector_action(star_run.space).orbits(points)
+            assert (rep == k).all()
+            for n in CORE_COUNTS[1:]:
+                use_cores(monkeypatch, n)
+                calls.write_text("")
+                stokes_solver._observe(star_run.space, star_run.scheme,
+                                       star_run.cfg, star_run.history, points)
+                assert_children_reaped()
+                by_pid = self.seen(calls)
+                assert len(by_pid) == n
+                if n_points < len(half):
+                    assert sorted(sum(by_pid.values(), [])) == half
+                else:
+                    assert all(sorted(seen) == half
+                               for seen in by_pid.values())
 
     def test_few_points_spread_the_nodes(self, star_run, monkeypatch,
                                          tmp_path):

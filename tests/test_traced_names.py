@@ -10,8 +10,8 @@ the observation layer's names are both exercised.  The kernel counts
 must be positive too: an assembly that stopped reaching the profiles
 through ``bem_space._ab2`` and ``bem_space._pr2`` would leave the traced
 kernel layer at zero without failing, and so would an observation pass
-whose point shares all ran in forked workers for the potential layer:
-the tracer sees the calling process only.  The tracer patches the
+whose points all ran in forked workers for the potential layer: the
+tracer sees the calling process only.  The tracer patches the
 package in place, hence the separate process.
 """
 
