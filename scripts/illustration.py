@@ -9,7 +9,7 @@ pressure, and vorticity on a uniform grid around the star and writes
 one text file per field per snapshot step (rows of grid values, masked
 near the boundary).
 
-Defaults finish in about 1.6 s on a 2-core VM; the grid evaluation,
+Defaults finish in about 1.0 s on a 2-core VM; the grid evaluation,
 one point per orbit of the star's half turn, dominates.
 """
 

@@ -2,7 +2,7 @@
 """Convergence study on the unit circle: P0 densities, reduced
 integration, third-order time stepping.
 
-Runs the ladder N = M in {20, 40, 80, 160} by default (about 1.0 s on a
+Runs the ladder N = M in {20, 40, 80, 160} by default (about 0.5 s on a
 2-core VM), prints the error table, and writes it as CSV.  The errors are
 measured at three points interior to the circle at the final time
 against the closed-form reference solution; both rates should settle
@@ -12,8 +12,8 @@ near 3.
 weights hold the rows of one element, the circle's rotational sector:
 L * 2 * 2N real numbers with L = M + 1 contour nodes, the contour
 samples sharing their buffer, 3.3 MB at 320.  Measured on a 2-core VM
-with one BLAS thread, the extended run takes about 3.6 s and peaks at
-about 108 MB in the calling process and 72 MB in a worker.
+with one BLAS thread, the extended run takes about 2.1 s and peaks at
+about 77 MB in the calling process and 53 MB in a worker.
 """
 
 import argparse
@@ -30,7 +30,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--extended", action="store_true",
-        help="append the (320, 320) row (about 3.6 s, peak about 110 MB)",
+        help="append the (320, 320) row (about 2.1 s, peak about 80 MB)",
     )
     parser.add_argument(
         "--output", default="convergence_circle.csv",

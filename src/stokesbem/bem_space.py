@@ -23,9 +23,9 @@ first sector's rows of the density block ``V(s)`` (see below), whose
 :func:`unfold` is the square matrix of order ``dof_count``.
 :func:`constrain` is the one function that removes the gauge kernel: it
 borders a matrix by the multiplier row or adds a rank-one term.
-:func:`factor`, the package's one LU, factors such a system once and
-returns its solve: density load in, density out, the multiplier
-dropped.
+:func:`factor`, the package's one LU (blocked, with partial pivoting,
+in NumPy), factors such a system once and returns its solve: density
+load in, density out, the multiplier dropped.
 
 Sector assembly
 ---------------
@@ -143,7 +143,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from ._quadrature import (gauss_legendre_01, graded_panels, log_gauss_01,
                           panel_gauss)
@@ -1362,12 +1361,25 @@ def data_functional(space: DensitySpace, values_at) -> np.ndarray:
     return out
 
 
+#: columns per panel of :func:`factor`'s LU, and rows per block of its
+#: solve
+_LU_BLOCK = 64
+
+
 def factor(system: np.ndarray):
     """Factor a system built by :func:`constrain` once; return its solve.
 
     ``solve(load)`` takes one entry per density row, appends the zero
     load of the constraint rows beyond them and returns the density part
-    of the solution, real for a real system and load.
+    of the solution, real for a real system and load, complex for a
+    complex one.
+
+    The factorization is ``P A = L U`` by partial pivoting, blocked by
+    ``_LU_BLOCK`` columns: each panel is eliminated column by column,
+    and the rest of the matrix takes the panel's update as one matrix
+    product (Golub & Van Loan, *Matrix Computations*, section 3.4).
+    ``solve`` applies the factors block by block, through the inverses
+    of their diagonal blocks, so a solve costs ``O(n^2)``.
 
     Raises
     ------
@@ -1375,24 +1387,52 @@ def factor(system: np.ndarray):
         If the system is numerically singular, its pivot ratio
         ``min|u_ii| / max|u_ii|`` at most 1e-14 (the frequency is on or
         near the branch cut, or assembly is broken); the message states
-        the ratio.
+        the ratio.  Also if the system is not finite.
     ValueError
         From ``solve``, if the load is longer than the system.
     """
-    lu_piv = scipy.linalg.lu_factor(system)
-    du = np.abs(np.diag(lu_piv[0]))
+    lu = np.array(system, dtype=np.result_type(system, float))
+    if not np.isfinite(lu).all():
+        raise np.linalg.LinAlgError("system matrix is not finite")
+    size = lu.shape[0]
+    perm = np.arange(size)
+    blocks = [(a, min(a + _LU_BLOCK, size)) for a in range(0, size, _LU_BLOCK)]
+    inv_l = []
+    for a, b in blocks:
+        for j in range(a, b):
+            p = j + int(np.abs(lu[j:, j]).argmax())
+            if p != j:
+                row = lu[j].copy()
+                lu[j], lu[p] = lu[p], row
+                perm[j], perm[p] = perm[p], perm[j]
+            col = lu[j + 1:, j]
+            if lu[j, j] != 0.0:
+                col /= lu[j, j]
+            lu[j + 1:, j + 1:b] -= col[:, None] * lu[j, j + 1:b]
+        # the panel's rows of U, once its row swaps are done, then the
+        # rest of the matrix
+        inv_l.append(np.linalg.inv(np.tril(lu[a:b, a:b], -1) + np.eye(b - a)))
+        lu[a:b, b:] = inv_l[-1] @ lu[a:b, b:]
+        lu[b:, b:] -= lu[b:, a:b] @ lu[a:b, b:]
+    du = np.abs(np.diag(lu))
     if du.min() <= du.max() * 1e-14:
         ratio = du.min() / du.max() if du.max() > 0.0 else 0.0
         raise np.linalg.LinAlgError(
             f"system matrix is numerically singular: pivot ratio min|u_ii| "
             f"/ max|u_ii| = {ratio:.3e} is not above 1e-14")
-    size = du.size
+    inv_u = [np.linalg.inv(np.triu(lu[a:b, a:b])) for a, b in blocks]
 
     def solve(load: np.ndarray) -> np.ndarray:
         n = load.shape[0]
         if n > size:
             raise ValueError(f"load length {n} exceeds the system size {size}")
-        padded = np.concatenate([load, np.zeros(size - n)])
-        return scipy.linalg.lu_solve(lu_piv, padded)[:n]
+        x = np.zeros(size, dtype=np.result_type(lu, load))
+        x[:n] = load
+        x = x[perm]
+        for (a, b), inv in zip(blocks, inv_l):
+            x[a:b] = inv @ (x[a:b] - lu[a:b, :a] @ x[:a])
+        for (a, b), inv in zip(reversed(blocks), reversed(inv_u)):
+            x[a:b] = inv @ (x[a:b] - lu[a:b, b:] @ x[b:])
+        return x[:n]
 
     return solve

@@ -27,15 +27,41 @@ does not depend on ``s``.  The scalar profiles are
 where ``K_l`` is the modified Bessel function of order ``l``.  All four are
 numerically delicate near ``z = 0``: the closed forms subtract nearly equal
 terms of size ``|z|^-2`` while the limits are finite (all four tend to 1).
-Below ``SERIES_SWITCH_RADIUS`` (0.5) the implementation therefore switches
-to explicit power series in which the cancellation has been carried out
-analytically.  One loop, ``_bessel_sums``, sums the series of ``I_0``,
-``I_1``, ``I_2`` and their harmonic-number companions; these profile
-series and the companions ``P``, ``R`` of the logarithmic split used by
-the boundary-element quadrature are all built from its sums.  Above the
-switch the closed forms are stable; ``K_0`` and ``K_1`` there come from
-``scipy.special.kv``, the AMOS evaluation (Amos, ACM TOMS 12 (1986)
-265-273).
+Near zero the implementation therefore switches to explicit power series
+in which the cancellation has been carried out analytically: below
+``SERIES_SWITCH_RADIUS`` (0.5) for ``A_3``, ``B_3``, and below
+``AB2_SWITCH_RADIUS`` (2) for ``A_2``, ``B_2``, whose series stay within
+about 1e-14 of the profiles there.  One loop, ``_bessel_sums``, sums the
+series of ``I_0``, ``I_1``, ``I_2`` and their harmonic-number companions;
+these profile series and the companions ``P``, ``R`` of the logarithmic
+split used by the boundary-element quadrature are all built from its
+sums.
+
+Above the switch the closed forms are stable, and they need ``K_0`` and
+``K_1`` for ``|z| >= 2`` only.  Write ``K_nu(z) = sqrt(pi / (2 z))
+e^{-z} g_nu(z)``.  Then ``g_0(z) = int z / (z + tau) dmu(tau)`` is a
+Stieltjes function of ``1/z``: the moments of the positive measure
+``mu`` on ``(0, inf)`` are the coefficients of the asymptotic expansion,
+
+    m_k = int tau^k dmu = ((2k - 1)!!)^2 / (8^k k!).
+
+The n-point Gauss rule ``(tau_j, r_j)`` of ``mu`` turns ``g_0`` into a
+rational function of ``z`` with poles at ``-tau_j`` (Gautschi,
+*Orthogonal Polynomials: Computation and Approximation*, OUP 2004):
+
+    g_0(z) ~ 1 - sum_j c_j / (z + tau_j),        c_j = r_j tau_j,
+
+and ``K_1 = -K_0'`` gives ``g_1 = g_0 (1 + 1/(2 z)) - g_0'`` with
+``g_0'(z) ~ sum_j c_j / (z + tau_j)^2``, from the same reciprocals.  The
+rule of 40 points, computed from the moments by the Chebyshev algorithm
+at 300 digits, holds both to 7e-15 of mpmath on ``2 <= |z| <= 600`` over
+the right half-plane, the worst near ``z = 2i``, and to 6e-16 on
+``|arg z| <= 0.7``, the contour's sector.  Its 16 largest poles are
+dropped: their residues over ``tau_j`` sum to less than 2e-19, which
+bounds their terms since ``|z + tau| >= tau`` for ``Re z >= 0``.  Where ``e^{-z}`` underflows the result is an exact 0,
+and ``K(conj z) = conj K(z)`` holds exactly.  AMOS (Amos, ACM TOMS 12
+(1986) 265-273) is the accuracy target; the tests hold the rule to
+1e-14 of mpmath.
 
 The frequency ``s`` may be any complex number off the half-line
 ``(-inf, 0]``; its square root is always taken with the principal
@@ -50,17 +76,55 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.special import kv
 
 from ._checks import count, length
 
 # Euler-Mascheroni constant, to double precision.
 EULER_GAMMA = 0.5772156649015328606
 
-#: below this |z| the scalar profiles A_d, B_d use their cancellation-free
-#: power series; above it the closed forms built on Bessel/exponential
-#: evaluations are stable.
+#: below this |z| the profiles A_3, B_3 use their cancellation-free power
+#: series; above it the exponential closed forms are stable.
 SERIES_SWITCH_RADIUS = 0.5
+
+#: the same switch for A_2, B_2: their series up to it, the closed forms
+#: with the K_0, K_1 of ``_k01`` beyond.
+AB2_SWITCH_RADIUS = 2.0
+
+#: the poles ``tau_j`` and residues ``c_j = r_j tau_j`` of ``_k01``: the
+#: 24 leading nodes of the 40-point Gauss rule of the measure of ``g_0``
+#: (module docstring), computed as ``tests/test_laplace_kernels.py``
+#: rebuilds them.
+_K_POLES, _K_RESIDUES = np.array([
+    (0.004722123335649797, 0.0021755819606028726),
+    (0.05651713477846636, 0.013864478378406422),
+    (0.16773595435383468, 0.02390651144820832),
+    (0.3396983816037592, 0.026895670730544177),
+    (0.5731815283667244, 0.023321126803715057),
+    (0.8688156325745438, 0.0165459173306807),
+    (1.2272174283773079, 0.009871397958654379),
+    (1.6490498527363455, 0.005022840419366537),
+    (2.1350541704938992, 0.002196643132920771),
+    (2.686070446826311, 0.0008291586611443468),
+    (3.3030530467208594, 0.00027069622062651105),
+    (3.9870843566567467, 7.648412095432724e-05),
+    (4.739388452663023, 1.8695302052997587e-05),
+    (5.561345786247964, 3.948557462493214e-06),
+    (6.454509679687699, 7.192175891702514e-07),
+    (7.420625331985796, 1.1269250088975108e-07),
+    (8.461652058589642, 1.5141741809195593e-08),
+    (9.579789590785285, 1.7380805009987662e-09),
+    (10.777509437937704, 1.6969367711122623e-10),
+    (12.057592576363783, 1.4020100042289945e-11),
+    (13.423175095274777, 9.745009823431136e-13),
+    (14.877803941523611, 5.6603255661380283e-14),
+    (16.425505621693297, 2.7263569371890193e-15),
+    (18.07087173708146, 1.0793513638560813e-16),
+]).T.copy()
+
+#: arguments per block of ``_k01``: its (block, poles) complex temporary
+#: holds 96 KiB, below the allocator's default threshold for a mapping of
+#: its own.
+_K_BLOCK = 256
 
 #: power-series terms are accumulated until they drop below this magnitude.
 SERIES_TERM_FLOOR = 1e-18
@@ -151,6 +215,29 @@ def _require_right_half_plane(z: np.ndarray) -> None:
         raise ValueError(f"argument {bad} has Re <= 0; kernels need Re z > 0")
 
 
+def _series_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per term ``k`` of ``_bessel_sums``: the factors that take its three
+    I-type terms to term ``k + 1``, ``u`` times the reciprocals below, and
+    the factors of the harmonic sums ``H``, ``M_1``, ``M_2`` on those
+    terms, each as a (3, 1) column."""
+    reciprocals = np.empty((n, 3, 1))
+    factors = np.empty((n, 3, 1))
+    h_k = 0.0
+    for k in range(n):
+        reciprocals[k, :, 0] = (1.0 / (k + 1.0) ** 2,
+                                1.0 / ((k + 1.0) * (k + 2.0)),
+                                1.0 / ((k + 1.0) * (k + 3.0)))
+        factors[k, :, 0] = (h_k,
+                            2.0 * h_k + 1.0 / (k + 1.0) - 2.0 * EULER_GAMMA,
+                            2.0 * h_k + 1.0 / (k + 1.0) + 1.0 / (k + 2.0)
+                            - 2.0 * EULER_GAMMA)
+        h_k += 1.0 / (k + 1.0)
+    return reciprocals, factors
+
+
+_SERIES_RECIPROCALS, _SERIES_HARMONIC = _series_tables(_MAX_SERIES_TERMS)
+
+
 def _bessel_sums(z: np.ndarray, harmonic: bool = True):
     """The small-|z| series of the planar profiles, summed in one loop.
 
@@ -169,41 +256,36 @@ def _bessel_sums(z: np.ndarray, harmonic: bool = True):
 
     each truncated once ``u^k/(k!)^2`` drops below ``SERIES_TERM_FLOOR``.
     With ``harmonic=False`` the harmonic sums are skipped and returned
-    as ``None``; the I-type sums are the same bits either way.
+    as ``None``; the I-type sums are the same bits either way.  The
+    three terms, and the sums, are advanced together as one stacked
+    array, so a term costs a handful of array operations whatever the
+    number of sums.
     """
+    shape = z.shape
+    z = z.reshape(-1)
     u = z * z / 4.0
-    s_i0 = np.zeros_like(z)
-    s_i1 = np.zeros_like(z)
-    s_i2 = np.zeros_like(z)
-    t0 = np.ones_like(z)            # u^k / (k!)^2
-    t1 = np.ones_like(z)            # u^k / (k!(k+1)!)
-    t2 = np.full_like(z, 0.5)       # u^k / (k!(k+2)!)
-    if harmonic:
-        s_h = np.zeros_like(z)
-        s_m1 = np.zeros_like(z)
-        s_m2 = np.zeros_like(z)
-    h_k = 0.0
+    sums = np.zeros((6 if harmonic else 3, z.size), dtype=z.dtype)
+    # u^k / (k!)^2, u^k / (k!(k+1)!), u^k / (k!(k+2)!)
+    terms = np.ones((3, z.size), dtype=z.dtype)
+    terms[2] = 0.5
+    # real views: the sums take real factors part by part
+    sums_parts = sums.view(float)
+    terms_parts = terms.view(float)
     for k in range(_MAX_SERIES_TERMS):
-        s_i0 += t0
-        s_i1 += t1
-        s_i2 += t2
+        sums_parts[:3] += terms_parts
         if harmonic:
-            if k >= 1:
-                s_h += h_k * t0
-            s_m1 += (2.0 * h_k + 1.0 / (k + 1.0) - 2.0 * EULER_GAMMA) * t1
-            s_m2 += (2.0 * h_k + 1.0 / (k + 1.0) + 1.0 / (k + 2.0)
-                     - 2.0 * EULER_GAMMA) * t2
-        t0 = t0 * u / ((k + 1.0) ** 2)
-        t1 = t1 * u / ((k + 1.0) * (k + 2.0))
-        t2 = t2 * u / ((k + 1.0) * (k + 3.0))
-        h_k += 1.0 / (k + 1.0)
-        if np.max(np.abs(t0)) < SERIES_TERM_FLOOR:
+            sums_parts[3:] += _SERIES_HARMONIC[k] * terms_parts
+        terms *= u
+        terms_parts *= _SERIES_RECIPROCALS[k]
+        if np.max(np.abs(terms[0])) < SERIES_TERM_FLOOR:
             break
-    return u, (s_i0, s_i1, s_i2), (s_h, s_m1, s_m2) if harmonic else None
+    sums = sums.reshape((-1,) + shape)
+    return (u.reshape(shape), tuple(sums[:3]),
+            tuple(sums[3:]) if harmonic else None)
 
 
 def _ab2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cancellation-free power series for A_2, B_2 (|z| <= ~0.5).
+    """Cancellation-free power series for A_2, B_2 (|z| <= 2).
 
     Derived by inserting the Bessel series into the closed forms and
     cancelling the 1/z^2 and log singularities analytically:
@@ -220,20 +302,47 @@ def _ab2_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a2, b2
 
 
+def _k01(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K_0 and K_1 on a 1-D array with Re z > 0 and |z| >= 2, from the
+    Gauss-Stieltjes rational of the module docstring.
+
+    The reciprocals ``1 / (z + tau_j)`` are formed a block of
+    ``_K_BLOCK`` arguments at a time, in place, and contracted with the
+    residues, once for ``g_0`` and, squared, once for ``g_0'``.  The
+    contractions are einsums rather than matmuls: a multithreaded BLAS
+    call on these thin shapes waits for its threads whenever the cores
+    are busy, as they are while the contour workers run.
+    """
+    sums = np.empty((2, z.size), dtype=complex)
+    recip = np.empty((_K_BLOCK, _K_POLES.size), dtype=complex)
+    for start in range(0, z.size, _K_BLOCK):
+        block = slice(start, start + _K_BLOCK)
+        d = recip[:z[block].size]
+        np.add.outer(z[block], _K_POLES, out=d)
+        np.reciprocal(d, out=d)
+        np.einsum("ij,j->i", d, _K_RESIDUES, out=sums[0, block])
+        np.multiply(d, d, out=d)
+        np.einsum("ij,j->i", d, _K_RESIDUES, out=sums[1, block])
+    g0 = 1.0 - sums[0]
+    g1 = g0 * (1.0 + 0.5 / z) - sums[1]
+    scale = np.sqrt(np.pi / (2.0 * z)) * np.exp(-z)
+    return scale * g0, scale * g1
+
+
 def _ab2_closed(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A_2, B_2 from AMOS K_0, K_1 (|z| above the series switch)."""
-    k0, k1 = kv(0, z), kv(1, z)
+    """A_2, B_2 from K_0, K_1 (|z| above ``AB2_SWITCH_RADIUS``)."""
+    k0, k1 = _k01(z)
     a2 = 2.0 * (k0 + k1 / z - 1.0 / (z * z))
     b2 = 2.0 * (2.0 / (z * z) - (k0 + 2.0 * k1 / z))
     return a2, b2
 
 
 def _ab2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A_2 and B_2 on an array with Re z > 0, branch-switched at 0.5."""
+    """A_2 and B_2 on an array with Re z > 0, branch-switched at 2."""
     z = np.asarray(z, dtype=complex)
     a2 = np.empty_like(z)
     b2 = np.empty_like(z)
-    small = np.abs(z) <= SERIES_SWITCH_RADIUS
+    small = np.abs(z) <= AB2_SWITCH_RADIUS
     if small.any():
         a2[small], b2[small] = _ab2_series(z[small])
     if (~small).any():

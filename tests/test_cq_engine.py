@@ -653,7 +653,6 @@ def test_march_accepts_negligible_imaginary_part():
             march(seq, np.ones((9, 1)) + imag)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_march_rejects_singular_leading_weight():
     """The march does not factor: the solve of a singular ``W_0`` is
     refused when it is factored, before any step."""

@@ -1,12 +1,14 @@
-"""A run and a snapshot never import SciPy's FFT modules.
+"""Importing the package, a run and a snapshot never import SciPy.
 
-``cq_engine.cq_weights`` inverse-transforms its contour samples with
-NumPy's FFT.  Importing ``scipy.fftpack`` adds tens of milliseconds and
-about a megabyte of resident memory to the first sweep of every fresh
-process, and nothing else in the package needs it, so a run must leave
-both ``scipy.fftpack`` and ``scipy.fft`` unimported.  The check needs a
-fresh interpreter: the test process itself imports ``scipy.fftpack``
-for the transform's reference.
+The kernels take ``K_0``, ``K_1`` from the package's own rational
+(``laplace_kernels._k01``), :func:`bem_space.factor` factors by its own
+LU, and ``cq_engine.cq_weights`` inverse-transforms its contour samples
+with NumPy's FFT.  Importing ``scipy.special`` and ``scipy.linalg`` took
+most of the fixed time and about half of the resident memory of every
+fresh process, so a run must leave every ``scipy`` module unimported.
+Only ``stokesbem verify``'s oracle imports ``scipy.integrate``, when it
+is called.  The check needs a fresh interpreter: the test process itself
+imports SciPy for its references.
 """
 
 import json
@@ -19,7 +21,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPT = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
-import stokesbem
+import stokesbem, stokesbem.cli, stokesbem.verification
 result = stokesbem.run_simulation(
     stokesbem.BoundaryCurve.circle(1.0), 8, "P0",
     stokesbem.ConstraintMode.none,
@@ -30,12 +32,11 @@ result = stokesbem.run_simulation(
 grid = stokesbem.GridSpec(x0=-2.0, y0=-2.0, dx=1.0, dy=1.0, n_rows=5, n_cols=5)
 stokesbem.field_snapshot(result, grid, [4])
 print(json.dumps(sorted(name for name in sys.modules
-                        if name.split(".")[:2] in (["scipy", "fft"],
-                                                   ["scipy", "fftpack"]))))
+                        if name.split(".")[0] == "scipy")))
 """
 
 
-def test_run_and_snapshot_leave_scipy_fft_unimported():
+def test_imports_run_and_snapshot_leave_scipy_unimported():
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "src")],
         capture_output=True, text=True, timeout=120,

@@ -22,7 +22,10 @@ from stokesbem.laplace_kernels import (
     SPLIT_SERIES_RADIUS,
     ComplexFrequency,
     ProblemConfig,
+    _K_POLES,
+    _K_RESIDUES,
     _bessel_sums,
+    _k01,
     _pr2,
     pressure_kernel,
     principal_sqrt,
@@ -121,18 +124,74 @@ def test_principal_sqrt_round_trip(log10_mod, arg):
 
 
 # ---------------------------------------------------------------------------
-# K_l of complex argument from scipy.special.kv, as the closed forms of
-# A_2 and B_2 take them: B_2 relies on K_2 = K_0 + 2 K_1 / z, the far
-# field on an exact 0 where the exponential underflows, and the real
-# convolution weights on K_l(conj z) = conj K_l(z).
+# K_0 and K_1 of complex argument from the package's Gauss-Stieltjes
+# rational, on its domain |z| >= 2, as the closed forms of A_2 and B_2
+# take them: the far field relies on an exact 0 where the exponential
+# underflows, and the real convolution weights on K_l(conj z) =
+# conj K_l(z).  The K_2 recurrence that B_2 relies on, K_2 = K_0 +
+# 2 K_1 / z, is checked on scipy.special.kv, the AMOS evaluation.
 
 
-def test_bessel_k0_at_one():
-    assert kv(0, 1.0 + 0.0j) == pytest.approx(0.42102443824070834, rel=1e-13)
+def k01(z):
+    """The package's K_0 and K_1 at the arguments ``z``."""
+    return _k01(np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
-def test_bessel_k1_at_one():
-    assert kv(1, 1.0 + 0.0j) == pytest.approx(0.6019072301972346, rel=1e-13)
+def _moment(k):
+    """The k-th moment ((2k - 1)!!)^2 / (8^k k!) of the measure of g_0."""
+    return mp.fac2(2 * k - 1) ** 2 / (mp.mpf(8) ** k * mp.factorial(k))
+
+
+def _gauss_stieltjes_rule(n, dps):
+    """The n-point Gauss rule of the measure of g_0 from its first 2n
+    moments: the Chebyshev algorithm for the recurrence coefficients,
+    then the eigenvalues and first components of the Jacobi matrix
+    (Gautschi, *Orthogonal Polynomials: Computation and Approximation*,
+    OUP 2004, sections 2.1.7 and 3.1.1).  Returns the nodes tau_j and
+    the products r_j tau_j, by increasing node."""
+    with mp.workdps(dps):
+        moments = [_moment(k) for k in range(2 * n)]
+        alpha, beta = [moments[1] / moments[0]], [moments[0]]
+        older, sigma = [mp.mpf(0)] * (2 * n), moments
+        for k in range(1, n):
+            newer = [mp.mpf(0)] * (2 * n)
+            for el in range(k, 2 * n - k):
+                newer[el] = (sigma[el + 1] - alpha[k - 1] * sigma[el]
+                             - beta[k - 1] * older[el])
+            alpha.append(newer[k + 1] / newer[k] - sigma[k] / sigma[k - 1])
+            beta.append(newer[k] / sigma[k - 1])
+            older, sigma = sigma, newer
+        jacobi = mp.diag(alpha)
+        for k in range(1, n):
+            jacobi[k - 1, k] = jacobi[k, k - 1] = mp.sqrt(beta[k])
+        nodes, vectors = mp.eigsy(jacobi)
+        rule = sorted((nodes[j], beta[0] * vectors[0, j] ** 2 * nodes[j])
+                      for j in range(n))
+        return [t for t, _ in rule], [c for _, c in rule]
+
+
+def test_bessel_k_rule_rebuilt_from_the_moments():
+    """The literal poles and residues are the leading nodes of the
+    40-point rule, rebuilt at 300 digits; the dropped residues, over
+    their poles, sum to less than 1e-18, which bounds the terms they
+    would add to g_0 anywhere in Re z >= 0, where |z + tau| >= tau."""
+    nodes, residues = _gauss_stieltjes_rule(40, 300)
+    kept = _K_POLES.size
+    np.testing.assert_allclose(_K_POLES, [float(t) for t in nodes[:kept]],
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(_K_RESIDUES,
+                               [float(c) for c in residues[:kept]],
+                               rtol=1e-15, atol=0.0)
+    assert float(mp.fsum(residues)) == pytest.approx(0.125, rel=1e-15)
+    assert float(mp.fsum(c / t for t, c in zip(nodes[kept:], residues[kept:]))) < 1e-18
+
+
+def test_bessel_k0_at_two():
+    assert k01(2.0)[0][0] == pytest.approx(0.11389387274953344, rel=1e-14)
+
+
+def test_bessel_k1_at_two():
+    assert k01(2.0)[1][0] == pytest.approx(0.13986588181652243, rel=1e-14)
 
 
 def test_bessel_k2_recurrence_spot():
@@ -143,16 +202,16 @@ def test_bessel_k2_recurrence_spot():
 
 
 def test_bessel_k_accuracy_against_mpmath():
-    """Relative accuracy 1e-14 from |z| = 1e-4 to 600."""
+    """Relative accuracy 1e-14 from |z| = 2 to 600, up to 1e-3 from the
+    imaginary axis."""
     rng = np.random.default_rng(31)
-    mods = 10.0 ** rng.uniform(-4, np.log10(600.0), 60)
+    mods = 10.0 ** rng.uniform(np.log10(2.0), np.log10(600.0), 60)
     args = rng.uniform(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, 60)
     zs = mods * np.exp(1j * args)
-    for z in zs:
-        for order in (0, 1):
-            got = kv(order, z)
+    for order, got in enumerate(k01(zs)):
+        for z, value in zip(zs, got):
             ref = mp_k(order, z)
-            assert abs(got - ref) <= 1e-14 * abs(ref), (order, z)
+            assert abs(value - ref) <= 1e-14 * abs(ref), (order, z)
 
 
 def test_bessel_k_recurrence_grid():
@@ -166,27 +225,27 @@ def test_bessel_k_recurrence_grid():
 
 
 def test_bessel_k_branch_seams():
-    """The probe radii 4 and 30 stay consistent to 1e-9 with the oracle."""
+    """At the probe radii 4 and 30, the old branch seams of the
+    benchmark's argument bands, the rational stays consistent to 1e-9
+    with the oracle."""
     for radius in (4.0, 30.0):
         for bump in (-1e-6, 1e-6):
             for arg in (-1.2, -0.4, 0.0, 0.7, 1.3):
                 z = (radius + bump) * np.exp(1j * arg)
-                for order in (0, 1):
-                    got = kv(order, z)
+                for order, got in enumerate(k01(z)):
                     ref = mp_k(order, z)
-                    assert abs(got - ref) <= 1e-9 * abs(ref)
+                    assert abs(got[0] - ref) <= 1e-9 * abs(ref)
 
 
 def test_bessel_k_underflow_flush():
-    assert kv(0, 800.0 + 1.0j) == 0.0
+    k0, k1 = k01(800.0 + 1.0j)
+    assert k0[0] == 0.0 and k1[0] == 0.0
 
 
 def test_bessel_k_conjugation_symmetry():
     rng = np.random.default_rng(11)
-    zs = rng.uniform(0.2, 40.0, 20) * np.exp(1j * rng.uniform(-1.4, 1.4, 20))
-    for order in (0, 1, 2):
-        up = kv(order, zs)
-        down = kv(order, np.conj(zs))
+    zs = rng.uniform(2.0, 40.0, 20) * np.exp(1j * rng.uniform(-1.4, 1.4, 20))
+    for up, down in zip(k01(zs), k01(np.conj(zs))):
         np.testing.assert_allclose(down, np.conj(up), rtol=1e-14)
 
 
@@ -241,10 +300,12 @@ def test_scalar_ab3_against_mpmath():
 
 
 def test_scalar_series_seam_band():
-    """Series and closed-form branches agree near their handover."""
+    """The series and closed-form branches of A_2, B_2 agree near their
+    handover at 2, and near 0.5, where it was before."""
     rng = np.random.default_rng(79)
     mods = np.concatenate(
-        [np.linspace(0.05, 5.0, 30), 0.5 + rng.uniform(-1e-8, 1e-8, 10)]
+        [np.linspace(0.05, 5.0, 30), 0.5 + rng.uniform(-1e-8, 1e-8, 10),
+         2.0 + rng.uniform(-1e-8, 1e-8, 10)]
     )
     args = rng.uniform(-1.3, 1.3, mods.size)
     for z in mods * np.exp(1j * args):

@@ -12,13 +12,12 @@ import types
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesbem import stokes_solver
 from stokesbem.bem_space import (ConstraintMode, build_space, constrain,
-                                 data_functional, potential_node_bytes,
+                                 data_functional, factor, potential_node_bytes,
                                  sector_action, unfold)
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
@@ -441,8 +440,8 @@ class TestGaugeConstraints:
         """The march through the factored, constrained ``W_0`` agrees with
         a march of the padded system: every weight zero-padded to the
         constrained size, ``W_0`` replaced by the constrained one (unfolded
-        from its sector), one LU, the rhs padded with the zero load of the
-        border.  The later weights are applied in their sector, as the
+        from its sector), one factorization, the rhs padded with the zero
+        load of the border.  The later weights are applied in their sector, as the
         march applies them: padded by zeros, they add nothing to the
         border rows and take nothing from the multiplier, so the padded
         tail is the sector tail with zeros appended."""
@@ -464,12 +463,12 @@ class TestGaugeConstraints:
         system = constrain(unfold(w[0], res.space), res.space, mode)
         k = system.shape[0] - dof
         load = np.pad(rhs, ((0, 0), (0, k)))
-        lu = scipy.linalg.lu_factor(system)
+        solve = factor(system)
         lam = np.empty(load.shape)
         tails = np.zeros((n_steps + 1, rows, action.order))
         for n in range(n_steps + 1):
             tail = np.pad(action.place(tails[n]), (0, k))
-            lam[n] = scipy.linalg.lu_solve(lu, load[n] - tail)
+            lam[n] = solve(load[n] - tail)
             ahead = n_steps - n
             if ahead:
                 flat = w[1:ahead + 1].reshape(ahead * rows, dof)
