@@ -55,18 +55,19 @@ mesh, ``Q_0`` is the identity and the matrices are those of an
 element-by-element assembly, bit for bit.
 
 The convolution weights of ``V`` are linear combinations of matrices
-``V(s)``, so they obey the same law.  The time march keeps their first
-sector's rows only: :class:`SectorAction` applies them through the
-rotations, and :func:`unfold` rebuilds a whole matrix from them, the
-leading weight or a ``V(s)``, every block by rotation.
-:class:`SectorAction` is also the one home of the mesh's symmetries on
-vectors.  Besides the rotations it holds the mesh's reflections ``Q_k
-tau`` (``tau x(theta) = x(-theta)``, see
+``V(s)``, so they obey the same law, and the time march keeps their
+first sector's rows only.  :class:`SectorAction` is the one home of the
+mesh's symmetries, on matrices and vectors alike: the rotations ``Q_k``
+and the reflections ``Q_k tau`` (``tau x(theta) = x(-theta)``, see
 :mod:`stokesbem.boundary_geometry`), the dihedral group of order ``2
-m``.  It turns densities, points and velocities by one formula and
-finds the orbits of a point set under the whole group, on which the
-observation pass of :mod:`stokesbem.stokes_solver` evaluates one
-representative each.
+m``.  It fills matrices from their first sector's rows by one dof-level
+index, the roll by whole sectors that it applies to densities: the
+Galerkin rows that the clouds do not hold, and in :func:`unfold` a
+whole matrix, the leading weight or a ``V(s)``.  It applies the
+weights' rows through the rotations in the march, turns densities,
+points and velocities by one formula, and finds the orbits of a point
+set under the whole group, on which the observation pass of
+:mod:`stokesbem.stokes_solver` evaluates one representative each.
 
 Quadrature design
 -----------------
@@ -520,8 +521,8 @@ def _class_clouds(space: DensitySpace, ii, jj, ratio, classes, at=None):
 
 
 #: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span), and
-#: of the fill indices (:func:`_fill_index`) of :func:`unfold` and of the
-#: Galerkin rows keyed by (curve, N, kind, "unfold" or "mirror"); the
+#: of the fill index of the Galerkin rows (:meth:`SectorAction.fill_index`,
+#: read at every frequency) keyed by (curve, N, kind, "mirror"); the
 #: dyadic quantization of the split caps keeps the key set small across
 #: a convolution-quadrature contour.  It holds the entries of one space
 #: only: a new space drops the others first.
@@ -731,69 +732,6 @@ def _sum_clouds(out, sqrt_s, clouds_at, pref, n_basis) -> None:
         start = stop
 
 
-def _turns(m: int) -> np.ndarray:
-    """``(2, 2, m)``: the rotations ``Q_k = [[c, -s], [s, c]]`` by the
-    angles ``2 pi k / m``, ``k = 0 .. m - 1``, that map a mesh of symmetry
-    order ``m`` onto itself, the matrix on the first two axes."""
-    angle = 2.0 * np.pi * np.arange(m) / m
-    cos, sin = np.cos(angle), np.sin(angle)
-    return np.array([[cos, -sin], [sin, cos]])
-
-
-def _turned_sectors(sector: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """The images ``Q_k S Q_k^T``, ``k = 0 .. m - 1``, of the first
-    sector's rows ``S``, where ``Q_k`` turns the Cartesian component of
-    every dof by ``2 pi k / m``.
-
-    Shape ``(m, 2, 2, n nb, N nb)``: rotation, row component, column
-    component, row element and basis, column element and basis, of the
-    dtype of ``S``.  A complex ``S`` is turned in its real and imaginary
-    parts alike; ``Q_0`` is the identity, so ``k = 0`` holds ``S``
-    exactly.
-    """
-    m = mesh.symmetry_order
-    rows, cols = sector.shape[0] // 2, sector.shape[1] // 2
-    x = np.ascontiguousarray(
-        sector.reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)).view(float)
-    rot = _turns(m)
-    # entry (k, c, d; e, f) is Q_k[c, e] Q_k[d, f]; einsum rather than
-    # matmul for the thin shapes, see _interpolate
-    both = np.einsum("cek,dfk->kcdef", rot, rot).reshape(4 * m, 4)
-    turned = np.einsum("ab,bp->ap", both, x.reshape(4, -1))
-    return turned.reshape((m, 2, 2) + x.shape[2:]).view(sector.dtype)
-
-
-def _fill_index(space: DensitySpace, held: np.ndarray,
-                n_rows: int) -> np.ndarray:
-    """Where the first ``n_rows`` element rows of a matrix are taken
-    from, as flat indices into the turned sectors
-    (:func:`_turned_sectors`) of its first sector's rows.
-
-    ``held[i, j]`` tells whether the sector's rows hold the block of the
-    element pair ``(i, j)``, ``i < n``.  The block of ``(R, C)`` is the
-    image under the rotation ``k = R // n`` of the sector block ``(R % n,
-    C - k n)`` if that block is held, and otherwise the transpose of the
-    block of ``(C, R)``.
-    """
-    mesh = space.mesh
-    n_all, n, nb = mesh.n_elements, _sector_size(mesh), space.n_basis
-    row = np.arange(n_rows)[:, None, None, None]
-    col = np.arange(n_all).reshape(1, 1, n_all, 1)
-    p, q = np.arange(2 * nb)[:, None, None], np.arange(2 * nb)
-
-    def source(r, c, a, b):
-        # entry (a, b) of the block of (r, c): dof a of element r is
-        # component a % 2 of basis a // 2, and likewise for b and c
-        k, i = np.divmod(r, n)
-        j = (c - k * n) % n_all
-        head = ((k * 2 + a % 2) * 2 + b % 2) * n + i
-        return ((head * nb + a // 2) * n_all + j) * nb + b // 2
-
-    direct = held[row % n, (col - row // n * n) % n_all]
-    return np.where(direct, source(row, col, p, q),
-                    source(col, row, q, p)).ravel()
-
-
 def unfold(sector: np.ndarray, space: DensitySpace) -> np.ndarray:
     """The matrix of order ``dof_count`` that the rotations of the mesh map
     onto itself and whose first ``SectorAction.rows`` rows are
@@ -803,16 +741,12 @@ def unfold(sector: np.ndarray, space: DensitySpace) -> np.ndarray:
     Such is every convolution weight of ``V``, a linear combination of
     matrices ``V(s)``, real like ``sector`` (see :class:`SectorAction`),
     and every ``V(s)`` itself, complex, from the rows that the
-    assemblers return.  Every block is filled directly by rotation, by
-    an index cached per space.  For ``m = 1`` it returns a copy of
+    assemblers return.  Every entry is taken from the turned sectors by
+    :meth:`SectorAction.fill_index`.  For ``m = 1`` it returns a copy of
     ``sector``, bit for bit.
     """
-    mesh = space.mesh
-    held = np.ones((_sector_size(mesh), mesh.n_elements), dtype=bool)
-    index = _cached(_space_key(space) + ("unfold",),
-                    lambda: _fill_index(space, held, mesh.n_elements))
-    turned = _turned_sectors(sector, mesh)
-    return np.take(turned, index).reshape(space.dof_count, space.dof_count)
+    action = sector_action(space)
+    return np.take(action.turned(sector), action.fill_index(space.dof_count))
 
 
 def _apply(q: np.ndarray, i: int, x, y):
@@ -825,9 +759,10 @@ def _apply(q: np.ndarray, i: int, x, y):
 
 @dataclass(frozen=True)
 class SectorAction:
-    """The symmetries of a space's mesh, acting on its density vectors
-    and on points and velocities of the plane: the rotations ``Q_k`` and
-    the reflections ``Q_k tau``, the dihedral group of order ``2 m``.
+    """The symmetries of a space's mesh, acting on its matrices and
+    density vectors and on points and velocities of the plane: the
+    rotations ``Q_k`` and the reflections ``Q_k tau``, the dihedral group
+    of order ``2 m``.
 
     A matrix ``W`` that the rotations map onto itself, ``W(i + k n, j) =
     Q_k W(i, j - k n) Q_k^T`` in element blocks (see the module
@@ -840,7 +775,9 @@ class SectorAction:
     sector's frame, and :meth:`place` turns them back into the global
     frame.  The rolled copies are gathered by an index, built once per
     action for the march's ``m`` rotations, and turned elementwise, which
-    is cheaper per step than a rotation by ``einsum``.
+    is cheaper per step than a rotation by ``einsum``.  The same roll
+    rebuilds entries of ``W`` itself from ``S``: :meth:`fill_index` into
+    :meth:`turned`.
 
     Group element ``k`` is ``Q_k`` for ``k < m`` and ``Q_{k-m} tau`` for
     ``m <= k < 2 m``, where ``tau x(theta) = x(-theta)`` is the mesh's
@@ -926,6 +863,52 @@ class SectorAction:
             out[..., i] = _apply(self.group[:, :, : self.order, None], i, x, y)
         return out.reshape(-1)
 
+    def turned(self, sector: np.ndarray) -> np.ndarray:
+        """The images ``Q_k S Q_k^T``, ``k = 0 .. m - 1``, of the first
+        sector's rows ``S``, where ``Q_k`` turns the Cartesian component of
+        every dof.
+
+        Shape ``(m, 2, 2, r / 2, dof / 2)``: rotation, row component,
+        column component, row dof pair, column dof pair, of the dtype of
+        ``S``.  A complex ``S`` is turned in its real and imaginary parts
+        alike; ``Q_0`` is the identity, so ``k = 0`` holds ``S`` exactly.
+        """
+        m, rot = self.order, self.group[:, :, : self.order]
+        rows, cols = sector.shape[0] // 2, sector.shape[1] // 2
+        x = np.ascontiguousarray(
+            sector.reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)).view(float)
+        # entry (k, c, d; e, f) is Q_k[c, e] Q_k[d, f]; einsum rather than
+        # matmul for the thin shapes, see _interpolate
+        both = np.einsum("cek,dfk->kcdef", rot, rot).reshape(4 * m, 4)
+        turned = np.einsum("ab,bp->ap", both, x.reshape(4, -1))
+        return turned.reshape((m, 2, 2) + x.shape[2:]).view(sector.dtype)
+
+    def fill_index(self, n_rows: int, held=None) -> np.ndarray:
+        """``(n_rows, dof)``: where the first ``n_rows`` rows of a matrix
+        ``W`` that the rotations map onto itself are taken from, as flat
+        indices into :meth:`turned` of its first ``rows`` rows ``S``.
+
+        Entry ``(P, Q)`` of ``W`` is entry ``(P mod r, (Q - k r) mod
+        dof)`` of ``S`` turned by ``k = P // r``, the dof roll of
+        :meth:`copies`.  ``held``, ``(r, dof)`` booleans, tells which
+        entries ``S`` holds, all by default; where the source is not
+        held, the complex symmetric ``W`` takes its entry ``(Q, P)``.
+        """
+        r, dof = self.rows, self.rows * self.order
+
+        def source(p, q):
+            # the flat index of entry (i, j) of S turned by k, and (i, j)
+            k, i = np.divmod(p, r)
+            j = (q - k * r) % dof
+            head = (k * 2 + i % 2) * 2 + j % 2
+            return (head * (r // 2) + i // 2) * (dof // 2) + j // 2, (i, j)
+
+        p, q = np.arange(n_rows)[:, None], np.arange(dof)
+        index, at = source(p, q)
+        if held is None:
+            return index
+        return np.where(held[at], index, source(q, p)[0])
+
     def orbits(self, points: np.ndarray):
         """Each point's representative and turn: ``points[i]`` is, within
         ``ORBIT_TOL``, group element ``turn[i]`` of ``points[rep[i]]``.
@@ -982,7 +965,9 @@ def sector_action(space: DensitySpace) -> SectorAction:
     a, b = mesh.endpoints[0, 0]
     tau = np.array([[a * a - b * b, 2 * a * b],
                     [2 * a * b, b * b - a * a]]) / (a * a + b * b)
-    rot = _turns(m)
+    angle = 2.0 * np.pi * np.arange(m) / m
+    cos, sin = np.cos(angle), np.sin(angle)
+    rot = np.array([[cos, -sin], [sin, cos]])
     return SectorAction(space.dof_count // m, np.concatenate(
         [rot, np.einsum("abk,bc->ack", rot, tau)], axis=-1))
 
@@ -1021,7 +1006,7 @@ def _assemble(space: DensitySpace, freqs, cfg: ProblemConfig,
     pi k / m`` maps the element pair ``(i, j)`` onto ``(i + k n, j + k
     n)`` (mod ``N``) and its block ``B`` onto ``Q_k B Q_k^T``, and the
     matrix is complex symmetric, so each other block of the rows is the
-    transpose of a turned held block (:func:`_fill_index`).
+    transpose of a turned held block (:meth:`SectorAction.fill_index`).
 
     Raises ``RuntimeError`` for a non-finite entry, naming its element
     pair.
@@ -1037,17 +1022,17 @@ def _assemble(space: DensitySpace, freqs, cfg: ProblemConfig,
                            f"element pair ({ei}, {ej})")
     if space.reduced:
         return sector
+    action = sector_action(space)
 
     def mirror_index():
         held = np.zeros((n, space.mesh.n_elements), dtype=bool)
         for cloud in clouds_at(sqrt_s[0]):
             held[cloud[0].pairs[:, 0], cloud[0].pairs[:, 1]] = True
-        return _fill_index(space, held, n)
+        return action.fill_index(action.rows, held.repeat(w, 0).repeat(w, 1))
 
     index = _cached(_space_key(space) + ("mirror",), mirror_index)
     for k, rows in enumerate(sector):
-        sector[k] = np.take(_turned_sectors(rows, space.mesh),
-                            index).reshape(rows.shape)
+        sector[k] = np.take(action.turned(rows), index)
     return sector
 
 

@@ -31,12 +31,12 @@ convolution tail.
 A rotation of order ``m`` maps every mesh onto itself, and ``V(s)``, so
 every weight, is fixed by the rows of its first sector.  Only those
 ``r = dof / m`` rows are sampled and transformed, ``L r dof`` reals in
-all; ``W_0`` is unfolded to the whole matrix once for the factored
-system, and the march applies the later weights through the rotations
-(:class:`stokesbem.bem_space.SectorAction`).  The observation pass
-evaluates one point per orbit of the same rotations and of the mesh's
-reflections, and turns the rest by that action too; this module applies
-no rotation or reflection of its own.
+all.  One group object, :class:`stokesbem.bem_space.SectorAction`,
+does the rest: it fills the whole ``W_0`` once for the factored system
+(:func:`stokesbem.bem_space.unfold`), the march applies the later
+weights through its rotations, and the observation pass evaluates one
+point per orbit of its rotations and reflections and turns the rest by
+it too; this module applies no rotation or reflection of its own.
 """
 
 from __future__ import annotations
@@ -439,8 +439,8 @@ def run_simulation(
     -----
     The weights of ``V`` are held for the first rotational sector's
     rows only, ``(M + 1) r dof`` reals with ``r = 2 nb N / m``; the
-    unfolded ``W_0`` (``dof^2`` reals) is factored once, and the march
-    applies the rest through the rotations.
+    mesh's :class:`~stokesbem.bem_space.SectorAction` fills ``W_0``
+    (``dof^2`` reals) to be factored once and applies the rest.
     """
     constraint = ConstraintMode(constraint)
     mesh = build_mesh(curve, n_elements)

@@ -406,9 +406,13 @@ def _contour_ends(n_steps, final_time=1.0):
          assemble_galerkin_V),
         (BoundaryCurve.star(), 48, 24, 3.0, "P0", assemble_nystrom_V),
         (BoundaryCurve.star(), 48, 24, 3.0, "P0", assemble_galerkin_V),
+        (BoundaryCurve.circle(1.0), 24, 24, 1.0, "P1_discontinuous",
+         assemble_galerkin_V),
+        (BoundaryCurve.star(), 48, 24, 3.0, "P1_discontinuous",
+         assemble_galerkin_V),
     ],
     ids=["circle-80-reduced", "square-p1-32-galerkin", "star-48-reduced",
-         "star-48-galerkin"],
+         "star-48-galerkin", "circle-p1-24-galerkin", "star-p1-48-galerkin"],
 )
 def test_sector_assembly_matches_whole_mesh_assembly(monkeypatch, curve, n,
                                                      m, final_time, kind,
@@ -426,6 +430,38 @@ def test_sector_assembly_matches_whole_mesh_assembly(monkeypatch, curve, n,
     for s, got in zip(freqs, sector):
         want = assemble(space, [s], CFG)[0]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "curve, n, kind, order",
+    [(BoundaryCurve.square(1.0), 8, "P1_discontinuous", 4),
+     (BoundaryCurve.star(), 12, "P0", 6),
+     (BoundaryCurve.circle(1.0), 10, "P0", 10)],
+    ids=["square-p1", "star-p0", "circle-p0"],
+)
+def test_unfold_matches_block_loops(curve, n, kind, order):
+    """``unfold`` of a random, non-symmetric real sector is the matrix
+    built block by block, ``block(i + k n, j) = Q_k S(i, j - k n)
+    Q_k^T`` over element blocks, with ``Q_k`` the rotation by ``2 pi k /
+    m`` of the Cartesian component of each basis function."""
+    space = build_space(build_mesh(curve, n), kind)
+    assert space.mesh.symmetry_order == order
+    w, sector_n = 2 * space.n_basis, n // order
+    sector = np.random.default_rng(6).standard_normal(
+        (w * sector_n, space.dof_count))
+    want = np.empty((space.dof_count, space.dof_count))
+    for k in range(order):
+        c, s = np.cos(2 * np.pi * k / order), np.sin(2 * np.pi * k / order)
+        q = np.kron(np.eye(space.n_basis), np.array([[c, -s], [s, c]]))
+        for i in range(sector_n):
+            row = i + k * sector_n
+            for j in range(n):
+                col = (j - k * sector_n) % n
+                block = sector[w * i: w * (i + 1), w * col: w * (col + 1)]
+                want[w * row: w * (row + 1), w * j: w * (j + 1)] = (
+                    q @ block @ q.T)
+    got = unfold(sector, space)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n, order", [(25, 1), (48, 6), (20, 2)])
