@@ -42,17 +42,19 @@ their geometry.  Hence the 2x2 dof blocks obey
 with ``Q_k`` the rotation by ``2 pi k / m`` acting on the Cartesian
 component of each dof (``I_nb (x) R_k`` for ``nb`` basis functions; see
 Allgower, Boehmer, Georg & Miranda, *SIAM J. Numer. Anal.* 29 (1992)
-534-552).  Both assemblers therefore integrate only the rows of the
-first sector, elements ``i < N / m``: the reduced scheme all of their
-columns, the Galerkin scheme the self and vertex pairs and one
-separated pair per orbit of unordered pairs.  One routine for both,
-:func:`_assemble`, sums those rows and returns them, the rows that the
-time march keeps: the reduced clouds hold every block of them, and the
-complex symmetric Galerkin matrix takes each block it does not hold as
-the transpose of a rotated held block.  The clouds of the sector pairs
-alone are built and cached.  For ``m = 1`` the sector is the whole
-mesh, ``Q_0`` is the identity and the matrices are those of an
-element-by-element assembly, bit for bit.
+534-552).  The reflection ``tau`` of the mesh (``x(-theta) = tau
+x(theta)``) obeys the same law, with element ``j`` mapped onto element
+``N - 1 - j``, reversed, so that its two P1 basis functions swap.  Both
+assemblers therefore integrate only the rows of the first sector,
+elements ``i < N / m``, and of those one element pair per orbit of the
+dihedral group of order ``2 m``: ordered pairs for the reduced scheme,
+whose matrix is not symmetric, and pairs up to transposition for the
+complex symmetric Galerkin scheme.  One routine for both,
+:func:`_assemble`, sums the held blocks and fills every other block of
+those rows from them, turned by a group element (and, for the Galerkin
+rows, transposed); it returns the rows that the time march keeps.  The
+clouds of the held pairs alone are built and cached.  For ``m = 1`` the
+sector is the whole mesh and the group is the identity and ``tau``.
 
 The convolution weights of ``V`` are linear combinations of matrices
 ``V(s)``, so they obey the same law, and the time march keeps their
@@ -61,13 +63,14 @@ mesh's symmetries, on matrices and vectors alike: the rotations ``Q_k``
 and the reflections ``Q_k tau`` (``tau x(theta) = x(-theta)``, see
 :mod:`stokesbem.boundary_geometry`), the dihedral group of order ``2
 m``.  It fills matrices from their first sector's rows by one dof-level
-index, the roll by whole sectors that it applies to densities: the
-Galerkin rows that the clouds do not hold, and in :func:`unfold` a
-whole matrix, the leading weight or a ``V(s)``.  It applies the
-weights' rows through the rotations in the march, turns densities,
-points and velocities by one formula, and finds the orbits of a point
-set under the whole group, on which the observation pass of
-:mod:`stokesbem.stokes_solver` evaluates one representative each.
+index, the roll by whole sectors and the reversal that it applies to
+densities: the blocks of the assemblers' rows that the clouds do not
+hold, and in :func:`unfold` a whole matrix, the leading weight or a
+``V(s)``.  It applies the weights' rows through the rotations in the
+march, turns densities, points and velocities by one formula, and finds
+the orbits of a point set under the whole group, on which the
+observation pass of :mod:`stokesbem.stokes_solver` evaluates one
+representative each.
 
 Quadrature design
 -----------------
@@ -423,8 +426,19 @@ def _sector_size(mesh: BoundaryMesh) -> int:
     return mesh.n_elements // mesh.symmetry_order
 
 
-def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
-    """Strip-coordinate cloud for the self pairs of the first sector.
+def _mirror_rows(n: int, shift: int) -> np.ndarray:
+    """The rows ``i < n`` with ``i <= (n - shift - i) mod n``: one of each
+    pair of first-sector rows that the reflection ``Q_1 tau`` swaps,
+    the self pairs ``(i, i)`` for ``shift = 1`` and the vertex pairs
+    ``(i, i + 1)`` for ``shift = 2`` (see :func:`_assemble`)."""
+    i = np.arange(n)
+    return i[i <= (n - shift - i) % n]
+
+
+def _build_self_cloud(space: DensitySpace, elems, cap: float,
+                      z_scale: float):
+    """Strip-coordinate cloud for the self pairs ``(i, i)`` of the
+    elements ``elems``.
 
     With ``u = xi - eta`` the double integral over the reference square
     becomes two congruent strips ``v in (0, 1 - u)``, ``u in (0, 1)``;
@@ -439,14 +453,14 @@ def _build_self_cloud(space: DensitySpace, cap: float, z_scale: float):
     xi = np.concatenate([xi_plus.ravel(), eta_plus.ravel()])
     eta = np.concatenate([eta_plus.ravel(), xi_plus.ravel()])
     split = [np.tile(np.repeat(c, t.size), 2) for c in (al, be)]
-    elems = np.arange(_sector_size(space.mesh))
     return _pair_cloud(space, elems, xi, elems, eta,
                        np.concatenate([w2, w2]), split)
 
 
-def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
-    """Duffy-coordinate cloud for the adjacent pairs (i, i+1) of the first
-    sector's rows.
+def _build_vertex_cloud(space: DensitySpace, left, cap: float,
+                        z_scale: float):
+    """Duffy-coordinate cloud for the adjacent pairs (i, i+1) of the
+    elements ``i`` of ``left``.
 
     The shared vertex sits at the end of element i and the start of
     element i+1.  In corner coordinates ``(da, db)`` measured from the
@@ -464,27 +478,34 @@ def _build_vertex_cloud(space: DensitySpace, cap: float, z_scale: float):
     da = np.concatenate([da1.ravel(), db1.ravel()])
     db = np.concatenate([db1.ravel(), da1.ravel()])
     split = [np.tile(np.repeat(c, q.size), 2) for c in (al, be)]
-    left = np.arange(_sector_size(mesh))
     return _pair_cloud(space, left, 1.0 - da, (left + 1) % mesh.n_elements,
                        db, np.concatenate([w2, w2]), split)
 
 
 def _separated_pairs(mesh: BoundaryMesh, ordered: bool):
-    """Non-touching pairs (i, j) of the first sector's rows, ``i < N/m``,
-    with their distance in element lengths.
+    """Non-touching pairs (i, j) of the first sector's rows, ``i < n =
+    N/m``, one per orbit of the dihedral group, with their distance in
+    element lengths.
 
-    ``ordered`` keeps them all, the rows of the reduced scheme.
-    Otherwise one pair per rotation orbit of unordered pairs is kept:
-    of ``(i, j)`` and the mirror ``(j, i)`` turned back into the first
-    sector, the lexicographically smaller.  For ``m = 1`` these are the
-    pairs ``i < j``.
+    Rotation ``Q_k`` maps element ``j`` onto ``j + k n`` and ``Q_k tau``
+    onto ``N - 1 - j + k n`` (mod ``N``), so an element of the first
+    sector stays there under the identity and ``Q_1 tau`` only.  The
+    images of ``(i, j)`` among the first sector's rows are therefore
+    itself and its reflection ``(n - 1 - i, n - 1 - j)``; the
+    ``ordered`` pairs of the reduced rows stop there.  The unordered
+    pairs of the complex symmetric Galerkin rows add the transpose
+    ``(j, i)`` brought into the first sector by a rotation and by a
+    reflection.  Of each orbit the lexicographically least pair is kept.
     """
     n_all, n = mesh.n_elements, _sector_size(mesh)
     i, j = np.divmod(np.arange(n * n_all), n_all)
     keep = ((j - i) % n_all > 1) & ((i - j) % n_all > 1)
+    images = [(n - 1 - i, n - 1 - j)]
     if not ordered:
-        mi, mj = j % n, (i - j + j % n) % n_all
-        keep &= (i < mi) | ((i == mi) & (j <= mj))
+        turn = j - j % n
+        images += [(j % n, i - turn), (n - 1 - j % n, n - 1 - i + turn)]
+    for a, b in images:
+        keep &= i * n_all + j <= a * n_all + b % n_all
     i, j = i[keep], j[keep]
     dist = np.linalg.norm(mesh.midpoints[i] - mesh.midpoints[j], axis=1)
     scale = np.maximum(mesh.arclengths[i], mesh.arclengths[j])
@@ -521,11 +542,12 @@ def _class_clouds(space: DensitySpace, ii, jj, ratio, classes, at=None):
 
 
 #: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span), and
-#: of the fill index of the Galerkin rows (:meth:`SectorAction.fill_index`,
-#: read at every frequency) keyed by (curve, N, kind, "mirror"); the
-#: dyadic quantization of the split caps keeps the key set small across
-#: a convolution-quadrature contour.  It holds the entries of one space
-#: only: a new space drops the others first.
+#: of the fill index of the sector rows of either rule
+#: (:meth:`SectorAction.fill_index`, read at every frequency) keyed by
+#: (curve, N, kind, "fill", assembly); the dyadic quantization of the
+#: split caps keeps the key set small across a convolution-quadrature
+#: contour.  It holds the entries of one space only: a new space drops
+#: the others first.
 _GEOMETRY_CACHE: dict = {}
 
 
@@ -746,7 +768,8 @@ def unfold(sector: np.ndarray, space: DensitySpace) -> np.ndarray:
     ``sector``, bit for bit.
     """
     action = sector_action(space)
-    return np.take(action.turned(sector), action.fill_index(space.dof_count))
+    turns, index = action.fill_index(space.dof_count)
+    return np.take(action.turned(sector, turns), index)
 
 
 def _apply(q: np.ndarray, i: int, x, y):
@@ -775,9 +798,9 @@ class SectorAction:
     sector's frame, and :meth:`place` turns them back into the global
     frame.  The rolled copies are gathered by an index, built once per
     action for the march's ``m`` rotations, and turned elementwise, which
-    is cheaper per step than a rotation by ``einsum``.  The same roll
-    rebuilds entries of ``W`` itself from ``S``: :meth:`fill_index` into
-    :meth:`turned`.
+    is cheaper per step than a rotation by ``einsum``.  The same roll,
+    and the reversal of the reflections, rebuild entries of ``W`` itself
+    from ``S``: :meth:`fill_index` into :meth:`turned`.
 
     Group element ``k`` is ``Q_k`` for ``k < m`` and ``Q_{k-m} tau`` for
     ``m <= k < 2 m``, where ``tau x(theta) = x(-theta)`` is the mesh's
@@ -863,51 +886,81 @@ class SectorAction:
             out[..., i] = _apply(self.group[:, :, : self.order, None], i, x, y)
         return out.reshape(-1)
 
-    def turned(self, sector: np.ndarray) -> np.ndarray:
-        """The images ``Q_k S Q_k^T``, ``k = 0 .. m - 1``, of the first
-        sector's rows ``S``, where ``Q_k`` turns the Cartesian component of
-        every dof.
+    def turned(self, sector: np.ndarray, turns) -> np.ndarray:
+        """The images ``g S g^T`` of the first sector's rows ``S`` by the
+        group elements ``turns`` (an array of element numbers), where
+        ``g`` turns the Cartesian component of every dof.
 
-        Shape ``(m, 2, 2, r / 2, dof / 2)``: rotation, row component,
-        column component, row dof pair, column dof pair, of the dtype of
-        ``S``.  A complex ``S`` is turned in its real and imaginary parts
-        alike; ``Q_0`` is the identity, so ``k = 0`` holds ``S`` exactly.
+        Shape ``(len(turns), 2, 2, r / 2, dof / 2)``: element, row
+        component, column component, row dof pair, column dof pair, of
+        the dtype of ``S``.  A complex ``S`` is turned in its real and
+        imaginary parts alike; element 0 is the identity, so it holds
+        ``S`` exactly.
         """
-        m, rot = self.order, self.group[:, :, : self.order]
+        q = self.group[:, :, turns]
         rows, cols = sector.shape[0] // 2, sector.shape[1] // 2
         x = np.ascontiguousarray(
             sector.reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)).view(float)
-        # entry (k, c, d; e, f) is Q_k[c, e] Q_k[d, f]; einsum rather than
+        # entry (k, c, d; e, f) is g_k[c, e] g_k[d, f]; einsum rather than
         # matmul for the thin shapes, see _interpolate
-        both = np.einsum("cek,dfk->kcdef", rot, rot).reshape(4 * m, 4)
+        both = np.einsum("cek,dfk->kcdef", q, q).reshape(-1, 4)
         turned = np.einsum("ab,bp->ap", both, x.reshape(4, -1))
-        return turned.reshape((m, 2, 2) + x.shape[2:]).view(sector.dtype)
+        return turned.reshape((len(turns), 2, 2) + x.shape[2:]).view(
+            sector.dtype)
 
-    def fill_index(self, n_rows: int, held=None) -> np.ndarray:
-        """``(n_rows, dof)``: where the first ``n_rows`` rows of a matrix
-        ``W`` that the rotations map onto itself are taken from, as flat
-        indices into :meth:`turned` of its first ``rows`` rows ``S``.
+    def fill_index(self, n_rows: int, held=None, symmetric=False):
+        """``(turns, index)``: where the first ``n_rows`` rows of a matrix
+        ``W`` that the group maps onto itself are taken from, as flat
+        indices ``index``, ``(n_rows, dof)``, into :meth:`turned` of its
+        first ``rows`` rows ``S`` by the elements ``turns``.
 
-        Entry ``(P, Q)`` of ``W`` is entry ``(P mod r, (Q - k r) mod
-        dof)`` of ``S`` turned by ``k = P // r``, the dof roll of
-        :meth:`copies`.  ``held``, ``(r, dof)`` booleans, tells which
-        entries ``S`` holds, all by default; where the source is not
-        held, the complex symmetric ``W`` takes its entry ``(Q, P)``.
+        The law is ``W(g P, g Q) = g W(P, Q) g^T`` in dof pairs, ``g P``
+        the dof map of :meth:`_gather`.  Two elements bring row ``P``
+        into the first sector: the rotation by ``-(P // r)`` sectors and
+        the reflection ``Q_{P // r + 1} tau``, which reverses the
+        sector's dof pairs.  ``held``, ``(r, dof)`` booleans, tells which
+        entries ``S`` holds, all by default; entry ``(P, Q)`` is read
+        from the first held source of: ``S`` turned by the rotation, the
+        transpose ``(Q, P)`` turned by ``Q``'s rotation, ``S`` turned by
+        the reflection, and the transpose turned by ``Q``'s reflection.
+        The transposes are sources of a complex ``symmetric`` ``W`` only.
+        With ``held`` omitted every row takes its rotation, for ``m``
+        turns.  An entry without a held source is a ``ValueError``.
         """
-        r, dof = self.rows, self.rows * self.order
+        r, m, dof = self.rows, self.order, self.rows * self.order
 
-        def source(p, q):
-            # the flat index of entry (i, j) of S turned by k, and (i, j)
+        def sources(p, q):
+            # (element, row of S, column of S) of each element that brings
+            # dof p into the first sector, the rotation first
             k, i = np.divmod(p, r)
-            j = (q - k * r) % dof
-            head = (k * 2 + i % 2) * 2 + j % 2
-            return (head * (r // 2) + i // 2) * (dof // 2) + j // 2, (i, j)
+            rotation = (k, i, (q - k * r) % dof)
+            j = (q - (k + 1) * r) % dof
+            return [rotation, (m + (k + 1) % m, r - 2 - i + 2 * (i % 2),
+                               dof - 2 - j + 2 * (j % 2))]
 
         p, q = np.arange(n_rows)[:, None], np.arange(dof)
-        index, at = source(p, q)
-        if held is None:
-            return index
-        return np.where(held[at], index, source(q, p)[0])
+        direct, mirror = sources(p, q)
+        g, i, j = np.broadcast_arrays(*direct)
+        if held is not None:
+            others = [mirror]
+            if symmetric:
+                transposed, transposed_mirror = sources(q, p)
+                others = [transposed, mirror, transposed_mirror]
+            found = held[i, j]
+            for source in others:
+                take = ~found & held[source[1], source[2]]
+                g, i, j = (np.where(take, new, old)
+                           for new, old in zip(source, (g, i, j)))
+                found |= take
+            if not found.all():
+                raise ValueError("an entry of the rows has no held source")
+        # np.unique(g) imports numpy.ma (NumPy 2.4), half a megabyte of
+        # resident set
+        used = np.zeros(2 * m, dtype=bool)
+        used[g] = True
+        head = ((np.cumsum(used) - 1)[g] * 2 + i % 2) * 2 + j % 2
+        return (np.flatnonzero(used),
+                (head * (r // 2) + i // 2) * (dof // 2) + j // 2)
 
     def orbits(self, points: np.ndarray):
         """Each point's representative and turn: ``points[i]`` is, within
@@ -1000,13 +1053,15 @@ def _assemble(space: DensitySpace, freqs, cfg: ProblemConfig,
     elements ``i < n = N / m``.
 
     ``clouds_at(sqrt_s)`` lists the clouds of those rows at one root;
-    they are summed against every column (:func:`_sum_clouds`).  The
-    reduced scheme's clouds hold every block of the rows.  The Galerkin
-    clouds hold one block per orbit of unordered pairs: rotation by ``2
-    pi k / m`` maps the element pair ``(i, j)`` onto ``(i + k n, j + k
-    n)`` (mod ``N``) and its block ``B`` onto ``Q_k B Q_k^T``, and the
-    matrix is complex symmetric, so each other block of the rows is the
-    transpose of a turned held block (:meth:`SectorAction.fill_index`).
+    they are summed against every column (:func:`_sum_clouds`).  They
+    hold one block per orbit of the dihedral group: ``g`` maps the
+    element pair ``(i, j)`` onto ``(g i, g j)`` and its block ``B`` onto
+    ``g B g^T``, reversed and with the P1 basis functions swapped for a
+    reflection.  Every other block of the rows is read from a held block
+    turned by a group element, or for the complex symmetric Galerkin
+    matrix from the transpose of one (:meth:`SectorAction.fill_index`,
+    cached per space and rule); only the elements that the index reads
+    are turned, the identity and ``Q_1 tau`` for the reduced rows.
 
     Raises ``RuntimeError`` for a non-finite entry, naming its element
     pair.
@@ -1020,19 +1075,18 @@ def _assemble(space: DensitySpace, freqs, cfg: ProblemConfig,
         ei, ej = np.argwhere(~np.isfinite(sector))[0, 1:] // w
         raise RuntimeError(f"quadrature produced a non-finite entry for "
                            f"element pair ({ei}, {ej})")
-    if space.reduced:
-        return sector
     action = sector_action(space)
 
-    def mirror_index():
+    def fill():
         held = np.zeros((n, space.mesh.n_elements), dtype=bool)
         for cloud in clouds_at(sqrt_s[0]):
             held[cloud[0].pairs[:, 0], cloud[0].pairs[:, 1]] = True
-        return action.fill_index(action.rows, held.repeat(w, 0).repeat(w, 1))
+        return action.fill_index(action.rows, held.repeat(w, 0).repeat(w, 1),
+                                 symmetric=not space.reduced)
 
-    index = _cached(_space_key(space) + ("mirror",), mirror_index)
+    turns, index = _cached(_space_key(space) + ("fill", space.assembly), fill)
     for k, rows in enumerate(sector):
-        sector[k] = np.take(action.turned(rows), index)
+        sector[k] = np.take(action.turned(rows, turns), index)
     return sector
 
 
@@ -1069,8 +1123,8 @@ def assemble_galerkin_V(space: DensitySpace, freqs,
     gauge kernel.
 
     The matrix is complex symmetric by construction: one unordered
-    element pair per rotation orbit is integrated, then turned and
-    mirrored into the rest of the rows (:func:`_assemble`).
+    element pair per orbit of the dihedral group is integrated, then
+    turned and transposed into the rest of the rows (:func:`_assemble`).
 
     Raises
     ------
@@ -1087,15 +1141,17 @@ def assemble_galerkin_V(space: DensitySpace, freqs,
     separated = _cached(key + ("separated",), lambda: _class_clouds(
         space, *_separated_pairs(space.mesh, ordered=False),
         SEPARATED_CLASSES))
+    n = _sector_size(space.mesh)
+    self_rows, left = _mirror_rows(n, 1), _mirror_rows(n, 2)
 
     def clouds_at(sqrt_s):
         z_max = abs(sqrt_s) * l_max
         cap_u, z_u = _split_scale(z_max)
         cap_p, z_p = _split_scale(2.0 * z_max)
-        self_cloud = _cached(key + ("self", cap_u, z_u),
-                             lambda: _build_self_cloud(space, cap_u, z_u))
-        vertex_cloud = _cached(key + ("vertex", cap_p, z_p),
-                               lambda: _build_vertex_cloud(space, cap_p, z_p))
+        self_cloud = _cached(key + ("self", cap_u, z_u), lambda:
+                             _build_self_cloud(space, self_rows, cap_u, z_u))
+        vertex_cloud = _cached(key + ("vertex", cap_p, z_p), lambda:
+                               _build_vertex_cloud(space, left, cap_p, z_p))
         return [self_cloud, vertex_cloud, *separated]
 
     return _assemble(space, freqs, cfg, clouds_at)
@@ -1105,9 +1161,10 @@ def assemble_galerkin_V(space: DensitySpace, freqs,
 # reduced integration (midpoint test rule)
 # ---------------------------------------------------------------------------
 
-def _build_diag_cloud(space: DensitySpace, cap: float, z_scale: float):
-    """Self-element rows of the reduced scheme, first sector: midpoint
-    against own element.
+def _build_diag_cloud(space: DensitySpace, elems, cap: float,
+                      z_scale: float):
+    """Self-element rows of the reduced scheme, the elements ``elems``:
+    midpoint against own element.
 
     The inner integral is folded into the two half-elements; with
     ``eta = 1/2 +- v/2`` the distance from the midpoint vanishes
@@ -1118,21 +1175,17 @@ def _build_diag_cloud(space: DensitySpace, cap: float, z_scale: float):
     eta = np.concatenate([0.5 + 0.5 * v, 0.5 - 0.5 * v])
     w_pt = np.concatenate([0.5 * wv, 0.5 * wv])
     split = [np.tile(c, 2) for c in (al, be)]
-    elems = np.arange(_sector_size(mesh))
     return _pair_cloud(space, elems, None, elems, eta, w_pt, split,
                        at=(mesh.midpoints, mesh.arclengths))
 
 
-def _build_neighbor_cloud(space: DensitySpace, offset: int):
-    """First-sector rows against an adjacent element, graded toward the
-    shared vertex."""
+def _build_neighbor_cloud(space: DensitySpace):
+    """First-sector rows against the next element, graded toward the
+    shared vertex at ``eta = 0``."""
     mesh = space.mesh
     eta, w_pt = panel_gauss(NEIGHBOR_PANEL_ORDER, NEIGHBOR_BREAKS)
-    if offset == -1:
-        # previous element: shared vertex at eta = 1
-        eta = 1.0 - eta
     rows = np.arange(_sector_size(mesh))
-    return _pair_cloud(space, rows, None, (rows + offset) % mesh.n_elements,
+    return _pair_cloud(space, rows, None, (rows + 1) % mesh.n_elements,
                        eta, w_pt, at=(mesh.midpoints, mesh.arclengths))
 
 
@@ -1150,26 +1203,28 @@ def assemble_nystrom_V(space: DensitySpace, freqs,
     midpoint rule; any other space is a ``ValueError``.  The diagonal
     uses the logarithmic split so its entries are finite and accurate.
     Like :func:`assemble_galerkin_V` it returns the first sector's rows,
-    shape ``(b, 2 N / m, dof_count)``, which its clouds hold entirely.
+    shape ``(b, 2 N / m, dof_count)``: its clouds hold one ordered
+    element pair per orbit of the dihedral group (the diagonal, the
+    next neighbour and the separated pairs), and each previous
+    neighbour and every other block is the reflection of a held one
+    (:func:`_assemble`).
     """
     _require_planar(cfg)
     _require_assembly(space, "reduced")
     mesh = space.mesh
     l_max = float(mesh.arclengths.max())
     key = _space_key(space)
-    nb_next = _cached(key + ("rnext",),
-                      lambda: _build_neighbor_cloud(space, +1))
-    nb_prev = _cached(key + ("rprev",),
-                      lambda: _build_neighbor_cloud(space, -1))
+    nb_next = _cached(key + ("rnext",), lambda: _build_neighbor_cloud(space))
     far = _cached(key + ("rrows",), lambda: _class_clouds(
         space, *_separated_pairs(mesh, ordered=True), SEPARATED_CLASSES,
         at=(mesh.midpoints, mesh.arclengths)))
+    diag_rows = _mirror_rows(_sector_size(mesh), 1)
 
     def clouds_at(sqrt_s):
         cap_d, z_dq = _split_scale(abs(sqrt_s) * l_max / 2.0)
-        diag = _cached(key + ("rdiag", cap_d, z_dq),
-                       lambda: _build_diag_cloud(space, cap_d, z_dq))
-        return [diag, nb_next, nb_prev, *far]
+        diag = _cached(key + ("rdiag", cap_d, z_dq), lambda:
+                       _build_diag_cloud(space, diag_rows, cap_d, z_dq))
+        return [diag, nb_next, *far]
 
     return _assemble(space, freqs, cfg, clouds_at)
 

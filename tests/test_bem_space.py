@@ -31,7 +31,7 @@ from stokesbem.bem_space import (
     potential_velocity_matrix,
     unfold,
 )
-from stokesbem.boundary_geometry import BoundaryCurve, BoundaryMesh, build_mesh
+from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import (
     ComplexFrequency,
@@ -414,22 +414,68 @@ def _contour_ends(n_steps, final_time=1.0):
     ids=["circle-80-reduced", "square-p1-32-galerkin", "star-48-reduced",
          "star-48-galerkin", "circle-p1-24-galerkin", "star-p1-48-galerkin"],
 )
-def test_sector_assembly_matches_whole_mesh_assembly(monkeypatch, curve, n,
-                                                     m, final_time, kind,
+def test_sector_assembly_matches_whole_mesh_assembly(curve, n, m,
+                                                     final_time, kind,
                                                      assemble):
-    """Assembling one rotational sector and filling the rest by rotation
-    agrees with assembling every block (symmetry order 1), at the
+    """Assembling the first sector's rows, one block per orbit of the
+    dihedral group, and unfolding them agrees with integrating every
+    ordered element pair of the mesh (:func:`every_block`), at the
     contour's smallest and largest frequency."""
     space = rule_space(assemble, curve, n, kind)
     assert space.mesh.symmetry_order > 1
-    freqs = _contour_ends(m, final_time)
-    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
-    sector = [whole_matrix(assemble, space, s) for s in freqs]
-    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
-    monkeypatch.setattr(BoundaryMesh, "symmetry_order", property(lambda _: 1))
-    for s, got in zip(freqs, sector):
-        want = assemble(space, [s], CFG)[0]
+    for s in _contour_ends(m, final_time):
+        got = whole_matrix(assemble, space, s)
+        want = every_block(space, s)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def every_block(space, s):
+    """The whole matrix at ``s`` with every ordered element pair
+    integrated and no symmetry used: the package's clouds built for
+    every element (self, vertex and diagonal), the reduced rule's
+    neighbours on both sides, every separated ordered pair, and for the
+    Galerkin rule the vertex pairs ``(i + 1, i)`` as the vertex cloud
+    with its roles swapped; summed with no fill."""
+    mesh, nb = space.mesh, space.n_basis
+    n_all = mesh.n_elements
+    every = np.arange(n_all)
+    sqrt_s = bem_space._roots([s], CFG)
+    z = abs(sqrt_s[0]) * float(mesh.arclengths.max())
+    i, j = np.divmod(np.arange(n_all * n_all), n_all)
+    keep = ((j - i) % n_all > 1) & ((i - j) % n_all > 1)
+    i, j = i[keep], j[keep]
+    ratio = (np.linalg.norm(mesh.midpoints[i] - mesh.midpoints[j], axis=1)
+             / np.maximum(mesh.arclengths[i], mesh.arclengths[j]))
+    if space.reduced:
+        at = (mesh.midpoints, mesh.arclengths)
+        eta, w = panel_gauss(bem_space.NEIGHBOR_PANEL_ORDER,
+                             bem_space.NEIGHBOR_BREAKS)
+        clouds = [
+            bem_space._build_diag_cloud(space, every,
+                                        *bem_space._split_scale(z / 2.0)),
+            bem_space._pair_cloud(space, every, None, (every + 1) % n_all,
+                                  eta, w, at=at),
+            bem_space._pair_cloud(space, every, None, (every - 1) % n_all,
+                                  1.0 - eta, w, at=at),
+            *bem_space._class_clouds(space, i, j, ratio,
+                                     bem_space.SEPARATED_CLASSES, at=at)]
+    else:
+        vertex = bem_space._build_vertex_cloud(
+            space, every, *bem_space._split_scale(2.0 * z))
+        swapped = tuple(bem_space._PairCloud(
+            ch.pairs[:, ::-1], ch.r, -ch.rhat,
+            ch.wab.reshape((nb, nb) + ch.r.shape).swapaxes(0, 1).reshape(
+                ch.wab.shape), ch.companion) for ch in vertex)
+        clouds = [
+            bem_space._build_self_cloud(space, every,
+                                        *bem_space._split_scale(z)),
+            vertex, swapped,
+            *bem_space._class_clouds(space, i, j, ratio,
+                                     bem_space.SEPARATED_CLASSES)]
+    out = np.zeros((1, space.dof_count, space.dof_count), dtype=complex)
+    bem_space._sum_clouds(out, sqrt_s, lambda root: clouds,
+                          CFG.kernel_prefactor, nb)
+    return out[0]
 
 
 @pytest.mark.parametrize(
@@ -464,26 +510,131 @@ def test_unfold_matches_block_loops(curve, n, kind, order):
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n, order", [(25, 1), (48, 6), (20, 2)])
-def test_sector_pairs_cover_every_pair_once(n, order):
-    """The separated pairs of the Galerkin sector are one per orbit of
-    unordered pairs (the pairs ``i < j`` for order 1); those of the
-    reduced sector are every non-touching pair of the sector's rows."""
-    mesh = build_mesh(BoundaryCurve.star(1.0, 0.3, 6), n)
+def _group_matrices(mesh):
+    """The ``2 m`` matrices of the mesh's dihedral group: the rotations
+    by ``2 pi k / m``, then each of them after ``tau``, the reflection
+    in the line through the origin and ``x(0)``."""
+    m = mesh.symmetry_order
+    x0, y0 = mesh.curve.point(np.array(0.0))
+    phi = 2.0 * np.arctan2(y0, x0)
+    tau = np.array([[np.cos(phi), np.sin(phi)], [np.sin(phi), -np.cos(phi)]])
+    rotations = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+                 for t in 2.0 * np.pi * np.arange(m) / m]
+    return rotations + [q @ tau for q in rotations]
+
+
+def _element_images(mesh):
+    """``(2 m, N)``: the element onto which each group matrix maps each
+    element, found by turning the midpoints."""
+    mid = mesh.midpoints
+    images = []
+    for g in _group_matrices(mesh):
+        gap = np.linalg.norm((mid @ g.T)[:, None] - mid[None], axis=-1)
+        assert gap.min(axis=1).max() <= 1e-12
+        images.append(gap.argmin(axis=1))
+    return np.array(images)
+
+
+@pytest.mark.parametrize(
+    "curve, n, order, n_ordered, n_unordered",
+    [(BoundaryCurve.star(1.0, 0.3, 6), 25, 1, 275, 143),
+     (BoundaryCurve.star(1.0, 0.3, 6), 48, 6, 180, 103),
+     (BoundaryCurve.star(1.0, 0.3, 6), 20, 2, 85, 49),
+     (BoundaryCurve.square(1.0), 64, 4, 488, 263),
+     (BoundaryCurve.circle(1.0), 160, 160, 79, 79)],
+    ids=["25-1", "48-6", "20-2", "square-64", "circle-160"],
+)
+def test_sector_pairs_cover_every_pair_once(curve, n, order, n_ordered,
+                                            n_unordered):
+    """Every non-touching pair of the first sector's rows is the image
+    of exactly one separated pair that the sector holds, under the
+    dihedral group built here from the midpoints: ordered pairs for the
+    reduced rows, pairs up to transposition for the Galerkin rows.  The
+    group of order 1 is the identity and the reflection."""
+    mesh = build_mesh(curve, n)
     assert mesh.symmetry_order == order
+    images = _element_images(mesh)
     sector = n // order
-    i, j, _ = bem_space._separated_pairs(mesh, ordered=True)
-    assert sorted(zip(i, j)) == [(a, b) for a in range(sector)
-                                 for b in range(n)
-                                 if (b - a) % n not in (0, 1, n - 1)]
-    i, j, _ = bem_space._separated_pairs(mesh, ordered=False)
-    orbits = [{frozenset(((a + k * sector) % n, (b + k * sector) % n))
-               for k in range(order)} for a, b in zip(i, j)]
-    covered = [pair for orbit in orbits for pair in orbit]
-    assert len(covered) == len(set(covered))
-    assert len(set(covered)) == n * (n - 3) // 2
-    if order == 1:
-        assert np.all(i < j)
+    rows = [(a, b) for a in range(sector) for b in range(n)
+            if (b - a) % n not in (0, 1, n - 1)]
+    for ordered, count in [(True, n_ordered), (False, n_unordered)]:
+        i, j, _ = bem_space._separated_pairs(mesh, ordered=ordered)
+        assert i.size == count
+        covered = []
+        for a, b in zip(i, j):
+            orbit = {(g[a], g[b]) for g in images}
+            if not ordered:
+                orbit |= {(g[b], g[a]) for g in images}
+            covered += [pair for pair in orbit if pair[0] < sector]
+        assert sorted(covered) == rows
+
+
+def _group_action(space):
+    """The ``2 m`` dof matrices ``P_g G``, built in loops: element ``j``
+    goes to ``j + k N / m`` under rotation ``k`` and, reversed with its
+    two P1 basis functions swapped, to ``N - 1 - j + k N / m`` under
+    ``Q_k tau``; the Cartesian components turn by ``G``."""
+    mesh, nb, dof = space.mesh, space.n_basis, space.dof_count
+    n_all, m = mesh.n_elements, mesh.symmetry_order
+    out = []
+    for k, g in enumerate(_group_matrices(mesh)):
+        t = np.zeros((dof, dof))
+        for j in range(n_all):
+            for a in range(nb):
+                if k < m:
+                    image, b = (j + k * (n_all // m)) % n_all, a
+                else:
+                    image = (n_all - 1 - j + (k - m) * (n_all // m)) % n_all
+                    b = nb - 1 - a
+                row, col = 2 * (nb * image + b), 2 * (nb * j + a)
+                t[row:row + 2, col:col + 2] = g
+        out.append(t)
+    return out
+
+
+@pytest.mark.parametrize(
+    "curve, n, kind, assemble",
+    [(BoundaryCurve.square(1.0), 16, "P1_discontinuous", assemble_galerkin_V),
+     (BoundaryCurve.star(), 24, "P0", assemble_galerkin_V),
+     (BoundaryCurve.circle(1.0), 12, "P0", assemble_galerkin_V),
+     (BoundaryCurve.star(), 24, "P0", assemble_nystrom_V),
+     (BoundaryCurve.circle(1.0), 12, "P0", assemble_nystrom_V)],
+    ids=["galerkin-square-p1", "galerkin-star-p0", "galerkin-circle-p0",
+         "reduced-star-p0", "reduced-circle-p0"],
+)
+def test_fill_index_rebuilds_equivariant_rows_from_held_blocks(
+        monkeypatch, curve, n, kind, assemble):
+    """A random complex matrix averaged over the dihedral group, ``sum_g
+    T_g A T_g^T`` (and made symmetric for the Galerkin rule), is rebuilt
+    in its first sector's rows from the blocks that the assembler holds
+    alone: every other entry is NaN, so reading one shows."""
+    space = rule_space(assemble, curve, n, kind)
+    calls = []
+    fill_index = bem_space.SectorAction.fill_index
+
+    def spy(action, n_rows, held=None, symmetric=False):
+        calls.append((action, n_rows, held, symmetric))
+        return fill_index(action, n_rows, held, symmetric)
+
+    monkeypatch.setattr(bem_space.SectorAction, "fill_index", spy)
+    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
+    assemble(space, [2.0 + 1.0j], CFG)
+    (action, n_rows, held, symmetric), = calls
+    assert symmetric == (assemble is assemble_galerkin_V)
+    assert n_rows == action.rows and held.shape == (n_rows, space.dof_count)
+    assert held.mean() < 0.6
+    rng = np.random.default_rng(8)
+    shape = (space.dof_count, space.dof_count)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = sum(t @ a @ t.T for t in _group_action(space))
+    if symmetric:
+        want = want + want.T
+    rows = want[:n_rows]
+    sector = np.where(held, rows, np.nan)
+    turns, index = fill_index(action, n_rows, held, symmetric)
+    got = np.take(action.turned(sector, turns), index)
+    assert np.isfinite(got).all()
+    assert np.abs(got - rows).max() <= 1e-14 * np.abs(rows).max()
 
 
 def test_nystrom_block_01_against_adaptive_oracle():
@@ -621,7 +772,7 @@ SQUARE_POINTS = np.array([[0.1, 0.2], [0.55, 0.3], [3.0, 0.5], [0.3, 1.1]])
 @pytest.mark.parametrize(
     "curve, n, kind, assemble, n_clouds",
     [
-        (BoundaryCurve.star(), 32, "P0", assemble_nystrom_V, 7),
+        (BoundaryCurve.star(), 32, "P0", assemble_nystrom_V, 6),
         (BoundaryCurve.star(), 32, "P1_discontinuous", assemble_galerkin_V, 6),
         (BoundaryCurve.square(1.0), 16, "P1_discontinuous",
          assemble_galerkin_V, 5),
@@ -634,8 +785,8 @@ SQUARE_POINTS = np.array([[0.1, 0.2], [0.55, 0.3], [3.0, 0.5], [0.3, 1.1]])
 )
 def test_cloud_profiles_match_direct_evaluation(monkeypatch, curve, n, kind,
                                                 assemble, n_clouds):
-    """Every cloud kind (self, vertex, separated classes; diag, both
-    neighbours, row classes; the potential's point classes) at the probe
+    """Every cloud kind (self, vertex, separated classes; diag, next
+    neighbour, row classes; the potential's point classes) at the probe
     frequencies and s = 1."""
     space = rule_space(assemble, curve, n, kind)
     errors = _cloud_errors(monkeypatch, assemble, space, PROBE_FREQUENCIES)

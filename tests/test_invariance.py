@@ -18,7 +18,11 @@ up to roundoff, so no reference solution is needed:
   rest);
 * rotation by one symmetry sector of the mesh: rotating the data and
   the observation points rotates the density (shifted by ``N / m``
-  elements), the velocity, and leaves the pressure unchanged.
+  elements), the velocity, and leaves the pressure unchanged;
+* reflection ``tau`` of the mesh (``x(-theta) = tau x(theta)``):
+  reflecting the data and the observation points reflects the velocity,
+  reverses the density (element ``j`` onto ``N - 1 - j``, with its two
+  P1 basis functions swapped) and leaves the pressure unchanged.
 """
 
 import numpy as np
@@ -139,3 +143,32 @@ def test_rotating_the_problem_rotates_the_solution(curve, n, kind, constraint,
            np.roll(lam, shift, axis=1), 1e-11)
     _close(turned.velocity_series, base.velocity_series @ rot.T, 1e-11)
     _close(turned.pressure_series, base.pressure_series, 1e-11)
+
+
+@pytest.mark.parametrize(
+    "curve, n, kind, constraint, assembly, tau",
+    [
+        (BoundaryCurve.square(1.0), 16, "P1_discontinuous",
+         ConstraintMode.multiplier_m, "galerkin", [[0.0, 1.0], [1.0, 0.0]]),
+        (BoundaryCurve.star(1.0, 0.3, 6), 48, "P0",
+         ConstraintMode.augmented_Vtilde, "reduced",
+         [[1.0, 0.0], [0.0, -1.0]]),
+    ],
+    ids=["square-p1-16-diagonal", "star-48-axis"],
+)
+def test_reflecting_the_problem_reflects_the_solution(curve, n, kind,
+                                                      constraint, assembly,
+                                                      tau):
+    """Reflect the data and the points in the line through the origin
+    and ``x(0)``: the diagonal on the square, the x axis on the star."""
+    tau = np.array(tau)
+    base = _run(curve, n, kind, constraint, assembly, _velocity, POINTS)
+    mirrored = _run(curve, n, kind, constraint, assembly,
+                    lambda t, pos: _velocity(t, pos @ tau) @ tau,
+                    POINTS @ tau)
+    steps = base.history.shape[0]
+    lam = base.history.reshape(steps, n, -1, 2) @ tau
+    _close(mirrored.history.reshape(steps, n, -1, 2), lam[:, ::-1, ::-1],
+           1e-11)
+    _close(mirrored.velocity_series, base.velocity_series @ tau, 1e-11)
+    _close(mirrored.pressure_series, base.pressure_series, 1e-11)
