@@ -4,7 +4,7 @@ Galerkin
 assembly, the multiplier-augmented system, third-order time stepping.
 
 Runs the ladder (N, M) = (4, 10) doubling to (64, 160) by default
-(about 1.0 s on a 2-core VM), prints the error table, and writes it as CSV.  The
+(about 1.2 s on a 2-core VM), prints the error table, and writes it as CSV.  The
 errors are measured at three points interior to the square at the
 final time against the closed-form reference solution.  The corner
 singularities of the square keep the observed velocity rate a little
@@ -14,8 +14,8 @@ below the smooth-boundary value of 3.
 weights hold the rows of one quarter of the square, its rotational
 sector: L * N * 4N real numbers with L = M + 1 contour nodes, the
 contour samples sharing their buffer, 168 MB there.  Measured on a
-2-core VM with one BLAS thread, the extended run takes about 8 to 9 s
-and peaks at about 241 MB in the calling process and 139 MB in a worker.
+2-core VM with one BLAS thread, the extended run takes about 10 to 11 s
+and peaks at about 233 MB; it runs in one process and forks nothing.
 """
 
 import argparse
@@ -32,7 +32,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--extended", action="store_true",
-        help="append the (128, 320) row (about 9 s, peak about 0.26 GB)",
+        help="append the (128, 320) row (about 11 s, peak about 0.23 GB)",
     )
     parser.add_argument(
         "--output", default="convergence_square.csv",

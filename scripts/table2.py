@@ -12,8 +12,8 @@ near 3.
 weights hold the rows of one element, the circle's rotational sector:
 L * 2 * 2N real numbers with L = M + 1 contour nodes, the contour
 samples sharing their buffer, 3.3 MB at 320.  Measured on a 2-core VM
-with one BLAS thread, the extended run takes about 2.1 to 2.6 s and
-peaks at about 73 MB in the calling process and 49 MB in a worker.  Its errP
+with one BLAS thread, the extended run takes about 2.5 to 2.8 s and
+peaks at about 73 MB; it runs in one process and forks nothing.  Its errP
 prints anywhere from 1.3157e-06 to 1.3162e-06 under rounding-level
 changes of the leading solve (the LU, the BLAS threads), so the row is
 checked by its rates, 2.7 to 3.3, not by its fourth digit.
@@ -33,7 +33,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--extended", action="store_true",
-        help="append the (320, 320) row (about 2.1 s, peak about 80 MB)",
+        help="append the (320, 320) row (about 2.6 s, peak about 73 MB)",
     )
     parser.add_argument(
         "--output", default="convergence_circle.csv",

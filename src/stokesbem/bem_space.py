@@ -210,6 +210,17 @@ class ConstraintMode(enum.Enum):
     scalar multiplier enforcing ``<lam, m> = 0`` with ``m(x) = x``.
     ``augmented_Vtilde`` adds the rank-one term ``<., m> m`` to the
     operator instead of bordering the system.
+
+    With ``none`` the leading system can be singular to working
+    precision and still pass the pivot guard of :func:`factor`: on the
+    square P1 at N = 16, M = 40, ``sigma_min / sigma_max`` is 8.3e-15
+    but the pivot ratio is 6.7e-13.  The density then carries an
+    arbitrary multiple of the normal field (0.026 against ``max |lam|
+    = 8.2``), and so does the interior pressure (0.026 against ``max
+    |p| = 0.49``), while the velocity and the exterior pressure, which
+    the normal field does not reach, match ``multiplier_m``'s to
+    roundoff.  Use a constraint where the density or the interior
+    pressure matters.
     """
 
     none = "none"

@@ -37,31 +37,19 @@ writes the block back in place scaled by ``R^{-n}``, so the ``L = M +
 and little more.
 
 The evaluations are independent problems, one per node (Banjai &
-Sauter, *SIAM J. Numer. Anal.* 47 (2008) 227-249), so the transfer is
-sampled a block of nodes at a time, and the blocks are spread over one
-process per usable core.  Node 0 is evaluated first, alone, in the
-calling process, which fills the geometry caches that the forked
-workers then share copy-on-write.  The other nodes are dealt
-round-robin into one share per process, and each share is cut into
-blocks whose stacked samples hold at most ``_SAMPLE_BLOCK_BYTES`` (a
-node that holds more is a block of its own).  The buffer is one
-anonymous shared mapping that also holds the imaginary rows of the two
-real-axis nodes, each node's ``max |F|`` and a done flag per node: every
-worker writes its nodes' rows straight into it and leaves, so nothing
-is pickled.  The caller then evaluates, in
-node order, every node no worker marked done (a worker that raised or
-died, or a fork that failed), which raises any error exactly as a
-serial sweep would.  A block that fails is sampled again node by node,
-so an error names its node whatever the blocks.  The weights do not
-depend on the number of workers or on the blocks, and with one usable
-core nothing is forked.
-
-The same spread (``_spread`` over the done flags of a ``_shared_buffers``
-mapping) deals the orbit representatives of a large observation pass in
-:mod:`stokesbem.stokes_solver`, round-robin like the nodes, and each
-process runs the whole contour for its own points.  A spread inside a
-spread runs serially, in the caller or in a worker, so such a process
-samples its nodes itself and no worker forks again.
+Sauter, *SIAM J. Numer. Anal.* 47 (2008) 227-249), and the transfer is
+sampled a block of nodes at a time, in the calling process.  Node 0 is
+evaluated first, alone, which fixes the matrix shape and fills the
+geometry caches; the other nodes follow in order, in blocks whose
+stacked samples hold at most ``_SAMPLE_BLOCK_BYTES`` (a node that holds
+more is a block of its own).  Each block's samples are written straight
+into the buffer, beside the imaginary rows of the two real-axis nodes
+and each node's ``max |F|``.  A block that fails is sampled again node
+by node, so an error names its node whatever the blocks, and the
+weights do not depend on the blocks.  This module forks nothing: a
+large observation pass in :mod:`stokesbem.stokes_solver` splits its
+points over processes instead, and each process runs the whole contour
+for its own points.
 
 The implicit one-sided recurrence
 
@@ -95,9 +83,6 @@ history as the stack of one.
 from __future__ import annotations
 
 import dataclasses
-import math
-import mmap
-import os
 
 import numpy as np
 
@@ -358,83 +343,6 @@ def _sample(transfer, nodes: np.ndarray, freqs: np.ndarray,
                                         shape) for k in nodes])
 
 
-#: True in the caller and the workers of a spread while it runs, so that
-#: a spread inside it (a point's own contour sweep) runs serially.
-_IN_SPREAD = False
-
-
-def _process_count(n_items: int) -> int:
-    """Processes a spread of ``n_items`` items runs on: one per usable
-    core and at most one per item; one inside a spread, or where
-    ``os.fork`` or ``os.sched_getaffinity`` is missing."""
-    if _IN_SPREAD or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_items)
-
-
-def _shared_buffers(shapes, n_flags: int):
-    """Zeroed float arrays of the given ``shapes`` and ``n_flags`` done
-    flags, as views of one anonymous mapping that forked workers share
-    with the caller."""
-    sizes = [math.prod(shape) for shape in shapes]
-    buf = mmap.mmap(-1, 8 * sum(sizes) + n_flags)
-    views, offset = [], 0
-    for shape, size in zip(shapes, sizes):
-        views.append(np.frombuffer(buf, count=size, offset=offset).reshape(shape))
-        offset += 8 * size
-    views.append(np.frombuffer(buf, dtype=bool, count=n_flags, offset=offset))
-    return views
-
-
-def _spread(evaluate, done: np.ndarray) -> None:
-    """Call ``evaluate`` on the items whose ``done`` flag is clear, dealt
-    round-robin into one share per ``_process_count`` process;
-    ``evaluate(items)`` takes a share, an array of items in order, and
-    sets ``done[k]`` for each item ``k`` it finishes.  The items are the
-    contour nodes of :func:`cq_weights` or the orbit representatives of
-    an observation pass; while the spread runs, its caller and its
-    workers are inside it (``_IN_SPREAD``), whether it forked or not.
-
-    The caller keeps the first share and forks a worker for each other
-    one; a worker stops at its first failure and leaves by ``os._exit``.
-    Once the workers are reaped the caller evaluates, in order, the
-    items that are still not done (a worker that raised or died, a fork
-    that failed, a failure of its own), which raises any error exactly
-    as a serial sweep would.
-    """
-    global _IN_SPREAD
-    items = np.flatnonzero(~done)
-    n_proc = _process_count(items.size)
-    outer, children = _IN_SPREAD, []
-    _IN_SPREAD = True
-    try:
-        for share in (items[k::n_proc] for k in range(1, n_proc)):
-            try:
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    evaluate(share)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append(pid)
-        evaluate(items[::n_proc])
-    except Exception:
-        if n_proc == 1:
-            raise  # a serial sweep stops at its first failure
-        # otherwise the sweep below raises it again
-    finally:
-        for pid in children:
-            os.waitpid(pid, 0)
-        _IN_SPREAD = outer
-    rest = np.flatnonzero(~done)
-    if rest.size:
-        evaluate(rest)
-
-
 def _inverse_transform(packed: np.ndarray, scale: np.ndarray) -> None:
     """Replace each column of the ``(L, entries)`` buffer ``packed``,
     FFTPACK half-complex rows, by its inverse real transform times
@@ -477,9 +385,10 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     WeightSequence
         Real weights ``W_0, ..., W_M``; accuracy is limited by the floor
         ``sqrt(CONTOUR_EPSILON) * max_l ||F||`` of the balanced contour.
-        They are the ``(L, entries)`` transform buffer (``L = M + 1``) at
-        the start of the shared mapping, reshaped to ``(M + 1, rows,
-        cols)`` without a copy.
+        They are the ``(L, entries)`` transform buffer (``L = M + 1``),
+        reshaped to ``(M + 1, rows, cols)`` without a copy.  Every node
+        is sampled in the calling process, so they do not depend on the
+        number of usable cores.
 
     Raises
     ------
@@ -496,12 +405,13 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
     """
     n_nodes = scheme.n_contour_nodes
     freqs = scheme.frequencies()[: scheme.n_half_nodes]
-    # node 0 first, here: it fills the geometry caches the workers share
+    # node 0 alone fixes the shape, hence the block width
     first = _sample(transfer, np.zeros(1, dtype=int), freqs)
     shape = first.shape[1:]
-    packed, imag_ends, peaks, done = _shared_buffers(
-        ((n_nodes, first.size), (2, first.size), (freqs.size,)), freqs.size
-    )
+    packed = np.zeros((n_nodes, first.size))
+    # zeroed: for odd L only the row of node 0 is written
+    imag_ends = np.zeros((2, first.size))
+    peaks = np.zeros(freqs.size)
     width = max(1, _SAMPLE_BLOCK_BYTES // first.nbytes)
 
     def store(node: int, val: np.ndarray) -> None:
@@ -515,17 +425,12 @@ def cq_weights(transfer, scheme: CQScheme) -> WeightSequence:
             packed[2 * node] = -flat.imag
         else:
             imag_ends[int(node > 0)] = flat.imag
-        done[node] = True
-
-    def evaluate(nodes: np.ndarray) -> None:
-        for start in range(0, nodes.size, width):
-            block = nodes[start : start + width]
-            samples = _sample(transfer, block, freqs, shape)
-            for node, val in zip(block, samples):
-                store(int(node), val)
 
     store(0, first[0])
-    _spread(evaluate, done)
+    for start in range(1, freqs.size, width):
+        block = np.arange(start, min(start + width, freqs.size))
+        for node, val in zip(block, _sample(transfer, block, freqs, shape)):
+            store(int(node), val)
     max_transfer = float(peaks.max())
 
     scale = scheme.contour_radius ** -np.arange(n_nodes, dtype=float)

@@ -311,7 +311,8 @@ def _k01(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residues, once for ``g_0`` and, squared, once for ``g_0'``.  The
     contractions are einsums rather than matmuls: a multithreaded BLAS
     call on these thin shapes waits for its threads whenever the cores
-    are busy, as they are while the contour workers run.
+    are busy, as they are while the workers of a split observation pass
+    run, or under any other load.
     """
     sums = np.empty((2, z.size), dtype=complex)
     recip = np.empty((_K_BLOCK, _K_POLES.size), dtype=complex)

@@ -42,6 +42,9 @@ it too; this module applies no rotation or reflection of its own.
 from __future__ import annotations
 
 import dataclasses
+import math
+import mmap
+import os
 from typing import Callable
 
 import numpy as np
@@ -72,9 +75,6 @@ from .boundary_geometry import (
 from .cq_engine import (
     _SAMPLE_BLOCK_BYTES,
     CQScheme,
-    _process_count,
-    _shared_buffers,
-    _spread,
     cq_march,
     cq_postprocess,
     cq_weights,
@@ -479,6 +479,73 @@ def run_simulation(
     )
 
 
+def _process_count(n_items: int) -> int:
+    """Processes a spread of ``n_items`` items runs on: one per usable
+    core and at most one per item; one where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_items)
+
+
+def _shared_buffers(shapes, n_flags: int):
+    """Zeroed float arrays of the given ``shapes`` and ``n_flags`` done
+    flags, as views of one anonymous mapping that forked workers share
+    with the caller."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = mmap.mmap(-1, 8 * sum(sizes) + n_flags)
+    views, offset = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(np.frombuffer(buf, count=size, offset=offset).reshape(shape))
+        offset += 8 * size
+    views.append(np.frombuffer(buf, dtype=bool, count=n_flags, offset=offset))
+    return views
+
+
+def _spread(evaluate, done: np.ndarray) -> None:
+    """Call ``evaluate`` on the items whose ``done`` flag is clear, dealt
+    round-robin into one share per ``_process_count`` process;
+    ``evaluate(items)`` takes a share, an array of items in order, and
+    sets ``done[k]`` for each item ``k`` it finishes.  The items are the
+    orbit representatives of an observation pass (:func:`_observe`).
+
+    The caller keeps the first share and forks a worker for each other
+    one; a worker stops at its first failure and leaves by ``os._exit``.
+    Once the workers are reaped the caller evaluates, in order, the
+    items that are still not done (a worker that raised or died, a fork
+    that failed, a failure of its own), which raises any error exactly
+    as a serial sweep would.
+    """
+    items = np.flatnonzero(~done)
+    n_proc = _process_count(items.size)
+    children = []
+    try:
+        for share in (items[k::n_proc] for k in range(1, n_proc)):
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    evaluate(share)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        evaluate(items[::n_proc])
+    except Exception:
+        if n_proc == 1:
+            raise  # a serial sweep stops at its first failure
+        # otherwise the sweep below raises it again
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        evaluate(rest)
+
+
 def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
              history: np.ndarray, points: np.ndarray):
     """Velocity ``(M + 1, K, 2)`` and pressure ``(M + 1, K)`` histories
@@ -515,14 +582,15 @@ def _observe(space: DensitySpace, scheme: CQScheme, cfg: ProblemConfig,
     lowered by that much per process.
 
     With at least as many representatives as the half contour has nodes,
-    the representatives of each block are the items of
-    ``cq_engine._spread``, dealt round-robin over one process per usable
-    core: each process runs the whole contour for its own points,
-    serially, writing their velocities and pressure-matrix rows into one
-    shared mapping.  With fewer, the block is evaluated here at once and
-    ``cq_weights`` spreads the contour nodes instead.  The pressure is
-    multiplied here, one product per block and turn, so that its bits do
-    not depend on the deal.
+    the representatives of each block are the items of :func:`_spread`,
+    dealt round-robin over one process per usable core: each process
+    runs the whole contour for its own points, writing their velocities
+    and pressure-matrix rows into one shared mapping.  With fewer, the
+    block is evaluated here at once and nothing is forked, since
+    ``cq_weights`` samples every node in its calling process.  This is
+    the package's one process spread.  The pressure is multiplied here,
+    one product per block and turn, so that its bits do not depend on
+    the deal.
     """
     n_keep = scheme.n_steps + 1
     dof = space.dof_count

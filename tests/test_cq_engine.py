@@ -282,9 +282,9 @@ def test_weights_peak_memory_is_one_buffer():
     """The samples and the weights share one (L, entries) float buffer,
     for odd L = 41 and even L = 42: the peak resident set of a fresh
     process rises by at most 1.5 times its size across the call.  The
-    buffer is a shared mapping, which tracemalloc does not see; the
-    resident set counts it, the per-node samples and the temporaries of
-    the transform's blocks of columns.  The peak is the process's own high-water mark
+    resident set counts the buffer, the samples of a block of nodes and
+    the temporaries of the transform's blocks of columns, whatever
+    allocated them.  The peak is the process's own high-water mark
     ``VmHWM``: ``ru_maxrss`` of a fresh process starts at the peak of
     the test process, which it inherits through fork and exec."""
     script = (
@@ -427,19 +427,31 @@ def test_weight_sequence_validation():
 
 
 # ---------------------------------------------------------------------------
-# contour nodes sampled in forked workers
+# contour nodes sampled in the calling process, whatever the core count
 
 WORKER_COUNTS = (1, 2, 3)
 
 
 def use_cores(monkeypatch, n: int) -> None:
-    """Let cq_weights see ``n`` usable cores, hence ``n`` processes."""
+    """Let cq_weights see ``n`` usable cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def assert_children_reaped() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list:
+    """Record each ``os.fork`` call in the returned list, then fork."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 def brinkman_transfer(name: str):
@@ -463,29 +475,29 @@ def brinkman_transfer(name: str):
 
 
 @pytest.mark.parametrize("name", ["V", "potential"])
-def test_worker_count_leaves_weights_bit_identical(monkeypatch, tmp_path, name):
-    """1, 2 and 3 processes share the nodes, every node evaluated exactly
-    once across them, and give the same weights bit for bit."""
+def test_worker_count_leaves_weights_bit_identical(monkeypatch, name):
+    """On 1, 2 and 3 usable cores cq_weights evaluates each half-contour
+    node exactly once, in the calling process, forks nothing and gives
+    the same weights bit for bit."""
     transfer = brinkman_transfer(name)
-    log = tmp_path / "frequencies"
+    seen = []
 
     def logged(s):
-        with open(log, "a") as out:
-            out.writelines(f"{os.getpid()} {x!r}\n" for x in s)
+        seen.extend((os.getpid(), repr(x)) for x in s)
         return transfer(s)
 
+    forks = count_forks(monkeypatch)
     scheme = CQScheme(order=3, kappa=1.0 / 16, n_steps=16)
     half = sorted(map(repr, scheme.frequencies()[: scheme.n_half_nodes]))
     runs = []
     for n in WORKER_COUNTS:
         use_cores(monkeypatch, n)
-        log.write_text("")
+        seen.clear()
         runs.append(cq_weights(logged, scheme).weights)
-        assert_children_reaped()
-        pids, seen = zip(*(line.split(" ", 1)
-                           for line in log.read_text().splitlines()))
-        assert sorted(seen) == half
-        assert len(set(pids)) == n
+        pids, freqs = zip(*seen)
+        assert sorted(freqs) == half
+        assert set(pids) == {os.getpid()}
+    assert forks == []
     for weights in runs[1:]:
         assert np.array_equal(weights, runs[0])
 
@@ -497,9 +509,9 @@ def test_worker_count_leaves_weights_bit_identical(monkeypatch, tmp_path, name):
 @pytest.mark.parametrize("failing", [(2,), (2, 3)])
 def test_worker_failure_is_raised_as_in_serial(monkeypatch, error, raised,
                                                failing):
-    """Node 2 belongs to a forked worker for 2 and 3 processes, node 3 to
-    the caller for 2: the error names the first failing node with the
-    serial message and cause, and no worker is left unreaped."""
+    """A failure at node 2, alone or with node 3, is raised from the
+    caller's serial sweep on 1, 2 and 3 usable cores alike: the error
+    names the first failing node with the same message and cause."""
     scheme = CQScheme(order=2, kappa=0.1, n_steps=16)
     targets = scheme.frequencies()[list(failing)]
 
@@ -517,38 +529,6 @@ def test_worker_failure_is_raised_as_in_serial(monkeypatch, error, raised,
         assert_children_reaped()
         messages.append(str(info.value))
     assert messages == messages[:1] * len(WORKER_COUNTS)
-
-
-def test_dead_worker_and_failed_fork_leave_weights_bit_identical(monkeypatch):
-    """The caller evaluates the nodes of a worker that died or was never
-    forked; with one core nothing is forked."""
-    parent = os.getpid()
-
-    def dying(s):
-        if os.getpid() != parent:
-            os._exit(3)
-        return np.array([[1.0 / (s + 1.0), 1.0 / (s + 2.0) ** 2]])
-
-    dying = blockwise(dying)
-    scheme = CQScheme(order=3, kappa=0.05, n_steps=24)
-    use_cores(monkeypatch, 1)
-    serial = cq_weights(dying, scheme).weights
-    for n in WORKER_COUNTS[1:]:
-        use_cores(monkeypatch, n)
-        assert np.array_equal(cq_weights(dying, scheme).weights, serial)
-        assert_children_reaped()
-
-    forks = []
-
-    def no_fork():
-        forks.append(1)
-        raise OSError("fork refused")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    for n in WORKER_COUNTS:
-        use_cores(monkeypatch, n)
-        assert np.array_equal(cq_weights(dying, scheme).weights, serial)
-    assert len(forks) == 2
 
 
 # ---------------------------------------------------------------------------

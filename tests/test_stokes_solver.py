@@ -366,6 +366,26 @@ class TestGaugeConstraints:
             <= 1e-10 * vel_scale
         )
 
+    def test_none_on_the_square_matches_multiplier_outside(self):
+        """Square P1 at N = 16, M = 40 with ``none``: the leading system
+        is singular to working precision yet passes ``factor``'s pivot
+        guard, so the density carries an arbitrary multiple of the normal
+        field.  That field has no exterior velocity or pressure, so at
+        exterior points both fields agree with ``multiplier_m`` within
+        1e-12 of each field's maximum."""
+        points = [(1.5, 0.2), (-1.3, 0.9), (0.4, -2.0), (2.5, 2.5)]
+        none, border = (
+            run_simulation(
+                BoundaryCurve.square(1.0), 16, "P1_discontinuous", mode,
+                CQScheme(order=3, kappa=1.0 / 40, n_steps=40),
+                manufactured_dirichlet_data(), points, CFG,
+            )
+            for mode in (ConstraintMode.none, ConstraintMode.multiplier_m)
+        )
+        for name in ("velocity_series", "pressure_series"):
+            got, want = getattr(none, name), getattr(border, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     @staticmethod
     def circle_history(constraint):
         return run_simulation(
@@ -836,6 +856,19 @@ def use_cores(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def count_forks(monkeypatch) -> list:
+    """Record the pid of each ``os.fork`` call made in this process in
+    the returned list, then fork."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def point_key(point) -> str:
     """A point as the text the logging helpers write and compare."""
     return ",".join(repr(float(c)) for c in point)
@@ -1046,15 +1079,37 @@ class TestPointShares:
             assert sorted(sum(by_pid.values(), [])) == sorted(reps)
             assert by_pid[str(os.getpid())] == reps[::n]
 
+    def test_refused_fork_leaves_fields_bit_identical(self, star_run,
+                                                      monkeypatch):
+        """With ``os.fork`` refused, the caller evaluates the shares it
+        could not deal: the fields are those of one core, bit for bit.
+        The first refusal ends the deal, so each split pass on 2 or 3
+        cores tries to fork once."""
+        use_cores(monkeypatch, 1)
+        serial = self.star_fields(star_run)
+        forks = []
+
+        def no_fork():
+            forks.append(os.getpid())
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        for n in CORE_COUNTS:
+            use_cores(monkeypatch, n)
+            forks.clear()
+            for got, want in zip(self.star_fields(star_run), serial):
+                assert np.array_equal(got, want)
+            assert forks == ([os.getpid()] if n > 1 else [])
+
     def test_half_contour_nodes_decide_the_split(self, star_run,
                                                  monkeypatch, tmp_path):
         """Six representatives, one fewer than the seven half-contour
-        nodes of M = 12, leave the points together and spread the nodes,
-        every node evaluated exactly once across the processes; seven
-        split the points, and every process sweeps the whole half
-        contour."""
+        nodes of M = 12, run in the caller and fork nothing, every node
+        evaluated exactly once; seven split the points over ``cores``
+        processes, and every process sweeps the whole half contour."""
         calls = tmp_path / "calls"
         self.logged(monkeypatch, calls)
+        forks = count_forks(monkeypatch)
         half = self.half_contour(star_run)
         assert len(half) == 7
         for n_points in (6, 7):
@@ -1067,24 +1122,29 @@ class TestPointShares:
             for n in CORE_COUNTS[1:]:
                 use_cores(monkeypatch, n)
                 calls.write_text("")
+                forks.clear()
                 stokes_solver._observe(star_run.space, star_run.scheme,
                                        star_run.cfg, star_run.history, points)
                 assert_children_reaped()
                 by_pid = self.seen(calls)
-                assert len(by_pid) == n
                 if n_points < len(half):
-                    assert sorted(sum(by_pid.values(), [])) == half
+                    assert forks == []
+                    assert list(by_pid) == [str(os.getpid())]
+                    assert sorted(by_pid[str(os.getpid())]) == half
                 else:
+                    assert len(forks) == n - 1
+                    assert len(by_pid) == n
                     assert all(sorted(seen) == half
                                for seen in by_pid.values())
 
     def test_few_points_spread_the_nodes(self, star_run, monkeypatch,
                                          tmp_path):
         """Three observation points, fewer than the half contour's
-        nodes, are one share, and cq_weights spreads its nodes over the
-        ``cores`` processes, every node evaluated exactly once."""
+        nodes, are one share: on 1, 2 and 3 cores the caller evaluates
+        every node exactly once and forks nothing."""
         calls = tmp_path / "calls"
         self.logged(monkeypatch, calls)
+        forks = count_forks(monkeypatch)
         points = star_run.observation_points
         assert points.shape[0] < star_run.scheme.n_half_nodes
         for n in CORE_COUNTS:
@@ -1092,11 +1152,11 @@ class TestPointShares:
             calls.write_text("")
             stokes_solver._observe(star_run.space, star_run.scheme,
                                    star_run.cfg, star_run.history, points)
-            assert_children_reaped()
             by_pid = self.seen(calls)
-            assert len(by_pid) == n
-            assert sorted(sum(by_pid.values(), [])) == self.half_contour(
+            assert list(by_pid) == [str(os.getpid())]
+            assert sorted(by_pid[str(os.getpid())]) == self.half_contour(
                 star_run)
+        assert forks == []
 
 
 def turned(points, turns, m):
