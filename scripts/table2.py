@@ -15,7 +15,7 @@ samples sharing their buffer, 3.3 MB at 320.  Measured on a 2-core VM
 with one BLAS thread, the extended run takes about 2.5 to 2.8 s and
 peaks at about 73 MB; it runs in one process and forks nothing.  Its errP
 prints anywhere from 1.3157e-06 to 1.3162e-06 under rounding-level
-changes of the leading solve (the LU, the BLAS threads), so the row is
+changes of the leading solve (the inverse, the BLAS threads), so the row is
 checked by its rates, 2.7 to 3.3, not by its fourth digit.
 """
 

@@ -23,9 +23,9 @@ first sector's rows of the density block ``V(s)`` (see below), whose
 :func:`unfold` is the square matrix of order ``dof_count``.
 :func:`constrain` is the one function that removes the gauge kernel: it
 borders a matrix by the multiplier row or adds a rank-one term.
-:func:`factor`, the package's one LU (blocked, with partial pivoting,
-in NumPy), factors such a system once and returns its solve: density
-load in, density out, the multiplier dropped.
+:func:`factor` inverts such a system once by LAPACK, refuses it below
+an exact condition threshold, and returns its solve: density load in,
+density out, the multiplier dropped.
 
 Sector assembly
 ---------------
@@ -211,16 +211,10 @@ class ConstraintMode(enum.Enum):
     ``augmented_Vtilde`` adds the rank-one term ``<., m> m`` to the
     operator instead of bordering the system.
 
-    With ``none`` the leading system can be singular to working
-    precision and still pass the pivot guard of :func:`factor`: on the
-    square P1 at N = 16, M = 40, ``sigma_min / sigma_max`` is 8.3e-15
-    but the pivot ratio is 6.7e-13.  The density then carries an
-    arbitrary multiple of the normal field (0.026 against ``max |lam|
-    = 8.2``), and so does the interior pressure (0.026 against ``max
-    |p| = 0.49``), while the velocity and the exterior pressure, which
-    the normal field does not reach, match ``multiplier_m``'s to
-    roundoff.  Use a constraint where the density or the interior
-    pressure matters.
+    With ``none`` the leading system keeps the normal-field kernel: it is
+    regular on the circle and the star, but singular to working
+    precision on the square (``rcond_1`` 7.6e-15 for P1 at N = 16,
+    M = 40), which :func:`factor` refuses.
     """
 
     none = "none"
@@ -1412,78 +1406,54 @@ def data_functional(space: DensitySpace, values_at) -> np.ndarray:
     return out
 
 
-#: columns per panel of :func:`factor`'s LU, and rows per block of its
-#: solve
-_LU_BLOCK = 64
+#: :func:`factor` refuses a system with ``rcond_1`` at most this: the tests'
+#: regular systems have 5.4e-7 or more, the square's ``none`` 7.6e-15
+_RCOND_MIN = 1e-12
 
 
 def factor(system: np.ndarray):
-    """Factor a system built by :func:`constrain` once; return its solve.
+    """Invert a system built by :func:`constrain` once; return its solve.
 
     ``solve(load)`` takes one entry per density row, appends the zero
     load of the constraint rows beyond them and returns the density part
-    of the solution, real for a real system and load, complex for a
-    complex one.
+    of the solution, ``inv[:n, :n] @ load``: real for a real system and
+    load, complex for a complex one.
 
-    The factorization is ``P A = L U`` by partial pivoting, blocked by
-    ``_LU_BLOCK`` columns: each panel is eliminated column by column,
-    and the rest of the matrix takes the panel's update as one matrix
-    product (Golub & Van Loan, *Matrix Computations*, section 3.4).
-    ``solve`` applies the factors block by block, through the inverses
-    of their diagonal blocks, so a solve costs ``O(n^2)``.
+    With LAPACK's inverse the exact ``rcond_1 = 1 / (||A||_1
+    ||A^-1||_1)`` costs two column sums and needs no estimator (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 15).
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If the system is numerically singular, its pivot ratio
-        ``min|u_ii| / max|u_ii|`` at most 1e-14 (the frequency is on or
-        near the branch cut, or assembly is broken); the message states
-        the ratio.  Also if the system is not finite.
+        If the system is numerically singular, ``rcond_1`` at most
+        ``_RCOND_MIN`` (the normal-field kernel is not removed, the
+        frequency is on the branch cut, or assembly is broken); the
+        message states ``rcond_1`` and the threshold.  Also if the
+        system is not finite.
     ValueError
         From ``solve``, if the load is longer than the system.
     """
-    lu = np.array(system, dtype=np.result_type(system, float))
-    if not np.isfinite(lu).all():
+    system = np.asarray(system, dtype=np.result_type(system, float))
+    if not np.isfinite(system).all():
         raise np.linalg.LinAlgError("system matrix is not finite")
-    size = lu.shape[0]
-    perm = np.arange(size)
-    blocks = [(a, min(a + _LU_BLOCK, size)) for a in range(0, size, _LU_BLOCK)]
-    inv_l = []
-    for a, b in blocks:
-        for j in range(a, b):
-            p = j + int(np.abs(lu[j:, j]).argmax())
-            if p != j:
-                row = lu[j].copy()
-                lu[j], lu[p] = lu[p], row
-                perm[j], perm[p] = perm[p], perm[j]
-            col = lu[j + 1:, j]
-            if lu[j, j] != 0.0:
-                col /= lu[j, j]
-            lu[j + 1:, j + 1:b] -= col[:, None] * lu[j, j + 1:b]
-        # the panel's rows of U, once its row swaps are done, then the
-        # rest of the matrix
-        inv_l.append(np.linalg.inv(np.tril(lu[a:b, a:b], -1) + np.eye(b - a)))
-        lu[a:b, b:] = inv_l[-1] @ lu[a:b, b:]
-        lu[b:, b:] -= lu[b:, a:b] @ lu[a:b, b:]
-    du = np.abs(np.diag(lu))
-    if du.min() <= du.max() * 1e-14:
-        ratio = du.min() / du.max() if du.max() > 0.0 else 0.0
+    try:
+        inv = np.linalg.inv(system)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        rcond = 0.0
+    else:
+        rcond = 1.0 / (np.linalg.norm(system, 1) * np.linalg.norm(inv, 1))
+    if not rcond > _RCOND_MIN:
         raise np.linalg.LinAlgError(
-            f"system matrix is numerically singular: pivot ratio min|u_ii| "
-            f"/ max|u_ii| = {ratio:.3e} is not above 1e-14")
-    inv_u = [np.linalg.inv(np.triu(lu[a:b, a:b])) for a, b in blocks]
+            f"system matrix is numerically singular: rcond_1 = {rcond:.3e} "
+            f"is not above {_RCOND_MIN:.0e}; constraint multiplier_m or "
+            f"augmented_Vtilde removes the normal-field kernel")
+    size = system.shape[0]
 
     def solve(load: np.ndarray) -> np.ndarray:
-        n = load.shape[0]
+        n = load.size
         if n > size:
             raise ValueError(f"load length {n} exceeds the system size {size}")
-        x = np.zeros(size, dtype=np.result_type(lu, load))
-        x[:n] = load
-        x = x[perm]
-        for (a, b), inv in zip(blocks, inv_l):
-            x[a:b] = inv @ (x[a:b] - lu[a:b, :a] @ x[:a])
-        for (a, b), inv in zip(reversed(blocks), reversed(inv_u)):
-            x[a:b] = inv @ (x[a:b] - lu[a:b, b:] @ x[b:])
-        return x[:n]
+        return inv[:n, :n] @ load
 
     return solve

@@ -8,7 +8,6 @@ self entries carry ~2e-11 oracle noise from the extrapolation table;
 comparisons are at 1e-8.
 """
 
-import os
 import re
 import warnings
 
@@ -891,8 +890,6 @@ def test_block_temporaries_stay_under_the_byte_bounds(monkeypatch):
         return f, g
 
     monkeypatch.setattr(bem_space, "_cloud_profiles", recorded)
-    # one usable core: every block is sampled in this process
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     space = build_space(build_mesh(BoundaryCurve.square(1.0), 16),
                         "P1_discontinuous")
 
@@ -1229,12 +1226,11 @@ def test_factor_round_trip():
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_factor_matches_numpy_across_panels(dtype):
-    """A system of several LU panels, the rows swapped by the pivoting,
-    solves as ``numpy.linalg.solve`` does, in the system's own type:
-    a complex system (the verification's) stays complex, a real one
-    real."""
+    """A random system of 165 rows solves as ``numpy.linalg.solve``
+    does, in the system's own type: a complex system (the
+    verification's) stays complex, a real one real."""
     rng = np.random.default_rng(14)
-    size = 2 * bem_space._LU_BLOCK + 37
+    size = 165
     system = rng.standard_normal((size, size)).astype(dtype)
     load = rng.standard_normal(size).astype(dtype)
     if dtype is complex:
@@ -1312,21 +1308,29 @@ def test_multiplier_solution_satisfies_constraint():
     assert abs(b @ lam) <= 1e-10 * max(np.abs(lam).max(), 1.0)
 
 
-def test_factor_names_the_pivot_ratio():
-    """The refusal states the pivot ratio and the bound it failed; a
-    system just above the bound is factored."""
-    message = (r"numerically singular: pivot ratio min\|u_ii\| / "
-               r"max\|u_ii\| = 2\.500e-15 is not above 1e-14")
+def test_factor_names_its_rcond():
+    """The refusal states the exact reciprocal 1-norm condition number,
+    the threshold it failed and the constraints that remove the gauge
+    kernel; a system above the threshold is solved."""
+    message = (r"numerically singular: rcond_1 = 2\.500e-14 is not above "
+               r"1e-12; constraint multiplier_m or augmented_Vtilde")
     with pytest.raises(np.linalg.LinAlgError, match=message):
-        factor(np.diag([4.0, 1e-14]))
-    solve = factor(np.diag([4.0, 1e-13]))
-    np.testing.assert_allclose(solve(np.array([4.0, 1e-13])), [1.0, 1.0])
+        factor(np.diag([4.0, 1e-13]))
+    solve = factor(np.diag([4.0, 1e-11]))
+    np.testing.assert_allclose(solve(np.array([4.0, 1e-11])), [1.0, 1.0])
 
 
 def test_factor_rejects_singular_system():
     _, mat = galerkin(BoundaryCurve.circle(1.0), 6, "P0", 1.0 + 0j)
     with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
         factor(np.zeros_like(mat))
+
+
+def test_factor_refuses_a_non_finite_system():
+    system = np.eye(3)
+    system[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        factor(system)
 
 
 # -- the mesh's reflections in SectorAction ------------------------------------

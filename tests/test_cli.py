@@ -368,6 +368,25 @@ class TestRunCommand:
         assert cli.main(["run", path]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_none_on_the_square_exits_2(self, tmp_path, monkeypatch, capsys):
+        """The default constraint ``none`` leaves the square's leading
+        system singular; the run is refused as a numerical failure that
+        names the constraints that remove the kernel, and writes
+        nothing."""
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "run.cfg", """
+curve = square
+n_elements = 16
+space = P1_discontinuous
+n_steps = 40
+observation_points = 1.5,0.2
+""")
+        assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "rcond_1" in err
+        assert "multiplier_m" in err
+        assert not (tmp_path / "series.csv").exists()
+
 
 class TestConvergeCommand:
     TEXT = """

@@ -764,11 +764,9 @@ def test_postprocess_shape_errors():
         cq_postprocess(mat, scheme, np.zeros((9, 3)))
 
 
-def test_postprocess_of_a_stack_is_one_call_per_history(monkeypatch):
+def test_postprocess_of_a_stack_is_one_call_per_history():
     """A stack of histories gives, within 1e-15 of their max, what one
-    call per history gives, from one contour sweep (counted on one
-    usable core, where every node is sampled here)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    call per history gives, from one contour sweep."""
     scheme = CQScheme(order=3, kappa=0.1, n_steps=10)
     base = np.array([[1.0, 0.3, 0.1], [0.2, 1.0, -0.4]], dtype=complex)
     calls = []
@@ -787,10 +785,9 @@ def test_postprocess_of_a_stack_is_one_call_per_history(monkeypatch):
     assert np.abs(out - singles).max() <= 1e-15 * np.abs(singles).max()
 
 
-def test_postprocess_of_a_history_is_its_stack_of_one(monkeypatch):
+def test_postprocess_of_a_history_is_its_stack_of_one():
     """A 2-D history gives, bit for bit, the one result of the stack
     that holds it alone, in the history's own shape."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     scheme = CQScheme(order=3, kappa=0.1, n_steps=10)
     base = np.array([[1.0, 0.3, 0.1], [0.2, 1.0, -0.4]], dtype=complex)
     history = np.random.default_rng(8).standard_normal((11, 3))

@@ -1,9 +1,9 @@
 """Importing the package, a run and a snapshot never import SciPy.
 
 The kernels take ``K_0``, ``K_1`` from the package's own rational
-(``laplace_kernels._k01``), :func:`bem_space.factor` factors by its own
-LU, and ``cq_engine.cq_weights`` inverse-transforms its contour samples
-with NumPy's FFT.  Importing ``scipy.special`` and ``scipy.linalg`` took
+(``laplace_kernels._k01``), :func:`bem_space.factor` inverts by
+``numpy.linalg.inv``, and ``cq_engine.cq_weights`` inverse-transforms
+its contour samples with NumPy's FFT.  Importing ``scipy.special`` and ``scipy.linalg`` took
 most of the fixed time and about half of the resident memory of every
 fresh process, so a run must leave every ``scipy`` module unimported.
 Only ``stokesbem verify``'s oracle imports ``scipy.integrate``, when it
