@@ -97,34 +97,6 @@ All node sets depend on ``s`` only through dyadically quantized split
 radii, so the expensive point-cloud geometry is cached and shared by
 the many frequencies of a convolution-quadrature contour.
 
-At one frequency every argument ``z = sqrt(s) r`` lies on a single ray,
-so each profile is a smooth function of the real distance ``r``, with
-its only singularity at ``r = 0``.  The cloud profiles are therefore
-interpolated in ``r`` rather than evaluated point by point: with
-``S = 2^ceil(log2 |sqrt(s)|)``, panels are geometric (ratio 2) below
-``r = 1/S`` and uniform of width ``1/S`` above it, so each panel spans
-at most 1 in ``|z|`` and lies at least half its width away from the
-singularity, and ``RAY_PANEL_ORDER`` Chebyshev nodes resolve it to
-machine precision (Trefethen, *Approximation Theory and Approximation
-Practice*, SIAM 2013).  Only the nodes of occupied panels are evaluated
-directly.  A channel whose occupied panels would hold at least as many
-nodes as it has points takes its profiles at the points themselves
-instead.  The barycentric basis rows depend on ``s`` only through
-``S``, which takes few values along a contour; they are kept for the
-clouds of the latest run of frequencies until ``S`` or the clouds
-change.
-
-The frequencies of a block are summed together (:func:`_sum_clouds`).
-Consecutive frequencies with the same clouds, which depend on ``s``
-only through the dyadic split radii, and the same ``S`` form a run, a
-handful per contour.  A run is cut into blocks whose largest
-temporary, a channel's profile tensor, holds at most ``_BLOCK_BYTES``;
-each block makes one profile call per channel, at the nodes (or the
-points) of all its frequencies, one contraction per panel and channel,
-and one scatter per cloud.  Every entry is the arithmetic of its
-frequency alone, so a block gives the matrices of single frequencies
-bit for bit.
-
 A cloud is a tuple of channels (``_PairCloud``), each with its
 quadrature weights folded in: a plain channel takes ``(A_2, B_2)``, the
 companion channel of a logarithmic split ``(P, -R)``.  One constructor,
@@ -134,8 +106,29 @@ Galerkin separated pairs, the reduced scheme's far rows and the
 potentials.  One contraction, ``_accumulate_blocks``, turns every cloud
 into 2x2 matrix blocks: those of ``V``, and those of the velocity
 potential, whose clouds pair an observation point with an element.  The
-pressure potential is summed over the same point clouds; the clouds of
-the latest point set are held beside the bases.
+pressure potential is summed over the same point clouds.
+
+At one frequency every argument ``z = sqrt(s) r`` lies on a single ray,
+so each profile is a smooth function of the real distance ``r``, with
+its only singularity at ``r = 0``, and is interpolated in ``r``: with
+``S = 2^ceil(log2 |sqrt(s)|)``, panels are geometric (ratio 2) below
+``r = 1/S`` and uniform of width ``1/S`` above it, so each panel spans
+at most 1 in ``|z|`` and lies at least half its width away from the
+singularity, and ``RAY_PANEL_ORDER`` Chebyshev nodes resolve it to
+machine precision (Trefethen, *Approximation Theory and Approximation
+Practice*, SIAM 2013).  All channels share that grid, so the channels
+of the clouds summed together form one fused point set per profile
+kind, plain or companion.  Only the nodes of a set's occupied panels
+are evaluated, or its points where those would hold as many nodes.
+
+Consecutive frequencies with the same clouds and ``S`` form a run, a
+handful per contour, whose sets and barycentric rows are built once and
+held until the next run (:func:`_sum_clouds`).  A run is summed in
+blocks of frequencies whose temporaries each hold at most
+``_BLOCK_BYTES``: per block, one kernel call and one interpolation loop
+per set, and per cloud one contraction per channel and one scatter.
+Every entry is the arithmetic of its frequency alone, so a block gives
+the matrices of single frequencies bit for bit.
 """
 
 from __future__ import annotations
@@ -187,9 +180,9 @@ POTENTIAL_CLASSES = ((4.0, 6, 1), (2.0, 8, 1), (1.0, 12, 1), (0.0, 12, 4))
 #: Chebyshev nodes per panel of the ray-wise profile interpolation
 RAY_PANEL_ORDER = 20
 
-#: Bytes of the largest temporary of one block of frequencies summed
-#: together, the profile tensor of a cloud channel (``_sum_clouds``); a
-#: frequency whose tensor is larger is a block of its own.
+#: Bytes of each temporary of a block of frequencies summed together
+#: (``_sum_clouds``), and of a chunk of images in ``SectorAction.orbits``;
+#: a frequency whose temporaries are larger is a block of its own.
 _BLOCK_BYTES = 1 << 18
 
 #: Distance, relative to the largest coordinate of a point set, within
@@ -547,12 +540,11 @@ def _class_clouds(space: DensitySpace, ii, jj, ratio, classes, at=None):
 
 
 #: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span), and
-#: of the fill index of the sector rows of either rule
-#: (:meth:`SectorAction.fill_index`, read at every frequency) keyed by
-#: (curve, N, kind, "fill", assembly); the dyadic quantization of the
-#: split caps keeps the key set small across a convolution-quadrature
-#: contour.  It holds the entries of one space only: a new space drops
-#: the others first.
+#: of what every frequency or time step reads: the fill index of the
+#: sector rows (:meth:`SectorAction.fill_index`) under "fill" and the
+#: rule, and the Galerkin data rule (:func:`data_functional`) under
+#: "data".  The dyadic split caps keep the key set small across a
+#: contour.  It holds one space only: a new space drops the others first.
 _GEOMETRY_CACHE: dict = {}
 
 
@@ -587,7 +579,7 @@ class _RayBasis:
     """
 
     inverse: np.ndarray
-    bounds: np.ndarray
+    bounds: list
     nodes: np.ndarray
     rows: np.ndarray
 
@@ -609,7 +601,8 @@ def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis | None:
     """
     rs = r * scale
     ids = np.where(rs >= 1.0, np.floor(rs), np.frexp(rs)[1]).astype(np.int64)
-    order = np.argsort(ids, kind="stable")
+    # any order within a panel serves: each point is interpolated alone
+    order = np.argsort(ids)
     panels, starts, counts = np.unique(ids[order], return_index=True,
                                        return_counts=True)
     if panels.size * RAY_PANEL_ORDER >= r.size:
@@ -622,125 +615,109 @@ def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis | None:
     t = (r[order] - np.repeat(mid, counts)) / np.repeat(half, counts)
     rows = t[None, :] - _CHEB_T[:, None]
     hit = rows == 0.0
-    rows[hit] = 1.0
+    on_node = hit.any(axis=0)
+    rows[:, on_node] = 1.0
     np.divide(_CHEB_W[:, None], rows, out=rows)
     rows /= rows.sum(axis=0)
-    on_node = hit.any(axis=0)
     rows[:, on_node] = hit[:, on_node]
     return _RayBasis(inverse=np.argsort(order),
-                     bounds=np.append(starts, r.size),
+                     bounds=np.append(starts, r.size).tolist(),
                      nodes=mid[:, None] + half[:, None] * _CHEB_T[None, :],
                      rows=rows)
 
 
-def _interpolate(basis: _RayBasis, profiles, sqrt_s: np.ndarray):
-    """Interpolated values, in input order, of the two profiles that
-    ``profiles`` (``_ab2`` or ``_pr2``) returns at ``z = sqrt_s r``, for
-    each of the ``b`` roots ``sqrt_s`` (1-D): the real and imaginary
-    parts of the first, then of the second, as a real (b, 4, n_points)
-    array.  One profile call takes the nodes of every root, and one
-    contraction per panel their rows."""
-    f, g = profiles(basis.nodes[:, None, :] * sqrt_s[None, :, None])
-    # (panel, root, part, node): each panel's table is one (4 b, order)
-    # matrix, row 4 i + part for root i
-    table = np.stack([f.real, f.imag, g.real, g.imag], axis=2)
-    out = np.empty((4 * sqrt_s.size, basis.rows.shape[1]))
-    b = basis.bounds
+def _interpolate(basis: _RayBasis, table: np.ndarray) -> np.ndarray:
+    """Values at the basis's points in panel order, read through
+    ``basis.inverse``, of the rows of ``table``, their values at the
+    nodes of shape (panels, ..., RAY_PANEL_ORDER): one contraction per
+    occupied panel for every row."""
+    rows = table.reshape(table.shape[0], -1, RAY_PANEL_ORDER)
+    out = np.empty((rows.shape[1], basis.rows.shape[1]))
     # einsum rather than matmul: a multithreaded BLAS call on these thin
     # shapes costs milliseconds regardless of its size
-    for k in range(table.shape[0]):
-        np.einsum("fj,jp->fp", table[k].reshape(-1, RAY_PANEL_ORDER),
-                  basis.rows[:, b[k]:b[k + 1]], out=out[:, b[k]:b[k + 1]])
-    return np.take(out, basis.inverse, axis=1).reshape(sqrt_s.size, 4, -1)
+    for k, (lo, hi) in enumerate(zip(basis.bounds[:-1], basis.bounds[1:])):
+        np.einsum("fj,jp->fp", rows[k], basis.rows[:, lo:hi],
+                  out=out[:, lo:hi])
+    return out.reshape(table.shape[1:-1] + (-1,))
 
 
-#: the scale ``S`` of the last run of frequencies summed and the bases of
-#: its clouds, a dict from ``id(cloud)`` to ``(cloud, one basis or None
-#: per channel)``; the cloud is held so that its id cannot be reused.
-#: Only the clouds of one run are held, which bounds the memory; a
-#: contour sweep crosses few scales, so most runs reuse them.
+#: the key of the last run of frequencies summed, its scale ``S`` and its
+#: channels' ids, and its fused point sets (:func:`_fused_sets`), which
+#: hold the channels so that the ids stay unique.  One run only is held,
+#: which bounds the memory; a contour crosses few scales and split radii.
 _RAY_SLOT: list = [None, {}]
 
 
-def _ray_bases(clouds, scale: float) -> list:
-    """The interpolation bases of each cloud's channels at the scale
-    ``scale`` (:func:`_ray_basis`).
-
-    Bases of other clouds or another scale are dropped before new ones
-    are built.
-    """
-    held = _RAY_SLOT[1] if _RAY_SLOT[0] == scale else {}
-    held = {id(c): held[id(c)] for c in clouds if id(c) in held}
-    _RAY_SLOT[:] = [scale, held]
-    for cloud in clouds:
-        if id(cloud) not in held:
-            held[id(cloud)] = (cloud, tuple(_ray_basis(ch.r.ravel(), scale)
-                                            for ch in cloud))
-    return [held[id(c)][1] for c in clouds]
-
-
-def _cloud_profiles(channel: _PairCloud, basis, sqrt_s: np.ndarray):
-    """The channel's two kernel profiles at ``z = sqrt_s * channel.r``,
-    for each of the roots ``sqrt_s`` (1-D).
-
-    ``(A_2, B_2)`` for a plain channel, ``(P, -R)`` for a companion one,
-    interpolated from the channel's ``basis`` or, where it is ``None``,
-    evaluated at the points (see ``_ray_bases`` and the module
-    docstring).  Each is a real array of shape (b, 2, n_pairs, n_points)
-    holding the real and the imaginary part.
-    """
-    profiles = _pr2 if channel.companion else _ab2
-    if basis is None:
-        f, g = profiles(sqrt_s[:, None] * channel.r.ravel()[None, :])
-        values = np.stack([f.real, f.imag, g.real, g.imag], axis=1)
-    else:
-        values = _interpolate(basis, profiles, sqrt_s)
-    shape = (sqrt_s.size, 2) + channel.r.shape
-    f, g = values[:, :2].reshape(shape), values[:, 2:].reshape(shape)
-    return (f, -g) if channel.companion else (f, g)
+def _fused_sets(clouds, scale: float) -> dict:
+    """Per profile kind of the clouds' channels, plain (``False``) or
+    companion (``True``): its channels in cloud order and the ray basis
+    (:func:`_ray_basis`) of their concatenated distances at ``scale``.
+    The sets of another run are dropped before new ones are built."""
+    key = (scale, [id(ch) for cloud in clouds for ch in cloud])
+    if _RAY_SLOT[0] != key:
+        _RAY_SLOT[:] = [None, {}]
+        kinds: dict = {}
+        for channel in itertools.chain(*clouds):
+            kinds.setdefault(channel.companion, []).append(channel)
+        _RAY_SLOT[:] = [key, {kind: (channels, _ray_basis(
+            np.concatenate([ch.r.ravel() for ch in channels]), scale))
+            for kind, channels in kinds.items()}]
+    return _RAY_SLOT[1]
 
 
-def _accumulate_blocks(V, cloud, bases, sqrt_s, pref, n_basis):
-    """Add a cloud's 2x2 dof blocks into the stack ``V``, whose matrix
-    ``i`` is that of the root ``sqrt_s[i]`` (no mirroring).
+def _fused_profiles(channels, basis, sqrt_s: np.ndarray):
+    """Yield each channel's profiles ``(f, g)``, ``(A_2, B_2)`` or ``(P,
+    -R)``, at ``z = sqrt_s * channel.r`` for the roots ``sqrt_s`` (1-D),
+    real and imaginary parts on axis 1, from one kernel call for the
+    fused set ``channels`` at the nodes of ``basis`` or, without one, at
+    the points."""
+    companion = channels[0].companion
+    z = (sqrt_s[:, None] * np.concatenate([ch.r.ravel() for ch in channels])
+         if basis is None else basis.nodes[:, None, :] * sqrt_s[None, :, None])
+    values = np.stack([part for f in (_pr2 if companion else _ab2)(z)
+                       for part in (f.real, f.imag)], axis=-2)
+    if basis is not None:
+        values = _interpolate(basis, values)
+    stop = 0
+    for channel in channels:
+        start, stop = stop, stop + channel.r.size
+        part = (values[..., start:stop] if basis is None else
+                np.take(values, basis.inverse[start:stop], axis=-1))
+        shape = (sqrt_s.size, 2) + channel.r.shape
+        f, g = part[:, :2].reshape(shape), part[:, 2:].reshape(shape)
+        yield (f, -g) if companion else (f, g)
 
-    ``n_basis`` counts the column functions; the cloud gives the row
-    count, one for an observation point (two matrix rows).  Each channel
-    contributes ``f I + g rhat rhat^T`` for its profiles ``(f, g)``; the
-    pairs of a cloud are distinct, so one indexed add scatters them all,
-    for every root at once.
+
+def _accumulate_blocks(V, cloud, profiles, pref, index):
+    """Add a cloud's 2x2 dof blocks into the stack ``V`` (no mirroring),
+    one matrix per root, from each channel's ``profiles`` ``(f, g)`` at
+    those roots and the blocks' flat ``index`` into a matrix: ``f I + g
+    rhat rhat^T`` per channel, the distinct pairs scattered at once.
     """
     sums = 0.0
-    for channel, basis in zip(cloud, bases):
-        f, g = _cloud_profiles(channel, basis, sqrt_s)
+    for channel, (f, g) in zip(cloud, profiles):
         x, y = channel.rhat
         # real and imaginary parts of f + g x^2, g x y, f + g y^2, six
-        # rows per root
-        tensor = np.concatenate([f + g * (x * x), g * (x * y),
-                                 f + g * (y * y)], axis=1)
+        # rows per root, written in place
+        tensor = np.empty((f.shape[0], 3) + f.shape[1:])
+        for i, xy in enumerate((x * x, x * y, y * y)):
+            np.multiply(g, xy, out=tensor[:, i])
+        tensor[:, ::2] += f[:, None]
         sums = sums + np.einsum("knp,cnp->cnk", channel.wab,
                                 tensor.reshape((-1,) + channel.r.shape))
-    sums = sums.reshape((sqrt_s.size, 6) + sums.shape[1:])
-    pairs = cloud[0].pairs
-    n_rows = cloud[0].wab.shape[0] // n_basis
-    a, b = np.divmod(np.arange(n_rows * n_basis), n_basis)
-    rows = 2 * n_rows * pairs[:, :1] + 2 * a
-    cols = 2 * n_basis * pairs[:, 1:] + 2 * b
-    V[:, np.stack([rows, rows, rows + 1, rows + 1]),
-      np.stack([cols, cols + 1, cols, cols + 1])] += pref * (
-          sums[:, [0, 2, 2, 4]] + 1j * sums[:, [1, 3, 3, 5]])
+    sums = sums.reshape((V.shape[0], 6) + sums.shape[1:])
+    V.reshape(V.shape[0], -1)[:, index] += pref * (  # C-ordered: a view
+        sums[:, [0, 2, 2, 4]] + 1j * sums[:, [1, 3, 3, 5]])
 
 
 def _sum_clouds(out, sqrt_s, clouds_at, pref, n_basis) -> None:
-    """Add into ``out[i]`` the blocks of the clouds ``clouds_at(root)``
-    of the root ``sqrt_s[i]``, for every root of ``sqrt_s`` (1-D).
+    """Add into ``out[i]``, a C-ordered stack, the blocks of the clouds
+    ``clouds_at(root)`` of the root ``sqrt_s[i]``, for every root of
+    ``sqrt_s`` (1-D); ``n_basis`` counts the column functions.
 
-    Consecutive roots with the same clouds and ray scale form a run,
-    whose ray bases are taken once.  A run is summed a block of roots at
-    a time, each block as large as keeps the profile tensor of a channel
-    (six reals per point and root) within ``_BLOCK_BYTES``, and one root
-    at least: one profile call, one contraction per channel and one
-    scatter per cloud serve the whole block.
+    A run (see the module docstring) is summed in blocks as large as keep
+    four reals per point of each fused set and six per point of each
+    channel within ``_BLOCK_BYTES``, and one root at least.
     """
     keys = [(clouds_at(root), _ray_scale(root)) for root in sqrt_s]
     start = 0
@@ -748,14 +725,28 @@ def _sum_clouds(out, sqrt_s, clouds_at, pref, n_basis) -> None:
             keys, key=lambda key: ([id(c) for c in key[0]], key[1])):
         stop = start + len(list(run))
         clouds, scale = keys[start]
-        bases = _ray_bases(clouds, scale)
-        points = max(ch.r.size for cloud in clouds for ch in cloud)
-        width = max(1, _BLOCK_BYTES // (6 * 8 * points))
+        sets = _fused_sets(clouds, scale)
+        sizes = [[ch.r.size for ch in chs] for chs, _ in sets.values()]
+        width = max(1, _BLOCK_BYTES // max(max(32 * sum(n), 48 * max(n))
+                                           for n in sizes))
+        n_cols, index = out.shape[-1], []
+        for cloud in clouds:
+            # the flat entries xx, xy, yx, yy of the cloud's dof blocks;
+            # one row function for an observation point
+            pairs, n_rows = cloud[0].pairs, cloud[0].wab.shape[0] // n_basis
+            a, b = np.divmod(np.arange(n_rows * n_basis), n_basis)
+            corner = ((2 * n_rows * pairs[:, :1] + 2 * a) * n_cols
+                      + 2 * n_basis * pairs[:, 1:] + 2 * b)
+            index.append(corner + np.array([0, 1, n_cols, n_cols + 1])[
+                :, None, None])
         for lo in range(start, stop, width):
             hi = min(lo + width, stop)
-            for cloud, cloud_bases in zip(clouds, bases):
-                _accumulate_blocks(out[lo:hi], cloud, cloud_bases,
-                                   sqrt_s[lo:hi], pref, n_basis)
+            fused = {kind: _fused_profiles(channels, basis, sqrt_s[lo:hi])
+                     for kind, (channels, basis) in sets.items()}
+            for cloud, cloud_index in zip(clouds, index):
+                _accumulate_blocks(out[lo:hi], cloud,
+                                   [next(fused[ch.companion]) for ch in cloud],
+                                   pref, cloud_index)
         start = stop
 
 
@@ -972,15 +963,16 @@ class SectorAction:
         ``ORBIT_TOL``, group element ``turn[i]`` of ``points[rep[i]]``.
 
         A representative is its own, with turn 0; it is the point of
-        least index among the images of a point that are in the set.
-        Candidates are looked up by coordinates rounded to
-        ``ORBIT_CELL`` and accepted by distance only, so a point never
-        takes a representative farther than ``ORBIT_TOL`` from its
-        image; a match lost to rounding, or to a candidate that is
-        itself derived, leaves the point its own representative, which
-        costs time alone.  Both bounds are relative to the largest
-        coordinate of the set.  With ``m = 1`` the group is the identity
-        and the reflection ``tau``.
+        least index among the images of a point in the set, reached
+        first by the element ``k = 1, ..., 2 m - 1`` of least ``k``; the
+        elements are tried a chunk at a time.  Candidates are looked up
+        by coordinates rounded to ``ORBIT_CELL`` and accepted by distance
+        only, so a point never takes a representative farther than
+        ``ORBIT_TOL`` from its image; a match lost to rounding, or to a
+        candidate that is itself derived, leaves the point its own
+        representative, which costs time alone.  Both bounds are relative
+        to the largest coordinate of the set.  With ``m = 1`` the group
+        is the identity and the reflection ``tau``.
         """
         n, m = points.shape[0], self.order
         index = np.arange(n)
@@ -998,15 +990,22 @@ class SectorAction:
 
             own = key(points)
             order = np.argsort(own, kind="stable")
-            for k in range(1, 2 * m):
-                image = self.turn(points, k)
+            width = max(1, _BLOCK_BYTES // (16 * n))
+            for first in range(1, 2 * m, width):
+                k = np.arange(first, min(first + width, 2 * m))
+                image = self.turn(points, k[:, None])
                 at = np.searchsorted(own, key(image), sorter=order)
                 j = order[np.minimum(at, n - 1)]
                 gap = np.linalg.norm(points[j] - image, axis=-1)
-                better = (gap <= ORBIT_TOL * scale) & (j < best)
+                j[~(gap <= ORBIT_TOL * scale)] = n
+                # the least candidate, of equal ones the first element
+                first_k = np.argmin(j, axis=0)
+                j = j[first_k, index]
+                better = j < best
                 # points[j] = g_k points[i]: points[i] = g_k^-1 points[j],
                 # Q_{m-k} for a rotation and g_k for a reflection
-                best[better], turn[better] = j[better], m - k if k < m else k
+                undo = np.where(k < m, m - k, k)
+                best[better], turn[better] = j[better], undo[first_k[better]]
         derived = best < index
         # one step from a representative only: a candidate that is
         # derived itself leaves the point its own representative
@@ -1315,13 +1314,14 @@ def _potential_clouds(space: DensitySpace, points: np.ndarray):
 
 
 def potential_node_bytes(space: DensitySpace, points) -> np.ndarray:
-    """Bytes that each point's potential clouds and ray bases hold.
+    """Bytes that each point's potential clouds and its share of their
+    fused point set's ray basis hold.
 
     Counted from the distance classes without building the clouds: per
     quadrature node a distance, a direction, ``n_basis`` weights and a
-    barycentric row of ``RAY_PANEL_ORDER`` entries with its sort index;
-    a channel evaluated at its points holds no rows, so the count is a
-    bound.
+    barycentric row of ``RAY_PANEL_ORDER`` entries with its sort index.
+    A set evaluated at its points holds no rows, so the count is a
+    bound.  The concatenated distances are a temporary of each block.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     kk, _, ratio = _point_element_pairs(space.mesh, points)
@@ -1386,24 +1386,24 @@ def data_functional(space: DensitySpace, values_at) -> np.ndarray:
     element Gauss rule.
     """
     mesh = space.mesh
-    nb = space.n_basis
-    out = np.zeros(space.dof_count)
     if space.reduced:
         vals = np.asarray(values_at(mesh.midpoints))
-        out[0::2] = mesh.arclengths * vals[:, 0]
-        out[1::2] = mesh.arclengths * vals[:, 1]
-        return out
-    x, w = gauss_legendre_01(GEOMETRY_RULE_ORDER)
-    elems = np.arange(mesh.n_elements)[:, None]
-    pos, sp = _element_points(mesh, elems, x[None, :])
+        return (mesh.arclengths[:, None] * vals).ravel()
+
+    def rule():
+        # the element Gauss rule: its positions, read-only, and per basis
+        # function its weights
+        x, w = gauss_legendre_01(GEOMETRY_RULE_ORDER)
+        pos, sp = _element_points(mesh, np.arange(mesh.n_elements)[:, None],
+                                  x[None, :])
+        pos.flags.writeable = False
+        return pos, [w * sp * fb for fb in _basis_values(space.n_basis, x)]
+
+    pos, jacs = _cached(_space_key(space) + ("data",), rule)
     vals = np.asarray(values_at(pos))
-    fb = _basis_values(nb, x)
-    for a in range(nb):
-        jac = w[None, :] * sp * fb[a][None, :]
-        for c in range(2):
-            out[2 * nb * np.arange(mesh.n_elements) + 2 * a + c] = np.sum(
-                jac * vals[:, :, c], axis=1)
-    return out
+    # element major: dof 2 nb j + 2 a + c
+    return np.stack([np.sum(jac * vals[:, :, c], axis=1)
+                     for jac in jacs for c in (0, 1)], axis=1).ravel()
 
 
 #: :func:`factor` refuses a system with ``rcond_1`` at most this: the tests'

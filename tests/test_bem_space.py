@@ -704,7 +704,7 @@ def test_reduced_space_tests_data_and_moments_by_the_midpoint_rule():
 # ray-wise interpolation of the cloud profiles
 
 
-def _direct_profiles(channel, basis, sqrt_s):
+def _direct_profiles(channel, sqrt_s):
     """Reference: the channel's profiles evaluated directly at
     ``sqrt_s * channel.r`` for each root of ``sqrt_s``, ``(P, -R)`` for a
     companion channel, each as its real and imaginary part."""
@@ -719,24 +719,25 @@ def _direct_profiles(channel, basis, sqrt_s):
 
 
 def _cloud_errors(monkeypatch, assemble, space, frequencies):
-    """Per-cloud matrix error of interpolated against direct profiles.
+    """Per-cloud matrix error of the fused path's profiles against direct
+    ones.
 
-    Each cloud's contribution is assembled alone both ways; the error is
-    relative to the largest entry of the direct contribution.  Returns
-    the worst error per cloud position in the assembly order.
+    Each cloud's contribution is assembled alone both ways, from the
+    profiles that its fused point sets give and from the kernel at the
+    channels' own points; the error is relative to the largest entry of
+    the direct contribution.  Returns the worst error per cloud position
+    in the assembly order.
     """
     accumulate = bem_space._accumulate_blocks
-    interpolated = bem_space._cloud_profiles
-    errors = []
+    errors, roots = [], []
 
-    def checked(V, cloud, bases, sqrt_s, pref, n_basis):
+    def checked(V, cloud, profiles, pref, index):
         parts = []
-        for profiles in (interpolated, _direct_profiles):
-            monkeypatch.setattr(bem_space, "_cloud_profiles", profiles)
+        for given in (profiles, [_direct_profiles(ch, roots[-1])
+                                 for ch in cloud]):
             part = np.zeros_like(V)
-            accumulate(part, cloud, bases, sqrt_s, pref, n_basis)
+            accumulate(part, cloud, given, pref, index)
             parts.append(part)
-        monkeypatch.setattr(bem_space, "_cloud_profiles", interpolated)
         errors[-1].append(np.abs(parts[0] - parts[1]).max()
                           / np.abs(parts[1]).max())
         V += parts[0]
@@ -744,6 +745,7 @@ def _cloud_errors(monkeypatch, assemble, space, frequencies):
     monkeypatch.setattr(bem_space, "_accumulate_blocks", checked)
     for s in frequencies:
         errors.append([])
+        roots.append(bem_space._roots([s], CFG))
         assemble(space, [s], CFG)
     return np.max(errors, axis=0)
 
@@ -815,9 +817,12 @@ def test_cloud_profiles_match_direct_on_table_contours(monkeypatch, curve, n,
 
 
 def test_direct_channels_are_those_whose_basis_holds_as_many_nodes():
-    """A channel whose ray basis would hold at least as many nodes as it
-    has points gets no basis and takes its profiles at the points, bit
-    for bit those of the kernel; a larger channel is interpolated."""
+    """A fused point set whose ray basis would hold at least as many
+    nodes as it has points gets no basis, and its channels take their
+    profiles at the points, bit for bit those of the kernel; a larger set
+    is interpolated.  The far rows of the reduced circle at N = 80 form
+    one plain set, interpolated at the lower root and evaluated at the
+    points at the higher one."""
     few = np.linspace(0.1, 3.0, 40)
     assert bem_space._ray_basis(few, 4.0) is None
     many = np.linspace(0.1, 3.0, 4000)
@@ -826,18 +831,20 @@ def test_direct_channels_are_those_whose_basis_holds_as_many_nodes():
     clouds = bem_space._class_clouds(
         reduced_circle(80), *bem_space._separated_pairs(mesh, ordered=True),
         bem_space.SEPARATED_CLASSES, at=(mesh.midpoints, mesh.arclengths))
-    direct = 0
-    for root in np.sqrt(np.array([3.0 + 40.0j, 900.0 - 5.0j])):
-        bases = bem_space._ray_bases(clouds, bem_space._ray_scale(root))
-        for cloud, cloud_bases in zip(clouds, bases):
-            for channel, basis in zip(cloud, cloud_bases):
-                if basis is None:
-                    direct += 1
-                    f, g = bem_space._cloud_profiles(channel, None, root[None])
-                    want = _direct_profiles(channel, None, root[None])
-                    assert f.tobytes() == want[0].tobytes()
-                    assert g.tobytes() == want[1].tobytes()
-    assert direct > 0
+    kinds = []
+    for root in np.sqrt(np.array([1.0 + 0.0j, 900.0 - 5.0j])):
+        sets = bem_space._fused_sets(clouds, bem_space._ray_scale(root))
+        assert list(sets) == [False]
+        channels, basis = sets[False]
+        assert len(channels) == len(clouds)
+        kinds.append(basis is None)
+        if basis is None:
+            for channel, (f, g) in zip(channels, bem_space._fused_profiles(
+                    channels, None, root[None])):
+                want = _direct_profiles(channel, root[None])
+                assert f.tobytes() == want[0].tobytes()
+                assert g.tobytes() == want[1].tobytes()
+    assert kinds == [False, True]
 
 
 #: the block byte bounds that force blocks of one frequency, of a few and
@@ -873,23 +880,41 @@ def test_block_samples_are_the_samples_of_single_frequencies(
 
 
 def test_block_temporaries_stay_under_the_byte_bounds(monkeypatch):
-    """Summing a contour's clouds, every profile tensor of a block of
-    more than one frequency holds at most ``_BLOCK_BYTES``, and every
-    stack of samples of a block of more than one node at most
-    ``cq_engine._SAMPLE_BLOCK_BYTES``; larger blocks than one are
-    formed."""
+    """Summing a contour's clouds, every temporary of a block of more
+    than one frequency holds at most ``_BLOCK_BYTES``: a kernel call's
+    arguments, each of its outputs and their stacked real parts, the
+    interpolated values of a fused point set, and a channel's profile
+    tensor; every stack of samples of a block of more than one node
+    holds at most ``cq_engine._SAMPLE_BLOCK_BYTES``.  Larger blocks than
+    one are formed."""
     from stokesbem import cq_engine
 
-    profiles = bem_space._cloud_profiles
     tensors, stacks = [], []
+    for name in ("_ab2", "_pr2"):
+        def recorded(z, kernel=getattr(bem_space, name)):
+            f, g = kernel(z)
+            # (b, points) at the points, (panels, b, nodes) at the nodes
+            size = z.shape[0] if z.ndim == 2 else z.shape[1]
+            tensors.extend((size, nbytes) for nbytes in (
+                z.nbytes, f.nbytes, g.nbytes, 2 * z.nbytes))
+            return f, g
 
-    def recorded(channel, basis, sqrt_s):
-        f, g = profiles(channel, basis, sqrt_s)
+        monkeypatch.setattr(bem_space, name, recorded)
+    interpolate = bem_space._interpolate
+    accumulate = bem_space._accumulate_blocks
+
+    def recorded_interpolate(basis, table):
+        out = interpolate(basis, table)
+        tensors.append((table.shape[1], out.nbytes))
+        return out
+
+    def recorded_accumulate(V, cloud, profiles, pref, index):
         # the tensor of _accumulate_blocks: six reals per point and root
-        tensors.append((sqrt_s.size, 3 * f.nbytes))
-        return f, g
+        tensors.extend((V.shape[0], 3 * f.nbytes) for f, _ in profiles)
+        return accumulate(V, cloud, profiles, pref, index)
 
-    monkeypatch.setattr(bem_space, "_cloud_profiles", recorded)
+    monkeypatch.setattr(bem_space, "_interpolate", recorded_interpolate)
+    monkeypatch.setattr(bem_space, "_accumulate_blocks", recorded_accumulate)
     space = build_space(build_mesh(BoundaryCurve.square(1.0), 16),
                         "P1_discontinuous")
 
@@ -906,6 +931,36 @@ def test_block_temporaries_stay_under_the_byte_bounds(monkeypatch):
         assert all(nbytes <= bound for size, nbytes in blocks if size > 1)
 
 
+def test_one_kernel_call_per_profile_kind_and_block(monkeypatch):
+    """A square P1 (16, 40) sweep makes at most one ``_ab2`` and one
+    ``_pr2`` call per block of frequencies, for all the channels of its
+    five clouds, and one contraction per cloud."""
+    from stokesbem import cq_engine
+
+    calls = {"_ab2": 0, "_pr2": 0, "clouds": 0}
+    for name in ("_ab2", "_pr2"):
+        def counted(z, kernel=getattr(bem_space, name), name=name):
+            calls[name] += 1
+            return kernel(z)
+
+        monkeypatch.setattr(bem_space, name, counted)
+    accumulate = bem_space._accumulate_blocks
+
+    def counted_clouds(*args):
+        calls["clouds"] += 1
+        return accumulate(*args)
+
+    monkeypatch.setattr(bem_space, "_accumulate_blocks", counted_clouds)
+    space = build_space(build_mesh(BoundaryCurve.square(1.0), 16),
+                        "P1_discontinuous")
+    cq_engine.cq_weights(lambda s: assemble_galerkin_V(space, s, CFG),
+                         CQScheme(order=3, kappa=1.0 / 40, n_steps=40))
+    blocks, rest = divmod(calls["clouds"], 5)
+    assert rest == 0 and blocks > 0
+    assert 0 < calls["_ab2"] <= blocks
+    assert 0 < calls["_pr2"] <= blocks
+
+
 @pytest.mark.parametrize("scale", [0.25, 1.0, 32.0])
 def test_ray_basis_is_exact_for_cubics_and_at_its_nodes(scale):
     """Distances on the panels' own nodes (some hit them exactly) and a
@@ -915,8 +970,9 @@ def test_ray_basis_is_exact_for_cubics_and_at_its_nodes(scale):
         np.repeat([0.003, 0.05, 0.3, 1.7], bem_space.RAY_PANEL_ORDER + 1), scale)
     r = np.tile(panels.nodes.ravel(), 2)
     basis = bem_space._ray_basis(r, scale)
-    (f, _, g, _), = bem_space._interpolate(basis, lambda z: (z, z**3),
-                                           np.ones(1))
+    table = np.stack([basis.nodes, basis.nodes**3], axis=1)
+    f, g = np.take(bem_space._interpolate(basis, table), basis.inverse,
+                   axis=-1)
     np.testing.assert_allclose(f, r, rtol=0, atol=1e-15 * r.max())
     np.testing.assert_allclose(g, r**3, rtol=0, atol=1e-15 * r.max() ** 3)
 
@@ -991,18 +1047,18 @@ def test_geometry_cache_holds_one_space(monkeypatch):
 def test_potential_node_bytes_count_the_built_clouds(curve, n, kind, points):
     """The bytes reported per point, counted without building clouds, are
     those of the point's cloud nodes, and in total those that the clouds
-    and their ray bases hold."""
+    and the ray basis of their fused point set hold."""
     space = build_space(build_mesh(curve, n), kind)
     reported = bem_space.potential_node_bytes(space, points)
     clouds = bem_space._potential_clouds(space, points)
     nodes = np.zeros(points.shape[0], dtype=np.int64)
     held = 0
-    for cloud, bases in zip(clouds, bem_space._ray_bases(
-            clouds, bem_space._ray_scale(np.sqrt(3.0 + 1.0j)))):
-        (channel,), (basis,) = cloud, bases
+    for (channel,) in clouds:
         np.add.at(nodes, channel.pairs[:, 0], channel.r.shape[1])
-        held += (channel.r.nbytes + channel.rhat.nbytes + channel.wab.nbytes
-                 + basis.rows.nbytes + basis.inverse.nbytes)
+        held += channel.r.nbytes + channel.rhat.nbytes + channel.wab.nbytes
+    (_, basis), = bem_space._fused_sets(
+        clouds, bem_space._ray_scale(np.sqrt(3.0 + 1.0j))).values()
+    held += basis.rows.nbytes + basis.inverse.nbytes
     per_node = 8 * (4 + space.n_basis + bem_space.RAY_PANEL_ORDER)
     np.testing.assert_array_equal(reported, nodes * per_node)
     assert reported.sum() == held
@@ -1403,3 +1459,65 @@ def test_every_reflection_is_its_own_inverse(curve, n, kind):
     for k in range(1, m):
         np.testing.assert_allclose(action.turn(action.turn(v, k), m - k), v,
                                    rtol=0, atol=1e-14)
+
+
+def _orbits_by_element(action, points):
+    """Reference: :meth:`SectorAction.orbits` one group element at a time,
+    the least candidate index kept and, of equal ones, the first element
+    that reaches it."""
+    n, m = points.shape[0], action.order
+    index = np.arange(n)
+    best = np.full(n, n)
+    turn = np.zeros(n, dtype=int)
+    scale = float(np.abs(points).max())
+
+    def key(p):
+        q = (np.round(p / (bem_space.ORBIT_CELL * scale)).astype(np.int64)
+             + (1 << 26))
+        return q[..., 0] << 32 | q[..., 1]
+
+    own = key(points)
+    order = np.argsort(own, kind="stable")
+    for k in range(1, 2 * m):
+        image = action.turn(points, k)
+        at = np.searchsorted(own, key(image), sorter=order)
+        j = order[np.minimum(at, n - 1)]
+        gap = np.linalg.norm(points[j] - image, axis=-1)
+        better = (gap <= bem_space.ORBIT_TOL * scale) & (j < best)
+        best[better], turn[better] = j[better], m - k if k < m else k
+    derived = best < index
+    derived[derived] = best[best[derived]] >= best[derived]
+    return np.where(derived, best, index), np.where(derived, turn, 0)
+
+
+def _grid(size):
+    """A ``size`` x ``size`` grid on [-2, 2]^2, row major."""
+    axis = np.linspace(-2.0, 2.0, size)
+    return np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "curve, n, points, chunks",
+    [(BoundaryCurve.star(1.0, 0.3, 6), 48, _grid(21), 1),
+     (BoundaryCurve.circle(1.0), 80,
+      np.array([[0.0, 0.0], [0.5, 0.5], [-0.6, 0.1]]), 1),
+     (BoundaryCurve.square(1.0), 16, _grid(17), 1),
+     (BoundaryCurve.star(1.0, 0.3, 6), 48, _grid(21), 4)],
+    ids=["star-21", "circle-80", "square-17", "star-21-chunked"],
+)
+def test_orbits_match_the_element_loop(monkeypatch, curve, n, points,
+                                       chunks):
+    """The group elements tried together give each point the
+    representative and turn of the loop over one element at a time: the
+    benchmark star's 21 x 21 grid, the circle N = 80 with its three
+    table points, a square grid, and the star again with the elements
+    cut into chunks of at most three by a smaller byte bound."""
+    action = bem_space.sector_action(build_space(build_mesh(curve, n), "P0"))
+    if chunks > 1:
+        monkeypatch.setattr(bem_space, "_BLOCK_BYTES",
+                            3 * 16 * points.shape[0])
+    rep, turn = action.orbits(points)
+    want_rep, want_turn = _orbits_by_element(action, points)
+    np.testing.assert_array_equal(rep, want_rep)
+    np.testing.assert_array_equal(turn, want_turn)
+    assert (rep != np.arange(points.shape[0])).any() or n == 80
