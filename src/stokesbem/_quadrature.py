@@ -66,10 +66,43 @@ _LOG_GAUSS_16 = (
 )
 
 
+def _legendre_sum(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series ``c`` at ``x`` by Clenshaw's recurrence, in
+    the order of operations of NumPy 2.4's ``legval``."""
+    if c.size == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(c.size - 1, 1, -1):
+        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=32)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on ``(0, 1)``."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on ``(0, 1)``.
+
+    The arithmetic of NumPy 2.4's ``leggauss``, bit for bit, without
+    importing ``numpy.polynomial``: the eigenvalues of the symmetric
+    companion matrix of ``L_n``, one Newton step, and weights from
+    ``L_n'`` and ``L_{n-1}``, symmetrized.
+    """
+    k = np.arange(n)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    # L_n' = sum (2 j + 1) L_j over j = n - 1, n - 3, ...
+    df = _legendre_sum(x, np.where((n - 1 - k) % 2 == 0, 2.0 * k + 1.0, 0.0))
+    x -= _legendre_sum(x, c) / df
+    fm = _legendre_sum(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
     nodes.setflags(write=False)

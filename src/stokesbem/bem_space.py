@@ -97,9 +97,10 @@ All node sets depend on ``s`` only through dyadically quantized split
 radii, so the expensive point-cloud geometry is cached and shared by
 the many frequencies of a convolution-quadrature contour.
 
-A cloud is a tuple of channels (``_PairCloud``), each with its
-quadrature weights folded in: a plain channel takes ``(A_2, B_2)``, the
-companion channel of a logarithmic split ``(P, -R)``.  One constructor,
+A cloud is a plain channel (``_PairCloud``) with its quadrature weights
+folded in, which takes ``(A_2, B_2)`` at its points, and for a
+logarithmic split also the companion channel, which takes ``(P, -R)``,
+folded whole (``_CompanionFold``, below).  One constructor,
 ``_pair_cloud``, builds every cloud; the singular classes give it their
 coordinate maps, and one distance-class loop gives it the rules of the
 Galerkin separated pairs, the reduced scheme's far rows and the
@@ -111,24 +112,41 @@ pressure potential is summed over the same point clouds.
 At one frequency every argument ``z = sqrt(s) r`` lies on a single ray,
 so each profile is a smooth function of the real distance ``r``, with
 its only singularity at ``r = 0``, and is interpolated in ``r``: with
-``S = 2^ceil(log2 |sqrt(s)|)``, panels are geometric (ratio 2) below
-``r = 1/S`` and uniform of width ``1/S`` above it, so each panel spans
-at most 1 in ``|z|`` and lies at least half its width away from the
-singularity, and ``RAY_PANEL_ORDER`` Chebyshev nodes resolve it to
-machine precision (Trefethen, *Approximation Theory and Approximation
-Practice*, SIAM 2013).  All channels share that grid, so the channels
-of the clouds summed together form one fused point set per profile
-kind, plain or companion.  Only the nodes of a set's occupied panels
-are evaluated, or its points where those would hold as many nodes.
+``S = 2^ceil(log2 |sqrt(s)|)`` and ``W = RAY_PANEL_WIDTH = 4``, panels
+are geometric (ratio 2) below ``r = W/S`` and uniform of width ``W/S``
+above it, so each panel spans at most 4 in ``|z|`` and lies at least its
+own width away from the singularity.  ``RAY_PANEL_ORDER`` Chebyshev
+nodes resolve it to machine precision (Trefethen, *Approximation Theory
+and Approximation Practice*, SIAM 2013, ch. 8): the tail of the entire
+part on a panel of width 4 is about ``2 I_20(2) ~ 1e-18``.  All plain
+channels share that grid, so those of the clouds summed together form
+one fused point set.  Only the nodes of its occupied panels are
+evaluated, or its points where those would hold as many nodes.
+
+The companion profiles ``P = 2 (I_0 - I_1 / z)`` and ``R = 2 I_2`` are
+entire and even, so along the ray they are entire in ``tau = (r /
+rho)^2``, ``rho`` the channel's largest distance, and one Chebyshev
+interpolant of ``RAY_PANEL_ORDER`` nodes on ``tau in [0, 1]`` spans the
+whole channel while ``|sqrt(s)| rho <= SPLIT_SERIES_RADIUS``; the split
+keeps it below ``Z_SPLIT_CAP``, and a larger value is a
+``RuntimeError``.  So the channel's barycentric rows are folded into its
+weights and directions once, when the cloud is built (:func:`_fold`),
+into ``2 J x 3`` real weights per pair and basis pair, ``J =
+RAY_PANEL_ORDER``; each frequency then evaluates ``P`` and ``R`` at
+``J`` nodes per cloud instead of at its companion points, 672 per
+Galerkin self or vertex pair.  Folding the plain profiles likewise
+needs their piecewise panels per pair, about 110 coefficients per
+separated pair against 38.6 points, and gains nothing.
 
 Consecutive frequencies with the same clouds and ``S`` form a run, a
-handful per contour, whose sets and barycentric rows are built once and
-held until the next run (:func:`_sum_clouds`).  A run is summed in
-blocks of frequencies whose temporaries each hold at most
-``_BLOCK_BYTES``: per block, one kernel call and one interpolation loop
-per set, and per cloud one contraction per channel and one scatter.
-Every entry is the arithmetic of its frequency alone, so a block gives
-the matrices of single frequencies bit for bit.
+handful per contour, whose fused set and barycentric rows are built once
+and held until the next run, and whose companion values come from one
+kernel call (:func:`_sum_clouds`).  A run is summed in blocks of
+frequencies whose temporaries each hold at most ``_BLOCK_BYTES``: per
+block, one kernel call and one interpolation loop for the fused set, and
+per cloud one contraction per channel and one scatter.  Every entry is
+the arithmetic of its frequency alone, so a block gives the matrices of
+single frequencies bit for bit.
 """
 
 from __future__ import annotations
@@ -144,7 +162,8 @@ import numpy as np
 from ._quadrature import (gauss_legendre_01, graded_panels, log_gauss_01,
                           panel_gauss)
 from .boundary_geometry import GEOMETRY_RULE_ORDER, BoundaryMesh
-from .laplace_kernels import ComplexFrequency, ProblemConfig, _ab2, _pr2
+from .laplace_kernels import (SPLIT_SERIES_RADIUS, ComplexFrequency,
+                              ProblemConfig, _ab2, _pr2)
 
 #: largest |z| = |sqrt(s)| r admitted inside the logarithmic split; must stay
 #: below the companion-series validity radius of the kernel profiles.
@@ -177,8 +196,13 @@ SEPARATED_CLASSES = ((4.0, 6, 1), (2.0, 8, 1), (1.0, 12, 1), (0.0, 8, 2))
 #: observation-point classes for the potential matrices
 POTENTIAL_CLASSES = ((4.0, 6, 1), (2.0, 8, 1), (1.0, 12, 1), (0.0, 12, 4))
 
-#: Chebyshev nodes per panel of the ray-wise profile interpolation
+#: Chebyshev nodes per panel of the ray-wise profile interpolation, and
+#: of the companion fold of a split cloud
 RAY_PANEL_ORDER = 20
+
+#: width of the uniform ray panels in ``|z|``, a power of two; the panels
+#: below it are geometric (see ``_ray_basis``)
+RAY_PANEL_WIDTH = 4
 
 #: Bytes of each temporary of a block of frequencies summed together
 #: (``_sum_clouds``), and of a chunk of images in ``SectorAction.orbits``;
@@ -356,23 +380,38 @@ def _split_channels(cap: float, z_scale: float, n_smooth: int):
 
 @dataclass(frozen=True)
 class _PairCloud:
-    """Precomputed quadrature geometry of one channel of a class of pairs.
+    """Precomputed quadrature geometry of the plain channel of a class of
+    pairs, which takes the profiles ``(A_2, B_2)`` at its points.
 
     Per-point arrays end in the axes ``(n_pairs, n_points)``: the
     distances ``r``, the unit separation vectors ``rhat`` (component
     first) and the basis-pair weights ``wab`` (row basis major), which
-    include the channel weight.  A plain channel takes the
-    profiles ``(A_2, B_2)`` at its points, a ``companion`` channel
-    ``(P, -R)``.  A cloud is a tuple of channels on the same pairs: one,
-    or two for the split self, vertex and reduced diagonal clouds (see
-    ``_split_channels``).  :func:`_pair_cloud` builds every cloud.
+    include the channel weight.  A cloud is a tuple of channels on the
+    same pairs: this one alone, or for the split self, vertex and reduced
+    diagonal clouds this one and the :class:`_CompanionFold` of the
+    companion channel (see ``_split_channels``).  :func:`_pair_cloud`
+    builds every cloud.
     """
 
     pairs: np.ndarray
     r: np.ndarray
     rhat: np.ndarray
     wab: np.ndarray
-    companion: bool
+
+
+@dataclass(frozen=True)
+class _CompanionFold:
+    """The companion channel of a split cloud, which takes ``(P, -R)``,
+    folded by :func:`_fold`: its largest distance ``radius``, ``rho``,
+    and ``weights`` of shape ``(2 J, 3, n_pairs, n_basis^2)``, ``J =
+    RAY_PANEL_ORDER``, per node ``rho sqrt(tau_j)`` of ``P`` then of
+    ``R`` and per tensor entry ``xx, xy, yy``: the sum over the channel's
+    points of their basis-pair weights and barycentric rows, times the
+    entry of ``I`` for ``P`` and of ``-rhat rhat^T`` for ``R``.
+    """
+
+    radius: float
+    weights: np.ndarray
 
 
 def _pair_cloud(space: DensitySpace, rows, xi, cols, eta, w_pt, split=None,
@@ -386,18 +425,34 @@ def _pair_cloud(space: DensitySpace, rows, xi, cols, eta, w_pt, split=None,
     weight ``weights[rows[k]]``: a reduced-rule midpoint and its
     arclength, or an observation point and 1.  ``xi`` and ``eta``
     broadcast to the node axes, so the tensor rule evaluates each
-    element at its own nodes only.  ``split`` holds the ``(alpha,
-    beta)`` of ``_split_channels`` at the flat nodes: the plain channel
-    takes those with ``alpha != 0``, the companion channel those with
-    ``beta != 0``.  Without it the cloud is one plain channel.
+    element at its own nodes only; or a side's coordinates are a pair
+    ``(distinct, take)``, the flat nodes ``distinct[take]``, whose
+    elements are evaluated once per distinct coordinate, once for both
+    sides when they share both the elements and ``distinct``.  ``split``
+    holds the ``(alpha, beta)`` of ``_split_channels`` at the flat
+    nodes: the plain channel takes those with ``alpha != 0``, the
+    companion channel, folded, those with ``beta != 0``.  Without it the
+    cloud is one plain channel.
     """
     mesh = space.mesh
     # the pair axis first, then the node axes
     lead = (slice(None),) + (None,) * np.ndim(w_pt)
-    pos_y, sp_y = _element_points(mesh, cols[lead], eta)
+    tables = {}
+
+    def side(elems, x):
+        if not isinstance(x, tuple):
+            return (*_element_points(mesh, elems[lead], x), x)
+        distinct, take = x
+        key = (id(elems), id(distinct))
+        if key not in tables:
+            tables[key] = _element_points(mesh, elems[:, None], distinct)
+        return (*(np.take(a, take, axis=1) for a in tables[key]),
+                distinct[take])
+
+    pos_y, sp_y, eta = side(cols, eta)
     fy = _basis_values(space.n_basis, eta)
     if at is None:
-        pos_x, sp_x = _element_points(mesh, rows[lead], xi)
+        pos_x, sp_x, xi = side(rows, xi)
         fx = _basis_values(space.n_basis, xi)
     else:
         points, weights = at
@@ -410,13 +465,11 @@ def _pair_cloud(space: DensitySpace, rows, xi, cols, eta, w_pt, split=None,
         -1, *r.shape)
     pairs = np.stack([rows, cols], axis=1)
     if split is None:
-        return (_PairCloud(pairs, r, rhat, wab, companion=False),)
-    return tuple(_PairCloud(pairs, np.compress(m, r, axis=1),
-                            np.compress(m, rhat, axis=2),
-                            np.compress(m, wab, axis=2) * c[m],
-                            companion=companion)
-                 for c, companion in zip(split, (False, True))
-                 for m in [c != 0.0])
+        return (_PairCloud(pairs, r, rhat, wab),)
+    channels = [(np.compress(m, r, axis=1), np.compress(m, rhat, axis=2),
+                 np.compress(m, wab, axis=2) * c[m])
+                for c in split for m in [c != 0.0]]
+    return _PairCloud(pairs, *channels[0]), _fold(*channels[1])
 
 
 def _sector_size(mesh: BoundaryMesh) -> int:
@@ -448,10 +501,12 @@ def _build_self_cloud(space: DensitySpace, elems, cap: float,
     eta_plus = (1.0 - uu) * t[None, :]
     xi_plus = eta_plus + uu
     w2 = (wu[:, None] * wt[None, :] * (1.0 - uu)).ravel()
-    xi = np.concatenate([xi_plus.ravel(), eta_plus.ravel()])
-    eta = np.concatenate([eta_plus.ravel(), xi_plus.ravel()])
+    # the row takes (xi_plus, eta_plus), the column the halves swapped
+    coords = np.concatenate([xi_plus.ravel(), eta_plus.ravel()])
+    half = np.arange(w2.size)
     split = [np.tile(np.repeat(c, t.size), 2) for c in (al, be)]
-    return _pair_cloud(space, elems, xi, elems, eta,
+    return _pair_cloud(space, elems, (coords, np.arange(coords.size)),
+                       elems, (coords, np.concatenate([half + w2.size, half])),
                        np.concatenate([w2, w2]), split)
 
 
@@ -471,13 +526,19 @@ def _build_vertex_cloud(space: DensitySpace, left, cap: float,
     p, wp, al, be = _split_channels(cap, z_scale, VERTEX_SMOOTH_ORDER)
     q, wq = gauss_legendre_01(VERTEX_ANGULAR_ORDER)
     pp = p[:, None]
-    da1, db1 = np.broadcast_arrays(pp, pp * q[None, :])
+    pq = (pp * q[None, :]).ravel()
     w2 = (wp[:, None] * wq[None, :] * pp).ravel()
-    da = np.concatenate([da1.ravel(), db1.ravel()])
-    db = np.concatenate([db1.ravel(), da1.ravel()])
+    # (da, db) is (p, p q) on the first triangle and (p q, p) on the
+    # second: the distinct corner coordinates are p and p q
+    at_p = np.repeat(np.arange(p.size), q.size)
+    at_pq = p.size + np.arange(pq.size)
     split = [np.tile(np.repeat(c, q.size), 2) for c in (al, be)]
-    return _pair_cloud(space, left, 1.0 - da, (left + 1) % mesh.n_elements,
-                       db, np.concatenate([w2, w2]), split)
+    return _pair_cloud(
+        space, left, (np.concatenate([1.0 - p, 1.0 - pq]),
+                      np.concatenate([at_p, at_pq])),
+        (left + 1) % mesh.n_elements, (np.concatenate([p, pq]),
+                                       np.concatenate([at_pq, at_p])),
+        np.concatenate([w2, w2]), split)
 
 
 def _separated_pairs(mesh: BoundaryMesh, ordered: bool):
@@ -539,12 +600,13 @@ def _class_clouds(space: DensitySpace, ii, jj, ratio, classes, at=None):
     return clouds
 
 
-#: cache of pair clouds keyed by (curve, N, kind, label, cap, z-span), and
-#: of what every frequency or time step reads: the fill index of the
-#: sector rows (:meth:`SectorAction.fill_index`) under "fill" and the
-#: rule, and the Galerkin data rule (:func:`data_functional`) under
-#: "data".  The dyadic split caps keep the key set small across a
-#: contour.  It holds one space only: a new space drops the others first.
+#: cache of pair clouds, with the folded companion weights of the split
+#: ones, keyed by (curve, N, kind, label, cap, z-span), and of what every
+#: frequency or time step reads: the fill index of the sector rows
+#: (:meth:`SectorAction.fill_index`) under "fill" and the rule, and the
+#: Galerkin data rule (:func:`data_functional`) under "data".  The dyadic
+#: split caps keep the key set small across a contour.  It holds one
+#: space only: a new space drops the others first.
 _GEOMETRY_CACHE: dict = {}
 
 
@@ -565,6 +627,49 @@ _CHEB_T = np.cos((2.0 * np.arange(RAY_PANEL_ORDER) + 1.0) * np.pi
                  / (2.0 * RAY_PANEL_ORDER))
 _CHEB_W = (-1.0) ** np.arange(RAY_PANEL_ORDER) * np.sin(
     (2.0 * np.arange(RAY_PANEL_ORDER) + 1.0) * np.pi / (2.0 * RAY_PANEL_ORDER))
+
+#: the nodes of a companion fold over its radius: ``sqrt(tau_j)`` for the
+#: Chebyshev points ``tau_j`` of [0, 1]
+_FOLD_ROOTS = np.sqrt(0.5 * (1.0 + _CHEB_T))
+
+
+def _barycentric(t: np.ndarray) -> np.ndarray:
+    """The barycentric rows of the Chebyshev interpolant on [-1, 1] at
+    the points ``t``: shape ``(RAY_PANEL_ORDER,) + t.shape``, the weights
+    of its values at ``_CHEB_T``.  A point on a node takes that node's
+    value."""
+    axes = (-1,) + (1,) * t.ndim
+    rows = t[None] - _CHEB_T.reshape(axes)
+    hit = rows == 0.0
+    on_node = hit.any(axis=0)
+    rows[:, on_node] = 1.0
+    np.divide(_CHEB_W.reshape(axes), rows, out=rows)
+    rows /= rows.sum(axis=0)
+    rows[:, on_node] = hit[:, on_node]
+    return rows
+
+
+def _fold(r: np.ndarray, rhat: np.ndarray, wab: np.ndarray) -> _CompanionFold:
+    """The :class:`_CompanionFold` of a companion channel given by its
+    per-point arrays, laid out as those of a :class:`_PairCloud`: one
+    Chebyshev interpolant in ``tau = (r / rho)^2`` on [0, 1] (see the
+    module docstring).  The barycentric rows of a chunk of pairs hold at
+    most ``_BLOCK_BYTES``, and one pair at least.
+    """
+    n = RAY_PANEL_ORDER
+    rho = float(r.max())
+    weights = np.zeros((2 * n, 3, r.shape[0], wab.shape[0]))
+    width = max(1, _BLOCK_BYTES // (8 * n * r.shape[1]))
+    for lo in range(0, r.shape[0], width):
+        part = slice(lo, lo + width)
+        rows = _barycentric(2.0 * (r[part] / rho) ** 2 - 1.0)
+        w, (x, y) = wab[:, part], rhat[:, part]
+        np.einsum("jnp,knp->jnk", rows, w, out=weights[:n, 0, part])
+        weights[:n, 2, part] = weights[:n, 0, part]
+        np.einsum("jnp,kcnp->jcnk", rows,
+                  -w[:, None] * np.stack([x * x, x * y, y * y]),
+                  out=weights[n:, :, part])
+    return _CompanionFold(rho, weights)
 
 
 @dataclass(frozen=True)
@@ -595,12 +700,16 @@ def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis | None:
     as ``r`` has points: the profiles are then evaluated at the points
     themselves.
 
-    The panel of a scaled distance ``r S`` is uniform, ``[k, k + 1)``,
-    for ``r S >= 1``; below, the binary exponent ``e`` of ``r S`` names
-    the geometric panel ``[2^(e-1), 2^e)``.
+    With ``W = RAY_PANEL_WIDTH``, the panel of a scaled distance ``r S``
+    is uniform, ``[k W, (k + 1) W)``, for ``r S >= W``; below, the binary
+    exponent ``e`` of ``r S`` names the geometric panel ``[2^(e-1),
+    2^e)``.  So every panel lies at least its own width from ``r = 0``
+    and spans at most ``W`` in ``|z|``.
     """
     rs = r * scale
-    ids = np.where(rs >= 1.0, np.floor(rs), np.frexp(rs)[1]).astype(np.int64)
+    top = RAY_PANEL_WIDTH.bit_length() - 1  # the largest geometric id
+    ids = np.where(rs >= RAY_PANEL_WIDTH, np.floor(rs / RAY_PANEL_WIDTH) + top,
+                   np.frexp(rs)[1]).astype(np.int64)
     # any order within a panel serves: each point is interpolated alone
     order = np.argsort(ids)
     panels, starts, counts = np.unique(ids[order], return_index=True,
@@ -608,22 +717,18 @@ def _ray_basis(r: np.ndarray, scale: float) -> _RayBasis | None:
     if panels.size * RAY_PANEL_ORDER >= r.size:
         return None
     # powers of the geometric ids only: 2.0 ** k overflows for k >= 1024
-    geo = np.minimum(panels, 0)
-    lo = np.where(panels >= 1, panels, 2.0 ** (geo - 1)) / scale
-    hi = np.where(panels >= 1, panels + 1.0, 2.0 ** geo) / scale
+    geo = np.minimum(panels, top)
+    uniform = panels > top
+    lo = np.where(uniform, (panels - top) * RAY_PANEL_WIDTH,
+                  2.0 ** (geo - 1)) / scale
+    hi = np.where(uniform, (panels - top + 1) * RAY_PANEL_WIDTH,
+                  2.0 ** geo) / scale
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t = (r[order] - np.repeat(mid, counts)) / np.repeat(half, counts)
-    rows = t[None, :] - _CHEB_T[:, None]
-    hit = rows == 0.0
-    on_node = hit.any(axis=0)
-    rows[:, on_node] = 1.0
-    np.divide(_CHEB_W[:, None], rows, out=rows)
-    rows /= rows.sum(axis=0)
-    rows[:, on_node] = hit[:, on_node]
     return _RayBasis(inverse=np.argsort(order),
                      bounds=np.append(starts, r.size).tolist(),
                      nodes=mid[:, None] + half[:, None] * _CHEB_T[None, :],
-                     rows=rows)
+                     rows=_barycentric((r[order] - np.repeat(mid, counts))
+                                       / np.repeat(half, counts)))
 
 
 def _interpolate(basis: _RayBasis, table: np.ndarray) -> np.ndarray:
@@ -642,40 +747,36 @@ def _interpolate(basis: _RayBasis, table: np.ndarray) -> np.ndarray:
 
 
 #: the key of the last run of frequencies summed, its scale ``S`` and its
-#: channels' ids, and its fused point sets (:func:`_fused_sets`), which
-#: hold the channels so that the ids stay unique.  One run only is held,
-#: which bounds the memory; a contour crosses few scales and split radii.
-_RAY_SLOT: list = [None, {}]
+#: plain channels' ids, and its fused point set (:func:`_fused_sets`),
+#: which holds the channels so that the ids stay unique.  One run only is
+#: held, which bounds the memory; a contour crosses few scales and split
+#: radii.
+_RAY_SLOT: list = [None, None]
 
 
-def _fused_sets(clouds, scale: float) -> dict:
-    """Per profile kind of the clouds' channels, plain (``False``) or
-    companion (``True``): its channels in cloud order and the ray basis
-    (:func:`_ray_basis`) of their concatenated distances at ``scale``.
-    The sets of another run are dropped before new ones are built."""
-    key = (scale, [id(ch) for cloud in clouds for ch in cloud])
+def _fused_sets(clouds, scale: float):
+    """The plain channels of the clouds in cloud order, and the ray basis
+    (:func:`_ray_basis`) of their concatenated distances at ``scale``:
+    the run's one fused point set.  The set of another run is dropped
+    before a new one is built."""
+    channels = [cloud[0] for cloud in clouds]
+    key = (scale, [id(ch) for ch in channels])
     if _RAY_SLOT[0] != key:
-        _RAY_SLOT[:] = [None, {}]
-        kinds: dict = {}
-        for channel in itertools.chain(*clouds):
-            kinds.setdefault(channel.companion, []).append(channel)
-        _RAY_SLOT[:] = [key, {kind: (channels, _ray_basis(
-            np.concatenate([ch.r.ravel() for ch in channels]), scale))
-            for kind, channels in kinds.items()}]
+        _RAY_SLOT[:] = [None, None]
+        _RAY_SLOT[:] = [key, (channels, _ray_basis(
+            np.concatenate([ch.r.ravel() for ch in channels]), scale))]
     return _RAY_SLOT[1]
 
 
 def _fused_profiles(channels, basis, sqrt_s: np.ndarray):
-    """Yield each channel's profiles ``(f, g)``, ``(A_2, B_2)`` or ``(P,
-    -R)``, at ``z = sqrt_s * channel.r`` for the roots ``sqrt_s`` (1-D),
-    real and imaginary parts on axis 1, from one kernel call for the
-    fused set ``channels`` at the nodes of ``basis`` or, without one, at
-    the points."""
-    companion = channels[0].companion
+    """Yield each plain channel's profiles ``(A_2, B_2)`` at ``z = sqrt_s
+    * channel.r`` for the roots ``sqrt_s`` (1-D), real and imaginary
+    parts on axis 1, from one kernel call for the fused set ``channels``
+    at the nodes of ``basis`` or, without one, at the points."""
     z = (sqrt_s[:, None] * np.concatenate([ch.r.ravel() for ch in channels])
          if basis is None else basis.nodes[:, None, :] * sqrt_s[None, :, None])
-    values = np.stack([part for f in (_pr2 if companion else _ab2)(z)
-                       for part in (f.real, f.imag)], axis=-2)
+    values = np.stack([part for f in _ab2(z) for part in (f.real, f.imag)],
+                      axis=-2)
     if basis is not None:
         values = _interpolate(basis, values)
     stop = 0
@@ -684,28 +785,58 @@ def _fused_profiles(channels, basis, sqrt_s: np.ndarray):
         part = (values[..., start:stop] if basis is None else
                 np.take(values, basis.inverse[start:stop], axis=-1))
         shape = (sqrt_s.size, 2) + channel.r.shape
-        f, g = part[:, :2].reshape(shape), part[:, 2:].reshape(shape)
-        yield (f, -g) if companion else (f, g)
+        yield part[:, :2].reshape(shape), part[:, 2:].reshape(shape)
 
 
-def _accumulate_blocks(V, cloud, profiles, pref, index):
-    """Add a cloud's 2x2 dof blocks into the stack ``V`` (no mirroring),
-    one matrix per root, from each channel's ``profiles`` ``(f, g)`` at
-    those roots and the blocks' flat ``index`` into a matrix: ``f I + g
-    rhat rhat^T`` per channel, the distinct pairs scattered at once.
+def _companion_values(clouds, sqrt_s: np.ndarray) -> list:
+    """Per cloud, ``P`` and then ``R`` at the nodes of its companion fold
+    for the roots ``sqrt_s`` (1-D), shape ``(roots, 2, 2 J)`` with real
+    and imaginary parts on axis 1, or ``None`` for a cloud without one,
+    from one kernel call.  A ``|sqrt(s)| rho`` beyond
+    ``SPLIT_SERIES_RADIUS``, where neither the series nor the fold holds,
+    is a ``RuntimeError`` naming the cloud.
     """
-    sums = 0.0
-    for channel, (f, g) in zip(cloud, profiles):
-        x, y = channel.rhat
-        # real and imaginary parts of f + g x^2, g x y, f + g y^2, six
-        # rows per root, written in place
-        tensor = np.empty((f.shape[0], 3) + f.shape[1:])
-        for i, xy in enumerate((x * x, x * y, y * y)):
-            np.multiply(g, xy, out=tensor[:, i])
-        tensor[:, ::2] += f[:, None]
-        sums = sums + np.einsum("knp,cnp->cnk", channel.wab,
-                                tensor.reshape((-1,) + channel.r.shape))
+    split = [cloud for cloud in clouds if len(cloud) > 1]
+    if not split:
+        return [None] * len(clouds)
+    radius = np.array([cloud[1].radius for cloud in split])
+    reach = float(np.abs(sqrt_s).max()) * radius
+    if reach.max() > SPLIT_SERIES_RADIUS:
+        k = int(np.argmax(reach))
+        i, j = split[k][0].pairs[0]
+        raise RuntimeError(
+            f"|sqrt(s)| rho = {reach[k]:.3g} on the companion channel of the "
+            f"split cloud of element pair ({i}, {j}) exceeds "
+            f"SPLIT_SERIES_RADIUS = {SPLIT_SERIES_RADIUS}")
+    p, r = _pr2(sqrt_s[:, None, None] * (radius[:, None] * _FOLD_ROOTS))
+    values = np.stack([np.concatenate([p.real, r.real], axis=-1),
+                       np.concatenate([p.imag, r.imag], axis=-1)], axis=2)
+    folds = iter(np.moveaxis(values, 1, 0))
+    return [next(folds) if len(cloud) > 1 else None for cloud in clouds]
+
+
+def _accumulate_blocks(V, cloud, profiles, companion, pref, index):
+    """Add a cloud's 2x2 dof blocks into the stack ``V`` (no mirroring),
+    one matrix per root, and the blocks' flat ``index`` into a matrix:
+    ``f I + g rhat rhat^T`` summed over the plain channel's points from
+    its ``profiles`` ``(f, g)`` at those roots, plus for a split cloud
+    its fold's weights against the ``companion`` values at the roots
+    (:func:`_companion_values`); the distinct pairs scattered at once.
+    """
+    channel, (f, g) = cloud[0], profiles
+    x, y = channel.rhat
+    # real and imaginary parts of f + g x^2, g x y, f + g y^2, six rows
+    # per root, written in place
+    tensor = np.empty((f.shape[0], 3) + f.shape[1:])
+    for i, xy in enumerate((x * x, x * y, y * y)):
+        np.multiply(g, xy, out=tensor[:, i])
+    tensor[:, ::2] += f[:, None]
+    sums = np.einsum("knp,cnp->cnk", channel.wab,
+                     tensor.reshape((-1,) + channel.r.shape))
     sums = sums.reshape((V.shape[0], 6) + sums.shape[1:])
+    if companion is not None:
+        sums += np.einsum("fqj,jcnk->fcqnk", companion,
+                          cloud[1].weights).reshape(sums.shape)
     V.reshape(V.shape[0], -1)[:, index] += pref * (  # C-ordered: a view
         sums[:, [0, 2, 2, 4]] + 1j * sums[:, [1, 3, 3, 5]])
 
@@ -715,9 +846,12 @@ def _sum_clouds(out, sqrt_s, clouds_at, pref, n_basis) -> None:
     ``clouds_at(root)`` of the root ``sqrt_s[i]``, for every root of
     ``sqrt_s`` (1-D); ``n_basis`` counts the column functions.
 
-    A run (see the module docstring) is summed in blocks as large as keep
-    four reals per point of each fused set and six per point of each
-    channel within ``_BLOCK_BYTES``, and one root at least.
+    A run (see the module docstring) takes its companion values from one
+    kernel call (:func:`_companion_values`), and is summed in blocks as
+    large as keep four reals per point of its fused set and six per
+    point of each plain channel within ``_BLOCK_BYTES``, and one root at
+    least.  A fold's contraction per root, six reals per pair and basis
+    pair, is smaller than its cloud's tensor.
     """
     keys = [(clouds_at(root), _ray_scale(root)) for root in sqrt_s]
     start = 0
@@ -725,10 +859,10 @@ def _sum_clouds(out, sqrt_s, clouds_at, pref, n_basis) -> None:
             keys, key=lambda key: ([id(c) for c in key[0]], key[1])):
         stop = start + len(list(run))
         clouds, scale = keys[start]
-        sets = _fused_sets(clouds, scale)
-        sizes = [[ch.r.size for ch in chs] for chs, _ in sets.values()]
-        width = max(1, _BLOCK_BYTES // max(max(32 * sum(n), 48 * max(n))
-                                           for n in sizes))
+        channels, basis = _fused_sets(clouds, scale)
+        companion = _companion_values(clouds, sqrt_s[start:stop])
+        sizes = [ch.r.size for ch in channels]
+        width = max(1, _BLOCK_BYTES // max(32 * sum(sizes), 48 * max(sizes)))
         n_cols, index = out.shape[-1], []
         for cloud in clouds:
             # the flat entries xx, xy, yx, yy of the cloud's dof blocks;
@@ -741,12 +875,12 @@ def _sum_clouds(out, sqrt_s, clouds_at, pref, n_basis) -> None:
                 :, None, None])
         for lo in range(start, stop, width):
             hi = min(lo + width, stop)
-            fused = {kind: _fused_profiles(channels, basis, sqrt_s[lo:hi])
-                     for kind, (channels, basis) in sets.items()}
-            for cloud, cloud_index in zip(clouds, index):
-                _accumulate_blocks(out[lo:hi], cloud,
-                                   [next(fused[ch.companion]) for ch in cloud],
-                                   pref, cloud_index)
+            profiles = _fused_profiles(channels, basis, sqrt_s[lo:hi])
+            for cloud, cloud_index, values in zip(clouds, index, companion):
+                _accumulate_blocks(
+                    out[lo:hi], cloud, next(profiles),
+                    None if values is None else values[lo - start:hi - start],
+                    pref, cloud_index)
         start = stop
 
 
@@ -1305,7 +1439,7 @@ def _potential_clouds(space: DensitySpace, points: np.ndarray):
     """
     key = _space_key(space) + (points.shape, points.tobytes())
     if _POINT_SLOT[0] != key:
-        _POINT_SLOT[:], _RAY_SLOT[:] = [None, None], [None, {}]
+        _POINT_SLOT[:], _RAY_SLOT[:] = [None, None], [None, None]
         check_observation_points(space.mesh, points)
         _POINT_SLOT[:] = [key, _class_clouds(
             space, *_point_element_pairs(space.mesh, points),

@@ -33,6 +33,7 @@ from stokesbem.bem_space import (
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
 from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import (
+    SPLIT_SERIES_RADIUS,
     ComplexFrequency,
     ProblemConfig,
     _ab2,
@@ -461,10 +462,14 @@ def every_block(space, s):
     else:
         vertex = bem_space._build_vertex_cloud(
             space, every, *bem_space._split_scale(2.0 * z))
-        swapped = tuple(bem_space._PairCloud(
-            ch.pairs[:, ::-1], ch.r, -ch.rhat,
-            ch.wab.reshape((nb, nb) + ch.r.shape).swapaxes(0, 1).reshape(
-                ch.wab.shape), ch.companion) for ch in vertex)
+        plain, fold = vertex
+        swapped = (bem_space._PairCloud(
+            plain.pairs[:, ::-1], plain.r, -plain.rhat,
+            plain.wab.reshape((nb, nb) + plain.r.shape).swapaxes(0, 1)
+            .reshape(plain.wab.shape)), bem_space._CompanionFold(
+            fold.radius, fold.weights.reshape(fold.weights.shape[:3]
+                                              + (nb, nb)).swapaxes(-1, -2)
+            .reshape(fold.weights.shape)))
         clouds = [
             bem_space._build_self_cloud(space, every,
                                         *bem_space._split_scale(z)),
@@ -705,15 +710,10 @@ def test_reduced_space_tests_data_and_moments_by_the_midpoint_rule():
 
 
 def _direct_profiles(channel, sqrt_s):
-    """Reference: the channel's profiles evaluated directly at
-    ``sqrt_s * channel.r`` for each root of ``sqrt_s``, ``(P, -R)`` for a
-    companion channel, each as its real and imaginary part."""
-    z = sqrt_s[:, None, None] * channel.r
-    if channel.companion:
-        p, r = _pr2(z)
-        f, g = p, -r
-    else:
-        f, g = _ab2(z)
+    """Reference: the plain channel's profiles ``(A_2, B_2)`` evaluated
+    directly at ``sqrt_s * channel.r`` for each root of ``sqrt_s``, each
+    as its real and imaginary part."""
+    f, g = _ab2(sqrt_s[:, None, None] * channel.r)
     return (np.stack([f.real, f.imag], axis=1),
             np.stack([g.real, g.imag], axis=1))
 
@@ -723,20 +723,21 @@ def _cloud_errors(monkeypatch, assemble, space, frequencies):
     ones.
 
     Each cloud's contribution is assembled alone both ways, from the
-    profiles that its fused point sets give and from the kernel at the
-    channels' own points; the error is relative to the largest entry of
-    the direct contribution.  Returns the worst error per cloud position
-    in the assembly order.
+    profiles that its fused point set gives and from the kernel at the
+    plain channel's own points, with the same companion fold in both
+    (:func:`test_companion_fold_matches_its_points` checks the fold);
+    the error is relative to the largest entry of the direct
+    contribution.  Returns the worst error per cloud position in the
+    assembly order.
     """
     accumulate = bem_space._accumulate_blocks
     errors, roots = [], []
 
-    def checked(V, cloud, profiles, pref, index):
+    def checked(V, cloud, profiles, companion, pref, index):
         parts = []
-        for given in (profiles, [_direct_profiles(ch, roots[-1])
-                                 for ch in cloud]):
+        for given in (profiles, _direct_profiles(cloud[0], roots[-1])):
             part = np.zeros_like(V)
-            accumulate(part, cloud, given, pref, index)
+            accumulate(part, cloud, given, companion, pref, index)
             parts.append(part)
         errors[-1].append(np.abs(parts[0] - parts[1]).max()
                           / np.abs(parts[1]).max())
@@ -816,6 +817,86 @@ def test_cloud_profiles_match_direct_on_table_contours(monkeypatch, curve, n,
     assert errors.max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "curve, n, m, final_time, kind, assemble, largest_reach",
+    [
+        (BoundaryCurve.square(1.0), 16, 40, 1.0, "P1_discontinuous",
+         assemble_galerkin_V, 5.77),
+        (BoundaryCurve.square(1.0), 32, 80, 1.0, "P1_discontinuous",
+         assemble_galerkin_V, 5.66),
+        (BoundaryCurve.circle(1.0), 80, 80, 1.0, "P0", assemble_nystrom_V,
+         0.81),
+        (BoundaryCurve.star(), 48, 24, 3.0, "P0", assemble_nystrom_V, 0.72),
+    ],
+    ids=["square-p1-16", "square-p1-32", "circle-80", "star-48"],
+)
+def test_companion_fold_matches_its_points(monkeypatch, curve, n, m,
+                                           final_time, kind, assemble,
+                                           largest_reach):
+    """Every split cloud's folded companion sums equal the sums over the
+    companion channel's own points, ``sum_p w_p (P(z_p) I - R(z_p) rhat_p
+    rhat_p^T)`` with ``z_p = sqrt(s) r_p``, within 1e-13 of ``sum_p
+    |w_p| (|P(z_p)| + |R(z_p)|)``, at every node of the table contour;
+    its largest ``|sqrt(s)| rho`` is 5.78 on the square (16, 40), against
+    ``Z_SPLIT_CAP = 6``.  The points are those that the fold is built
+    from."""
+    fold = bem_space._fold
+    points, reach, worst = {}, [], []
+
+    def recorded(r, rhat, wab):
+        folded = fold(r, rhat, wab)
+        points[id(folded)] = folded, r, rhat, wab
+        return folded
+
+    accumulate = bem_space._accumulate_blocks
+    roots = []
+
+    def checked(V, cloud, profiles, companion, pref, index):
+        if companion is not None:
+            folded, r, rhat, wab = points[id(cloud[1])]
+            reach.append(abs(roots[-1][0]) * folded.radius)
+            got = np.einsum("fqj,jcnk->fcqnk", companion, folded.weights)
+            got = got[:, :, 0] + 1j * got[:, :, 1]
+            p, q = _pr2(roots[-1][:, None, None] * r)
+            x, y = rhat
+            want = np.stack([np.einsum("knp,fnp->fnk", wab, p * e - q * d)
+                             for e, d in ((1, x * x), (0, x * y),
+                                          (1, y * y))], axis=1)
+            scale = np.einsum("knp,fnp->fnk", np.abs(wab),
+                              np.abs(p) + np.abs(q))
+            worst.append((np.abs(got - want) / scale[:, None]).max())
+        accumulate(V, cloud, profiles, companion, pref, index)
+
+    monkeypatch.setattr(bem_space, "_fold", recorded)
+    monkeypatch.setattr(bem_space, "_accumulate_blocks", checked)
+    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
+    space = rule_space(assemble, curve, n, kind)
+    for s in _half_contour(m, final_time):
+        roots.append(bem_space._roots([s], CFG))
+        assemble(space, [s], CFG)
+    assert len(worst) >= len(roots)
+    assert max(worst) <= 1e-13
+    assert max(reach) >= largest_reach
+
+
+def test_companion_fold_beyond_the_series_radius_raises():
+    """A root whose ``|sqrt(s)| rho`` exceeds ``SPLIT_SERIES_RADIUS`` on a
+    split cloud's companion channel is refused, naming the cloud, rather
+    than summed; just inside the radius it is summed."""
+    space = build_space(build_mesh(BoundaryCurve.square(1.0), 8),
+                        "P1_discontinuous")
+    cloud = bem_space._build_self_cloud(space, np.arange(2), 1.0, 1.0)
+    limit = SPLIT_SERIES_RADIUS / cloud[1].radius
+    out = np.zeros((1, 8, space.dof_count), dtype=complex)
+    bem_space._sum_clouds(out, np.array([0.99 * limit + 0j]),
+                          lambda root: [cloud], 1.0, space.n_basis)
+    assert np.isfinite(out).all() and np.abs(out).max() > 0.0
+    with pytest.raises(RuntimeError, match=r"split cloud of element pair "
+                       r"\(0, 0\) exceeds SPLIT_SERIES_RADIUS"):
+        bem_space._sum_clouds(out, np.array([1.01 * limit + 0j]),
+                              lambda root: [cloud], 1.0, space.n_basis)
+
+
 def test_direct_channels_are_those_whose_basis_holds_as_many_nodes():
     """A fused point set whose ray basis would hold at least as many
     nodes as it has points gets no basis, and its channels take their
@@ -833,10 +914,9 @@ def test_direct_channels_are_those_whose_basis_holds_as_many_nodes():
         bem_space.SEPARATED_CLASSES, at=(mesh.midpoints, mesh.arclengths))
     kinds = []
     for root in np.sqrt(np.array([1.0 + 0.0j, 900.0 - 5.0j])):
-        sets = bem_space._fused_sets(clouds, bem_space._ray_scale(root))
-        assert list(sets) == [False]
-        channels, basis = sets[False]
-        assert len(channels) == len(clouds)
+        channels, basis = bem_space._fused_sets(clouds,
+                                                bem_space._ray_scale(root))
+        assert channels == [channel for channel, in clouds]
         kinds.append(basis is None)
         if basis is None:
             for channel, (f, g) in zip(channels, bem_space._fused_profiles(
@@ -883,18 +963,22 @@ def test_block_temporaries_stay_under_the_byte_bounds(monkeypatch):
     """Summing a contour's clouds, every temporary of a block of more
     than one frequency holds at most ``_BLOCK_BYTES``: a kernel call's
     arguments, each of its outputs and their stacked real parts, the
-    interpolated values of a fused point set, and a channel's profile
-    tensor; every stack of samples of a block of more than one node
-    holds at most ``cq_engine._SAMPLE_BLOCK_BYTES``.  Larger blocks than
-    one are formed."""
+    interpolated values of the fused point set, and the plain channel's
+    profile tensor; so do the companion values of a run, and the
+    barycentric rows of each chunk of more than one pair that a companion
+    fold sums while its cloud is built.  Every stack of samples of a
+    block of more than one node holds at most
+    ``cq_engine._SAMPLE_BLOCK_BYTES``.  Larger blocks and chunks than one
+    are formed."""
     from stokesbem import cq_engine
 
-    tensors, stacks = [], []
+    tensors, stacks, chunks = [], [], []
     for name in ("_ab2", "_pr2"):
-        def recorded(z, kernel=getattr(bem_space, name)):
+        def recorded(z, kernel=getattr(bem_space, name), name=name):
             f, g = kernel(z)
-            # (b, points) at the points, (panels, b, nodes) at the nodes
-            size = z.shape[0] if z.ndim == 2 else z.shape[1]
+            # (b, points) at the points, (panels, b, nodes) at the nodes,
+            # (b, folds, nodes) at the folds' nodes
+            size = z.shape[1] if z.ndim == 3 and name == "_ab2" else z.shape[0]
             tensors.extend((size, nbytes) for nbytes in (
                 z.nbytes, f.nbytes, g.nbytes, 2 * z.nbytes))
             return f, g
@@ -902,19 +986,28 @@ def test_block_temporaries_stay_under_the_byte_bounds(monkeypatch):
         monkeypatch.setattr(bem_space, name, recorded)
     interpolate = bem_space._interpolate
     accumulate = bem_space._accumulate_blocks
+    barycentric = bem_space._barycentric
 
     def recorded_interpolate(basis, table):
         out = interpolate(basis, table)
         tensors.append((table.shape[1], out.nbytes))
         return out
 
-    def recorded_accumulate(V, cloud, profiles, pref, index):
+    def recorded_accumulate(V, cloud, profiles, companion, pref, index):
         # the tensor of _accumulate_blocks: six reals per point and root
-        tensors.extend((V.shape[0], 3 * f.nbytes) for f, _ in profiles)
-        return accumulate(V, cloud, profiles, pref, index)
+        tensors.append((V.shape[0], 3 * profiles[0].nbytes))
+        return accumulate(V, cloud, profiles, companion, pref, index)
+
+    def recorded_barycentric(t):
+        rows = barycentric(t)
+        if t.ndim == 2:  # a chunk of a fold's pairs
+            chunks.append((t.shape[0], rows.nbytes))
+        return rows
 
     monkeypatch.setattr(bem_space, "_interpolate", recorded_interpolate)
     monkeypatch.setattr(bem_space, "_accumulate_blocks", recorded_accumulate)
+    monkeypatch.setattr(bem_space, "_barycentric", recorded_barycentric)
+    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
     space = build_space(build_mesh(BoundaryCurve.square(1.0), 16),
                         "P1_discontinuous")
 
@@ -926,6 +1019,7 @@ def test_block_temporaries_stay_under_the_byte_bounds(monkeypatch):
     cq_engine.cq_weights(transfer, CQScheme(order=3, kappa=1.0 / 40,
                                             n_steps=40))
     for blocks, bound in ((tensors, bem_space._BLOCK_BYTES),
+                          (chunks, bem_space._BLOCK_BYTES),
                           (stacks, cq_engine._SAMPLE_BLOCK_BYTES)):
         assert max(size for size, _ in blocks) > 1
         assert all(nbytes <= bound for size, nbytes in blocks if size > 1)
@@ -959,6 +1053,54 @@ def test_one_kernel_call_per_profile_kind_and_block(monkeypatch):
     assert rest == 0 and blocks > 0
     assert 0 < calls["_ab2"] <= blocks
     assert 0 < calls["_pr2"] <= blocks
+
+
+def test_one_companion_kernel_call_per_run(monkeypatch):
+    """A square P1 (16, 40) sweep calls ``_pr2`` once per run of
+    frequencies with the same clouds and scale, for all the run's roots
+    and folds; every run holds the split self and vertex clouds."""
+    from stokesbem import cq_engine
+
+    calls = {"_pr2": 0, "runs": 0}
+    pr2, fused_sets = bem_space._pr2, bem_space._fused_sets
+
+    def counted_pr2(z):
+        calls["_pr2"] += 1
+        return pr2(z)
+
+    def counted_runs(clouds, scale):
+        calls["runs"] += 1
+        return fused_sets(clouds, scale)
+
+    monkeypatch.setattr(bem_space, "_pr2", counted_pr2)
+    monkeypatch.setattr(bem_space, "_fused_sets", counted_runs)
+    space = build_space(build_mesh(BoundaryCurve.square(1.0), 16),
+                        "P1_discontinuous")
+    cq_engine.cq_weights(lambda s: assemble_galerkin_V(space, s, CFG),
+                         CQScheme(order=3, kappa=1.0 / 40, n_steps=40))
+    assert 0 < calls["_pr2"] == calls["runs"]
+
+
+@pytest.mark.parametrize("scale", [0.25, 1.0, 32.0])
+def test_ray_panels_lie_their_width_from_zero_and_span_at_most_w(scale):
+    """Every panel of a ray basis lies at least its own width from ``r =
+    0``, spans at most ``RAY_PANEL_WIDTH / S`` and holds its points."""
+    r = np.geomspace(1e-4, 40.0, 20000) / scale
+    basis = bem_space._ray_basis(r, scale)
+    ends = basis.nodes[:, [0, -1]]
+    half = (ends[:, 0] - ends[:, 1]) / (bem_space._CHEB_T[0]
+                                        - bem_space._CHEB_T[-1])
+    lo, hi = ends.mean(axis=1) - half, ends.mean(axis=1) + half
+    assert lo.size > 10
+    assert (lo >= (1.0 - 1e-12) * (hi - lo)).all()
+    assert ((hi - lo) <= (1.0 + 1e-12) * bem_space.RAY_PANEL_WIDTH
+            / scale).all()
+    assert np.isclose(hi - lo, bem_space.RAY_PANEL_WIDTH / scale,
+                      rtol=1e-12).sum() > 1
+    inside = r[np.argsort(basis.inverse)]
+    for k, (a, b) in enumerate(zip(basis.bounds[:-1], basis.bounds[1:])):
+        assert (inside[a:b] >= lo[k] * (1.0 - 1e-12)).all()
+        assert (inside[a:b] <= hi[k] * (1.0 + 1e-12)).all()
 
 
 @pytest.mark.parametrize("scale", [0.25, 1.0, 32.0])
@@ -1056,8 +1198,8 @@ def test_potential_node_bytes_count_the_built_clouds(curve, n, kind, points):
     for (channel,) in clouds:
         np.add.at(nodes, channel.pairs[:, 0], channel.r.shape[1])
         held += channel.r.nbytes + channel.rhat.nbytes + channel.wab.nbytes
-    (_, basis), = bem_space._fused_sets(
-        clouds, bem_space._ray_scale(np.sqrt(3.0 + 1.0j))).values()
+    _, basis = bem_space._fused_sets(
+        clouds, bem_space._ray_scale(np.sqrt(3.0 + 1.0j)))
     held += basis.rows.nbytes + basis.inverse.nbytes
     per_node = 8 * (4 + space.n_basis + bem_space.RAY_PANEL_ORDER)
     np.testing.assert_array_equal(reported, nodes * per_node)

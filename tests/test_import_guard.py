@@ -1,4 +1,5 @@
-"""Importing the package, a run and a snapshot never import SciPy.
+"""Importing the package, a run and a snapshot never import SciPy, nor
+``numpy.polynomial``.
 
 The kernels take ``K_0``, ``K_1`` from the package's own rational
 (``laplace_kernels._k01``), :func:`bem_space.factor` inverts by
@@ -7,8 +8,11 @@ its contour samples with NumPy's FFT.  Importing ``scipy.special`` and ``scipy.l
 most of the fixed time and about half of the resident memory of every
 fresh process, so a run must leave every ``scipy`` module unimported.
 Only ``stokesbem verify``'s oracle imports ``scipy.integrate``, when it
-is called.  The check needs a fresh interpreter: the test process itself
-imports SciPy for its references.
+is called.  The Gauss-Legendre rules of ``_quadrature`` repeat
+``leggauss``'s arithmetic with ``numpy.linalg`` alone: importing
+``numpy.polynomial`` cost every workload about 6 ms and 0.9 MB of peak
+resident set.  The check needs a fresh interpreter: the test process
+itself imports SciPy for its references.
 """
 
 import json
@@ -32,7 +36,8 @@ result = stokesbem.run_simulation(
 grid = stokesbem.GridSpec(x0=-2.0, y0=-2.0, dx=1.0, dy=1.0, n_rows=5, n_cols=5)
 stokesbem.field_snapshot(result, grid, [4])
 print(json.dumps(sorted(name for name in sys.modules
-                        if name.split(".")[0] == "scipy")))
+                        if name.split(".")[0] == "scipy"
+                        or name.startswith("numpy.polynomial"))))
 """
 
 

@@ -55,6 +55,18 @@ def test_gauss_legendre_polynomial_exactness(order):
         assert moment == pytest.approx(1.0 / (k + 1), rel=1e-13), k
 
 
+def test_gauss_legendre_is_leggauss_bit_for_bit():
+    """The rule repeats NumPy's ``leggauss`` arithmetic exactly, mapped
+    to (0, 1), for every order up to 100."""
+    from numpy.polynomial.legendre import leggauss
+
+    for order in range(1, 101):
+        x, w = leggauss(order)
+        nodes, weights = gauss_legendre_01(order)
+        assert nodes.tobytes() == (0.5 * (x + 1.0)).tobytes(), order
+        assert weights.tobytes() == (0.5 * w).tobytes(), order
+
+
 def test_gauss_legendre_cached_arrays_read_only():
     nodes, _ = gauss_legendre_01(8)
     with pytest.raises(ValueError):
