@@ -1207,6 +1207,8 @@ def _assemble(space: DensitySpace, freqs, cfg: ProblemConfig,
     sqrt_s = _roots(freqs, cfg)
     w, n = 2 * space.n_basis, _sector_size(space.mesh)
     sector = np.zeros((sqrt_s.size, w * n, space.dof_count), dtype=complex)
+    if not sqrt_s.size:
+        return sector
     _sum_clouds(sector, sqrt_s, clouds_at, cfg.kernel_prefactor,
                 space.n_basis)
     if not np.isfinite(sector).all():

@@ -491,6 +491,8 @@ def pressure_kernel(r_vec, dimension: int) -> np.ndarray:
     r = np.asarray(r_vec, dtype=float)
     if r.shape != (dimension,):
         raise ValueError(f"displacement shape {r.shape} does not match d={dimension}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"displacement {r} is not finite")
     dist = float(np.linalg.norm(r))
     if dist == 0.0:
         raise ValueError("pressure kernel is singular at r = 0")

@@ -19,9 +19,10 @@ Three independent instruments check the solver from the outside:
   ``|V(s) c_n|`` for the discrete normal, and the agreement of the two
   gauge-fixing formulations.  Failures become report entries, never
   exceptions, so a driver can print the full table before exiting.
-* :func:`time_convolution_oracle` evaluates ``(k * g)(t)`` by adaptive
-  quadrature of a time-domain kernel ``k`` known in closed form, giving
-  the time marcher a reference that shares none of its machinery.
+* :func:`time_convolution_oracle` evaluates ``(k * g)(t)`` by composite
+  Gauss-Legendre quadrature of a time-domain kernel ``k`` known in closed
+  form, giving the time marcher a reference that shares none of its
+  machinery.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._checks import count, length
+from ._quadrature import panel_gauss
 from .bem_space import (
     ConstraintMode,
     DensitySpace,
@@ -369,6 +371,11 @@ CQ_ORDER_TOL = 0.2
 #: Step-count ladder for the order measurement (kappa halving).
 CQ_ORDER_RESOLUTIONS = (16, 32, 64, 128)
 
+#: Gauss-Legendre points per panel of :func:`time_convolution_oracle`.
+ORACLE_ORDER = 20
+#: Uniform panel counts of ``[0, t]`` that the oracle takes in turn.
+ORACLE_PANELS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
 
 def cq_order_report() -> PropertyReport:
     """Measure the discrete convolution's convergence order per scheme.
@@ -390,15 +397,6 @@ def cq_order_report() -> PropertyReport:
     """
     transfer = lambda s: 1.0 / (s + 1.0)  # noqa: E731
     kernel = lambda t: np.exp(-np.asarray(t, dtype=float))  # noqa: E731
-    oracle_cache: dict[float, float] = {}
-
-    def oracle(t: float) -> float:
-        if t not in oracle_cache:
-            oracle_cache[t] = time_convolution_oracle(
-                kernel, lambda u: u**5, t
-            )
-        return oracle_cache[t]
-
     checks = []
     for p in (1, 2, 3):
         kappas = []
@@ -412,9 +410,8 @@ def cq_order_report() -> PropertyReport:
                 (times**5)[:, None],
             )[:, 0].real
             samples = np.arange(m // 8, m + 1, m // 8)
-            err = max(
-                abs(values[n] - oracle(float(times[n]))) for n in samples
-            )
+            err = max(abs(values[n] - time_convolution_oracle(
+                kernel, lambda u: u**5, float(times[n]))) for n in samples)
             kappas.append(scheme.kappa)
             errors.append(err)
         slope = float(
@@ -437,19 +434,24 @@ def time_convolution_oracle(
     data: Callable[[float], float],
     t: float,
 ) -> float:
-    """Adaptive-quadrature value of ``(k * g)(t)``.
+    """Composite Gauss-Legendre value of ``(k * g)(t)``.
 
-    ``int_0^t k(t - tau) g(tau) dtau`` is integrated adaptively from the
-    time-domain kernel ``k``, the inverse Laplace transform of the
-    transfer under test.  The result shares no machinery with the
-    discrete marcher and serves as its reference.
+    ``int_0^t k(t - tau) g(tau) dtau`` is summed from the time-domain
+    kernel ``k``, the inverse Laplace transform of the transfer under
+    test, by the ``ORACLE_ORDER``-point rule on each of ``ORACLE_PANELS``
+    uniform panels of ``[0, t]`` in turn, until a sum agrees with the
+    previous one within ``max(1e-13, 1e-12 |value|)``.  The result
+    shares no machinery with the discrete marcher and serves as its
+    reference.  It is for integrands smooth on ``[0, t]``: one that 256
+    panels do not settle is a ``RuntimeError`` naming ``t``, and a
+    non-finite ``t`` is a ``ValueError``.
 
     Parameters
     ----------
     kernel:
-        Real-valued time-domain kernel ``k``.
+        Real-valued time-domain kernel ``k``, called with a float.
     data:
-        Real-valued causal data ``g``.
+        Real-valued causal data ``g``, called with a float.
     t:
         Evaluation time; nonpositive times return 0.
 
@@ -457,16 +459,19 @@ def time_convolution_oracle(
     -------
     float
     """
+    if not np.isfinite(t):
+        raise ValueError(f"the oracle needs a finite time t, got {t!r}")
     if t <= 0.0:
         return 0.0
-    import scipy.integrate  # deferred: no other code of the package uses it
-
-    value, _ = scipy.integrate.quad(
-        lambda tau: kernel(t - tau) * data(tau),
-        0.0,
-        t,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return float(value)
+    value = np.nan
+    for panels in ORACLE_PANELS:
+        nodes, weights = panel_gauss(ORACLE_ORDER,
+                                     np.linspace(0.0, t, panels + 1))
+        previous, value = value, float(sum(
+            w * kernel(t - tau) * data(tau)
+            for tau, w in zip(nodes.tolist(), weights.tolist())))
+        change = abs(value - previous)
+        if change <= max(1e-13, 1e-12 * abs(value)):
+            return value
+    raise RuntimeError(f"the oracle did not settle at t={t!r}: the sums on "
+                       f"{panels} panels still changed by {change:.3e}")

@@ -1246,6 +1246,30 @@ def test_pressure_potential_matches_element_loop(curve, n, kind, points):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_empty_frequency_block_gives_empty_stacks(monkeypatch):
+    """No frequencies give a stack of no matrices, of the shape that one
+    frequency's stack has after its first axis, from the two assemblers
+    and the velocity potential alike, also with nothing cached yet."""
+    monkeypatch.setattr(bem_space, "_GEOMETRY_CACHE", {})
+    points = np.array([[3.0, 0.5], [0.2, -2.5]])
+    calls = [
+        (assemble_galerkin_V,
+         build_space(build_mesh(BoundaryCurve.square(1.0), 8),
+                     "P1_discontinuous")),
+        (assemble_nystrom_V,
+         build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0",
+                     "reduced")),
+        (lambda space, freqs, cfg: potential_velocity_matrix(
+            space, freqs, cfg, points),
+         build_space(build_mesh(BoundaryCurve.circle(1.0), 8), "P0")),
+    ]
+    for assemble, space in calls:
+        empty = assemble(space, [], CFG)
+        one = assemble(space, [2.0 + 1.0j], CFG)
+        assert empty.shape == (0,) + one.shape[1:]
+        assert empty.dtype == one.dtype
+
+
 # ---------------------------------------------------------------------------
 # potentials
 

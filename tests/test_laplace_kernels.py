@@ -464,6 +464,14 @@ def test_pressure_kernel_rejects_origin():
         pressure_kernel([0.0, 0.0], 2)
 
 
+@pytest.mark.parametrize("r", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+def test_pressure_kernel_rejects_non_finite_displacement(r):
+    """Like the velocity kernel, the pressure kernel refuses a non-finite
+    displacement, naming it, instead of returning NaN."""
+    with pytest.raises(ValueError, match="displacement .* is not finite"):
+        pressure_kernel(r, 2)
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     st.floats(0.05, 20.0),

@@ -6,13 +6,16 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import stokesbem
 from stokesbem.bem_space import ConstraintMode, build_space
 from stokesbem.boundary_geometry import BoundaryCurve, build_mesh
+from stokesbem.cq_engine import CQScheme
 from stokesbem.laplace_kernels import ProblemConfig
 from stokesbem.stokes_solver import DirichletData, manufactured_dirichlet_data
 from stokesbem.verification import (
+    CQ_ORDER_RESOLUTIONS,
     ConvergenceRecord,
     SweepProblem,
     convergence_sweep,
@@ -164,6 +167,33 @@ class TestLaplacePropertySuite:
         assert all(("PASS" in ln) or ("FAIL" in ln) for ln in lines)
 
 
+def cq_order_report_times():
+    """The times at which ``cq_order_report`` samples the oracle."""
+    times = set()
+    for p in (1, 2, 3):
+        for m in CQ_ORDER_RESOLUTIONS:
+            grid = CQScheme(order=p, kappa=1.0 / m, n_steps=m).times()
+            times.update(float(grid[n]) for n in range(m // 8, m + 1, m // 8))
+    return sorted(times)
+
+
+def decay(u):
+    """The kernel of ``1/(s + 1)``, as ``cq_order_report`` writes it."""
+    return np.exp(-np.asarray(u, dtype=float))
+
+
+#: (kernel, data, time): those of ``cq_order_report``, then those of the
+#: closed-form cases below
+QUAD_CASES = [(decay, lambda u: u**5, t) for t in cq_order_report_times()] + [
+    (lambda u: 1.0, lambda u: 1.0, 0.8),
+    (lambda u: 1.0, lambda u: u, 0.8),
+    (lambda u: 1.0, lambda u: u**3, 0.8),
+    (lambda u: np.exp(-u), lambda u: u * u, 1.3),
+    (lambda u: np.exp(-u), np.sin, 0.9),
+    (lambda u: u, lambda u: 1.0, 0.5),
+]
+
+
 class TestTimeConvolutionOracle:
     """Kernels of the transfers ``1/s`` (unit step), ``1/(s + 1)``
     (decaying exponential) and ``1/s**2`` (ramp)."""
@@ -204,9 +234,39 @@ class TestTimeConvolutionOracle:
                 lambda u: 1.0, lambda u: 1.0, t
             ) == 0.0
 
+    @pytest.mark.parametrize("kernel, data, t", QUAD_CASES)
+    def test_agrees_with_adaptive_quadrature(self, kernel, data, t):
+        """Within the tolerances that QUADPACK is given, at every time of
+        the order report and in every closed-form case."""
+        want, _ = scipy.integrate.quad(
+            lambda tau: kernel(t - tau) * data(tau), 0.0, t,
+            epsabs=1e-13, epsrel=1e-12, limit=200,
+        )
+        got = time_convolution_oracle(kernel, data, t)
+        assert abs(got - want) <= max(1e-13, 1e-12 * abs(want))
+
+    def test_unsettled_sum_is_refused(self):
+        """A fast oscillation is not smooth at 256 panels of ``[0, 1]``:
+        the oracle names the time instead of returning an unsettled
+        sum."""
+        with pytest.raises(RuntimeError, match=r"t=1\.0"):
+            time_convolution_oracle(
+                lambda u: 1.0, lambda u: np.sin(1e5 * u), 1.0
+            )
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_time_is_refused(self, t):
+        """Before any evaluation of the kernel or the data."""
+        def never(u):
+            raise AssertionError("evaluated at a non-finite time")
+
+        with pytest.raises(ValueError, match=f"finite time t, got {t!r}"):
+            time_convolution_oracle(never, never, t)
+
     def test_package_import_leaves_scipy_integrate_out(self):
-        """Only the oracle needs ``scipy.integrate``; it imports it when
-        called, so ``import stokesbem`` does not pay for it."""
+        """No code of the package imports ``scipy.integrate``: the oracle
+        sums its own Gauss-Legendre panels, so ``import stokesbem`` does
+        not pay for it."""
         src = os.path.dirname(os.path.dirname(stokesbem.__file__))
         code = (f"import sys; sys.path.insert(0, {src!r}); import stokesbem; "
                 "print('scipy.integrate' in sys.modules)")
